@@ -14,7 +14,6 @@ from .construction import (
     StageOnePlan,
     build_generalized,
     build_harary,
-    build_spe_network,
     stage1_allocate,
     structured_solve,
 )

@@ -26,7 +26,7 @@ from .game import (
     bruteforce_spe_oracle,
     solve_spe_exact,
 )
-from .graph import EdgeClass, GraphError, LayeredGraph, Owner, from_pairs, remove_edges
+from .graph import EdgeClass, GraphError, LayeredGraph, Owner, degrees, remove_edges
 from .metrics import (
     MetricsError,
     cost_bounds,
@@ -54,14 +54,7 @@ _ERRORS = (
 
 
 def _counts(g: LayeredGraph) -> dict:
-    tally = {
-        (Owner.OPERATOR1, EdgeClass.INTRA1): 0,
-        (Owner.OPERATOR1, EdgeClass.CROSS): 0,
-        (Owner.OPERATOR2, EdgeClass.INTRA2): 0,
-        (Owner.OPERATOR2, EdgeClass.CROSS): 0,
-    }
-    for e in g.edges:
-        tally[(e.owner, e.cls)] += 1
+    tally = g.tally()
     return {
         "operator1": {
             "intra1": tally[(Owner.OPERATOR1, EdgeClass.INTRA1)],
@@ -74,16 +67,10 @@ def _counts(g: LayeredGraph) -> dict:
     }
 
 
-def _profile_graph(n1: int, n2: int, profile) -> LayeredGraph:
-    triples = [(u, v, Owner.OPERATOR1) for u, v in profile.e1_intra | profile.e1_cross]
-    triples += [(u, v, Owner.OPERATOR2) for u, v in profile.e2_intra | profile.e2_cross]
-    return from_pairs(n1, n2, triples)
-
-
 def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> LayeredGraph:
     if built is not None and not built.is_null:
         return built.graph
-    return _profile_graph(scn.n1, scn.n2, solution.profiles[0])
+    return solution.profiles[0].to_graph(scn.n1, scn.n2)
 
 
 def cmd_solve(args) -> int:
@@ -115,7 +102,7 @@ def cmd_solve(args) -> int:
             bundle["classes"] = [
                 {
                     "u2": io.frac_str(u2),
-                    **_counts(_profile_graph(scn.n1, scn.n2, prof)),
+                    **_counts(prof.to_graph(scn.n1, scn.n2)),
                 }
                 for u2, prof in zip(solution.u2_values, solution.profiles)
             ]
@@ -175,7 +162,6 @@ def cmd_verify(args) -> int:
     g = io.load_graph(args.graph)
     p = link_connectivity(g).p
     resistant = p >= args.k
-    degrees = [sum(1 for e in g.edges if v in (e.u, e.v)) for v in range(g.n)]
     print(
         json.dumps(
             {
@@ -183,7 +169,7 @@ def cmd_verify(args) -> int:
                 "p": p,
                 "k": args.k,
                 "resistant": resistant,
-                "degrees": degrees,
+                "degrees": degrees(g.n, g.edge_pairs()),
             },
             indent=2,
         )
@@ -293,14 +279,6 @@ def _case_a_costs() -> CostProfile:
     )
 
 
-def _degrees(g: LayeredGraph) -> list:
-    degs = [0] * g.n
-    for e in g.edges:
-        degs[e.u] += 1
-        degs[e.v] += 1
-    return degs
-
-
 def _repro_algo_example(rep: _Report):
     costs = CostProfile(Fraction(1, 20), Fraction(1, 20), Fraction(1, 10), Fraction(1, 10), Fraction(1, 3))
     solution, built = structured_solve(5, 5, costs)
@@ -311,7 +289,7 @@ def _repro_algo_example(rep: _Report):
     rep.check("operator-2 cross links", plan.op2_cross, 6)
     rep.check("u1", solution.u1, Fraction(13, 20))
     rep.check("u2", solution.u2, Fraction(1, 20))
-    rep.check("all degrees", sorted(set(_degrees(built.graph))), [4])
+    rep.check("all degrees", sorted(set(degrees(built.graph.n, built.graph.edge_pairs()))), [4])
     rep.check("resilience level p", link_connectivity(built.graph).p, 3)
 
 
@@ -328,7 +306,7 @@ def _repro_case_a(rep: _Report):
     attack = adversary_best_response(built.graph, _case_a_costs().ca)
     rep.check("adversary best response", sorted(attack), [])
     rep.check("resilience level p", link_connectivity(built.graph).p, 3)
-    rep.check("every node degree", sorted(set(_degrees(built.graph))), [4])
+    rep.check("every node degree", sorted(set(degrees(built.graph.n, built.graph.edge_pairs()))), [4])
     rep.note(
         "u1: 10 links at unit cost 1/30 give 1 - 1/3 = 2/3; the commonly "
         "quoted 5/6 for this case is inconsistent with its own link count "

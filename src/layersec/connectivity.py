@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Edge, GraphError, LayeredGraph
+from .graph import Edge, GraphError, LayeredGraph, degrees
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,7 @@ def edge_connectivity_pairs(n: int, pairs, cap_at: int | None = None) -> int:
         return n - 1 if n else 0
     if not connected_pairs(n, pairs):
         return 0
-    degs = [0] * n
-    for u, v in pairs:
-        degs[u] += 1
-        degs[v] += 1
-    best = min(degs)  # lambda <= min degree
+    best = min(degrees(n, pairs))  # lambda <= min degree
     if cap_at is not None:
         best = min(best, cap_at)
     for t in range(1, n):
@@ -119,18 +115,22 @@ def edge_connectivity_pairs(n: int, pairs, cap_at: int | None = None) -> int:
 
 
 def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:
-    """A concrete minimum disconnecting edge set of (n, pairs)."""
+    """A concrete minimum disconnecting edge set of (n, pairs).
+
+    One sweep over the sinks t: each 0-t flow runs one augmentation past
+    the best value so far, so a flow that stops at or below it is a full
+    maximum flow.  The residual of the first sink reaching the minimum
+    gives the cut.
+    """
     pairs = list(pairs)
-    lam = edge_connectivity_pairs(n, pairs)
-    if lam == 0:
+    if n < 2 or not connected_pairs(n, pairs):
         raise GraphError("graph is already disconnected")
-    best_t = None
+    best, kept = min(degrees(n, pairs)), None
     for t in range(1, n):
-        flow, _, _ = _max_flow_unit(n, pairs, 0, t, stop_at=lam + 1)
-        if flow == lam:
-            best_t = t
-            break
-    flow, cap, adj = _max_flow_unit(n, pairs, 0, best_t)
+        flow, cap, adj = _max_flow_unit(n, pairs, 0, t, stop_at=best + 1)
+        if flow < best or (flow == best and kept is None):
+            best, kept = flow, (cap, adj)
+    cap, adj = kept
     # Source side of the cut = nodes reachable in the residual graph.
     reach = [False] * n
     reach[0] = True
@@ -142,7 +142,7 @@ def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:
                 reach[y] = True
                 queue.append(y)
     cut = [(u, v) for u, v in pairs if reach[u] != reach[v]]
-    assert len(cut) == lam
+    assert len(cut) == best
     return cut
 
 

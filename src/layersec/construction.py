@@ -1,8 +1,9 @@
 """Equilibrium network construction.
 
-The structured builder realizes the equilibrium topology as a superposition
-of (k + 1)/2 pairwise edge-disjoint Hamiltonian cycles over the 2*n1 nodes
-(k odd), after a closed-form stage-1 split of the link budget between the
+``build_generalized`` is the one builder.  For odd k it realizes the
+equilibrium topology as a superposition of (k + 1)/2 pairwise
+edge-disjoint Hamiltonian cycles over the 2*n1 nodes (either layer
+parity), after a closed-form stage-1 split of the link budget between the
 two operators:
 
   stage 1  decide how many links operator 1 contributes (intra first,
@@ -12,20 +13,21 @@ two operators:
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
   stage 4  remaining cycles built purely from cross links.
 
+The cycles come from the Walecki decomposition of K_n1 for odd n1 and
+from the zigzag path decomposition for even n1.
+
 Every constructed network is re-verified (exact edge counts against the
 stage-1 plan, degree k + 1 everywhere, the cycles partition the edge set,
 and the whole graph survives any k link removals); a construction that
 fails verification raises instead of returning silently.
 
-For parameter regimes the cycle recipe does not cover (even layer size,
-even k), ``build_generalized`` falls back to a mirrored partial circulant
-plus degree-driven cross placement, certified and locally rewired if the
+For even k the builder uses a mirrored partial circulant plus
+degree-driven cross placement, certified and locally rewired if the
 resilience check fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from .game import (
     attack_budget,
     null_spe_check,
 )
-from .graph import EdgeClass, LayeredGraph, Owner, from_pairs, new_graph
+from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs, new_graph
 
 OP1 = Owner.OPERATOR1
 OP2 = Owner.OPERATOR2
@@ -235,36 +237,6 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list):
     return tag
 
 
-def _class_pair_cycle(n1: int, c: int, d: int, out: list):
-    """All-cross Hamiltonian cycle using the full cross-offset classes c, d."""
-    tag = []
-    x = 0
-    for _ in range(n1):
-        out.append([x, n1 + (x + d) % n1, OP2])
-        tag.append((x, n1 + (x + d) % n1))
-        nxt = (x + d - c) % n1
-        out.append([nxt, n1 + (x + d) % n1, OP2])
-        tag.append((nxt, n1 + (x + d) % n1))
-        x = nxt
-    return tag
-
-
-def _pair_up_classes(avail: list, need: int, n1: int):
-    """Pick ``need`` disjoint class pairs with differences coprime to n1."""
-    if need == 0:
-        return []
-    if len(avail) < 2 * need:
-        return None
-    first = avail[0]
-    for j in range(1, len(avail)):
-        if math.gcd(avail[j] - first, n1) == 1:
-            rest = avail[1:j] + avail[j + 1 :]
-            sub = _pair_up_classes(rest, need - 1, n1)
-            if sub is not None:
-                return [(first, avail[j])] + sub
-    return _pair_up_classes(avail[1:], need, n1)
-
-
 def _steer_removals(cycles: list, blocked: set):
     """Pick one removal edge per cycle with pairwise-disjoint endpoints."""
     if not cycles:
@@ -296,41 +268,13 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
     m = plan.e11 // (N - 1)
     z = plan.e11 - m * (N - 1)
     m12 = C - m - (1 if z else 0)
-
-    literal_ok = (
-        N % 2 == 1
-        and all(math.gcd(j, N) == 1 for j in range(1, m + 1))
-    )
     out: list = []
     closer_slots: list = []
     tags = []
-    if literal_ok:
-        # Offset-based cycles: stage-2 cycle j is the circulant offset-j
-        # cycle opened at (0, j); stage 3 walks the step-(N+1)/2
-        # permutation; stage 4 consumes whole cross-offset classes.
-        excluded = set()
-        for j in range(1, m + 1):
-            excluded |= {j % N, (N - j) % N}
-        if z:
-            t = (N - 1) // 2
-            excluded |= {0, t, t + 1}
-        avail = [c for c in range(N) if c not in excluded]
-        pairs = _pair_up_classes(avail, m12, N)
-        if pairs is not None:
-            for j in range(1, m + 1):
-                path = [(x * j) % N for x in range(1, N)] + [0]
-                tags.append(_mirrored_cycle(N, path, "twisted", out, closer_slots))
-            if z:
-                s = (N + 1) // 2
-                seq = [(i * s) % N for i in range(N)]
-                tags.append(_mixed_cycle(N, seq, z, out))
-            for c, d in pairs:
-                tags.append(_class_pair_cycle(N, c, d, out))
-            return out, closer_slots, tags, C
-        out, closer_slots, tags = [], [], []
 
-    # Generic route: one Hamiltonian path of the complete-graph
-    # decomposition per cycle, cross-switched for the all-cross cycles.
+    # One Hamiltonian path of the complete-graph decomposition per cycle
+    # (Walecki cycles for odd N, zigzag paths for even N), cross-switched
+    # for the all-cross cycles.
     seqs = ham_path_decomposition(N)
     if N % 2 == 1:
         switch = seqs[m : C]
@@ -373,11 +317,7 @@ def _build_even_k(n1: int, k: int, plan: StageOnePlan):
     out = [[a, b, OP1] for a, b in intra]
     out += [[a + N, b + N, OP2] for a, b in intra]
 
-    degs = [0] * (2 * N)
-    for a, b, _ in out:
-        degs[a] += 1
-        degs[b] += 1
-    deficit = [k + 1 - degs[v] for v in range(2 * N)]
+    deficit = [k + 1 - d for d in degrees(2 * N, [(a, b) for a, b, _ in out])]
     total_cross = N * (k + 1) - 2 * plan.e11
     assert sum(deficit) == 2 * total_cross
 
@@ -455,21 +395,13 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
         (OP2, EdgeClass.INTRA2): plan.op2_intra,
         (OP2, EdgeClass.CROSS): plan.op2_cross,
     }
-    got = {}
-    for e in graph.edges:
-        got[(e.owner, e.cls)] = got.get((e.owner, e.cls), 0) + 1
+    got = graph.tally()
     for key, want in counts.items():
-        if got.get(key, 0) != want:
-            raise ConstructionError(
-                f"count mismatch for {key}: built {got.get(key, 0)}, planned {want}"
-            )
+        if got[key] != want:
+            raise ConstructionError(f"count mismatch for {key}: built {got[key]}, planned {want}")
     if len(graph.edges) != plan.total_links:
         raise ConstructionError("total link count does not match the plan")
-    degs = [0] * graph.n
-    for e in graph.edges:
-        degs[e.u] += 1
-        degs[e.v] += 1
-    if any(d != k + 1 for d in degs):
+    if any(d != k + 1 for d in degrees(graph.n, graph.edge_pairs())):
         raise ConstructionError("constructed network is not (k+1)-regular")
     if tags:
         seen = set()
@@ -489,45 +421,23 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
 def _is_ham_cycle(n: int, pairs: set) -> bool:
     if len(pairs) != n:
         return False
-    degs = [0] * n
-    for u, v in pairs:
-        degs[u] += 1
-        degs[v] += 1
-    return all(d == 2 for d in degs) and connected_pairs(n, pairs)
-
-
-def build_spe_network(n1: int, k: int, costs: CostProfile) -> BuiltNetwork:
-    """Equilibrium network for odd layer size and odd k (k < n1).
-
-    Runs the stage-1 split, then superposes (k+1)/2 edge-disjoint
-    Hamiltonian cycles realizing exactly the planned per-owner link
-    counts.  Returns a null network when stage 1 is infeasible.
-    """
-    if n1 % 2 == 0 or k % 2 == 0:
-        raise ConstructionError("cycle construction needs odd n1 and odd k")
-    if k >= n1:
-        raise ConstructionError("requires k < n1")
-    plan = stage1_allocate(n1, k, costs)
-    if not plan.feasible:
-        return BuiltNetwork(new_graph(n1, n1), plan, 0, ())
-    out, closer_slots, tags, cycles = _build_cycle_superposition(n1, k, plan)
-    return _assemble(n1, plan, out, closer_slots, tags, cycles)
+    return all(d == 2 for d in degrees(n, pairs)) and connected_pairs(n, pairs)
 
 
 def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork:
-    """Verified builder for regimes outside the odd/odd recipe.
+    """Equilibrium network of a symmetric instance (n1 == n2, k < n1).
 
-    Same stage-1 budget split; the topology comes from the cycle
-    superposition when k is odd (any layer parity) and from a mirrored
-    partial circulant with degree-driven cross placement when k is even.
-    Every output is certified k-resistant before being returned.
+    Runs the stage-1 split, then builds the topology: the superposition
+    of (k+1)/2 edge-disjoint Hamiltonian cycles when k is odd (either
+    layer parity), a mirrored partial circulant with degree-driven cross
+    placement when k is even.  Every output realizes exactly the planned
+    per-owner link counts and is certified k-resistant before being
+    returned; a null network is returned when stage 1 is infeasible.
     """
     if n1 != n2:
         raise ConstructionError("generalized builder needs equal layer sizes")
     if k >= n1:
         raise ConstructionError("requires k < n1")
-    if n1 % 2 == 1 and k % 2 == 1:
-        return build_spe_network(n1, k, costs)
     plan = stage1_allocate(n1, k, costs)
     if not plan.feasible:
         return BuiltNetwork(new_graph(n1, n1), plan, 0, ())
@@ -536,21 +446,6 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     else:
         out, closer_slots, tags, cycles = _build_even_k(n1, k, plan)
     return _assemble(n1, plan, out, closer_slots, tags, cycles)
-
-
-def profile_of(built: BuiltNetwork) -> StrategyProfile:
-    """Strategy profile realized by a built network (adversary stays null)."""
-    g = built.graph
-    sel = lambda owner, cls: frozenset(
-        e.pair for e in g.edges if e.owner == owner and e.cls == cls
-    )
-    return StrategyProfile(
-        e1_intra=sel(OP1, EdgeClass.INTRA1),
-        e1_cross=sel(OP1, EdgeClass.CROSS),
-        e2_intra=sel(OP2, EdgeClass.INTRA2),
-        e2_cross=sel(OP2, EdgeClass.CROSS),
-        attack=frozenset(),
-    )
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile, k: int | None = None):
@@ -576,7 +471,7 @@ def structured_solve(n1: int, n2: int, costs: CostProfile, k: int | None = None)
         is_null=False,
         u1=1 - plan.c1_total,
         uA=Fraction(0),
-        profiles=(profile_of(built),),
+        profiles=(StrategyProfile.from_graph(built.graph),),
         u2_values=(1 - plan.c2_total,),
         method="structured",
     )

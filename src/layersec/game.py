@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connectivity import edge_connectivity_pairs, min_cut_pairs
-from .graph import Edge, EdgeClass, LayeredGraph, Owner
+from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
 
@@ -78,6 +78,26 @@ class StrategyProfile:
 
     def built_pairs(self) -> frozenset:
         return self.e1_intra | self.e1_cross | self.e2_intra | self.e2_cross
+
+    @staticmethod
+    def from_graph(g: LayeredGraph) -> "StrategyProfile":
+        """The operators' choices realized by ``g`` (the adversary stays null)."""
+        sel = lambda owner, cls: frozenset(
+            e.pair for e in g.edges if e.owner == owner and e.cls == cls
+        )
+        return StrategyProfile(
+            sel(Owner.OPERATOR1, EdgeClass.INTRA1),
+            sel(Owner.OPERATOR1, EdgeClass.CROSS),
+            sel(Owner.OPERATOR2, EdgeClass.INTRA2),
+            sel(Owner.OPERATOR2, EdgeClass.CROSS),
+            frozenset(),
+        )
+
+    def to_graph(self, n1: int, n2: int) -> LayeredGraph:
+        """The network the two operators build (the attack is not applied)."""
+        triples = [(u, v, Owner.OPERATOR1) for u, v in self.e1_intra | self.e1_cross]
+        triples += [(u, v, Owner.OPERATOR2) for u, v in self.e2_intra | self.e2_cross]
+        return from_pairs(n1, n2, triples)
 
 
 @dataclass(frozen=True)
@@ -186,8 +206,8 @@ def adversary_best_response(g: LayeredGraph, ca) -> frozenset:
     """
     k = attack_budget(ca)
     pairs = list(g.edge_pairs())
-    lam = edge_connectivity_pairs(g.n, pairs)
-    if lam == 0 or lam - 1 >= k:
+    lam = edge_connectivity_pairs(g.n, pairs, cap_at=k + 1)
+    if lam == 0 or lam == k + 1:
         return frozenset()
     cut = set(min_cut_pairs(g.n, pairs))
     return frozenset(e for e in g.edges if e.pair in cut)
@@ -293,14 +313,6 @@ class _Budget:
             raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
 
 
-def _deficiencies(uni: EdgeUniverse, mask: int, k: int):
-    degs = [0] * uni.n
-    for u, v in uni.pairs_of(mask):
-        degs[u] += 1
-        degs[v] += 1
-    return [max(0, k + 1 - d) for d in degs]
-
-
 def _op2_best_response_masks(
     uni: EdgeUniverse, mask1: int, k: int, costs: CostProfile, budget: _Budget
 ):
@@ -315,7 +327,7 @@ def _op2_best_response_masks(
     avail_cross = uni.cross_mask & ~mask1
     avail_intra = uni.intra2_mask
 
-    defc = _deficiencies(uni, mask1, k)
+    defc = [max(0, k + 1 - d) for d in degrees(uni.n, uni.pairs_of(mask1))]
     need_cross = sum(defc[: uni.n1])  # layer-1 deficiencies: cross links only
     need_l2 = sum(defc[uni.n1 :])
     cross_built = (mask1 & uni.cross_mask).bit_count()
@@ -330,13 +342,9 @@ def _op2_best_response_masks(
         return None, None
 
     cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
-    intra_cands = list(uni.intra2_bits)
-    slots = [0] * uni.n
-    for b in cross_cands + intra_cands:
-        u, v = uni.pairs[b]
-        slots[u] += 1
-        slots[v] += 1
-    if any(defc[v] > slots[v] for v in range(uni.n)):
+    intra_cands = uni.intra2_bits
+    slots = degrees(uni.n, map(uni.pairs.__getitem__, cross_cands + intra_cands))
+    if any(d > s for d, s in zip(defc, slots)):
         return None, None
 
     counts = []
@@ -361,76 +369,76 @@ def _op2_best_response_masks(
             pool_checked = True
             if uni.lam(mask1 | avail_cross | avail_intra) < k + 1:
                 return None, None
-        mask2 = _place_edges(uni, mask1, k, cross_cands, intra_cands, x, y, budget)
+        mask2 = _place(uni, k, mask1, [(cross_cands, x), (intra_cands, y)], budget)
         if mask2 is not None:
             return cost, mask2
     return None, None
 
 
-def _place_edges(uni, mask1, k, cross_cands, intra_cands, x, y, budget):
-    """Search for x cross + y intra-2 edges making the union k-resistant."""
-    defc = _deficiencies(uni, mask1, k)
-    # Remaining candidate slots per node, used to prune dead branches.
-    slots = [0] * uni.n
-    for b in cross_cands + intra_cands:
-        u, v = uni.pairs[b]
-        slots[u] += 1
-        slots[v] += 1
+def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
+    """First placement making ``base`` plus the placed edges k-resistant.
 
-    def feasible(def_left, x_left, y_left):
-        l1 = sum(def_left[: uni.n1])
-        l2 = sum(def_left[uni.n1 :])
-        if l1 > x_left or l2 > x_left + 2 * y_left:
-            return False
-        return all(def_left[v] <= slots[v] for v in range(uni.n))
+    ``groups`` lists (candidate bits, count), each group holding one edge
+    class: exactly ``count`` edges are taken from each group.  Groups are consumed in order and every
+    candidate is tried taken before it is passed over, so the answer is
+    the first qualifying placement in that order (None if there is none).
+    A branch is pruned when some node's degree deficit exceeds its
+    unvisited candidate slots, or when a layer's deficit exceeds what the
+    remaining picks can cover: 2 per same-layer intra pick, 1 per cross
+    pick.  Both layer sums and both coverages are kept as running counters.
+    """
+    n1 = uni.n1
+    side = [0] * n1 + [1] * uni.n2
+    slots = degrees(uni.n, [uni.pairs[b] for bits, _ in groups for b in bits])
+    need = [k + 1 - d for d in degrees(uni.n, uni.pairs_of(base))]
+    lack = [sum(max(0, d) for d in need[:n1]), sum(max(0, d) for d in need[n1:])]
+    cover = [0, 0]
+    for bits, count in groups:
+        if count:
+            u, v = uni.pairs[bits[0]]
+            cover[side[u]] += count
+            cover[side[v]] += count
 
-    def rec(idx_cross, idx_intra, x_left, y_left, mask2, def_left):
+    def rec(gi, idx, left, mask):
         budget.tick()
-        if x_left == 0 and y_left == 0:
-            if uni.lam(mask1 | mask2) >= k + 1:
-                return mask2
+        while left == 0:
+            gi += 1
+            if gi == len(groups):
+                return mask if uni.lam(base | mask) >= k + 1 else None
+            idx, left = 0, groups[gi][1]
+        if lack[0] > cover[0] or lack[1] > cover[1]:
             return None
-        if not feasible(def_left, x_left, y_left):
+        if any(d > s for d, s in zip(need, slots)):
             return None
-        # Consume cross candidates first, then intra candidates.
-        if x_left > 0:
-            cands, idx, is_cross = cross_cands, idx_cross, True
-            left = x_left
-        else:
-            cands, idx, is_cross = intra_cands, idx_intra, False
-            left = y_left
-        if left > len(cands) - idx:
+        bits = groups[gi][0]
+        if left > len(bits) - idx:
             return None
-        b = cands[idx]
-        u, v = uni.pairs[b]
-        # Candidate b is spent in both branches (take it or pass it over).
+        bit = bits[idx]
+        u, v = uni.pairs[bit]
+        su, sv = side[u], side[v]
+        # Candidate bit is spent in both branches (take it or pass it over).
         slots[u] -= 1
         slots[v] -= 1
-        def_take = list(def_left)
-        def_take[u] = max(0, def_take[u] - 1)
-        def_take[v] = max(0, def_take[v] - 1)
-        result = rec(
-            idx_cross + is_cross,
-            idx_intra + (not is_cross),
-            x_left - is_cross,
-            y_left - (not is_cross),
-            mask2 | (1 << b),
-            def_take,
-        )
+        lack[su] -= need[u] > 0
+        lack[sv] -= need[v] > 0
+        need[u] -= 1
+        need[v] -= 1
+        cover[su] -= 1
+        cover[sv] -= 1
+        result = rec(gi, idx + 1, left - 1, mask | (1 << bit))
+        cover[su] += 1
+        cover[sv] += 1
+        need[u] += 1
+        need[v] += 1
+        lack[su] += need[u] > 0
+        lack[sv] += need[v] > 0
         if result is None:
-            result = rec(
-                idx_cross + is_cross,
-                idx_intra + (not is_cross),
-                x_left,
-                y_left,
-                mask2,
-                def_left,
-            )
+            result = rec(gi, idx + 1, left, mask)
         slots[u] += 1
         slots[v] += 1
         return result
 
-    return rec(0, 0, x, y, 0, defc)
+    return rec(0, 0, groups[0][1], 0)
 
 
 def operator2_best_response_exact(
@@ -447,11 +455,7 @@ def operator2_best_response_exact(
     cost, mask2 = _op2_best_response_masks(uni, mask1, k, costs, _Budget(cap))
     if cost is None:
         return frozenset()
-    out = set()
-    for u, v in uni.pairs_of(mask2):
-        cls = EdgeClass.INTRA2 if u >= g1.n1 else EdgeClass.CROSS
-        out.add(Edge(u, v, Owner.OPERATOR2, cls))
-    return frozenset(out)
+    return _profile_from_masks(uni, 0, mask2).to_graph(g1.n1, g1.n2).edges
 
 
 def _profile_from_masks(uni: EdgeUniverse, mask1: int, mask2: int) -> StrategyProfile:

@@ -9,6 +9,7 @@ either answers a read-only query or returns a new graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -78,12 +79,9 @@ class LayeredGraph:
             u, v = v, u
         return any(e.u == u and e.v == v for e in self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return adj
+    def tally(self) -> Counter:
+        """Edge count per (owner, class); absent combinations count 0."""
+        return Counter((e.owner, e.cls) for e in self.edges)
 
 
 def new_graph(n1: int, n2: int) -> LayeredGraph:
@@ -116,17 +114,26 @@ def remove_edges(g: LayeredGraph, cut: Iterable[Edge]) -> LayeredGraph:
     return LayeredGraph(g.n1, g.n2, g.edges - cut)
 
 
+def degrees(n: int, pairs) -> list[int]:
+    """Degree of each node 0..n-1 in the (multi)graph given by ``pairs``."""
+    degs = [0] * n
+    for u, v in pairs:
+        degs[u] += 1
+        degs[v] += 1
+    return degs
+
+
 def degree(g: LayeredGraph, v: int) -> int:
     g.layer(v)  # range check
-    return sum(1 for e in g.edges if v in (e.u, e.v))
+    return degrees(g.n, g.edge_pairs())[v]
 
 
 def count_by(g: LayeredGraph, owner: Owner | None = None, cls: EdgeClass | None = None) -> int:
     """Count edges matching the owner and class filters (None = any)."""
     return sum(
-        1
-        for e in g.edges
-        if (owner is None or e.owner == owner) and (cls is None or e.cls == cls)
+        count
+        for (o, c), count in g.tally().items()
+        if (owner is None or o == owner) and (cls is None or c == cls)
     )
 
 

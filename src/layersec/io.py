@@ -33,6 +33,13 @@ def parse_rational(value) -> Fraction:
         raise FormatError(f"cannot parse rational {value!r}") from exc
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def frac_str(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -59,8 +66,10 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise FormatError("a scenario must be a JSON object")
     try:
-        n1, n2 = int(data["n1"]), int(data["n2"])
+        n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
         costs = CostProfile(
             c1=parse_rational(data["c1"]),
             c2=parse_rational(data["c2"]),
@@ -76,7 +85,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if mode not in ("auto", "exact", "structured"):
         raise FormatError(f"unknown mode {mode!r}")
     caps = data.get("caps", {})
-    cap = int(caps.get("search", DEFAULT_SEARCH_CAP)) if isinstance(caps, dict) else int(caps)
+    cap = _int(caps.get("search", DEFAULT_SEARCH_CAP) if isinstance(caps, dict) else caps, "caps.search")
     return Scenario(n1, n2, costs, mode, cap)
 
 
@@ -100,9 +109,9 @@ def graph_to_dict(g: LayeredGraph) -> dict:
 
 def graph_from_dict(data: dict) -> LayeredGraph:
     try:
-        n1, n2 = int(data["n1"]), int(data["n2"])
+        n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
         triples = [
-            (int(e["u"]), int(e["v"]), _CODE_OWNER[int(e["owner"])])
+            (_int(e["u"], "u"), _int(e["v"], "v"), _CODE_OWNER[_int(e["owner"], "owner")])
             for e in data["edges"]
         ]
     except (KeyError, TypeError) as exc:

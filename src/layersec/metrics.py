@@ -20,6 +20,8 @@ from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
     _Budget,
+    _place,
+    _profile_from_masks,
     attack_budget,
     get_universe,
     null_spe_check,
@@ -118,69 +120,16 @@ def _solve_team_exact(n1, n2, k, costs, cap):
     lattice.sort()
 
     for cost, _, a, b, x in lattice:
-        mask = _place_team(uni, k, a, b, x, budget)
+        mask = _place(uni, k, 0, [(p1, a), (p2, b), (px, x)], budget)
         if mask is not None:
             return mask, cost
     return None, None
 
 
-def _place_team(uni, k, a, b, x, budget):
-    """Search for a intra-1 + b intra-2 + x cross edges with lam >= k + 1."""
-    groups = [
-        (uni.intra1_bits, a),
-        (uni.intra2_bits, b),
-        (uni.cross_bits, x),
-    ]
-    slots = [0] * uni.n
-    for cands, _ in groups:
-        for bit in cands:
-            u, v = uni.pairs[bit]
-            slots[u] += 1
-            slots[v] += 1
-    deficit = [k + 1] * uni.n
-
-    def rec(gi, idx, left, mask):
-        budget.tick()
-        if gi == len(groups):
-            return mask if uni.lam(mask) >= k + 1 else None
-        cands, want = groups[gi]
-        if left is None:
-            left = want
-        if left == 0:
-            return rec(gi + 1, 0, None, mask)
-        if left > len(cands) - idx:
-            return None
-        if any(deficit[v] > slots[v] for v in range(uni.n)):
-            return None
-        bit = cands[idx]
-        u, v = uni.pairs[bit]
-        slots[u] -= 1
-        slots[v] -= 1
-        deficit[u] -= 1
-        deficit[v] -= 1
-        result = rec(gi, idx + 1, left - 1, mask | (1 << bit))
-        deficit[u] += 1
-        deficit[v] += 1
-        if result is None:
-            result = rec(gi, idx + 1, left, mask)
-        slots[u] += 1
-        slots[v] += 1
-        return result
-
-    return rec(0, 0, None, 0)
-
-
 def _team_mask_graph(uni, mask, costs) -> LayeredGraph:
-    cross_owner = Owner.OPERATOR1 if costs.c12 <= costs.c21 else Owner.OPERATOR2
-    triples = []
-    for u, v in uni.pairs_of(mask):
-        if v < uni.n1:
-            triples.append((u, v, Owner.OPERATOR1))
-        elif u >= uni.n1:
-            triples.append((u, v, Owner.OPERATOR2))
-        else:
-            triples.append((u, v, cross_owner))
-    return from_pairs(uni.n1, uni.n2, triples)
+    """Team design as a graph; cross links go to the cheaper cross builder."""
+    op1_pool = uni.intra1_mask | (uni.cross_mask if costs.c12 <= costs.c21 else 0)
+    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(uni.n1, uni.n2)
 
 
 def _team_structured(n1, n2, k, costs):
@@ -223,20 +172,21 @@ def team_optimal(
 
     Exact for n1 + n2 <= 7; certified upper-bound construction (flagged
     inexact unless it meets the analytic lower bound) for larger
-    symmetric instances.  Null when no design can exist or the joint
-    lower bound already reaches 2.
+    symmetric instances.  Null when no k-resistant design costs less
+    than 2: no node can reach degree k + 1, the analytic lower bound
+    reaches 2 (only where that bound holds), or the exact optimum does.
     """
     lower, _ = cost_bounds(n1, n2, k, costs)
-    if n1 + n2 - 1 < k + 1 or lower >= 2:
+    bound_holds = min(costs.c1, costs.c2) <= min(costs.c12, costs.c21)
+    if n1 + n2 - 1 < k + 1 or (bound_holds and lower >= 2):
         return TeamResult(None, None, exact=True, null=True)
     if n1 + n2 <= 7:
-        uni = get_universe(n1, n2)
         mask, cost = _solve_team_exact(n1, n2, k, costs, cap)
-        if mask is None:
+        if mask is None or cost >= 2:
             return TeamResult(None, None, exact=True, null=True)
-        return TeamResult(_team_mask_graph(uni, mask, costs), cost, True, False)
+        return TeamResult(_team_mask_graph(get_universe(n1, n2), mask, costs), cost, True, False)
     graph, cost = _team_structured(n1, n2, k, costs)
-    return TeamResult(graph, cost, exact=(cost == lower), null=False)
+    return TeamResult(graph, cost, exact=bound_holds and cost == lower, null=False)
 
 
 def solve_game(
@@ -280,24 +230,16 @@ def price_of_anarchy(
     solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     lower, upper = cost_bounds(n1, n2, k, costs)
     team = team_optimal(n1, n2, k, costs, cap=cap)
-    if solution.is_null or team.null:
-        return EfficiencyReport(
-            c_spe=None if solution.is_null else Fraction(0),
-            c_co=team.cost,
-            poa=None,
-            lower_bound=lower,
-            upper_bound=upper,
-            spe_null=solution.is_null,
-            co_exact=team.exact,
-        )
-    c_spe = (1 - solution.u1) + max(1 - u2 for u2 in solution.u2_values)
+    c_spe = None
+    if not solution.is_null:
+        c_spe = (1 - solution.u1) + max(1 - u2 for u2 in solution.u2_values)
     return EfficiencyReport(
         c_spe=c_spe,
         c_co=team.cost,
-        poa=c_spe / team.cost,
+        poa=None if c_spe is None or team.null else c_spe / team.cost,
         lower_bound=lower,
         upper_bound=upper,
-        spe_null=False,
+        spe_null=solution.is_null,
         co_exact=team.exact,
     )
 

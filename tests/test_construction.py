@@ -6,14 +6,16 @@ from helpers import graph_degrees, lambda_by_enumeration
 from layersec.connectivity import connected_pairs, edge_connectivity_pairs, link_connectivity
 from layersec.construction import (
     ConstructionError,
+    StageOnePlan,
+    _assemble,
+    _build_cycle_superposition,
     build_generalized,
     build_harary,
-    build_spe_network,
     ham_path_decomposition,
     stage1_allocate,
     structured_solve,
 )
-from layersec.game import CostProfile
+from layersec.game import CostProfile, StrategyProfile
 from layersec.graph import EdgeClass, Owner, count_by
 
 
@@ -105,7 +107,7 @@ def test_min_cut_size_of_case_a_build():
     from layersec.connectivity import is_connected, min_edge_cut
     from layersec.graph import remove_edges
 
-    built = build_spe_network(9, 3, CASE_A)
+    built = build_generalized(9, 9, 3, CASE_A)
     cut = min_edge_cut(built.graph)
     assert cut.size == 4
     assert not is_connected(remove_edges(built.graph, cut.edges))
@@ -113,7 +115,6 @@ def test_min_cut_size_of_case_a_build():
 
 def test_built_profiles_price_out_through_the_payoff_function():
     # plan arithmetic and the payoff definition must give the same numbers
-    from layersec.construction import profile_of
     from layersec.game import utilities
 
     for n1, costs, want in (
@@ -122,7 +123,7 @@ def test_built_profiles_price_out_through_the_payoff_function():
         (5, costs_of("1/20", "1/20", "1/10", "1/10"), (F(13, 20), F(1, 20))),
     ):
         built = build_generalized(n1, n1, 3, costs)
-        out = utilities(profile_of(built), costs, n1, n1)
+        out = utilities(StrategyProfile.from_graph(built.graph), costs, n1, n1)
         assert out.connected_after_attack
         assert (out.u1, out.u2) == want
         assert out.uA == 0
@@ -145,12 +146,12 @@ def test_ham_path_decomposition_covers_complete_graph():
 
 
 BUILD_CASES = [
-    # (n1, k, costs) spanning the literal, fallback, even-layer and even-k routes
+    # (n1, k, costs) spanning odd and even layers, odd and even k
     (5, 3, costs_of("1/20", "1/20", "1/10", "1/10")),
     (9, 3, CASE_A),
     (9, 5, costs_of("1/50", "1/50", "1/40", "1/40")),
     (7, 5, costs_of("1/40", "1/40", "1/30", "1/30")),
-    (9, 7, costs_of("1/100", "1/41", "1/100", "1/41")),  # forces the fallback decomposition
+    (9, 7, costs_of("1/100", "1/41", "1/100", "1/41")),  # four mirrored cycles, odd layers
     (8, 3, CASE_A),
     (8, 5, costs_of("1/50", "1/50", "1/40", "1/40")),
     (6, 3, costs_of("1/30", "1/40", "1/25", "1/35")),
@@ -162,8 +163,8 @@ BUILD_CASES = [
     (6, 4, costs_of("1/50", "1/50", "1/40", "1/40")),
     (8, 5, costs_of("1/100", "1/31", "1/100", "1/31")),  # two mirrored + one mixed, even layers
     (8, 7, costs_of("1/100", "1/45", "1/100", "1/45")),  # mirrored + mixed + all-cross, even layers
-    (11, 7, costs_of("1/300", "1/64", "1/300", "1/64")),  # literal route with two offsets + mixed
-    (11, 7, costs_of("1/300", "1/180", "1/300", "1/55")),  # literal route, no mixed cycle
+    (11, 7, costs_of("1/300", "1/64", "1/300", "1/64")),  # two mirrored + mixed + all-cross, odd layers
+    (11, 7, costs_of("1/300", "1/180", "1/300", "1/55")),  # two mirrored + two all-cross, no mixed cycle
 ]
 
 
@@ -211,15 +212,6 @@ def test_builder_resistance_by_enumeration(n1, k, costs):
     assert lambda_by_enumeration(2 * n1, pairs) == k + 1
 
 
-def test_build_spe_network_requires_odd_parameters():
-    with pytest.raises(ConstructionError):
-        build_spe_network(8, 3, CASE_A)
-    with pytest.raises(ConstructionError):
-        build_spe_network(9, 4, CASE_A)
-    with pytest.raises(ConstructionError):
-        build_spe_network(5, 5, costs_of("1/50", "1/50", "1/40", "1/40"))
-
-
 def test_build_generalized_guards():
     with pytest.raises(ConstructionError):
         build_generalized(8, 9, 3, CASE_A)
@@ -227,11 +219,21 @@ def test_build_generalized_guards():
         build_generalized(4, 4, 4, costs_of("1/50", "1/50", "1/40", "1/40"))
 
 
-def test_generalized_matches_structured_counts():
-    direct = build_spe_network(9, 3, CASE_A)
-    general = build_generalized(9, 9, 3, CASE_A)
-    assert general.graph.edges == direct.graph.edges
-    assert general.plan == direct.plan
+def test_cycle_route_builds_every_odd_k_plan():
+    # Every stage-1 split an odd-k plan can take (e1 operator-1 links,
+    # intra first, then cross) builds and passes verification, which
+    # raises on any count, degree, cycle or resilience failure.
+    built = 0
+    for n1 in range(2, 12):
+        for k in range(1, n1, 2):
+            total, nb11 = n1 * (k + 1), (n1 - 1) * (k + 1) // 2
+            for e1 in range(nb11 + k + 2):
+                e12 = max(0, e1 - nb11)
+                e11 = e1 - e12
+                plan = StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, F(0), F(0), True)
+                _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
+                built += 1
+    assert built == 695
 
 
 def test_infeasible_plan_returns_null_network():

@@ -167,6 +167,11 @@ def test_solve_spe_exact_prop4_symmetric():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         solve_spe_exact(4, 3, PROP3_COSTS, cap=50)
+    # The search spends exactly 277 ticks here: pins the operator-2
+    # placement search's pruning, which must not change the work done.
+    with pytest.raises(SearchCapExceeded):
+        solve_spe_exact(4, 3, PROP3_COSTS, cap=276)
+    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=277).u1 == F(91, 100)
 
 
 def test_oracle_agreement_spec_instances():

@@ -62,6 +62,31 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+_GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    [
+        ("solve", {**_GOOD, "n1": "x"}),
+        ("solve", {**_GOOD, "caps": "abc"}),
+        ("solve", {**_GOOD, "caps": {"search": "q"}}),
+        ("solve", [_GOOD]),
+        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}),
+        ("verify", {"n1": "x", "n2": 2, "edges": []}),
+    ],
+    ids=["n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text"],
+)
+def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    where = ["--graph", str(path), "--k", "1"] if command == "verify" else ["--scenario", str(path)]
+    code, out, err = run_cli(capsys, command, *where)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_cli_solve_case_a(capsys):
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "case-a.json"))
     assert code == 0

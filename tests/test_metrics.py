@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -62,6 +63,47 @@ def test_team_optimal_null_cases():
     assert team_optimal(2, 2, 4, CASE_A).null  # degree bound
     expensive = costs_of("9/10", "9/10", "99/100", "99/100")
     assert team_optimal(3, 3, 2, expensive).null  # lower bound >= 2
+
+
+def _lambda_by_bipartition(n, pairs):
+    return min(
+        sum(1 for u, v in pairs if (bits >> u & 1) != (bits >> v & 1))
+        for bits in range(1, 1 << (n - 1))
+    )
+
+
+def test_team_optimal_matches_brute_force():
+    # Null exactly when no k-resistant edge set costs less than 2, the
+    # optimum otherwise; cross links are priced at min(c12, c21).  Costs
+    # are drawn both ordered and unordered, so the analytic lower bound
+    # does not always hold.
+    rng = random.Random(47)
+    shapes = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]
+    lams = {}
+    for n1, n2 in shapes:
+        n = n1 + n2
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        lams[n1, n2] = [
+            (sub, _lambda_by_bipartition(n, sub))
+            for r in range(len(pairs) + 1)
+            for sub in itertools.combinations(pairs, r)
+        ]
+    for trial in range(400):
+        n1, n2 = rng.choice(shapes)
+        k = rng.randint(1, n1 + n2 - 1)
+        costs = random_costs(rng, ordered=trial % 2 == 0)
+        cmin = min(costs.c12, costs.c21)
+        price = lambda u, v: costs.c1 if v < n1 else costs.c2 if u >= n1 else cmin
+        best = min(
+            (sum(price(u, v) for u, v in sub) for sub, lam in lams[n1, n2] if lam >= k + 1),
+            default=None,
+        )
+        team = team_optimal(n1, n2, k, costs)
+        if best is None or best >= 2:
+            assert team.null, (n1, n2, k, costs, best)
+        else:
+            assert not team.null and team.cost == best, (n1, n2, k, costs, best)
+            assert link_connectivity(team.graph).p >= k
 
 
 def test_team_optimal_structured_large():
