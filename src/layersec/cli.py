@@ -212,21 +212,18 @@ def cmd_oracle(args) -> int:
 
 def cmd_metrics(args) -> int:
     scn = io.load_scenario(args.scenario)
-    k = attack_budget(scn.costs.ca)
-    lower, upper = cost_bounds(scn.n1, scn.n2, k, scn.costs)
-    team = team_optimal(scn.n1, scn.n2, k, scn.costs, cap=scn.cap)
     eff = price_of_anarchy(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     sen = price_of_seniority(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     print(
         json.dumps(
             {
-                "k": k,
-                "lower_bound": io.frac_str(lower),
-                "upper_bound": io.frac_str(upper) if upper is not None else None,
+                "k": attack_budget(scn.costs.ca),
+                "lower_bound": io.frac_str(eff.lower_bound),
+                "upper_bound": io.frac_str(eff.upper_bound) if eff.upper_bound is not None else None,
                 "team": {
-                    "null": team.null,
-                    "cost": io.frac_str(team.cost) if team.cost is not None else None,
-                    "exact": team.exact,
+                    "null": eff.c_co is None,
+                    "cost": io.frac_str(eff.c_co) if eff.c_co is not None else None,
+                    "exact": eff.co_exact,
                 },
                 "poa": {
                     "c_spe": io.frac_str(eff.c_spe) if eff.c_spe is not None else None,

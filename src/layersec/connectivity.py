@@ -5,6 +5,14 @@ network has resilience level ``p`` when it survives the removal of any p
 links and some set of p + 1 links disconnects it, so p equals the standard
 edge connectivity minus one.  A disconnected network has level -1.  The
 standard edge connectivity (size of a minimum edge cut) is kept internal.
+
+One kernel, ``_sweep``, answers lambda, threshold and cut queries with
+unit-capacity max flows from source 0 to each sink 1..n-1 in turn, each on
+a copy of one residual built per query.  Lambda and threshold queries stop
+a flow at the best value so far; cut queries stop one augmentation later,
+so a flow that ends at the best value is a full maximum flow.  The nodes
+reached by the last, failed search of the flow that set the best value are
+the source side of a minimum cut.
 """
 
 from __future__ import annotations
@@ -28,38 +36,26 @@ class MinCut:
     size: int
 
 
-def _components(n: int, pairs) -> int:
+def connected_pairs(n: int, pairs) -> bool:
+    """True iff (n, pairs) is one component; the graph on no nodes is not."""
+    if n == 0:
+        return False
     adj = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * n
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-    return comps
+    seen = [True] + [False] * (n - 1)
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return all(seen)
 
 
-def connected_pairs(n: int, pairs) -> bool:
-    return _components(n, pairs) == 1
-
-
-def _max_flow_unit(n: int, pairs, s: int, t: int, stop_at: int | None = None):
-    """Edge-disjoint s-t path count on an undirected unit-capacity graph.
-
-    Returns (flow, residual capacity map).  ``stop_at`` aborts augmentation
-    early once the flow reaches that value (the caller only needs a bound).
-    """
+def _sweep(n: int, pairs, best: int, cut: bool):
+    """Smallest 0-t max flow over all sinks, capped at ``best``: (best, side)."""
     cap: dict[tuple[int, int], int] = {}
     adj = [[] for _ in range(n)]
     for u, v in pairs:
@@ -68,27 +64,30 @@ def _max_flow_unit(n: int, pairs, s: int, t: int, stop_at: int | None = None):
             adj[v].append(u)
         cap[(u, v)] = cap.get((u, v), 0) + 1
         cap[(v, u)] = cap.get((v, u), 0) + 1
-    flow = 0
-    while stop_at is None or flow < stop_at:
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            x = queue.popleft()
-            for y in adj[x]:
-                if parent[y] == -1 and cap.get((x, y), 0) > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if parent[t] == -1:
-            break
-        y = t
-        while y != s:
-            x = parent[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] = cap.get((y, x), 0) + 1
-            y = x
-        flow += 1
-    return flow, cap, adj
+    side = None
+    for t in range(1, n):
+        res, flow = dict(cap), 0
+        while flow < best + cut:
+            parent = [0] + [-1] * (n - 1)
+            queue = deque([0])
+            while queue and parent[t] == -1:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if parent[y] == -1 and res[(x, y)] > 0:
+                        parent[y] = x
+                        queue.append(y)
+            if parent[t] == -1:
+                break
+            y = t
+            while y != 0:
+                x = parent[y]
+                res[(x, y)] -= 1
+                res[(y, x)] += 1
+                y = x
+            flow += 1
+        if flow < best or (cut and flow == best and side is None):
+            best, side = flow, [x != -1 for x in parent]
+    return best, side
 
 
 def edge_connectivity_pairs(n: int, pairs, cap_at: int | None = None) -> int:
@@ -98,50 +97,21 @@ def edge_connectivity_pairs(n: int, pairs, cap_at: int | None = None) -> int:
     cap_at, which keeps threshold queries cheap.
     """
     pairs = list(pairs)
-    if n <= 1:
-        return n - 1 if n else 0
-    if not connected_pairs(n, pairs):
+    if n <= 1 or not connected_pairs(n, pairs):
         return 0
     best = min(degrees(n, pairs))  # lambda <= min degree
     if cap_at is not None:
         best = min(best, cap_at)
-    for t in range(1, n):
-        flow, _, _ = _max_flow_unit(n, pairs, 0, t, stop_at=best)
-        if flow < best:
-            best = flow
-            if best == 0:
-                break
-    return best
+    return _sweep(n, pairs, best, cut=False)[0]
 
 
 def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:
-    """A concrete minimum disconnecting edge set of (n, pairs).
-
-    One sweep over the sinks t: each 0-t flow runs one augmentation past
-    the best value so far, so a flow that stops at or below it is a full
-    maximum flow.  The residual of the first sink reaching the minimum
-    gives the cut.
-    """
+    """A concrete minimum disconnecting edge set of (n, pairs)."""
     pairs = list(pairs)
     if n < 2 or not connected_pairs(n, pairs):
         raise GraphError("graph is already disconnected")
-    best, kept = min(degrees(n, pairs)), None
-    for t in range(1, n):
-        flow, cap, adj = _max_flow_unit(n, pairs, 0, t, stop_at=best + 1)
-        if flow < best or (flow == best and kept is None):
-            best, kept = flow, (cap, adj)
-    cap, adj = kept
-    # Source side of the cut = nodes reachable in the residual graph.
-    reach = [False] * n
-    reach[0] = True
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if not reach[y] and cap.get((x, y), 0) > 0:
-                reach[y] = True
-                queue.append(y)
-    cut = [(u, v) for u, v in pairs if reach[u] != reach[v]]
+    best, side = _sweep(n, pairs, min(degrees(n, pairs)), cut=True)
+    cut = [(u, v) for u, v in pairs if side[u] != side[v]]
     assert len(cut) == best
     return cut
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import edge_connectivity_pairs, min_cut_pairs
+from .connectivity import connected_pairs, edge_connectivity_pairs, min_cut_pairs
 from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
@@ -188,7 +188,7 @@ def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) ->
     if not attack <= built:
         raise GameError("attack targets a link that was not built")
     remaining = built - attack
-    connected = edge_connectivity_pairs(n, remaining, cap_at=1) >= 1
+    connected = connected_pairs(n, remaining)
     one = Fraction(1 if connected else 0)
     u1 = one - costs.c1 * len(e1i) - costs.c12 * len(e1c)
     u2 = one - costs.c2 * len(e2i) - costs.c21 * len(e2c)

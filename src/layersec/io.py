@@ -35,6 +35,8 @@ def parse_rational(value) -> Fraction:
 
 def _int(value, what: str) -> int:
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError(f"{type(value).__name__} is not an integer")
         return int(value)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} must be an integer, got {value!r}") from exc

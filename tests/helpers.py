@@ -25,6 +25,17 @@ def lambda_by_enumeration(n, pairs):
     raise AssertionError("a connected graph on >= 2 nodes always has a cut")
 
 
+def lambda_by_bipartition(n, pairs):
+    """Edge connectivity as the fewest links crossing a split of the nodes
+    into two non-empty sides (0 if already split, or if n == 1)."""
+    # Bits of ``side`` mark one side; node n - 1 is never marked, so each
+    # of the 2^(n-1) - 1 splits is counted once.
+    return min(
+        (sum((side >> u & 1) != (side >> v & 1) for u, v in pairs) for side in range(1, 1 << (n - 1))),
+        default=0,
+    )
+
+
 def embed(n1, n2, pairs, cross_owner=Owner.OPERATOR2):
     """LayeredGraph from bare pairs, owners chosen per class."""
     triples = []

@@ -1,11 +1,9 @@
-import itertools
 import random
 
 import pytest
 
-from helpers import embed, lambda_by_enumeration, random_pairs
+from helpers import embed, lambda_by_bipartition, lambda_by_enumeration, random_pairs
 from layersec.connectivity import (
-    _max_flow_unit,
     edge_connectivity_pairs,
     is_connected,
     is_p_resistant,
@@ -84,20 +82,31 @@ def test_enumeration_agreement_random():
 
 
 def test_menger_consistency():
-    # global edge connectivity equals the all-pairs minimum of max-flow
+    # lambda and the size of the returned minimum cut both equal the fewest
+    # links crossing a split of the nodes into two sides
     rng = random.Random(11)
     for _ in range(25):
         n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
         n = n1 + n2
         pairs = random_pairs(rng, n1, n2, p=0.6)
         lam = edge_connectivity_pairs(n, pairs)
-        if n < 2:
-            continue
-        flows = [
-            _max_flow_unit(n, pairs, s, t)[0]
-            for s, t in itertools.combinations(range(n), 2)
-        ]
-        assert lam == min(flows)
+        assert lam == lambda_by_bipartition(n, pairs)
+        if lam > 0:
+            assert min_edge_cut(embed(n1, n2, pairs)).size == lam
+
+
+def test_capped_queries_truncate_lambda():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(60):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 4)
+        n = n1 + n2
+        pairs = random_pairs(rng, n1, n2, p=rng.choice([0.2, 0.5, 0.8]))
+        lam = lambda_by_bipartition(n, pairs)
+        seen.add(lam > 0)
+        for c in range(1, lam + 2):
+            assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
+    assert seen == {False, True}  # both disconnected and connected graphs ran
 
 
 def test_monotone_in_edges():

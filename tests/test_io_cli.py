@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from layersec import io
+from layersec import cli, io, metrics
 from layersec.cli import main
 from layersec.graph import EdgeClass, Owner, count_by, new_graph, add_edge
 
@@ -74,8 +74,15 @@ _GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/
         ("solve", [_GOOD]),
         ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}),
         ("verify", {"n1": "x", "n2": 2, "edges": []}),
+        ("solve", {**_GOOD, "n1": 2.7}),
+        ("solve", {**_GOOD, "n1": True}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": True}),  # null by degree: a cap of 1 would solve
+        ("solve", {**_GOOD, "caps": {"search": 100.0}}),
     ],
-    ids=["n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text"],
+    ids=[
+        "n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text",
+        "n1-float", "n1-bool", "caps-bool", "search-cap-float",
+    ],
 )
 def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content):
     path = tmp_path / "input.json"
@@ -211,6 +218,20 @@ def test_cli_metrics(capsys):
     report = json.loads(out)
     assert report["poa"]["value"] == "2"
     assert report["team"]["exact"] is True
+
+
+def test_cli_metrics_solves_the_team_optimum_once(capsys, monkeypatch):
+    calls, original = [], metrics.team_optimal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "team_optimal", counted)
+    monkeypatch.setattr(cli, "team_optimal", counted)
+    code, _, _ = run_cli(capsys, "metrics", "--scenario", str(SCENARIOS / "poa-n3.json"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_cli_error_exit_on_missing_file(capsys):
