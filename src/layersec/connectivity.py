@@ -7,17 +7,37 @@ edge connectivity minus one.  A disconnected network has level -1.  The
 standard edge connectivity (size of a minimum edge cut) is kept internal.
 
 One kernel, ``_sweep``, answers lambda, threshold and cut queries with
-unit-capacity max flows from source 0 to each sink 1..n-1 in turn, each on
-a copy of one residual built per query.  Lambda and threshold queries stop
-a flow at the best value so far; cut queries stop one augmentation later,
-so a flow that ends at the best value is a full maximum flow.  The nodes
-reached by the last, failed search of the flow that set the best value are
-the source side of a minimum cut.
+unit-capacity max flows from source 0 to a list of sinks, each on a copy
+of one residual built per query.  The residual is an arc array: arc ``a``
+points to ``head[a]``, its reverse is ``a ^ 1``, and repeated pairs merge
+into one capacity.  Lambda and threshold queries stop a flow at the best
+value so far; cut queries stop one augmentation later, so a flow that ends
+at the best value is a full maximum flow.  The nodes reached by the last,
+failed search of the flow that set the best value are the source side of a
+minimum cut.
+
+Sink rule.  Cut queries, and every query on a multigraph (a repeated
+unordered pair or a self-loop), use all sinks 1..n-1, in order.  Lambda
+and threshold queries on a simple graph use only D - {0}, in increasing
+order, where D is the dominating set built greedily by scanning 0..n-1 and
+taking each node not yet dominated (so 0 is in D).
+
+Lemma (Matula 1987; Esfahanian and Hakimi 1984).  In a simple graph with
+minimum degree delta and lambda < delta, each side S of a minimum cut has
+more than delta nodes: with |S| <= delta, each node of S has at least
+delta - |S| + 1 neighbours outside S, so at least |S| (delta - |S| + 1) >=
+delta links leave S.  At most lambda < |S| nodes of S touch a cut link, so
+some node of S has its whole closed neighbourhood in S, and the node of D
+that dominates it lies in S.  D thus meets both sides, and the smallest
+0-d flow over d in D - {0} is lambda.  When lambda >= delta the answer is
+delta, the sweep's starting bound.  The lemma fails on multigraphs:
+0-2, 0-3, three 0-1 links and three 2-3 links give lambda = 2 (the cut
+{0-2, 0-3}) and delta = 3, but node 0 dominates every node, so D = {0}
+and a sweep over D would answer 3.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Edge, GraphError, LayeredGraph, degrees
@@ -55,38 +75,61 @@ def connected_pairs(n: int, pairs) -> bool:
 
 
 def _sweep(n: int, pairs, best: int, cut: bool):
-    """Smallest 0-t max flow over all sinks, capped at ``best``: (best, side)."""
-    cap: dict[tuple[int, int], int] = {}
+    """Smallest 0-t max flow over the sinks, capped at ``best``: (best, side)."""
+    head: list[int] = []
+    cap: list[int] = []
+    arc: dict[tuple[int, int], int] = {}
     adj = [[] for _ in range(n)]
+    simple = True
     for u, v in pairs:
-        if (u, v) not in cap:
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] = cap.get((u, v), 0) + 1
-        cap[(v, u)] = cap.get((v, u), 0) + 1
+        key = (u, v) if u < v else (v, u)
+        a = arc.get(key)
+        simple = simple and a is None and u != v
+        if a is None:
+            arc[key] = a = len(head)
+            head += (v, u)
+            cap += (0, 0)
+            adj[u].append(a)
+            adj[v].append(a + 1)
+        cap[a] += 1
+        cap[a + 1] += 1
+    if simple and not cut:
+        sinks, dominated = [], [False] * n
+        for x in range(n):
+            if not dominated[x]:
+                sinks.append(x)
+                dominated[x] = True
+                for a in adj[x]:
+                    dominated[head[a]] = True
+        sinks = sinks[1:]
+    else:
+        sinks = range(1, n)
     side = None
-    for t in range(1, n):
-        res, flow = dict(cap), 0
+    for t in sinks:
+        res, flow = cap[:], 0
         while flow < best + cut:
-            parent = [0] + [-1] * (n - 1)
-            queue = deque([0])
-            while queue and parent[t] == -1:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if parent[y] == -1 and res[(x, y)] > 0:
-                        parent[y] = x
-                        queue.append(y)
-            if parent[t] == -1:
+            pred = [0] + [-1] * (n - 1)  # arc into each reached node; 0 marks the source
+            queue = [0]
+            for x in queue:
+                for a in adj[x]:
+                    if res[a]:
+                        y = head[a]
+                        if pred[y] == -1:
+                            pred[y] = a
+                            queue.append(y)
+                if pred[t] != -1:
+                    break
+            if pred[t] == -1:
                 break
             y = t
-            while y != 0:
-                x = parent[y]
-                res[(x, y)] -= 1
-                res[(y, x)] += 1
-                y = x
+            while y:
+                a = pred[y]
+                res[a] -= 1
+                res[a ^ 1] += 1
+                y = head[a ^ 1]
             flow += 1
         if flow < best or (cut and flow == best and side is None):
-            best, side = flow, [x != -1 for x in parent]
+            best, side = flow, [p != -1 for p in pred]
     return best, side
 
 

@@ -313,14 +313,29 @@ class _Budget:
             raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
 
 
+def _op2_lattice(uni: EdgeUniverse, costs: CostProfile) -> list:
+    """Operator 2's (cost, x, y) purchases of x cross and y intra links
+    costing less than 1, cheapest first (ties by x, then y); (0, 0) left out."""
+    lattice = []
+    for x in range(len(uni.cross_bits) + 1):
+        for y in range(len(uni.intra2_bits) + 1):
+            if x == 0 and y == 0:
+                continue
+            cost = x * costs.c21 + y * costs.c2
+            if cost < 1:
+                lattice.append((cost, x, y))
+    lattice.sort()
+    return lattice
+
+
 def _op2_best_response_masks(
-    uni: EdgeUniverse, mask1: int, k: int, costs: CostProfile, budget: _Budget
+    uni: EdgeUniverse, mask1: int, k: int, costs: CostProfile, lattice: list, budget: _Budget
 ):
     """Cheapest operator-2 completion mask2 with lam(mask1 | mask2) >= k + 1.
 
-    Returns (cost2, mask2), with (0, 0) when mask1 already resists k
-    removals, or (None, None) when no completion costing strictly less
-    than 1 exists.
+    ``lattice`` is ``_op2_lattice(uni, costs)``.  Returns (cost2, mask2),
+    with (0, 0) when mask1 already resists k removals, or (None, None) when
+    no completion costing strictly less than 1 exists.
     """
     if uni.lam(mask1) >= k + 1:
         return Fraction(0), 0
@@ -347,21 +362,11 @@ def _op2_best_response_masks(
     if any(d > s for d, s in zip(defc, slots)):
         return None, None
 
-    counts = []
-    for x in range(len(cross_cands) + 1):
-        for y in range(len(intra_cands) + 1):
-            if x == 0 and y == 0:
-                continue
-            cost = x * costs.c21 + y * costs.c2
-            if cost < 1:
-                counts.append((cost, x, y))
-    counts.sort(key=lambda t: (t[0], t[1], t[2]))
-
     pool_checked = False
-    for cost, x, y in counts:
+    for cost, x, y in lattice:
         # Cross links are the only way to raise a layer-1 degree; layer-2
         # degrees rise by 1 per cross link and 2 per intra link.
-        if x < need_cross or x + 2 * y < need_l2:
+        if x > len(cross_cands) or x < need_cross or x + 2 * y < need_l2:
             continue
         if x + cross_built < k + 1:
             continue
@@ -452,7 +457,8 @@ def operator2_best_response_exact(
     """
     uni = get_universe(g1.n1, g1.n2)
     mask1 = uni.mask_of(g1.edge_pairs())
-    cost, mask2 = _op2_best_response_masks(uni, mask1, k, costs, _Budget(cap))
+    lattice = _op2_lattice(uni, costs)
+    cost, mask2 = _op2_best_response_masks(uni, mask1, k, costs, lattice, _Budget(cap))
     if cost is None:
         return frozenset()
     return _profile_from_masks(uni, 0, mask2).to_graph(g1.n1, g1.n2).edges
@@ -482,6 +488,7 @@ def solve_spe_exact(
         return SpeSolution.null(k)
     uni = get_universe(n1, n2)
     budget = _Budget(cap)
+    lattice = _op2_lattice(uni, costs)
 
     count_levels = []
     for a in range(len(uni.intra1_bits) + 1):
@@ -500,7 +507,7 @@ def solve_spe_exact(
             for cross_sel in itertools.combinations(uni.cross_bits, b):
                 budget.tick()
                 mask1 = sum(1 << i for i in intra_sel) + sum(1 << i for i in cross_sel)
-                cost2, mask2 = _op2_best_response_masks(uni, mask1, k, costs, budget)
+                cost2, mask2 = _op2_best_response_masks(uni, mask1, k, costs, lattice, budget)
                 if cost2 is None:
                     continue
                 found_cost = cost1

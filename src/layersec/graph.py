@@ -74,11 +74,6 @@ class LayeredGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {e.pair for e in self.edges}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return any(e.u == u and e.v == v for e in self.edges)
-
     def tally(self) -> Counter:
         """Edge count per (owner, class); absent combinations count 0."""
         return Counter((e.owner, e.cls) for e in self.edges)
@@ -91,8 +86,9 @@ def new_graph(n1: int, n2: int) -> LayeredGraph:
     return LayeredGraph(n1, n2, frozenset())
 
 
-def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
-    """Return ``g`` plus the undirected edge (u, v) built by ``owner``."""
+def _checked_edge(g: LayeredGraph, u: int, v: int, owner: Owner, present) -> Edge:
+    """The edge (u, v) built by ``owner``, if ``g`` admits it next to the
+    ``present`` pairs; otherwise the ``GraphError`` that refuses it."""
     if u == v:
         raise GraphError("self-loops are not allowed")
     if u > v:
@@ -100,9 +96,15 @@ def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
     cls = g.classify(u, v)
     if owner not in ADMISSIBLE or cls not in ADMISSIBLE[owner]:
         raise GraphError(f"owner {owner} may not build a {cls.value} edge")
-    if g.has_edge(u, v):
+    if (u, v) in present:
         raise GraphError(f"edge ({u}, {v}) already present")
-    return LayeredGraph(g.n1, g.n2, g.edges | {Edge(u, v, owner, cls)})
+    return Edge(u, v, owner, cls)
+
+
+def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
+    """Return ``g`` plus the undirected edge (u, v) built by ``owner``."""
+    edge = _checked_edge(g, u, v, owner, g.edge_pairs())
+    return LayeredGraph(g.n1, g.n2, g.edges | {edge})
 
 
 def remove_edges(g: LayeredGraph, cut: Iterable[Edge]) -> LayeredGraph:
@@ -142,8 +144,14 @@ def from_pairs(
     n2: int,
     owned_pairs: Iterable[tuple[int, int, Owner]],
 ) -> LayeredGraph:
-    """Build a graph from (u, v, owner) triples, validating each edge."""
+    """Build a graph from (u, v, owner) triples, validating each edge.
+
+    The first triple that ``add_edge`` would refuse after the ones before
+    it raises the same ``GraphError``.
+    """
     g = new_graph(n1, n2)
+    edges: dict[tuple[int, int], Edge] = {}
     for u, v, owner in owned_pairs:
-        g = add_edge(g, u, v, owner)
-    return g
+        edge = _checked_edge(g, u, v, owner, edges)
+        edges[edge.pair] = edge
+    return LayeredGraph(n1, n2, frozenset(edges.values()))

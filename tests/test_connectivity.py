@@ -8,6 +8,7 @@ from layersec.connectivity import (
     is_connected,
     is_p_resistant,
     link_connectivity,
+    min_cut_pairs,
     min_edge_cut,
 )
 from layersec.construction import build_harary
@@ -137,3 +138,69 @@ def test_min_cut_removal_disconnects_random():
         cut = min_edge_cut(g)
         assert not is_connected(remove_edges(g, cut.edges))
         assert cut.size == link_connectivity(g).p + 1
+
+
+def check_lambda_and_caps(n, pairs):
+    lam = lambda_by_bipartition(n, pairs)
+    assert edge_connectivity_pairs(n, pairs) == lam
+    for c in range(1, lam + 2):
+        assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
+    return lam
+
+
+def relabel(rng, n, pairs):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in pairs]
+
+
+def test_clique_chains_below_min_degree():
+    # Barbells (two cliques) and chains of three cliques, each pair of
+    # neighbouring cliques joined by fewer links than the smaller clique's
+    # degree: lambda is the thinnest junction, below the minimum degree, so
+    # the minimum cut must be found by a sink on the far side of it.
+    rng = random.Random(23)
+    for _ in range(24):
+        sizes = [rng.randint(4, 7) for _ in range(rng.choice([2, 3]))]
+        while sum(sizes) > 14:
+            sizes[sizes.index(max(sizes))] -= 1
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        n = starts[-1]
+        pairs, junctions = [], []
+        for lo, hi in zip(starts, starts[1:]):
+            pairs += [(u, v) for u in range(lo, hi) for v in range(u + 1, hi)]
+        for i in range(len(sizes) - 1):
+            links = rng.randint(1, min(sizes[i], sizes[i + 1]) - 2)
+            span = range(starts[i], starts[i + 1]), range(starts[i + 1], starts[i + 2])
+            pairs += rng.sample([(u, v) for u in span[0] for v in span[1]], links)
+            junctions.append(links)
+        pairs = relabel(rng, n, pairs)
+        assert check_lambda_and_caps(n, pairs) == min(junctions)
+        assert len(min_cut_pairs(n, pairs)) == min(junctions)
+
+
+def test_hamiltonian_cycle_unions_with_links_removed():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(5, 12)
+        pairs = set()
+        for _ in range(rng.randint(1, 3)):
+            order = list(range(n))
+            rng.shuffle(order)
+            pairs |= {tuple(sorted((order[i - 1], order[i]))) for i in range(n)}
+        pairs = sorted(pairs)
+        for _ in range(rng.randint(1, 3)):
+            pairs.pop(rng.randrange(len(pairs)))
+        rng.shuffle(pairs)
+        lam = check_lambda_and_caps(n, pairs)
+        if lam:
+            assert len(min_cut_pairs(n, pairs)) == lam
+
+
+def test_multigraph_takes_every_sink():
+    # lambda = 2 (the links 0-2 and 0-3) is below the minimum degree 3, yet
+    # node 0 dominates every node; with parallel links the dominating-set
+    # argument does not hold, so all sinks must be swept.
+    pairs = [(0, 2), (0, 3)] + [(0, 1)] * 3 + [(2, 3)] * 3
+    assert check_lambda_and_caps(4, pairs) == 2
+    assert sorted(min_cut_pairs(4, pairs)) == [(0, 2), (0, 3)]

@@ -8,6 +8,7 @@ from layersec.graph import (
     add_edge,
     count_by,
     degree,
+    from_pairs,
     new_graph,
     remove_edges,
 )
@@ -51,6 +52,54 @@ def test_add_edge_rejections():
     g = add_edge(g, 0, 1, Owner.OPERATOR1)
     with pytest.raises(GraphError):
         add_edge(g, 1, 0, Owner.OPERATOR1)  # duplicate, reversed
+
+
+GOOD_TRIPLES = [(0, 1, Owner.OPERATOR1), (0, 4, Owner.OPERATOR2), (5, 4, Owner.OPERATOR2)]
+BAD_TRIPLES = {
+    "duplicate": (0, 1, Owner.OPERATOR1),
+    "duplicate-reversed": (4, 0, Owner.OPERATOR1),
+    "self-loop": (2, 2, Owner.OPERATOR1),
+    "inadmissible-owner": (5, 6, Owner.OPERATOR1),
+    "unowned": (1, 4, Owner.UNOWNED),
+    "out-of-range": (0, 99, Owner.OPERATOR1),
+}
+
+
+def add_edge_message(triple):
+    g = new_graph(4, 3)
+    for t in GOOD_TRIPLES:
+        g = add_edge(g, *t)
+    with pytest.raises(GraphError) as err:
+        add_edge(g, *triple)
+    return str(err.value)
+
+
+def test_from_pairs_matches_add_edge():
+    g = new_graph(4, 3)
+    for t in GOOD_TRIPLES:
+        g = add_edge(g, *t)
+    built = from_pairs(4, 3, GOOD_TRIPLES)
+    assert {(e.u, e.v, e.owner, e.cls) for e in built.edges} == {
+        (e.u, e.v, e.owner, e.cls) for e in g.edges
+    }
+
+
+@pytest.mark.parametrize("name", BAD_TRIPLES)
+def test_from_pairs_rejects_like_add_edge(name):
+    bad = BAD_TRIPLES[name]
+    with pytest.raises(GraphError) as err:
+        from_pairs(4, 3, GOOD_TRIPLES + [bad])
+    assert str(err.value) == add_edge_message(bad)
+
+
+def test_from_pairs_reports_the_first_bad_triple():
+    bads = list(BAD_TRIPLES.values())
+    assert len({add_edge_message(t) for t in bads}) == len(bads)
+    for i, first in enumerate(bads):
+        rest = bads[:i] + bads[i + 1 :]
+        with pytest.raises(GraphError) as err:
+            from_pairs(4, 3, GOOD_TRIPLES + [first] + rest)
+        assert str(err.value) == add_edge_message(first)
 
 
 def test_remove_edges():
