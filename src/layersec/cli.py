@@ -212,8 +212,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_metrics(args) -> int:
     scn = io.load_scenario(args.scenario)
-    eff = price_of_anarchy(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
-    sen = price_of_seniority(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
+    solution, _ = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
+    eff = price_of_anarchy(
+        scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution
+    )
+    sen = price_of_seniority(
+        scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution
+    )
     print(
         json.dumps(
             {

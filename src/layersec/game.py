@@ -8,11 +8,19 @@ the adversary finally removes any subset of the built links.  Utilities:
     u2 = [connected after attack] - c2*|E2 links| - c21*|cross links by 2|
     uA = 1 - [connected after attack] - cA*|attacked links|
 
-All arithmetic is exact (fractions.Fraction); equilibrium selection hinges
-on strict comparisons at the cost-1 and zero-payoff boundaries, so no
-floating point is used anywhere.  Boundary conventions: the adversary does
-attack when its net payoff is exactly 0, the operators do not build when
-their net payoff would be exactly 0.
+All arithmetic is exact; equilibrium selection hinges on strict
+comparisons at the cost-1 and zero-payoff boundaries, so no floating point
+is used anywhere.  Payoffs at the API boundary are fractions.Fraction.  The
+search layers (solve_spe_exact with operator 2's cost lattice,
+operator2_best_response_exact, the oracle and the team search in metrics)
+scale the four link costs once per call to integers over
+L = lcm(denominators) (``_scale``), compare against L instead of 1, and
+convert back to Fraction only in the result they return.  Operator 2's
+floor test, which halves c2, is doubled on both sides
+(2*xm*c21 + r*min(2*c21, c2) >= 2L) so that it stays exact when c2 is odd
+in units of 1/L.  Boundary conventions: the adversary does attack when its
+net payoff is exactly 0, the operators do not build when their net payoff
+would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
 and a deliberately naive full-enumeration oracle (bruteforce_spe_oracle)
@@ -22,6 +30,7 @@ used to cross-check it on tiny instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,6 +159,14 @@ def attack_budget(ca) -> int:
     return int(Fraction(1) / ca)  # floor of 1/ca
 
 
+def _scale(costs: CostProfile) -> tuple:
+    """(L, c1, c2, c12, c21): the link costs as integers in units of 1/L,
+    where L is the lcm of their denominators."""
+    link = (costs.c1, costs.c2, costs.c12, costs.c21)
+    L = math.lcm(*(c.denominator for c in link))
+    return (L,) + tuple(c.numerator * (L // c.denominator) for c in link)
+
+
 def _norm_pair(p) -> tuple:
     u, v = p
     return (u, v) if u < v else (v, u)
@@ -257,6 +274,10 @@ class EdgeUniverse:
         self.intra2_mask = sum(1 << b for b in self.intra2_bits)
         self.cross_mask = sum(1 << b for b in self.cross_bits)
         self.bit_of = {p: i for i, p in enumerate(self.pairs)}
+        self.incident = [0] * self.n  # per node, the bits of its candidate edges
+        for i, (u, v) in enumerate(self.pairs):
+            self.incident[u] |= 1 << i
+            self.incident[v] |= 1 << i
         self._lam = {}
 
     def mask_of(self, pairs) -> int:
@@ -281,16 +302,6 @@ class EdgeUniverse:
             self._lam[mask] = hit
         return hit
 
-    def op1_cost(self, mask: int, costs: CostProfile) -> Fraction:
-        return costs.c1 * (mask & self.intra1_mask).bit_count() + costs.c12 * (
-            mask & self.cross_mask
-        ).bit_count()
-
-    def op2_cost(self, mask: int, costs: CostProfile) -> Fraction:
-        return costs.c2 * (mask & self.intra2_mask).bit_count() + costs.c21 * (
-            mask & self.cross_mask
-        ).bit_count()
-
 
 _universes: dict = {}
 
@@ -313,68 +324,70 @@ class _Budget:
             raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
 
 
-def _op2_lattice(uni: EdgeUniverse, costs: CostProfile) -> list:
+def _op2_lattice(uni: EdgeUniverse, scaled: tuple) -> list:
     """Operator 2's (cost, x, y) purchases of x cross and y intra links
-    costing less than 1, cheapest first (ties by x, then y); (0, 0) left out."""
+    costing less than 1, cheapest first (ties by x, then y); (0, 0) left out.
+    ``scaled`` is ``_scale(costs)``; costs are in units of 1/L."""
+    L, _, c2, _, c21 = scaled
     lattice = []
     for x in range(len(uni.cross_bits) + 1):
         for y in range(len(uni.intra2_bits) + 1):
             if x == 0 and y == 0:
                 continue
-            cost = x * costs.c21 + y * costs.c2
-            if cost < 1:
+            cost = x * c21 + y * c2
+            if cost < L:
                 lattice.append((cost, x, y))
     lattice.sort()
     return lattice
 
 
 def _op2_best_response_masks(
-    uni: EdgeUniverse, mask1: int, k: int, costs: CostProfile, lattice: list, budget: _Budget
+    uni: EdgeUniverse, mask1: int, k: int, scaled: tuple, lattice: list, budget: _Budget
 ):
     """Cheapest operator-2 completion mask2 with lam(mask1 | mask2) >= k + 1.
 
-    ``lattice`` is ``_op2_lattice(uni, costs)``.  Returns (cost2, mask2),
-    with (0, 0) when mask1 already resists k removals, or (None, None) when
-    no completion costing strictly less than 1 exists.
+    ``scaled`` is ``_scale(costs)`` and ``lattice`` is ``_op2_lattice(uni,
+    scaled)``.  Returns (cost2, mask2) with cost2 in units of 1/L, (0, 0)
+    when mask1 already resists k removals, or (None, None) when no
+    completion costing strictly less than 1 exists.
     """
     if uni.lam(mask1) >= k + 1:
-        return Fraction(0), 0
+        return 0, 0
+    L, _, c2, _, c21 = scaled
+    n1, incident = uni.n1, uni.incident
     avail_cross = uni.cross_mask & ~mask1
-    avail_intra = uni.intra2_mask
+    avail = avail_cross | uni.intra2_mask
 
-    defc = [max(0, k + 1 - d) for d in degrees(uni.n, uni.pairs_of(mask1))]
-    need_cross = sum(defc[: uni.n1])  # layer-1 deficiencies: cross links only
-    need_l2 = sum(defc[uni.n1 :])
+    degs = [(mask1 & inc).bit_count() for inc in incident]
+    defc = [k + 1 - d if d <= k else 0 for d in degs]
+    need_cross = sum(defc[:n1])  # layer-1 deficiencies: cross links only
+    need_l2 = sum(defc[n1:])
     cross_built = (mask1 & uni.cross_mask).bit_count()
     # Cheapest conceivable completion; rejects hopeless subgames before any
     # connectivity work.  xm cross links are mandatory; whatever layer-2
     # degree they leave uncovered costs at least min(c21, c2/2) per unit.
+    # Both sides are doubled so that c2/2 stays exact when c2 is odd.
     xm = max(need_cross, k + 1 - cross_built)
-    floor_cost = xm * costs.c21 + max(0, need_l2 - xm) * min(
-        costs.c21, costs.c2 / 2
-    )
-    if floor_cost >= 1:
+    if 2 * xm * c21 + max(0, need_l2 - xm) * min(2 * c21, c2) >= 2 * L:
         return None, None
 
-    cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
-    intra_cands = uni.intra2_bits
-    slots = degrees(uni.n, map(uni.pairs.__getitem__, cross_cands + intra_cands))
-    if any(d > s for d, s in zip(defc, slots)):
+    if any(d > (avail & inc).bit_count() for d, inc in zip(defc, incident)):
         return None, None
 
-    pool_checked = False
+    n_cross = avail_cross.bit_count()
+    cross_cands = None
     for cost, x, y in lattice:
         # Cross links are the only way to raise a layer-1 degree; layer-2
         # degrees rise by 1 per cross link and 2 per intra link.
-        if x > len(cross_cands) or x < need_cross or x + 2 * y < need_l2:
+        if x > n_cross or x < need_cross or x + 2 * y < need_l2:
             continue
         if x + cross_built < k + 1:
             continue
-        if not pool_checked:
-            pool_checked = True
-            if uni.lam(mask1 | avail_cross | avail_intra) < k + 1:
+        if cross_cands is None:
+            if uni.lam(mask1 | avail) < k + 1:
                 return None, None
-        mask2 = _place(uni, k, mask1, [(cross_cands, x), (intra_cands, y)], budget)
+            cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
+        mask2 = _place(uni, k, mask1, [(cross_cands, x), (uni.intra2_bits, y)], budget)
         if mask2 is not None:
             return cost, mask2
     return None, None
@@ -395,7 +408,7 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
     n1 = uni.n1
     side = [0] * n1 + [1] * uni.n2
     slots = degrees(uni.n, [uni.pairs[b] for bits, _ in groups for b in bits])
-    need = [k + 1 - d for d in degrees(uni.n, uni.pairs_of(base))]
+    need = [k + 1 - (base & inc).bit_count() for inc in uni.incident]
     lack = [sum(max(0, d) for d in need[:n1]), sum(max(0, d) for d in need[n1:])]
     cover = [0, 0]
     for bits, count in groups:
@@ -457,8 +470,9 @@ def operator2_best_response_exact(
     """
     uni = get_universe(g1.n1, g1.n2)
     mask1 = uni.mask_of(g1.edge_pairs())
-    lattice = _op2_lattice(uni, costs)
-    cost, mask2 = _op2_best_response_masks(uni, mask1, k, costs, lattice, _Budget(cap))
+    scaled = _scale(costs)
+    lattice = _op2_lattice(uni, scaled)
+    cost, mask2 = _op2_best_response_masks(uni, mask1, k, scaled, lattice, _Budget(cap))
     if cost is None:
         return frozenset()
     return _profile_from_masks(uni, 0, mask2).to_graph(g1.n1, g1.n2).edges
@@ -488,15 +502,17 @@ def solve_spe_exact(
         return SpeSolution.null(k)
     uni = get_universe(n1, n2)
     budget = _Budget(cap)
-    lattice = _op2_lattice(uni, costs)
+    scaled = _scale(costs)
+    L, c1, _, c12, _ = scaled
+    lattice = _op2_lattice(uni, scaled)
 
     count_levels = []
     for a in range(len(uni.intra1_bits) + 1):
         for b in range(len(uni.cross_bits) + 1):
-            cost = a * costs.c1 + b * costs.c12
-            if cost < 1:
+            cost = a * c1 + b * c12
+            if cost < L:
                 count_levels.append((cost, b, a))
-    count_levels.sort(key=lambda t: (t[0], t[1], t[2]))
+    count_levels.sort()
 
     found_cost = None
     found = []  # (mask1, cost2, mask2) in enumeration order
@@ -507,7 +523,7 @@ def solve_spe_exact(
             for cross_sel in itertools.combinations(uni.cross_bits, b):
                 budget.tick()
                 mask1 = sum(1 << i for i in intra_sel) + sum(1 << i for i in cross_sel)
-                cost2, mask2 = _op2_best_response_masks(uni, mask1, k, costs, lattice, budget)
+                cost2, mask2 = _op2_best_response_masks(uni, mask1, k, scaled, lattice, budget)
                 if cost2 is None:
                     continue
                 found_cost = cost1
@@ -526,10 +542,10 @@ def solve_spe_exact(
     return SpeSolution(
         k=k,
         is_null=False,
-        u1=1 - found_cost,
+        u1=Fraction(L - found_cost, L),
         uA=Fraction(0),
         profiles=profiles,
-        u2_values=tuple(1 - c for c in classes),
+        u2_values=tuple(Fraction(L - c, L) for c in classes),
         method="exact",
     )
 
@@ -546,31 +562,34 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
         raise GameError("oracle instances are capped at n1 + n2 <= 5")
     k = attack_budget(costs.ca)
     uni = get_universe(n1, n2)
+    L, c1, c2, c12, c21 = _scale(costs)
     op1_pool = uni.intra1_mask | uni.cross_mask
     op2_base = uni.intra2_mask | uni.cross_mask
+    intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
 
+    # Payoffs and costs in units of 1/L.
     results = []  # (u1, cost1, mask1, secured, cost2, mask2)
     mask1 = op1_pool
     while True:
-        cost1 = uni.op1_cost(mask1, costs)
+        cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
         # Operator 2 plays empty first; later strict improvement only, so
         # zero-net-payoff securing never displaces the null response.
         lam1 = uni.lam(mask1)
         if lam1 - 1 >= k and lam1 > 0:
-            best_u2, best_conn, best_cost2, best_mask2 = Fraction(1), True, Fraction(0), 0
+            best_u2, best_conn, best_cost2, best_mask2 = L, True, 0, 0
         else:
-            best_u2, best_conn, best_cost2, best_mask2 = Fraction(0), False, Fraction(0), 0
+            best_u2, best_conn, best_cost2, best_mask2 = 0, False, 0, 0
         allowed = op2_base & ~mask1
         sub = allowed
         while sub:
-            cost2 = uni.op2_cost(sub, costs)
+            cost2 = c2 * (sub & intra2).bit_count() + c21 * (sub & cross).bit_count()
             lam = uni.lam(mask1 | sub)
             survives = lam > 0 and lam - 1 >= k
-            u2 = (1 if survives else 0) - cost2
+            u2 = (L if survives else 0) - cost2
             if u2 > best_u2:
                 best_u2, best_conn, best_cost2, best_mask2 = u2, survives, cost2, sub
             sub = (sub - 1) & allowed
-        u1 = (1 if best_conn else 0) - cost1
+        u1 = (L if best_conn else 0) - cost1
         results.append((u1, cost1, mask1, best_conn, best_cost2, best_mask2))
         if mask1 == 0:
             break
@@ -587,9 +606,9 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     return SpeSolution(
         k=k,
         is_null=False,
-        u1=best_u1,
+        u1=Fraction(best_u1, L),
         uA=Fraction(0),
         profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
-        u2_values=tuple(1 - c for c in classes),
+        u2_values=tuple(Fraction(L - c, L) for c in classes),
         method="oracle",
     )

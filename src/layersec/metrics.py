@@ -22,6 +22,7 @@ from .game import (
     _Budget,
     _place,
     _profile_from_masks,
+    _scale,
     attack_budget,
     get_universe,
     null_spe_check,
@@ -101,8 +102,10 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _solve_team_exact(n1, n2, k, costs, cap):
+    """(mask, cost) of the cheapest k-resistant design, or (None, None)."""
     uni = get_universe(n1, n2)
-    cmin = min(costs.c12, costs.c21)
+    L, c1, c2, c12, c21 = _scale(costs)
+    cmin = min(c12, c21)
     budget = _Budget(cap)
     p1, p2, px = uni.intra1_bits, uni.intra2_bits, uni.cross_bits
     need_total = ((n1 + n2) * (k + 1) + 1) // 2
@@ -115,14 +118,14 @@ def _solve_team_exact(n1, n2, k, costs, cap):
                     continue
                 if 2 * a + x < n1 * (k + 1) or 2 * b + x < n2 * (k + 1):
                     continue
-                cost = a * costs.c1 + b * costs.c2 + x * cmin
+                cost = a * c1 + b * c2 + x * cmin
                 lattice.append((cost, a + b + x, a, b, x))
     lattice.sort()
 
     for cost, _, a, b, x in lattice:
         mask = _place(uni, k, 0, [(p1, a), (p2, b), (px, x)], budget)
         if mask is not None:
-            return mask, cost
+            return mask, Fraction(cost, L)
     return None, None
 
 
@@ -224,10 +227,16 @@ def price_of_anarchy(
     costs: CostProfile,
     mode: str = "auto",
     cap: int = DEFAULT_SEARCH_CAP,
+    *,
+    solution=None,
 ) -> EfficiencyReport:
-    """Worst equilibrium build cost over the coordinated optimum."""
+    """Worst equilibrium build cost over the coordinated optimum.
+
+    ``solution`` is the (n1, n2) equilibrium if the caller already has it.
+    """
     k = attack_budget(costs.ca)
-    solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
+    if solution is None:
+        solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     lower, upper = cost_bounds(n1, n2, k, costs)
     team = team_optimal(n1, n2, k, costs, cap=cap)
     c_spe = None
@@ -250,13 +259,18 @@ def price_of_seniority(
     costs: CostProfile,
     mode: str = "auto",
     cap: int = DEFAULT_SEARCH_CAP,
+    *,
+    solution=None,
 ) -> SeniorityReport:
     """Operator 2's cost penalty for moving second instead of first.
 
     The swapped ordering relabels the layers: the new first mover keeps
-    operator 2's admissible pools and unit costs.
+    operator 2's admissible pools and unit costs.  ``solution`` is the
+    (n1, n2) equilibrium if the caller already has it; the swapped game
+    is always solved here.
     """
-    solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
+    if solution is None:
+        solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     swapped = CostProfile(
         c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca
     )

@@ -20,6 +20,7 @@ from layersec.game import (
     utilities,
 )
 from layersec.graph import Owner, add_edge, new_graph, remove_edges
+from layersec.metrics import team_optimal
 
 
 def costs_of(c1, c2, c12, c21, ca) -> CostProfile:
@@ -197,6 +198,50 @@ def test_oracle_rejects_large_instances():
         bruteforce_spe_oracle(4, 3, PROP3_COSTS)
 
 
+def test_integer_costs_keep_the_strict_boundaries():
+    # The searches compare integer costs (units of 1/L) against L; each
+    # instance puts a decision exactly on a boundary.
+    cases = [
+        # 0-1 alone leaves operator 2 a completion costing exactly 1 (two
+        # cross links and 2-3, or all four cross links at c21 = 1/4), which
+        # it does not buy, so operator 1 pays 9/10 for a cross link instead.
+        (2, 2, costs_of("1/10", "1/2", "9/10", "1/4", "2/3"), False, F(1, 10), {F(1, 4)}),
+        # The only securable operator-1 level costs exactly 1: null ...
+        (2, 1, costs_of("1/2", "1/2", "1/2", "3/4", "2/3"), True, 0, {0}),
+        # ... and 1/1000 below it, not null.
+        (2, 1, costs_of("1/2", "1/2", "499/1000", "3/4", "2/3"), False, F(1, 1000), {F(1, 4)}),
+        # c2 = 3 in units of 1/4 is odd: after 0-1, 0-2, 1-3 the floor is
+        # 2 * min(c21, c2/2) = 3/4 < 1 and 2-3 completes at 3/4 (u2 = 1/4).
+        (2, 2, costs_of("1/4", "3/4", "1/4", "1/2", "2/3"), False, F(1, 4), {F(1, 2), F(1, 4)}),
+        # Pairwise-coprime denominators: L = 997 * 991 * 983 * 977.
+        (2, 2, costs_of("100/997", "301/991", "250/983", "260/977", "2/3"), False, F(897, 997), None),
+        (3, 2, costs_of("100/997", "101/991", "150/983", "160/977", "2/3"), False, 1, {F(17, 977)}),
+    ]
+    for n1, n2, costs, is_null, u1, u2_values in cases:
+        exact = solve_spe_exact(n1, n2, costs)
+        oracle = bruteforce_spe_oracle(n1, n2, costs)
+        assert (exact.is_null, exact.u1, set(exact.u2_values)) == (
+            oracle.is_null,
+            oracle.u1,
+            set(oracle.u2_values),
+        ), costs
+        assert (exact.is_null, exact.u1) == (is_null, u1), costs
+        if u2_values is not None:
+            assert set(exact.u2_values) == u2_values, costs
+        for sol in (exact, oracle):
+            assert all(isinstance(u, F) for u in (sol.u1, *sol.u2_values))
+        team = team_optimal(n1, n2, exact.k, costs)
+        assert team.null or isinstance(team.cost, F)
+
+    # Operator 2 alone: four cross links at exactly 1 are not bought.
+    empty = new_graph(2, 2)
+    at_one = costs_of("1/10", "1/2", "9/10", "1/4", "2/3")
+    below_one = costs_of("1/10", "1/2", "9/10", "249/1000", "2/3")
+    assert operator2_best_response_exact(empty, at_one, 1) == frozenset()
+    bought = operator2_best_response_exact(empty, below_one, 1)
+    assert sorted(e.pair for e in bought) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
 def test_equilibrium_network_is_k_resistant():
     rng = random.Random(23)
     checked = 0
@@ -227,7 +272,9 @@ def test_no_profitable_operator2_deviation():
     while True:
         lam = uni.lam(mask1 | sub)
         survives = lam - 1 >= k
-        u2 = (1 if survives else 0) - uni.op2_cost(sub, costs)
+        intra = (sub & uni.intra2_mask).bit_count()
+        cross = (sub & uni.cross_mask).bit_count()
+        u2 = (1 if survives else 0) - (costs.c2 * intra + costs.c21 * cross)
         assert u2 <= base_u2
         if sub == 0:
             break

@@ -234,6 +234,20 @@ def test_cli_metrics_solves_the_team_optimum_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_metrics_solves_the_game_once_per_ordering(capsys, monkeypatch):
+    calls, original = [], metrics.solve_game
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "solve_game", counted)
+    monkeypatch.setattr(cli, "solve_game", counted)
+    code, _, _ = run_cli(capsys, "metrics", "--scenario", str(SCENARIOS / "poa-n3.json"))
+    assert code == 0
+    assert calls == [(3, 2), (2, 3)]  # the PoA/PoS game, then the swapped one
+
+
 def test_cli_error_exit_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--scenario", "/nonexistent.json")
     assert code == 1

@@ -1,12 +1,14 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_costs
+from helpers import lambda_by_bipartition, random_costs
 from layersec.connectivity import link_connectivity
-from layersec.game import CostProfile, attack_budget, solve_spe_exact
+from layersec.game import CostProfile, attack_budget, bruteforce_spe_oracle, solve_spe_exact
 from layersec.metrics import (
     MetricsError,
     cost_bounds,
@@ -65,11 +67,37 @@ def test_team_optimal_null_cases():
     assert team_optimal(3, 3, 2, expensive).null  # lower bound >= 2
 
 
-def _lambda_by_bipartition(n, pairs):
+@functools.cache
+def _edge_sets(n1, n2):
+    """Every edge set of the (n1, n2) instance with its edge connectivity."""
+    n = n1 + n2
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return [
+        (sub, lambda_by_bipartition(n, sub))
+        for r in range(len(pairs) + 1)
+        for sub in itertools.combinations(pairs, r)
+    ]
+
+
+def _team_by_brute_force(n1, n2, k, costs):
+    """Cheapest k-resistant edge set, cross links priced at min(c12, c21)."""
+    cmin = min(costs.c12, costs.c21)
+    price = lambda u, v: costs.c1 if v < n1 else costs.c2 if u >= n1 else cmin
     return min(
-        sum(1 for u, v in pairs if (bits >> u & 1) != (bits >> v & 1))
-        for bits in range(1, 1 << (n - 1))
+        (sum(price(u, v) for u, v in sub) for sub, lam in _edge_sets(n1, n2) if lam >= k + 1),
+        default=None,
     )
+
+
+def _assert_team_matches_brute_force(n1, n2, k, costs):
+    best = _team_by_brute_force(n1, n2, k, costs)
+    team = team_optimal(n1, n2, k, costs)
+    if best is None or best >= 2:
+        assert team.null, (n1, n2, k, costs, best)
+    else:
+        assert not team.null and team.cost == best, (n1, n2, k, costs, best)
+        assert isinstance(team.cost, F)
+        assert link_connectivity(team.graph).p >= k
 
 
 def test_team_optimal_matches_brute_force():
@@ -79,31 +107,44 @@ def test_team_optimal_matches_brute_force():
     # does not always hold.
     rng = random.Random(47)
     shapes = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]
-    lams = {}
-    for n1, n2 in shapes:
-        n = n1 + n2
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        lams[n1, n2] = [
-            (sub, _lambda_by_bipartition(n, sub))
-            for r in range(len(pairs) + 1)
-            for sub in itertools.combinations(pairs, r)
-        ]
     for trial in range(400):
         n1, n2 = rng.choice(shapes)
         k = rng.randint(1, n1 + n2 - 1)
         costs = random_costs(rng, ordered=trial % 2 == 0)
-        cmin = min(costs.c12, costs.c21)
-        price = lambda u, v: costs.c1 if v < n1 else costs.c2 if u >= n1 else cmin
-        best = min(
-            (sum(price(u, v) for u, v in sub) for sub, lam in lams[n1, n2] if lam >= k + 1),
-            default=None,
-        )
-        team = team_optimal(n1, n2, k, costs)
-        if best is None or best >= 2:
-            assert team.null, (n1, n2, k, costs, best)
-        else:
-            assert not team.null and team.cost == best, (n1, n2, k, costs, best)
-            assert link_connectivity(team.graph).p >= k
+        _assert_team_matches_brute_force(n1, n2, k, costs)
+
+
+def _fractions_in(lo, hi):
+    """Fractions strictly inside (lo, hi) with denominators up to 10,000."""
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=10_000).filter(
+        lambda c: lo < c < hi
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    shape=st.sampled_from([(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]),
+    link=st.tuples(*[_fractions_in(0, F(1, 2))] * 4),
+    ca=_fractions_in(F(1, 3), 1),
+    data=st.data(),
+)
+def test_scaled_searches_match_references_on_random_fractions(shape, link, ca, data):
+    # Costs with unrelated denominators up to 10,000 scale to a large L.
+    # The pruned search must agree with the full-enumeration oracle, and
+    # the team search with a brute force that prices every edge set in
+    # Fraction arithmetic.  Link costs stay below 1/2 and floor(1/cA) is 1
+    # or 2, so that most instances are not null.
+    n1, n2 = shape
+    costs = CostProfile(*link, ca)
+    exact = solve_spe_exact(n1, n2, costs)
+    oracle = bruteforce_spe_oracle(n1, n2, costs)
+    assert (exact.is_null, exact.u1, set(exact.u2_values)) == (
+        oracle.is_null,
+        oracle.u1,
+        set(oracle.u2_values),
+    )
+    k = data.draw(st.integers(1, n1 + n2 - 1), label="k")
+    _assert_team_matches_brute_force(n1, n2, k, costs)
 
 
 def test_team_optimal_structured_large():
