@@ -76,7 +76,7 @@ def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> Lay
 def cmd_solve(args) -> int:
     scn = io.load_scenario(args.scenario)
     mode = args.mode or scn.mode
-    cap = args.cap or scn.cap
+    cap = scn.cap if args.cap is None else io.search_cap(args.cap, "--cap")
     solution, built = solve_game(scn.n1, scn.n2, scn.costs, mode=mode, cap=cap)
     bundle = {
         "scenario": scn.echo(),
@@ -179,11 +179,9 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     scn = io.load_scenario(args.scenario)
-    if scn.n1 + scn.n2 > 5:
-        print("oracle instances are capped at n1 + n2 <= 5", file=sys.stderr)
-        return EXIT_ERROR
-    exact = solve_spe_exact(scn.n1, scn.n2, scn.costs, cap=scn.cap)
+    # The oracle goes first: it refuses n1 + n2 > 5 before any exact search.
     oracle = bruteforce_spe_oracle(scn.n1, scn.n2, scn.costs)
+    exact = solve_spe_exact(scn.n1, scn.n2, scn.costs, cap=scn.cap)
     agree = (
         exact.is_null == oracle.is_null
         and exact.u1 == oracle.u1

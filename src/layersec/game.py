@@ -24,7 +24,18 @@ would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
 and a deliberately naive full-enumeration oracle (bruteforce_spe_oracle)
-used to cross-check it on tiny instances.
+used to cross-check it on tiny instances.  Each search call builds its
+own EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
+nothing outlives a call.  Every k-resistance test is
+EdgeUniverse.resists(mask, k): a node of degree <= k answers no without a
+flow (lambda <= min degree), otherwise lambda > k decides.  The exact
+search skips an operator-1 count level (a intra, b cross links) whose
+operator-2 completion must cost at least 1: layer 1 is d1 = n1(k+1) -
+2a - b degrees short and only operator-2 cross links cover that, layer 2
+is d2 = n2(k+1) - b short and an intra link covers 2 of it, so the
+completion costs at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over
+max(d1, k+1-b, 0) <= x <= n1*n2 - b.  The oracle settles resists once
+per union mask in a call-local table and prunes nothing.
 """
 
 from __future__ import annotations
@@ -302,15 +313,13 @@ class EdgeUniverse:
             self._lam[mask] = hit
         return hit
 
-
-_universes: dict = {}
-
-
-def get_universe(n1: int, n2: int) -> EdgeUniverse:
-    key = (n1, n2)
-    if key not in _universes:
-        _universes[key] = EdgeUniverse(n1, n2)
-    return _universes[key]
+    def resists(self, mask: int, k: int) -> bool:
+        """Whether the graph selected by ``mask`` survives any k removals
+        (lam > k).  lam <= min degree, so a node of degree <= k settles it
+        without a flow."""
+        if any((mask & inc).bit_count() <= k for inc in self.incident):
+            return False
+        return self.lam(mask) > k
 
 
 class _Budget:
@@ -351,7 +360,7 @@ def _op2_best_response_masks(
     when mask1 already resists k removals, or (None, None) when no
     completion costing strictly less than 1 exists.
     """
-    if uni.lam(mask1) >= k + 1:
+    if uni.resists(mask1, k):
         return 0, 0
     L, _, c2, _, c21 = scaled
     n1, incident = uni.n1, uni.incident
@@ -370,12 +379,11 @@ def _op2_best_response_masks(
     xm = max(need_cross, k + 1 - cross_built)
     if 2 * xm * c21 + max(0, need_l2 - xm) * min(2 * c21, c2) >= 2 * L:
         return None, None
-
-    if any(d > (avail & inc).bit_count() for d, inc in zip(defc, incident)):
+    if not uni.resists(mask1 | avail, k):  # not even buying every link helps
         return None, None
 
     n_cross = avail_cross.bit_count()
-    cross_cands = None
+    cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
     for cost, x, y in lattice:
         # Cross links are the only way to raise a layer-1 degree; layer-2
         # degrees rise by 1 per cross link and 2 per intra link.
@@ -383,10 +391,6 @@ def _op2_best_response_masks(
             continue
         if x + cross_built < k + 1:
             continue
-        if cross_cands is None:
-            if uni.lam(mask1 | avail) < k + 1:
-                return None, None
-            cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
         mask2 = _place(uni, k, mask1, [(cross_cands, x), (uni.intra2_bits, y)], budget)
         if mask2 is not None:
             return cost, mask2
@@ -422,7 +426,7 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
         while left == 0:
             gi += 1
             if gi == len(groups):
-                return mask if uni.lam(base | mask) >= k + 1 else None
+                return mask if uni.resists(base | mask, k) else None
             idx, left = 0, groups[gi][1]
         if lack[0] > cover[0] or lack[1] > cover[1]:
             return None
@@ -468,7 +472,7 @@ def operator2_best_response_exact(
     removals or when no response costing strictly less than 1 achieves
     that; otherwise a minimum-cost edge set (owner tag OPERATOR2).
     """
-    uni = get_universe(g1.n1, g1.n2)
+    uni = EdgeUniverse(g1.n1, g1.n2)
     mask1 = uni.mask_of(g1.edge_pairs())
     scaled = _scale(costs)
     lattice = _op2_lattice(uni, scaled)
@@ -500,17 +504,22 @@ def solve_spe_exact(
     k = attack_budget(costs.ca)
     if n1 + n2 - 1 < k + 1:
         return SpeSolution.null(k)
-    uni = get_universe(n1, n2)
+    uni = EdgeUniverse(n1, n2)
     budget = _Budget(cap)
     scaled = _scale(costs)
-    L, c1, _, c12, _ = scaled
+    L, c1, c2, c12, c21 = scaled
     lattice = _op2_lattice(uni, scaled)
 
     count_levels = []
     for a in range(len(uni.intra1_bits) + 1):
         for b in range(len(uni.cross_bits) + 1):
             cost = a * c1 + b * c12
-            if cost < L:
+            # Skip the level if operator 2 cannot complete it below 1 (the
+            # level bound of the module docstring).
+            d1, d2 = n1 * (k + 1) - 2 * a - b, n2 * (k + 1) - b
+            xs = range(max(d1, k + 1 - b, 0), n1 * n2 - b + 1)
+            floor2 = min((x * c21 + (max(0, d2 - x) + 1) // 2 * c2 for x in xs), default=L)
+            if cost < L and floor2 < L:
                 count_levels.append((cost, b, a))
     count_levels.sort()
 
@@ -554,18 +563,21 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     """Ground-truth equilibrium by full enumeration (n1 + n2 <= 5).
 
     Evaluates every operator-1 subset against every operator-2 subset,
-    resolving the adversary by minimum cut, with no pruning beyond the
+    resolving the adversary by k-resistance, with no pruning beyond the
     problem size cap.  Must agree with solve_spe_exact on u1, null status,
     and the set of operator-2 equilibrium payoffs.
     """
     if n1 + n2 > 5:
         raise GameError("oracle instances are capped at n1 + n2 <= 5")
     k = attack_budget(costs.ca)
-    uni = get_universe(n1, n2)
+    uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
     op1_pool = uni.intra1_mask | uni.cross_mask
     op2_base = uni.intra2_mask | uni.cross_mask
     intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
+    # Every mask of the universe is the union of some (mask1, sub) pair, and
+    # most unions recur many times: settle each one once.
+    resists = [uni.resists(mask, k) for mask in range(1 << len(uni.pairs))]
 
     # Payoffs and costs in units of 1/L.
     results = []  # (u1, cost1, mask1, secured, cost2, mask2)
@@ -574,8 +586,7 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
         cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
         # Operator 2 plays empty first; later strict improvement only, so
         # zero-net-payoff securing never displaces the null response.
-        lam1 = uni.lam(mask1)
-        if lam1 - 1 >= k and lam1 > 0:
+        if resists[mask1]:
             best_u2, best_conn, best_cost2, best_mask2 = L, True, 0, 0
         else:
             best_u2, best_conn, best_cost2, best_mask2 = 0, False, 0, 0
@@ -583,8 +594,7 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
         sub = allowed
         while sub:
             cost2 = c2 * (sub & intra2).bit_count() + c21 * (sub & cross).bit_count()
-            lam = uni.lam(mask1 | sub)
-            survives = lam > 0 and lam - 1 >= k
+            survives = resists[mask1 | sub]
             u2 = (L if survives else 0) - cost2
             if u2 > best_u2:
                 best_u2, best_conn, best_cost2, best_mask2 = u2, survives, cost2, sub

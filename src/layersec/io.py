@@ -42,6 +42,13 @@ def _int(value, what: str) -> int:
         raise FormatError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def search_cap(value, what: str = "caps.search") -> int:
+    cap = _int(value, what)
+    if cap < 1:
+        raise FormatError(f"{what} must be at least 1, got {cap}")
+    return cap
+
+
 def frac_str(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -87,7 +94,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if mode not in ("auto", "exact", "structured"):
         raise FormatError(f"unknown mode {mode!r}")
     caps = data.get("caps", {})
-    cap = _int(caps.get("search", DEFAULT_SEARCH_CAP) if isinstance(caps, dict) else caps, "caps.search")
+    cap = search_cap(caps.get("search", DEFAULT_SEARCH_CAP) if isinstance(caps, dict) else caps)
     return Scenario(n1, n2, costs, mode, cap)
 
 

@@ -19,12 +19,12 @@ from .construction import build_harary, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
+    EdgeUniverse,
     _Budget,
     _place,
     _profile_from_masks,
     _scale,
     attack_budget,
-    get_universe,
     null_spe_check,
     solve_spe_exact,
 )
@@ -102,8 +102,8 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _solve_team_exact(n1, n2, k, costs, cap):
-    """(mask, cost) of the cheapest k-resistant design, or (None, None)."""
-    uni = get_universe(n1, n2)
+    """(graph, cost) of the cheapest k-resistant design, or (None, None)."""
+    uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
     cmin = min(c12, c21)
     budget = _Budget(cap)
@@ -125,14 +125,11 @@ def _solve_team_exact(n1, n2, k, costs, cap):
     for cost, _, a, b, x in lattice:
         mask = _place(uni, k, 0, [(p1, a), (p2, b), (px, x)], budget)
         if mask is not None:
-            return mask, Fraction(cost, L)
+            # Cross links go to the cheaper cross builder.
+            op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
+            graph = _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(n1, n2)
+            return graph, Fraction(cost, L)
     return None, None
-
-
-def _team_mask_graph(uni, mask, costs) -> LayeredGraph:
-    """Team design as a graph; cross links go to the cheaper cross builder."""
-    op1_pool = uni.intra1_mask | (uni.cross_mask if costs.c12 <= costs.c21 else 0)
-    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(uni.n1, uni.n2)
 
 
 def _team_structured(n1, n2, k, costs):
@@ -184,10 +181,10 @@ def team_optimal(
     if n1 + n2 - 1 < k + 1 or (bound_holds and lower >= 2):
         return TeamResult(None, None, exact=True, null=True)
     if n1 + n2 <= 7:
-        mask, cost = _solve_team_exact(n1, n2, k, costs, cap)
-        if mask is None or cost >= 2:
+        graph, cost = _solve_team_exact(n1, n2, k, costs, cap)
+        if graph is None or cost >= 2:
             return TeamResult(None, None, exact=True, null=True)
-        return TeamResult(_team_mask_graph(get_universe(n1, n2), mask, costs), cost, True, False)
+        return TeamResult(graph, cost, True, False)
     graph, cost = _team_structured(n1, n2, k, costs)
     return TeamResult(graph, cost, exact=bound_holds and cost == lower, null=False)
 

@@ -3,17 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import embed, random_costs, random_pairs
+import layersec.game
+from helpers import embed, lambda_by_bipartition, random_costs, random_pairs
 from layersec.connectivity import is_connected, link_connectivity
 from layersec.game import (
     CostProfile,
+    EdgeUniverse,
     GameError,
     SearchCapExceeded,
     StrategyProfile,
     adversary_best_response,
     attack_budget,
     bruteforce_spe_oracle,
-    get_universe,
     null_spe_check,
     operator2_best_response_exact,
     solve_spe_exact,
@@ -168,11 +169,40 @@ def test_solve_spe_exact_prop4_symmetric():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         solve_spe_exact(4, 3, PROP3_COSTS, cap=50)
-    # The search spends exactly 277 ticks here: pins the operator-2
-    # placement search's pruning, which must not change the work done.
+    # The search spends exactly 276 ticks here: pins the operator-1 level
+    # bound and the operator-2 placement search's pruning, which must not
+    # change the work done.
     with pytest.raises(SearchCapExceeded):
-        solve_spe_exact(4, 3, PROP3_COSTS, cap=276)
-    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=277).u1 == F(91, 100)
+        solve_spe_exact(4, 3, PROP3_COSTS, cap=275)
+    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=276).u1 == F(91, 100)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2)])
+def test_resists_matches_lambda_by_bipartition(n1, n2):
+    uni = EdgeUniverse(n1, n2)
+    for mask in range(1 << len(uni.pairs)):
+        lam = lambda_by_bipartition(uni.n, uni.pairs_of(mask))
+        for k in (1, 2, 3):
+            assert uni.resists(mask, k) == (lam >= k + 1), (mask, k)
+
+
+def test_repeated_solves_do_the_same_connectivity_work(monkeypatch):
+    # No state survives a solve: an identical second solve repeats every
+    # lambda computation of the first.
+    calls = []
+    inner = layersec.game.edge_connectivity_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(layersec.game, "edge_connectivity_pairs", counted)
+    first = solve_spe_exact(4, 3, PROP3_COSTS)
+    n_first = len(calls)
+    second = solve_spe_exact(4, 3, PROP3_COSTS)
+    assert n_first > 0
+    assert len(calls) - n_first == n_first
+    assert first == second
 
 
 def test_oracle_agreement_spec_instances():
@@ -213,6 +243,13 @@ def test_integer_costs_keep_the_strict_boundaries():
         # c2 = 3 in units of 1/4 is odd: after 0-1, 0-2, 1-3 the floor is
         # 2 * min(c21, c2/2) = 3/4 < 1 and 2-3 completes at 3/4 (u2 = 1/4).
         (2, 2, costs_of("1/4", "3/4", "1/4", "1/2", "2/3"), False, F(1, 4), {F(1, 2), F(1, 4)}),
+        # After 0-1 operator 2 must buy at least x >= 2 cross links and
+        # ceil((4 - x) / 2) intra links: 2 * 3/10 + 2/5 is exactly 1 (4 cross
+        # links cost more, 3 cross and 1 intra too), so the level bound skips
+        # {0-1} and operator 1 settles for a cross link ...
+        (2, 2, costs_of("1/10", "2/5", "1/5", "3/10", "2/3"), False, F(4, 5), {F(1, 10)}),
+        # ... and 1/1000 below it operator 2 completes 0-1.
+        (2, 2, costs_of("1/10", "399/1000", "1/5", "3/10", "2/3"), False, F(9, 10), {F(1, 1000)}),
         # Pairwise-coprime denominators: L = 997 * 991 * 983 * 977.
         (2, 2, costs_of("100/997", "301/991", "250/983", "260/977", "2/3"), False, F(897, 997), None),
         (3, 2, costs_of("100/997", "101/991", "150/983", "160/977", "2/3"), False, 1, {F(17, 977)}),
@@ -232,6 +269,14 @@ def test_integer_costs_keep_the_strict_boundaries():
             assert all(isinstance(u, F) for u in (sol.u1, *sol.u2_values))
         team = team_optimal(n1, n2, exact.k, costs)
         assert team.null or isinstance(team.cost, F)
+
+    # Skipping the level bounded at exactly 1 is what keeps the search at
+    # 20 ticks; with the bound's floor in place of its ceiling, or a strict
+    # comparison against 1, it would take more.
+    level_at_one = costs_of("1/10", "2/5", "1/5", "3/10", "2/3")
+    with pytest.raises(SearchCapExceeded):
+        solve_spe_exact(2, 2, level_at_one, cap=19)
+    assert solve_spe_exact(2, 2, level_at_one, cap=20).u1 == F(4, 5)
 
     # Operator 2 alone: four cross links at exactly 1 are not bought.
     empty = new_graph(2, 2)
@@ -263,7 +308,7 @@ def test_no_profitable_operator2_deviation():
     sol = solve_spe_exact(2, 2, costs)
     if sol.is_null:
         pytest.skip("instance solved to null; nothing to deviate from")
-    uni = get_universe(2, 2)
+    uni = EdgeUniverse(2, 2)
     profile = sol.profiles[0]
     mask1 = uni.mask_of(profile.e1_intra | profile.e1_cross)
     base_u2 = sol.u2

@@ -1,8 +1,12 @@
+import contextlib
 import json
+import tempfile
 from fractions import Fraction as F
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layersec import cli, io, metrics
 from layersec.cli import main
@@ -66,32 +70,76 @@ _GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/
 
 
 @pytest.mark.parametrize(
-    "command,content",
+    "command,content,flags",
     [
-        ("solve", {**_GOOD, "n1": "x"}),
-        ("solve", {**_GOOD, "caps": "abc"}),
-        ("solve", {**_GOOD, "caps": {"search": "q"}}),
-        ("solve", [_GOOD]),
-        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}),
-        ("verify", {"n1": "x", "n2": 2, "edges": []}),
-        ("solve", {**_GOOD, "n1": 2.7}),
-        ("solve", {**_GOOD, "n1": True}),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": True}),  # null by degree: a cap of 1 would solve
-        ("solve", {**_GOOD, "caps": {"search": 100.0}}),
+        ("solve", {**_GOOD, "n1": "x"}, ()),
+        ("solve", {**_GOOD, "caps": "abc"}, ()),
+        ("solve", {**_GOOD, "caps": {"search": "q"}}, ()),
+        ("solve", [_GOOD], ()),
+        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}, ()),
+        ("verify", {"n1": "x", "n2": 2, "edges": []}, ()),
+        ("solve", {**_GOOD, "n1": 2.7}, ()),
+        ("solve", {**_GOOD, "n1": True}, ()),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": True}, ()),  # null by degree: a cap of 1 would solve
+        ("solve", {**_GOOD, "caps": {"search": 100.0}}, ()),
+        # Caps below 1, on a degree-bound null that needs no tick to solve.
+        ("solve", {**_GOOD, "cA": "1/5"}, ("--cap", "0")),
+        ("solve", {**_GOOD, "cA": "1/5"}, ("--cap", "-1")),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": 0}, ()),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": -3}}, ()),
     ],
     ids=[
         "n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text",
         "n1-float", "n1-bool", "caps-bool", "search-cap-float",
+        "cap-flag-zero", "cap-flag-negative", "caps-zero", "search-cap-negative",
     ],
 )
-def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content):
+def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content, flags):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     where = ["--graph", str(path), "--k", "1"] if command == "verify" else ["--scenario", str(path)]
-    code, out, err = run_cli(capsys, command, *where)
+    code, out, err = run_cli(capsys, command, *where, *flags)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+_FUZZ_COST = st.fractions(0, 1, max_denominator=30).filter(lambda c: 0 < c < 1).map(str)
+_FUZZ_CAP = st.integers(1, 10**4)
+_FUZZ_SCENARIO = st.fixed_dictionaries(
+    {
+        "n1": st.integers(1, 4),
+        "n2": st.integers(1, 4),
+        **{key: _FUZZ_COST for key in ("c1", "c2", "c12", "c21")},
+        "cA": st.fractions(F(1, 4), 1, max_denominator=30).filter(lambda c: c < 1).map(str),
+        "caps": st.one_of(_FUZZ_CAP, st.fixed_dictionaries({"search": _FUZZ_CAP})),
+    },
+    optional={"mode": st.sampled_from(["auto", "exact", "structured"])},
+)
+_FUZZ_JUNK = st.one_of(
+    st.integers(-2, 0),
+    st.fractions(-1, 2, max_denominator=30).map(str),
+    st.sampled_from(["x", "", "1/0", 0.5, 2.0, True, None, [], {}, "fast"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    command=st.sampled_from(["solve", "metrics", "oracle"]),
+    content=_FUZZ_SCENARIO,
+    spoil=st.none() | st.tuples(st.sampled_from(["n1", "n2", "c1", "c21", "cA", "caps", "mode"]), _FUZZ_JUNK),
+)
+def test_cli_fuzzed_scenarios_exit_cleanly(command, content, spoil):
+    # Any scenario, valid or with one spoiled field, ends in exit code 0, 1
+    # or 2, never in a traceback.
+    if spoil is not None:
+        content = {**content, spoil[0]: spoil[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(content))
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            code = main([command, "--scenario", str(path)])
+    assert code in (0, 1, 2)
 
 
 def test_cli_solve_case_a(capsys):
