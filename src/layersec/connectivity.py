@@ -4,7 +4,15 @@ The public answers use the deletion-resilience convention: a connected
 network has resilience level ``p`` when it survives the removal of any p
 links and some set of p + 1 links disconnects it, so p equals the standard
 edge connectivity minus one.  A disconnected network has level -1.  The
-standard edge connectivity (size of a minimum edge cut) is kept internal.
+standard edge connectivity (size of a minimum edge cut), lambda, is what
+the package's own modules ask for.
+
+Lambda of a graph.  ``edge_connectivity(g)`` runs one sweep per graph
+object and keeps the answer on it (graphs are immutable).  The level
+queries here, ``game.adversary_best_response`` and the build certificate
+in ``construction`` read it, so a built network pays for one flow however
+often it is judged.  Cut queries and queries on raw pairs
+(``edge_connectivity_pairs``) run their own sweep.
 
 One kernel, ``_sweep``, answers lambda, threshold and cut queries with
 unit-capacity max flows from source 0 to a list of sinks, each on a copy
@@ -163,10 +171,18 @@ def is_connected(g: LayeredGraph) -> bool:
     return connected_pairs(g.n, g.edge_pairs())
 
 
+def edge_connectivity(g: LayeredGraph) -> int:
+    """Standard edge connectivity of ``g`` (0 if disconnected), kept on ``g``."""
+    if g._lam is None:
+        object.__setattr__(g, "_lam", edge_connectivity_pairs(g.n, g.edge_pairs()))
+    return g._lam
+
+
 def link_connectivity(g: LayeredGraph, cap_at: int | None = None) -> LinkConnectivity:
-    """Resilience level of ``g`` (edge connectivity minus one; -1 if disconnected)."""
-    lam = edge_connectivity_pairs(g.n, g.edge_pairs(), cap_at=cap_at)
-    return LinkConnectivity(lam - 1)
+    """Resilience level of ``g`` (edge connectivity minus one; -1 if disconnected),
+    with the edge connectivity truncated at ``cap_at``."""
+    lam = edge_connectivity(g)
+    return LinkConnectivity((lam if cap_at is None else min(lam, cap_at)) - 1)
 
 
 def min_edge_cut(g: LayeredGraph) -> MinCut:
@@ -180,4 +196,4 @@ def is_p_resistant(g: LayeredGraph, p: int) -> bool:
     """True iff the network survives the deletion of any p links."""
     if p < 0:
         raise GraphError("resistance level must be non-negative")
-    return link_connectivity(g, cap_at=p + 1).p >= p
+    return edge_connectivity(g) > p

@@ -19,7 +19,9 @@ from the zigzag path decomposition for even n1.
 Every constructed network is re-verified (exact edge counts against the
 stage-1 plan, degree k + 1 everywhere, the cycles partition the edge set,
 and the whole graph survives any k link removals); a construction that
-fails verification raises instead of returning silently.
+fails verification raises instead of returning silently.  The lambda of
+that last check stays on the returned graph, so later lambda queries on
+it run no flow.
 
 For even k the builder uses a mirrored partial circulant plus
 degree-driven cross placement, certified and locally rewired if the
@@ -28,10 +30,11 @@ resilience check fails.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity_pairs
+from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs
 from .game import (
     CostProfile,
     SpeSolution,
@@ -173,15 +176,18 @@ def _walecki_cycle(n: int, r: int) -> list:
     return [hub] + _zigzag(n - 1, r)
 
 
+def _ham_sequence(n: int, r: int) -> list:
+    """r-th sequence of ``ham_path_decomposition(n)``, built on its own."""
+    return _zigzag(n, r) if n % 2 == 0 else _walecki_cycle(n, r)
+
+
 def ham_path_decomposition(n: int) -> list:
     """Edge-disjoint Hamiltonian path/cycle sequences covering K_n.
 
     For even n: n/2 Hamiltonian paths (as node sequences).  For odd n:
     (n-1)/2 Hamiltonian cycles (sequences whose closing edge is implied).
     """
-    if n % 2 == 0:
-        return [_zigzag(n, r) for r in range(n // 2)]
-    return [_walecki_cycle(n, r) for r in range((n - 1) // 2)]
+    return [_ham_sequence(n, r) for r in range(n // 2)]
 
 
 def _seq_edges(seq: list, closed: bool) -> list:
@@ -274,8 +280,8 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
 
     # One Hamiltonian path of the complete-graph decomposition per cycle
     # (Walecki cycles for odd N, zigzag paths for even N), cross-switched
-    # for the all-cross cycles.
-    seqs = ham_path_decomposition(N)
+    # for the all-cross cycles.  Only the first C sequences are used.
+    seqs = [_ham_sequence(N, r) for r in range(C)]
     if N % 2 == 1:
         switch = seqs[m : C]
         removals = _steer_removals(switch, set())
@@ -301,16 +307,14 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
 def _build_even_k(n1: int, k: int, plan: StageOnePlan):
     """Mirrored partial circulant + degree-driven cross placement (even k)."""
     N = n1
-    intra = []
+    intra: dict = {}  # pairs in insertion order
     d = 1
     while len(intra) < plan.e11:
         if d > N // 2:
             raise ConstructionError("intra budget exceeds the layer-1 pool")
         for i in range(N):
             u, v = i, (i + d) % N
-            pair = (min(u, v), max(u, v))
-            if pair not in intra:
-                intra.append(pair)
+            intra[(min(u, v), max(u, v))] = None
             if len(intra) == plan.e11:
                 break
         d += 1
@@ -321,28 +325,48 @@ def _build_even_k(n1: int, k: int, plan: StageOnePlan):
     total_cross = N * (k + 1) - 2 * plan.e11
     assert sum(deficit) == 2 * total_cross
 
+    # Each layer's nodes by positive remaining deficit, in index order.  A
+    # link goes from the layer-1 node u of largest deficit (smallest index
+    # on ties) to the layer-2 node of largest deficit not yet linked to u,
+    # the first one at or after u's mirror N + u on ties, cyclically.
+    levels = [[[] for _ in range(k + 2)] for _ in range(2)]
+    for v, dv in enumerate(deficit):
+        if dv > 0:
+            levels[v // N][dv].append(v)
+
+    def lower(v):
+        side = levels[v // N]
+        del side[deficit[v]][bisect_left(side[deficit[v]], v)]
+        deficit[v] -= 1
+        if deficit[v]:
+            insort(side[deficit[v]], v)
+
     cross = []
     used = set()
     for _ in range(total_cross):
-        u = max(range(N), key=lambda v: (deficit[v], -v))
-        cands = [
-            w
-            for w in range(N)
-            if deficit[N + w] > 0 and (u, N + w) not in used
-        ]
-        if deficit[u] <= 0 or not cands:
+        u = next((level[0] for level in reversed(levels[0]) if level), None)
+        w = None if u is None else next(
+            (x for level in reversed(levels[1]) for x in _cyclic_from(level, N + u) if (u, x) not in used),
+            None,
+        )
+        if w is None:
             raise ConstructionError("cross placement ran out of slots")
-        w = max(cands, key=lambda x: (deficit[N + x], -((x - u) % N)))
-        used.add((u, N + w))
-        cross.append((u, N + w))
-        deficit[u] -= 1
-        deficit[N + w] -= 1
+        used.add((u, w))
+        cross.append((u, w))
+        lower(u)
+        lower(w)
 
     fixed = [(a, b) for a, b, _ in out]
     cross = _repair_cross(2 * N, fixed, cross, k)
     closer_slots = list(range(len(out), len(out) + len(cross)))
     out += [[a, b, OP2] for a, b in cross]
     return out, closer_slots, [], 0
+
+
+def _cyclic_from(level: list, v: int):
+    """The sorted ``level`` read cyclically from its first entry >= v."""
+    start = bisect_left(level, v)
+    return (level[(start + j) % len(level)] for j in range(len(level)))
 
 
 def _repair_cross(n: int, fixed: list, cross: list, k: int, max_rounds: int = 64):
@@ -414,7 +438,9 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
                 raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
         if len(seen) != len(graph.edges):
             raise ConstructionError("cycle tags do not cover the edge set")
-    if edge_connectivity_pairs(graph.n, graph.edge_pairs(), cap_at=k + 1) < k + 1:
+    # Every degree is k + 1, so this is the full flow, and it stays on the
+    # graph for every later lambda query.
+    if edge_connectivity(graph) < k + 1:
         raise ConstructionError("constructed network failed the resilience check")
 
 

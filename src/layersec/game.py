@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity_pairs, min_cut_pairs
+from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_cut_pairs
 from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
@@ -230,14 +230,14 @@ def adversary_best_response(g: LayeredGraph, ca) -> frozenset:
     Empty if the network is already disconnected or survives any k-link
     removal (k = attack budget); otherwise a minimum disconnecting set,
     whose size m + 1 is then affordable.  At the exact break-even point
-    cA * |attack| = 1 the adversary attacks.
+    cA * |attack| = 1 the adversary attacks.  Reads the edge connectivity
+    kept on ``g`` and runs a cut sweep only when it attacks.
     """
     k = attack_budget(ca)
-    pairs = list(g.edge_pairs())
-    lam = edge_connectivity_pairs(g.n, pairs, cap_at=k + 1)
-    if lam == 0 or lam == k + 1:
+    lam = edge_connectivity(g)
+    if lam == 0 or lam > k:
         return frozenset()
-    cut = set(min_cut_pairs(g.n, pairs))
+    cut = set(min_cut_pairs(g.n, g.edge_pairs()))
     return frozenset(e for e in g.edges if e.pair in cut)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import layersec
 from layersec.connectivity import connected_pairs
 from layersec.game import CostProfile
 from layersec.graph import Owner, from_pairs
@@ -82,3 +83,18 @@ def graph_degrees(g):
         degs[e.u] += 1
         degs[e.v] += 1
     return degs
+
+
+def count_flows(monkeypatch):
+    """List that records every ``edge_connectivity_pairs`` call from here on,
+    from whichever layersec module makes it."""
+    calls = []
+    inner = layersec.connectivity.edge_connectivity_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for module in (layersec.connectivity, layersec.construction, layersec.game, layersec.metrics):
+        monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
+    return calls

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import embed, lambda_by_bipartition, lambda_by_enumeration, random_pairs
+from helpers import count_flows, embed, lambda_by_bipartition, lambda_by_enumeration, random_pairs
 from layersec.connectivity import (
+    edge_connectivity,
     edge_connectivity_pairs,
     is_connected,
     is_p_resistant,
@@ -11,8 +13,9 @@ from layersec.connectivity import (
     min_cut_pairs,
     min_edge_cut,
 )
-from layersec.construction import build_harary
-from layersec.graph import GraphError, remove_edges
+from layersec.construction import build_generalized, build_harary
+from layersec.game import CostProfile, adversary_best_response
+from layersec.graph import GraphError, Owner, from_pairs, remove_edges
 
 
 def cycle_graph(n1, n2):
@@ -105,8 +108,13 @@ def test_capped_queries_truncate_lambda():
         pairs = random_pairs(rng, n1, n2, p=rng.choice([0.2, 0.5, 0.8]))
         lam = lambda_by_bipartition(n, pairs)
         seen.add(lam > 0)
+        g = embed(n1, n2, pairs)
         for c in range(1, lam + 2):
             assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
+            # The graph keeps its full lambda after the first query; a later,
+            # differently capped query must still truncate it.
+            assert link_connectivity(g, cap_at=c).p == min(lam, c) - 1
+            assert is_p_resistant(g, c - 1) == (lam >= c)
     assert seen == {False, True}  # both disconnected and connected graphs ran
 
 
@@ -204,3 +212,37 @@ def test_multigraph_takes_every_sink():
     pairs = [(0, 2), (0, 3)] + [(0, 1)] * 3 + [(2, 3)] * 3
     assert check_lambda_and_caps(4, pairs) == 2
     assert sorted(min_cut_pairs(4, pairs)) == [(0, 2), (0, 3)]
+
+
+CASE_A = CostProfile(c1=Fraction(1, 30), c2=Fraction(1, 45), c12=Fraction(1, 20), c21=Fraction(2, 45),
+                     ca=Fraction(1, 3))
+
+
+def test_a_graph_keeps_its_own_lambda(monkeypatch):
+    calls = count_flows(monkeypatch)
+    first = build_generalized(9, 9, 3, CASE_A).graph
+    assert len(calls) == 1  # the build certificate
+    assert link_connectivity(first).p == 3
+    assert is_p_resistant(first, 3) and not is_p_resistant(first, 4)
+    assert adversary_best_response(first, CASE_A.ca) == frozenset()
+    assert len(calls) == 1
+    # An equal graph built apart does not share the first one's lambda.
+    second = build_generalized(9, 9, 3, CASE_A).graph
+    assert second == first and second is not first
+    assert len(calls) == 2
+    assert edge_connectivity(second) == 4
+    assert len(calls) == 2
+    # A graph derived from a built one starts with nothing kept.
+    cut = remove_edges(first, [min(first.edges)])
+    assert edge_connectivity(cut) == 3
+    assert len(calls) == 3
+
+
+def test_the_kept_lambda_is_not_part_of_the_value():
+    op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
+    ring = [(0, 1, op1), (1, 2, op1), (2, 4, op1), (3, 4, op2), (0, 3, op2)]
+    g, twin = from_pairs(3, 2, ring), from_pairs(3, 2, ring)
+    before = (repr(g), hash(g))
+    assert edge_connectivity(g) == 2
+    assert (repr(g), hash(g)) == before
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)

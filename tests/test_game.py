@@ -3,8 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import layersec.game
-from helpers import embed, lambda_by_bipartition, random_costs, random_pairs
+from helpers import count_flows, embed, lambda_by_bipartition, random_costs, random_pairs
 from layersec.connectivity import is_connected, link_connectivity
 from layersec.game import (
     CostProfile,
@@ -189,14 +188,7 @@ def test_resists_matches_lambda_by_bipartition(n1, n2):
 def test_repeated_solves_do_the_same_connectivity_work(monkeypatch):
     # No state survives a solve: an identical second solve repeats every
     # lambda computation of the first.
-    calls = []
-    inner = layersec.game.edge_connectivity_pairs
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(layersec.game, "edge_connectivity_pairs", counted)
+    calls = count_flows(monkeypatch)
     first = solve_spe_exact(4, 3, PROP3_COSTS)
     n_first = len(calls)
     second = solve_spe_exact(4, 3, PROP3_COSTS)

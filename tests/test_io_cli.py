@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import count_flows, lambda_by_bipartition
 from layersec import cli, io, metrics
 from layersec.cli import main
 from layersec.graph import EdgeClass, Owner, count_by, new_graph, add_edge
@@ -142,6 +143,17 @@ def test_cli_fuzzed_scenarios_exit_cleanly(command, content, spoil):
     assert code in (0, 1, 2)
 
 
+@pytest.mark.parametrize("command", ["solve", "construct"])
+def test_a_structured_solve_makes_one_flow(tmp_path, capsys, monkeypatch, command):
+    # The build certificate's flow is the only one: the adversary's check
+    # and the reported level read the lambda kept on the built graph.
+    calls = count_flows(monkeypatch)
+    out = ["--out", str(tmp_path / "built.json")] if command == "construct" else []
+    code, _, _ = run_cli(capsys, command, "--scenario", str(SCENARIOS / "case-a.json"), *out)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_cli_solve_case_a(capsys):
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "case-a.json"))
     assert code == 0
@@ -152,6 +164,67 @@ def test_cli_solve_case_a(capsys):
     assert bundle["operator2"] == {"intra2": 10, "cross": 16}
     assert bundle["verification"]["p"] == 3
     assert bundle["verification"]["adversary_attack"] == []
+
+
+@st.composite
+def _fuzz_graph(draw):
+    """A valid graph dict with n <= 7: any edge subset, admissible owners."""
+    n1 = draw(st.integers(1, 4))
+    n2 = draw(st.integers(1, 7 - n1))
+    edges = []
+    for u in range(n1 + n2):
+        for v in range(u + 1, n1 + n2):
+            if draw(st.booleans()):
+                owner = 1 if v < n1 else 2 if u >= n1 else draw(st.sampled_from([1, 2]))
+                edges.append({"u": u, "v": v, "owner": owner})
+    return {"n1": n1, "n2": n2, "edges": edges}
+
+
+def _spoil_graph(content, spoil):
+    key, junk = spoil
+    if key in ("n1", "n2", "edges"):
+        return {**content, key: junk}
+    if key == "top-level":
+        return junk
+    edge = {"u": 0, "v": 1, "owner": 1, key: junk}
+    return {**content, "edges": content["edges"] + [edge]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    command=st.sampled_from(["verify", "attack"]),
+    content=_fuzz_graph(),
+    spoil=st.none()
+    | st.tuples(
+        st.sampled_from(["n1", "n2", "edges", "u", "v", "owner", "top-level"]),
+        st.one_of(st.integers(-2, 8), _FUZZ_JUNK, st.just([{"u": 0}]), st.just([[0, 1, 1]])),
+    ),
+    level=st.integers(0, 4),
+)
+def test_cli_fuzzed_graphs_exit_cleanly(command, content, spoil, level):
+    # Any graph file, valid or spoiled, ends in exit code 0, 1 or 2, never
+    # in a traceback; on a valid graph the printed level is lambda - 1.
+    data = content if spoil is None else _spoil_graph(content, spoil)
+    flags = ["--k", str(level)] if command == "verify" else ["--ca", f"1/{level + 1}" if level else "2/3"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(json.dumps(data))
+        out = StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(StringIO()):
+            code = main([command, "--graph", str(path), *flags])
+    assert code in (0, 1, 2)
+    if spoil is None:
+        pairs = [(e["u"], e["v"]) for e in content["edges"]]
+        lam = lambda_by_bipartition(content["n1"] + content["n2"], pairs)
+        report = json.loads(out.getvalue())
+        assert report["p"] == lam - 1
+        if command == "verify":
+            assert code == (0 if lam > level else 1)
+        else:
+            assert code == 0
+            k = report["k"]
+            assert len(report["attack"]) == (lam if 0 < lam <= k else 0)
+            assert report["post_attack_connected"] == (lam > k)
 
 
 def test_cli_solve_null_exit_code(capsys):
