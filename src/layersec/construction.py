@@ -1,40 +1,39 @@
 """Equilibrium network construction.
 
-``build_generalized`` is the one builder.  For odd k it realizes the
-equilibrium topology as a superposition of (k + 1)/2 pairwise
-edge-disjoint Hamiltonian cycles over the 2*n1 nodes (either layer
-parity), after a closed-form stage-1 split of the link budget between the
-two operators:
+``build_generalized`` is the one builder.  It realizes the equilibrium
+topology over the 2*n1 nodes (either layer parity) as a superposition of
+floor((k+1)/2) pairwise edge-disjoint Hamiltonian cycles, plus, for even
+k, one perfect matching of pairs no cycle uses, after a closed-form
+stage-1 split of the link budget between the two operators:
 
   stage 1  decide how many links operator 1 contributes (intra first,
            cross only after the intra budget is exhausted);
   stage 2  m mirrored cycles: a layer-1 Hamiltonian path by operator 1,
            its mirror image in layer 2 by operator 2, two cross closers;
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
-  stage 4  remaining cycles built purely from cross links.
+  stage 4  remaining cycles built purely from cross links;
+  stage 5  (even k) the matching: the intra budget the cycles could not
+           hold as mirrored intra pairs, the rest cross or vertical links.
 
-The cycles come from the Walecki decomposition of K_n1 for odd n1 and
-from the zigzag path decomposition for even n1.
+The cycles come from the Walecki decomposition of K_n1 for odd n1, each
+opened at a closed-form edge, and from the zigzag path decomposition for
+even n1.
 
 Every constructed network is re-verified (exact edge counts against the
-stage-1 plan, degree k + 1 everywhere, the cycles partition the edge set,
-and the whole graph survives any k link removals); a construction that
-fails verification raises instead of returning silently.  The lambda of
-that last check stays on the returned graph, so later lambda queries on
-it run no flow.
-
-For even k the builder uses a mirrored partial circulant plus
-degree-driven cross placement, certified and locally rewired if the
-resilience check fails.
+stage-1 plan, degree k + 1 everywhere, the tagged cycles are edge-disjoint
+Hamiltonian cycles, and the whole graph survives any k link removals); a
+construction that fails verification raises instead of returning
+silently.  The cycles alone prove only lambda >= k for even k, so the
+flow of that last check is the certificate.  Its lambda stays on the
+returned graph, so later lambda queries on it run no flow.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs
+from .connectivity import connected_pairs, edge_connectivity
 from .game import (
     CostProfile,
     SpeSolution,
@@ -77,7 +76,7 @@ class BuiltNetwork:
     graph: LayeredGraph
     plan: StageOnePlan
     cycles_built: int
-    cycle_tags: tuple  # frozenset of (u, v) pairs per cycle; empty if untagged
+    cycle_tags: tuple  # frozenset of (u, v) pairs per cycle; empty for a null network
 
     @property
     def is_null(self) -> bool:
@@ -92,9 +91,14 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     link; once the intra budget (n1-1)(k+1)/2 is exhausted, further
     operator-1 links are cross links replacing one each.  Runs in exact
     rationals so the strict cost < 1 boundary is decided correctly.
+    Requires 1 <= k < n1, the builder's domain; beyond it a plan's counts
+    need not fit the graph (n1 = 3, k = 4 would plan 15 cross links among
+    9 cross pairs).
     """
     if k < 1:
         raise ConstructionError("attack budget must be at least 1")
+    if k >= n1:
+        raise ConstructionError("requires k < n1")
     if not (costs.c1 <= costs.c12 and costs.c2 <= costs.c21):
         raise ConstructionError("requires c1 <= c12 and c2 <= c21")
     nb11 = (n1 - 1) * (k + 1) // 2
@@ -190,17 +194,10 @@ def ham_path_decomposition(n: int) -> list:
     return [_ham_sequence(n, r) for r in range(n // 2)]
 
 
-def _seq_edges(seq: list, closed: bool) -> list:
-    edges = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-    if closed:
-        edges.append((seq[-1], seq[0]))
-    return edges
-
-
 def _mirrored_cycle(n1: int, path: list, closer: str, out: list, closer_slots: list):
     """Stage-2 unit: layer-1 path + mirrored layer-2 path + 2 cross closers."""
     tag = []
-    for a, b in _seq_edges(path, closed=False):
+    for a, b in zip(path, path[1:]):
         out.append([a, b, OP1])
         tag.append((a, b))
         out.append([a + n1, b + n1, OP2])
@@ -243,18 +240,23 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list):
     return tag
 
 
-def _steer_removals(cycles: list, blocked: set):
-    """Pick one removal edge per cycle with pairwise-disjoint endpoints."""
-    if not cycles:
-        return []
-    seq = cycles[0]
-    for p, (a, b) in enumerate(_seq_edges(seq, closed=True)):
-        if a in blocked or b in blocked:
-            continue
-        sub = _steer_removals(cycles[1:], blocked | {a, b})
-        if sub is not None:
-            return [p] + sub
-    return None
+def _opening_edge(n: int, r: int) -> frozenset:
+    """Edge at which Walecki cycle r of K_n (n odd) is opened.
+
+    With c = (n-1)/2 and hub n-1 = 2c, cycle r holds every pair of
+    0..2c-1 whose sum is 2r+1 mod 2c, so {r, r+1} (r even) and
+    {c+r, c+r+1} (r odd, c+r+1 < 2c) lie on it.  For r = c-1 with c even
+    the second is {2c-1, 2c}, the cycle's link to the hub.  The c edges
+    so chosen share no endpoint, so no node ends two opened paths.
+    """
+    a = r if r % 2 == 0 else (n - 1) // 2 + r
+    return frozenset((a, a + 1))
+
+
+def _open_at(seq: list, edge: frozenset) -> list:
+    """Hamiltonian path left by removing ``edge`` from the closed ``seq``."""
+    n = len(seq)
+    return _rotate_open(seq, next(p for p in range(n) if {seq[p], seq[(p + 1) % n]} == edge))
 
 
 def _rotate_open(seq: list, p: int) -> list:
@@ -268,139 +270,76 @@ def _rotate_open(seq: list, p: int) -> list:
 
 
 def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
-    """Edge list + cycle tags for odd k (layer size of either parity)."""
+    """Edge list, closer slots and cycle tags for any k and layer parity.
+
+    (k+1)//2 Hamiltonian cycles take the intra budget first; for even k a
+    perfect matching of pairs no cycle uses adds the last degree.
+    """
     N = n1
     C = (k + 1) // 2
-    m = plan.e11 // (N - 1)
-    z = plan.e11 - m * (N - 1)
-    m12 = C - m - (1 if z else 0)
+    held = min(plan.e11, C * (N - 1))  # intra links per layer the cycles hold
+    m, z = divmod(held, N - 1)
     out: list = []
     closer_slots: list = []
     tags = []
 
-    # One Hamiltonian path of the complete-graph decomposition per cycle
-    # (Walecki cycles for odd N, zigzag paths for even N), cross-switched
-    # for the all-cross cycles.  Only the first C sequences are used.
-    seqs = [_ham_sequence(N, r) for r in range(C)]
+    # One Hamiltonian path of the complete-graph decomposition per cycle:
+    # a Walecki cycle opened at its closed-form edge for odd N, a zigzag
+    # path for even N.  The first m are mirrored, the next one carries
+    # the z leftover intra steps, the rest are all-cross.
+    paths = [_ham_sequence(N, r) for r in range(C)]
+    openings, closer = [], "vertical"
     if N % 2 == 1:
-        switch = seqs[m : C]
-        removals = _steer_removals(switch, set())
-        if removals is None:
-            raise ConstructionError("could not steer cycle openings")
-        paths = [_rotate_open(seqs[r], 0) for r in range(m)]
-        opened = [_rotate_open(sq, p) for sq, p in zip(switch, removals)]
+        openings = [_opening_edge(N, r) for r in range(C)]
+        paths = [_open_at(seq, e) for seq, e in zip(paths, openings)]
         closer = "twisted"
-    else:
-        paths = seqs[:m]
-        opened = seqs[m:C]
-        closer = "vertical"
-    for path in paths:
+    for path in paths[:m]:
         tags.append(_mirrored_cycle(N, path, closer, out, closer_slots))
-    if z:
-        tags.append(_mixed_cycle(N, opened[0], z, out))
-        opened = opened[1:]
-    for seq in opened[:m12]:
-        tags.append(_mixed_cycle(N, seq, 0, out))
+    for i, seq in enumerate(paths[m:]):
+        tags.append(_mixed_cycle(N, seq, z if i == 0 else 0, out))
+    if k % 2 == 0:
+        _add_matching(N, plan.e11 - held, paths, openings, m, out, closer_slots)
     return out, closer_slots, tags, C
 
 
-def _build_even_k(n1: int, k: int, plan: StageOnePlan):
-    """Mirrored partial circulant + degree-driven cross placement (even k)."""
-    N = n1
-    intra: dict = {}  # pairs in insertion order
-    d = 1
-    while len(intra) < plan.e11:
-        if d > N // 2:
-            raise ConstructionError("intra budget exceeds the layer-1 pool")
-        for i in range(N):
-            u, v = i, (i + d) % N
-            intra[(min(u, v), max(u, v))] = None
-            if len(intra) == plan.e11:
-                break
-        d += 1
-    out = [[a, b, OP1] for a, b in intra]
-    out += [[a + N, b + N, OP2] for a, b in intra]
+def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list, closer_slots: list):
+    """Even-k unit: a perfect matching of the 2*N nodes on pairs no cycle uses.
 
-    deficit = [k + 1 - d for d in degrees(2 * N, [(a, b) for a, b, _ in out])]
-    total_cross = N * (k + 1) - 2 * plan.e11
-    assert sum(deficit) == 2 * total_cross
-
-    # Each layer's nodes by positive remaining deficit, in index order.  A
-    # link goes from the layer-1 node u of largest deficit (smallest index
-    # on ties) to the layer-2 node of largest deficit not yet linked to u,
-    # the first one at or after u's mirror N + u on ties, cyclically.
-    levels = [[[] for _ in range(k + 2)] for _ in range(2)]
-    for v, dv in enumerate(deficit):
-        if dv > 0:
-            levels[v // N][dv].append(v)
-
-    def lower(v):
-        side = levels[v // N]
-        del side[deficit[v]][bisect_left(side[deficit[v]], v)]
-        deficit[v] -= 1
-        if deficit[v]:
-            insort(side[deficit[v]], v)
-
-    cross = []
-    used = set()
-    for _ in range(total_cross):
-        u = next((level[0] for level in reversed(levels[0]) if level), None)
-        w = None if u is None else next(
-            (x for level in reversed(levels[1]) for x in _cyclic_from(level, N + u) if (u, x) not in used),
-            None,
-        )
-        if w is None:
-            raise ConstructionError("cross placement ran out of slots")
-        used.add((u, w))
-        cross.append((u, w))
-        lower(u)
-        lower(w)
-
-    fixed = [(a, b) for a, b, _ in out]
-    cross = _repair_cross(2 * N, fixed, cross, k)
-    closer_slots = list(range(len(out), len(out) + len(cross)))
-    out += [[a, b, OP2] for a, b in cross]
-    return out, closer_slots, [], 0
-
-
-def _cyclic_from(level: list, v: int):
-    """The sorted ``level`` read cyclically from its first entry >= v."""
-    start = bisect_left(level, v)
-    return (level[(start + j) % len(level)] for j in range(len(level)))
-
-
-def _repair_cross(n: int, fixed: list, cross: list, k: int, max_rounds: int = 64):
-    """Bounded 2-opt rewiring of cross links until the graph resists k removals."""
-    def lam(cr):
-        return edge_connectivity_pairs(n, fixed + cr, cap_at=k + 1)
-
-    current = lam(cross)
-    rounds = 0
-    while current < k + 1 and rounds < max_rounds:
-        rounds += 1
-        improved = False
-        for i in range(len(cross)):
-            for j in range(i + 1, len(cross)):
-                a, b = cross[i]
-                c, d = cross[j]
-                if a == c or b == d:
-                    continue
-                if (a, d) in cross or (c, b) in cross:
-                    continue
-                trial = list(cross)
-                trial[i], trial[j] = (a, d), (c, b)
-                value = lam(trial)
-                if value > current:
-                    cross, current = trial, value
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    if current < k + 1:
-        raise ConstructionError("could not certify resilience after rewiring")
-    return cross
+    The layer-1 pairs are consecutive nodes of one sequence: zigzag path C
+    for even N; for odd N and C < (N-1)/2 the last Walecki cycle, which no
+    cycle took, rotated to end at the last node that ends no opened path;
+    for odd N and C = (N-1)/2 the opening edges, mirrored cycles' first.
+    The first q pairs carry the leftover intra budget as mirrored intra
+    links; the others become the two cross links (a, b+N) and (b, a+N),
+    except the opening pair of a mirrored cycle, whose cross versions are
+    that cycle's twisted closers and which becomes two verticals.  For odd
+    N the node no pair covers takes a vertical; it ends no opened path, so
+    no cycle holds that vertical.
+    """
+    C = len(paths)
+    if N % 2 == 0:
+        seq = _zigzag(N, C)
+    elif C < (N - 1) // 2:
+        ends = {v for path in paths for v in (path[0], path[-1])}
+        cycle = _walecki_cycle(N, (N - 1) // 2 - 1)
+        seq = _rotate_open(cycle, cycle.index([v for v in cycle if v not in ends][-1]))
+    else:
+        seq = [v for e in openings for v in sorted(e)]
+        seq += sorted(set(range(N)) - set(seq))
+    mirrored, links = openings[:m], []
+    for i, (a, b) in enumerate(zip(seq[0::2], seq[1::2])):
+        if i < q:
+            out.append([a, b, OP1])
+            out.append([a + N, b + N, OP2])
+        elif {a, b} in mirrored:
+            links += [(a, a + N), (b, b + N)]
+        else:
+            links += [(a, b + N), (b, a + N)]
+    if N % 2 == 1:
+        links.append((seq[-1], seq[-1] + N))
+    for a, b in links:
+        closer_slots.append(len(out))
+        out.append([a, b, OP2])
 
 
 def _assemble(n1: int, plan: StageOnePlan, out, closer_slots, tags, cycles) -> BuiltNetwork:
@@ -427,17 +366,18 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
         raise ConstructionError("total link count does not match the plan")
     if any(d != k + 1 for d in degrees(graph.n, graph.edge_pairs())):
         raise ConstructionError("constructed network is not (k+1)-regular")
-    if tags:
-        seen = set()
-        for tag in tags:
-            tag = set(tag)
-            if seen & tag:
-                raise ConstructionError("cycles are not edge-disjoint")
-            seen |= tag
-            if not _is_ham_cycle(graph.n, tag):
-                raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
-        if len(seen) != len(graph.edges):
-            raise ConstructionError("cycle tags do not cover the edge set")
+    # The (k+1)//2 tagged cycles take degree 2 at every node; with every
+    # degree k + 1 the untagged rest of an even-k build is a perfect matching.
+    seen = set()
+    for tag in tags:
+        tag = set(tag)
+        if seen & tag:
+            raise ConstructionError("cycles are not edge-disjoint")
+        seen |= tag
+        if not _is_ham_cycle(graph.n, tag):
+            raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
+    if len(seen) != graph.n * ((k + 1) // 2):
+        raise ConstructionError("cycle tags do not cover 2 * n1 * floor((k+1)/2) links")
     # Every degree is k + 1, so this is the full flow, and it stays on the
     # graph for every later lambda query.
     if edge_connectivity(graph) < k + 1:
@@ -454,24 +394,18 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     """Equilibrium network of a symmetric instance (n1 == n2, k < n1).
 
     Runs the stage-1 split, then builds the topology: the superposition
-    of (k+1)/2 edge-disjoint Hamiltonian cycles when k is odd (either
-    layer parity), a mirrored partial circulant with degree-driven cross
-    placement when k is even.  Every output realizes exactly the planned
-    per-owner link counts and is certified k-resistant before being
-    returned; a null network is returned when stage 1 is infeasible.
+    of floor((k+1)/2) edge-disjoint Hamiltonian cycles (either layer
+    parity), plus one perfect matching when k is even.  Every output
+    realizes exactly the planned per-owner link counts and is certified
+    k-resistant before being returned; a null network is returned when
+    stage 1 is infeasible.
     """
     if n1 != n2:
         raise ConstructionError("generalized builder needs equal layer sizes")
-    if k >= n1:
-        raise ConstructionError("requires k < n1")
     plan = stage1_allocate(n1, k, costs)
     if not plan.feasible:
         return BuiltNetwork(new_graph(n1, n1), plan, 0, ())
-    if k % 2 == 1:
-        out, closer_slots, tags, cycles = _build_cycle_superposition(n1, k, plan)
-    else:
-        out, closer_slots, tags, cycles = _build_even_k(n1, k, plan)
-    return _assemble(n1, plan, out, closer_slots, tags, cycles)
+    return _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile, k: int | None = None):

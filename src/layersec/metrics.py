@@ -287,7 +287,9 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
     Symmetric instances only; ``costs.ca`` is ignored (each entry fixes k
     directly).  k = 0 falls outside the (k+1)-regular family: there the
     cheapest design is operator 2's spanning tree (n1 cross links plus
-    n1 - 1 intra links), recorded when it costs less than 1.
+    n1 - 1 intra links), recorded when it costs less than 1.  A k >= n1
+    that no null condition settles falls outside the builder's domain and
+    gives a null entry with reason "k >= n1".
     """
     entries = []
     for k in ks:
@@ -305,6 +307,8 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
                 )
             continue
         is_null, reason = null_spe_check(n1, n1, k, costs)
+        if not is_null and k >= n1:
+            is_null, reason = True, "k >= n1"
         plan = None
         if not is_null:
             plan = stage1_allocate(n1, k, costs)

@@ -95,6 +95,6 @@ def count_flows(monkeypatch):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    for module in (layersec.connectivity, layersec.construction, layersec.game, layersec.metrics):
+    for module in (layersec.connectivity, layersec.game, layersec.metrics):
         monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
     return calls

@@ -214,18 +214,18 @@ def test_criterion_10_structural_invariants():
         assert len(g.edges) == n1 * (k + 1)
         assert count_by(g, cls=EdgeClass.CROSS) >= k + 1
         assert link_connectivity(g).p >= k
-        if k % 2 == 1:
-            assert set(graph_degrees(g)) == {k + 1}
-            seen = set()
-            for tag in built.cycle_tags:
-                assert not (seen & tag)
-                seen |= tag
-                degs = [0] * g.n
-                for u, v in tag:
-                    degs[u] += 1
-                    degs[v] += 1
-                assert set(degs) == {2} and connected_pairs(g.n, tag)
-            assert len(seen) == len(g.edges)
+        assert set(graph_degrees(g)) == {k + 1}
+        assert built.cycles_built == (k + 1) // 2
+        seen = set()
+        for tag in built.cycle_tags:
+            assert not (seen & tag)
+            seen |= tag
+            degs = [0] * g.n
+            for u, v in tag:
+                degs[u] += 1
+                degs[v] += 1
+            assert set(degs) == {2} and connected_pairs(g.n, tag)
+        assert len(seen) == g.n * ((k + 1) // 2)
 
     costs = costs_of("1/10", "1/12", "1/8", "1/9")
     sandwich_checked = 0

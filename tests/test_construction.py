@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from layersec.construction import (
     StageOnePlan,
     _assemble,
     _build_cycle_superposition,
+    _opening_edge,
     build_generalized,
     build_harary,
     ham_path_decomposition,
@@ -185,21 +187,22 @@ def test_builder_invariants(n1, k, costs):
     cost1 = plan.e11 * costs.c1 + plan.e12 * costs.c12
     cost2 = plan.op2_intra * costs.c2 + plan.op2_cross * costs.c21
     assert (cost1, cost2) == (plan.c1_total, plan.c2_total)
-    if k % 2 == 1:
-        assert built.cycles_built == (k + 1) // 2
-        assert len(built.cycle_tags) == built.cycles_built
-        seen = set()
-        for tag in built.cycle_tags:
-            assert len(tag) == 2 * n1
-            assert not (seen & tag)
-            seen |= tag
-            degs = [0] * (2 * n1)
-            for u, v in tag:
-                degs[u] += 1
-                degs[v] += 1
-            assert set(degs) == {2}
-            assert connected_pairs(2 * n1, tag)
-        assert len(seen) == len(g.edges)
+    # floor((k+1)/2) Hamiltonian cycles; for even k the untagged rest is
+    # the matching, a perfect one since every degree is k + 1.
+    assert built.cycles_built == (k + 1) // 2
+    assert len(built.cycle_tags) == built.cycles_built
+    seen = set()
+    for tag in built.cycle_tags:
+        assert len(tag) == 2 * n1
+        assert not (seen & tag)
+        seen |= tag
+        degs = [0] * (2 * n1)
+        for u, v in tag:
+            degs[u] += 1
+            degs[v] += 1
+        assert set(degs) == {2}
+        assert connected_pairs(2 * n1, tag)
+    assert len(seen) == 2 * n1 * ((k + 1) // 2)
 
 
 @pytest.mark.parametrize(
@@ -219,21 +222,43 @@ def test_build_generalized_guards():
         build_generalized(4, 4, 4, costs_of("1/50", "1/50", "1/40", "1/40"))
 
 
-def test_cycle_route_builds_every_odd_k_plan():
-    # Every stage-1 split an odd-k plan can take (e1 operator-1 links,
-    # intra first, then cross) builds and passes verification, which
-    # raises on any count, degree, cycle or resilience failure.
-    built = 0
+def test_cycle_route_builds_every_plan():
+    # Every stage-1 split a plan can take (e1 operator-1 links, intra
+    # first, then cross), for every k of either parity, builds and passes
+    # verification, which raises on any count, degree, cycle or resilience
+    # failure.
+    built = {0: 0, 1: 0}
     for n1 in range(2, 12):
-        for k in range(1, n1, 2):
+        for k in range(1, n1):
             total, nb11 = n1 * (k + 1), (n1 - 1) * (k + 1) // 2
             for e1 in range(nb11 + k + 2):
                 e12 = max(0, e1 - nb11)
                 e11 = e1 - e12
                 plan = StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, F(0), F(0), True)
                 _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
-                built += 1
-    assert built == 695
+                built[k % 2] += 1
+    assert (built[1], built[0]) == (695, 675)
+
+
+def test_opening_edges_lie_on_their_cycles_and_share_no_endpoint():
+    for n in range(3, 202, 2):
+        ends = set()
+        for r, seq in enumerate(ham_path_decomposition(n)):
+            edge = _opening_edge(n, r)
+            assert edge in {frozenset(p) for p in zip(seq, seq[1:] + seq[:1])}
+            assert not (ends & edge)
+            ends |= edge
+
+
+def test_large_k_all_cross_build_is_fast():
+    # k = n1 - 2 with every cycle all-cross: a search for disjoint cycle
+    # openings would backtrack for about a minute here.
+    costs = costs_of("1/2000", "1/2000", "1/2000", "1/2000")
+    start = time.perf_counter()
+    built = build_generalized(43, 43, 41, costs)
+    assert (built.plan.e1, built.cycles_built) == (0, 21)
+    assert count_by(built.graph, Owner.OPERATOR2, EdgeClass.CROSS) == 43 * 42
+    assert time.perf_counter() - start < 5
 
 
 def test_infeasible_plan_returns_null_network():

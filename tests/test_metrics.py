@@ -222,6 +222,16 @@ def test_threat_sweep_case_b():
     assert costs2 == {F(14, 15)}
 
 
+def test_threat_sweep_is_null_for_k_at_least_n1():
+    # A 3+3 network has 9 cross pairs; k = 3, 4 would plan 12 and 15
+    # operator-2 cross links, and no null condition catches them.
+    costs = costs_of("1/100", "1/100", "1/50", "1/50", "1/3")
+    entries = threat_sweep(3, costs, [2, 3, 4, 5])
+    assert not entries[0].null
+    assert [(e.null, e.reason, e.op2_cross) for e in entries[1:3]] == [(True, "k >= n1", 0)] * 2
+    assert (entries[3].null, entries[3].reason) == (True, "degree-bound")
+
+
 def test_threat_sweep_rejects_negative_k():
     with pytest.raises(MetricsError):
         threat_sweep(3, CASE_A, [-1])
