@@ -7,12 +7,15 @@ edge connectivity minus one.  A disconnected network has level -1.  The
 standard edge connectivity (size of a minimum edge cut), lambda, is what
 the package's own modules ask for.
 
-Lambda of a graph.  ``edge_connectivity(g)`` runs one sweep per graph
-object and keeps the answer on it (graphs are immutable).  The level
-queries here, ``game.adversary_best_response`` and the build certificate
-in ``construction`` read it, so a built network pays for one flow however
-often it is judged.  Cut queries and queries on raw pairs
-(``edge_connectivity_pairs``) run their own sweep.
+Lambda of a graph.  A graph keeps its lambda once known (graphs are
+immutable), and ``keep_lambda`` is the one writer of that slot.
+``edge_connectivity(g)`` fills it with one sweep per graph object; the
+builder in ``construction`` fills it with no flow for an odd-k build,
+whose edge-disjoint Hamiltonian cycles prove the value, and with that
+sweep for an even-k build.  The level queries here and
+``game.adversary_best_response`` read it, so a built network pays for at
+most one flow however often it is judged.  Cut queries and queries on raw
+pairs (``edge_connectivity_pairs``) run their own sweep.
 
 One kernel, ``_sweep``, answers lambda, threshold and cut queries with
 unit-capacity max flows from source 0 to a list of sinks, each on a copy
@@ -171,10 +174,16 @@ def is_connected(g: LayeredGraph) -> bool:
     return connected_pairs(g.n, g.edge_pairs())
 
 
+def keep_lambda(g: LayeredGraph, lam: int) -> None:
+    """Record ``lam``, a flow's answer or a proven value, as the edge
+    connectivity of ``g``; later queries on ``g`` read it."""
+    object.__setattr__(g, "_lam", lam)
+
+
 def edge_connectivity(g: LayeredGraph) -> int:
     """Standard edge connectivity of ``g`` (0 if disconnected), kept on ``g``."""
     if g._lam is None:
-        object.__setattr__(g, "_lam", edge_connectivity_pairs(g.n, g.edge_pairs()))
+        keep_lambda(g, edge_connectivity_pairs(g.n, g.edge_pairs()))
     return g._lam
 
 

@@ -21,11 +21,19 @@ even n1.
 
 Every constructed network is re-verified (exact edge counts against the
 stage-1 plan, degree k + 1 everywhere, the tagged cycles are edge-disjoint
-Hamiltonian cycles, and the whole graph survives any k link removals); a
-construction that fails verification raises instead of returning
-silently.  The cycles alone prove only lambda >= k for even k, so the
-flow of that last check is the certificate.  Its lambda stays on the
-returned graph, so later lambda queries on it run no flow.
+Hamiltonian cycles made of the graph's links, and the whole graph
+survives any k link removals); a construction that fails verification
+raises instead of returning silently.
+
+Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
+least twice: the cycle visits both sides and must come back.  So r
+edge-disjoint Hamiltonian cycles among a graph's links give lambda >= 2r.
+For odd k the (k+1)/2 tagged cycles, as unordered pairs, are exactly the
+graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1:
+the builder records lambda = k + 1 on the graph and runs no flow.  For
+even k the k/2 cycles prove only lambda >= k, so one max flow is the
+certificate.  Either way the lambda stays on the returned graph, so later
+lambda queries on it run no flow.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity
+from .connectivity import connected_pairs, edge_connectivity, keep_lambda
 from .game import (
     CostProfile,
     SpeSolution,
@@ -86,11 +94,14 @@ class BuiltNetwork:
 def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     """Operator 1's minimal contribution letting operator 2 stay under cost 1.
 
-    Starting from the all-cross estimate n1*(k+1)*c21, each operator-1
+    Starting from the all-cross estimate x = n1*(k+1)*c21, each operator-1
     intra link replaces two operator-2 cross links with one mirrored intra
-    link; once the intra budget (n1-1)(k+1)/2 is exhausted, further
-    operator-1 links are cross links replacing one each.  Runs in exact
-    rationals so the strict cost < 1 boundary is decided correctly.
+    link, saving d = 2*c21 - c2 > 0; once the intra budget (n1-1)(k+1)/2
+    is exhausted, further operator-1 links are cross links saving c21
+    each, up to k + 1 of them.  Operator 1 adds links until operator 2's
+    cost falls below 1, so each phase's count is one floor division.
+    Runs in exact rationals so the strict cost < 1 boundary is decided
+    correctly.
     Requires 1 <= k < n1, the builder's domain; beyond it a plan's counts
     need not fit the graph (n1 = 3, k = 4 would plan 15 cross links among
     9 cross pairs).
@@ -103,25 +114,20 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
         raise ConstructionError("requires c1 <= c12 and c2 <= c21")
     nb11 = (n1 - 1) * (k + 1) // 2
     total = n1 * (k + 1)
-    c2 = total * costs.c21
-    e1 = 0
-    # Beyond e12 = k + 1 operator 2's cross count would go negative, so the
-    # instance is infeasible for this topology family.
-    cap = nb11 + (k + 1)
-    while c2 >= 1 and e1 < cap:
-        e1 += 1
-        if e1 <= nb11:
-            c2 = c2 - 2 * costs.c21 + costs.c2
-        else:
-            c2 = c2 - costs.c21
+    x = total * costs.c21
+    d = 2 * costs.c21 - costs.c2
+    e1 = _steps_below_one(x, d)
+    if e1 > nb11:
+        # Beyond e12 = k + 1 operator 2's cross count would go negative, so
+        # the instance is infeasible for this topology family.
+        e1 = min(nb11 + _steps_below_one(x - nb11 * d, costs.c21), nb11 + k + 1)
     e12 = max(0, e1 - nb11)
     e11 = e1 - e12
     c1_total = e12 * costs.c12 + e11 * costs.c1
     op2_intra = e11
     op2_cross = total - 2 * e11 - e12
+    c2 = op2_intra * costs.c2 + op2_cross * costs.c21
     feasible = c2 < 1 and c1_total < 1
-    if feasible:
-        assert c2 == op2_intra * costs.c2 + op2_cross * costs.c21
     return StageOnePlan(
         n1=n1,
         k=k,
@@ -134,6 +140,11 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
         c2_total=c2,
         feasible=feasible,
     )
+
+
+def _steps_below_one(x: Fraction, step: Fraction) -> int:
+    """Fewest subtractions of ``step`` > 0 that take ``x`` below 1."""
+    return (x - 1) // step + 1 if x >= 1 else 0
 
 
 def build_harary(n: int, r: int) -> list:
@@ -368,9 +379,10 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
         raise ConstructionError("constructed network is not (k+1)-regular")
     # The (k+1)//2 tagged cycles take degree 2 at every node; with every
     # degree k + 1 the untagged rest of an even-k build is a perfect matching.
+    # Links are unordered, so (u, v) and (v, u) are one link.
     seen = set()
     for tag in tags:
-        tag = set(tag)
+        tag = {(min(u, v), max(u, v)) for u, v in tag}
         if seen & tag:
             raise ConstructionError("cycles are not edge-disjoint")
         seen |= tag
@@ -378,9 +390,15 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
             raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
     if len(seen) != graph.n * ((k + 1) // 2):
         raise ConstructionError("cycle tags do not cover 2 * n1 * floor((k+1)/2) links")
-    # Every degree is k + 1, so this is the full flow, and it stays on the
-    # graph for every later lambda query.
-    if edge_connectivity(graph) < k + 1:
+    pairs = graph.edge_pairs()
+    if not (seen == pairs if k % 2 else seen <= pairs):
+        raise ConstructionError("cycle tags are not the graph's links")
+    # Odd k: the module docstring's lemma proves lambda = k + 1.  Even k:
+    # every degree is k + 1, so the certificate is the full flow.  Either
+    # way lambda stays on the graph for every later lambda query.
+    if k % 2:
+        keep_lambda(graph, k + 1)
+    elif edge_connectivity(graph) < k + 1:
         raise ConstructionError("constructed network failed the resilience check")
 
 

@@ -245,20 +245,39 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
     """Sufficient conditions for the all-null equilibrium.
 
     Returns (True, "degree-bound") when no node can reach degree k + 1,
-    (True, "cost-bound") when the joint lower bound on build cost reaches
-    2 (requires c1 <= c12 and c2 <= c21), else (False, None).
+    (True, "cost-bound") when the joint lower bound on build cost,
+    ``_joint_cost_floor``, reaches 2 (requires c1 <= c12 and c2 <= c21),
+    else (False, None).
     """
     if n1 + n2 - 1 < k + 1:
         return True, "degree-bound"
     if costs.c1 <= costs.c12 and costs.c2 <= costs.c21:
-        bound = (
-            (k + 1) * min(costs.c12, costs.c21)
-            + ((n1 - 1) * (k + 1) // 2) * costs.c1
-            + ((n2 - 1) * (k + 1) // 2) * costs.c2
-        )
-        if bound >= 2:
+        if _joint_cost_floor(n1, n2, k, costs) >= 2:
             return True, "cost-bound"
     return False, None
+
+
+def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile) -> Fraction:
+    """Least joint cost of a network with every degree >= k + 1 and at
+    least k + 1 cross links, which every k-resistant network has.
+
+    With x cross links, at min(c12, c21) each, layer i is still
+    max(0, ni(k+1) - x) degrees short and each intra link covers 2, so
+    the cost is at least f(x) = x*cmin + ceil(max(0, n1(k+1) - x)/2)*c1 +
+    ceil(max(0, n2(k+1) - x)/2)*c2 over k+1 <= x <= n1*n2.  Between the
+    breakpoints k+1, n1(k+1), n2(k+1) and n1*n2, f restricted to one
+    parity of x is linear, so its minimum lies at a breakpoint or one
+    step from one.
+    """
+    cmin = min(costs.c12, costs.c21)
+    lo, hi = k + 1, n1 * n2
+    short1, short2 = n1 * (k + 1), n2 * (k + 1)
+    xs = {x + step for x in (lo, hi, short1, short2) for step in (-1, 0, 1)}
+    return min(
+        x * cmin + (max(0, short1 - x) + 1) // 2 * costs.c1 + (max(0, short2 - x) + 1) // 2 * costs.c2
+        for x in xs
+        if lo <= x <= hi
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ carry an owner tag (which operator built the link) plus a class derived
 from the endpoint layers.  Graph values are immutable; every operation
 either answers a read-only query or returns a new graph.
 
-Because a graph never changes, it keeps its edge connectivity once
-``connectivity.edge_connectivity`` has computed it, in a private slot that
-takes no part in ``==``, ``hash`` or ``repr``.  The slot lives and dies
-with the graph object: ``add_edge``, ``remove_edges`` and ``from_pairs``
-return graphs whose slot is empty, and two equal graphs built apart each
-compute their own.
+Because a graph never changes, it keeps its edge connectivity once known,
+in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
+``connectivity.keep_lambda`` fills it, with the value of a flow or, for an
+odd-k equilibrium build, the value its Hamiltonian cycles prove.  The slot
+lives and dies with the graph object: ``add_edge``, ``remove_edges`` and
+``from_pairs`` return graphs whose slot is empty, and two equal graphs
+built apart each fill their own.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class LayeredGraph:
     n1: int
     n2: int
     edges: frozenset[Edge]
-    # Edge connectivity, or None until connectivity.edge_connectivity fills it.
+    # Edge connectivity, or None until connectivity.keep_lambda fills it.
     _lam: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import layersec
 from layersec.connectivity import connected_pairs
+from layersec.construction import StageOnePlan
 from layersec.game import CostProfile
 from layersec.graph import Owner, from_pairs
 
@@ -98,3 +99,20 @@ def count_flows(monkeypatch):
     for module in (layersec.connectivity, layersec.game, layersec.metrics):
         monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
     return calls
+
+
+def stage1_by_steps(n1, k, costs):
+    """``stage1_allocate``'s plan, adding operator-1 links one at a time
+    (intra first, then up to k + 1 cross) until operator 2's cost is below 1.
+    Takes inputs inside ``stage1_allocate``'s domain only."""
+    nb11 = (n1 - 1) * (k + 1) // 2
+    total = n1 * (k + 1)
+    c2 = total * costs.c21
+    e1 = 0
+    while c2 >= 1 and e1 < nb11 + k + 1:
+        e1 += 1
+        c2 -= 2 * costs.c21 - costs.c2 if e1 <= nb11 else costs.c21
+    e12 = max(0, e1 - nb11)
+    e11 = e1 - e12
+    c1_total = e12 * costs.c12 + e11 * costs.c1
+    return StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, c1_total, c2, c2 < 1 and c1_total < 1)

@@ -221,21 +221,32 @@ CASE_A = CostProfile(c1=Fraction(1, 30), c2=Fraction(1, 45), c12=Fraction(1, 20)
 def test_a_graph_keeps_its_own_lambda(monkeypatch):
     calls = count_flows(monkeypatch)
     first = build_generalized(9, 9, 3, CASE_A).graph
-    assert len(calls) == 1  # the build certificate
+    assert len(calls) == 0  # an odd-k build is certified by its cycles
     assert link_connectivity(first).p == 3
     assert is_p_resistant(first, 3) and not is_p_resistant(first, 4)
     assert adversary_best_response(first, CASE_A.ca) == frozenset()
-    assert len(calls) == 1
-    # An equal graph built apart does not share the first one's lambda.
+    assert len(calls) == 0
+    # An equal graph built apart keeps its own proven lambda.
     second = build_generalized(9, 9, 3, CASE_A).graph
     assert second == first and second is not first
-    assert len(calls) == 2
+    assert len(calls) == 0
     assert edge_connectivity(second) == 4
-    assert len(calls) == 2
+    assert len(calls) == 0
     # A graph derived from a built one starts with nothing kept.
     cut = remove_edges(first, [min(first.edges)])
     assert edge_connectivity(cut) == 3
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_an_even_k_build_keeps_its_certificate_flow(monkeypatch):
+    calls = count_flows(monkeypatch)
+    even_k = CostProfile(c1=CASE_A.c1, c2=CASE_A.c2, c12=CASE_A.c12, c21=CASE_A.c21, ca=Fraction(1, 4))
+    built = build_generalized(9, 9, 4, even_k)
+    assert (built.is_null, built.cycles_built) == (False, 2)
+    assert len(calls) == 1  # the build certificate
+    assert link_connectivity(built.graph).p == 4
+    assert adversary_best_response(built.graph, even_k.ca) == frozenset()
+    assert len(calls) == 1
 
 
 def test_the_kept_lambda_is_not_part_of_the_value():

@@ -1,16 +1,18 @@
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import graph_degrees, lambda_by_enumeration
-from layersec.connectivity import connected_pairs, edge_connectivity_pairs, link_connectivity
+from helpers import graph_degrees, lambda_by_enumeration, stage1_by_steps
+from layersec.connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, link_connectivity
 from layersec.construction import (
     ConstructionError,
     StageOnePlan,
     _assemble,
     _build_cycle_superposition,
     _opening_edge,
+    _verify_built,
     build_generalized,
     build_harary,
     ham_path_decomposition,
@@ -67,6 +69,20 @@ def test_stage1_threshold_minimality():
         e11 = e1 - e12
         c2 = e11 * costs.c2 + (n1 * (k + 1) - 2 * e11 - e12) * costs.c21
         assert c2 >= 1
+
+
+def test_stage1_closed_form_matches_one_link_at_a_time():
+    # Costs scaled to the link budget so that plans end in every phase:
+    # no operator-1 link, intra links only, cross links, and the k + 1 cap.
+    rng = random.Random(17)
+    for _ in range(1000):
+        n1 = rng.randint(2, 60)
+        k = rng.randint(1, n1 - 1)
+        total = n1 * (k + 1)
+        c21 = F(rng.randint(1, 60), 20 * total)
+        c1 = F(rng.randint(1, 20), 10 * total)
+        costs = CostProfile(c1, c21 * F(rng.randint(1, 10), 10), c1 + F(rng.randint(0, 20), 10 * total), c21, F(1, 2))
+        assert stage1_allocate(n1, k, costs) == stage1_by_steps(n1, k, costs), (n1, k, costs)
 
 
 def test_stage1_rejects_bad_inputs():
@@ -235,9 +251,58 @@ def test_cycle_route_builds_every_plan():
                 e12 = max(0, e1 - nb11)
                 e11 = e1 - e12
                 plan = StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, F(0), F(0), True)
-                _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
+                g = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan)).graph
+                if k % 2:
+                    # The lambda the cycles prove, audited by a fresh flow.
+                    assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
                 built[k % 2] += 1
     assert (built[1], built[0]) == (695, 675)
+
+
+def _built_and_tags(k):
+    built = build_generalized(5, 5, k, costs_of("1/50", "1/50", "1/40", "1/40"))
+    return built.graph, built.plan, [sorted(tag) for tag in built.cycle_tags]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_built_reads_tags_as_unordered_links(k):
+    g, plan, tags = _built_and_tags(k)
+    _verify_built(g, plan, tags)
+    _verify_built(g, plan, [[(v, u) for u, v in tag] for tag in tags])
+    with pytest.raises(ConstructionError, match="edge-disjoint"):
+        _verify_built(g, plan, [tags[0], [(v, u) for u, v in tags[0]]])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
+    # A Hamiltonian cycle edge-disjoint from the first tag, but not made of
+    # the graph's links, must not count towards the certificate.
+    g, plan, tags = _built_and_tags(k)
+    rng = random.Random(3)
+    while True:
+        order = rng.sample(range(g.n), g.n)
+        cycle = {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
+        if not cycle & set(tags[0]) and not cycle <= g.edge_pairs():
+            break
+    with pytest.raises(ConstructionError, match="graph's links"):
+        _verify_built(g, plan, [tags[0], sorted(cycle)])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
+    g, plan, tags = _built_and_tags(k)
+    two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    with pytest.raises(ConstructionError, match="Hamiltonian"):
+        _verify_built(g, plan, [two_rings, tags[1]])
+
+
+def test_structured_solve_at_two_thousand_nodes_per_layer_is_fast():
+    costs = costs_of("1/80040", "1/80040", "1/40020", "1/8004", "1/3")
+    start = time.perf_counter()
+    sol, built = structured_solve(2001, 2001, costs)
+    assert time.perf_counter() - start < 5
+    assert (sol.k, sol.is_null, built.plan.e11, built.plan.e12) == (3, False, 1, 0)
+    assert link_connectivity(built.graph).p == 3
 
 
 def test_opening_edges_lie_on_their_cycles_and_share_no_endpoint():

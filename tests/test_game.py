@@ -11,6 +11,7 @@ from layersec.game import (
     GameError,
     SearchCapExceeded,
     StrategyProfile,
+    _joint_cost_floor,
     adversary_best_response,
     attack_budget,
     bruteforce_spe_oracle,
@@ -20,7 +21,7 @@ from layersec.game import (
     utilities,
 )
 from layersec.graph import Owner, add_edge, new_graph, remove_edges
-from layersec.metrics import team_optimal
+from layersec.metrics import solve_game, team_optimal
 
 
 def costs_of(c1, c2, c12, c21, ca) -> CostProfile:
@@ -139,6 +140,32 @@ def test_null_spe_check():
     case_b = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
     assert null_spe_check(9, 9, 7, case_b) == (True, "cost-bound")
     assert null_spe_check(9, 9, 3, case_b) == (False, None)
+
+
+def test_joint_cost_floor_matches_a_scan_over_the_cross_count():
+    rng = random.Random(41)
+    for _ in range(400):
+        n1, n2 = rng.randint(1, 30), rng.randint(1, 30)
+        k = rng.randint(1, max(1, n1 + n2 - 2))
+        costs = random_costs(rng, max_den=50)
+        cmin = min(costs.c12, costs.c21)
+        scan = min(
+            x * cmin + (max(0, n1 * (k + 1) - x) + 1) // 2 * costs.c1 + (max(0, n2 * (k + 1) - x) + 1) // 2 * costs.c2
+            for x in range(k + 1, n1 * n2 + 1)
+        )
+        assert _joint_cost_floor(n1, n2, k, costs) == scan, (n1, n2, k, costs)
+
+
+def test_cheap_cross_links_do_not_make_an_instance_null():
+    # Two cross links (2/10) cost less than an intra link in each layer
+    # (5/9 + 1/16), so pricing every node's degree with intra links
+    # overstated the cost: an all-cross network by operator 2 solves it.
+    costs = costs_of("5/9", "1/16", "37/41", "1/10", "6/11")
+    assert null_spe_check(4, 4, 1, costs) == (False, None)
+    structured, _ = solve_game(4, 4, costs)
+    exact = solve_spe_exact(4, 4, costs)
+    assert (structured.method, structured.is_null, structured.u1, structured.u2) == ("structured", False, 1, F(1, 5))
+    assert (exact.is_null, exact.u1, exact.u2_values) == (False, 1, (F(1, 5),))
 
 
 def test_solve_spe_exact_prop3():
@@ -337,6 +364,34 @@ def test_structured_route_matches_exact_search_on_small_symmetric():
         if not exact.is_null:
             assert structured.u1 == exact.u1, costs
             assert structured.u2 in exact.u2_values, costs
+
+
+# Inside structured_solve's domain, but the equilibrium lies outside the
+# stage-1 family, which caps operator 1 at k + 1 cross links and has
+# operator 2 mirror every operator-1 intra link: the structured route
+# answers null or a worse u1 where exact search finds an equilibrium.
+STAGE1_FAMILY_MISSES = [
+    (3, ("2/57", "31/50", "1/10", "23/29", "32/39")),
+    (3, ("1/7", "24/37", "1/5", "46/57", "16/31")),
+    (3, ("4/55", "42/47", "1/5", "17/18", "31/50")),
+    (4, ("1/21", "16/45", "4/37", "5/6", "17/33")),
+    (4, ("2/57", "31/50", "1/10", "23/29", "32/39")),
+    (4, ("7/41", "1/35", "2/9", "8/29", "1/2")),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="equilibrium outside the stage-1 family")
+@pytest.mark.parametrize("n,costs", STAGE1_FAMILY_MISSES)
+def test_structured_route_finds_the_exact_equilibrium(n, costs):
+    from layersec.construction import structured_solve
+
+    costs = costs_of(*costs)
+    structured, _ = structured_solve(n, n, costs)
+    exact = solve_spe_exact(n, n, costs)
+    assert structured.is_null == exact.is_null
+    if not exact.is_null:
+        assert structured.u1 == exact.u1
+        assert structured.u2 in exact.u2_values
 
 
 def test_utilities_bounded_by_one():

@@ -143,15 +143,33 @@ def test_cli_fuzzed_scenarios_exit_cleanly(command, content, spoil):
     assert code in (0, 1, 2)
 
 
-@pytest.mark.parametrize("command", ["solve", "construct"])
-def test_a_structured_solve_makes_one_flow(tmp_path, capsys, monkeypatch, command):
-    # The build certificate's flow is the only one: the adversary's check
-    # and the reported level read the lambda kept on the built graph.
+@pytest.mark.parametrize(
+    "command,ca,k,flows",
+    [
+        ("solve", "1/3", 3, 0),
+        ("construct", "1/3", 3, 0),
+        ("solve", "1/4", 4, 1),
+        ("construct", "1/4", 4, 1),
+    ],
+    ids=["odd-k-solve", "odd-k-construct", "even-k-solve", "even-k-construct"],
+)
+def test_a_structured_solve_flows_only_for_even_k(tmp_path, capsys, monkeypatch, command, ca, k, flows):
+    # An odd-k build is certified by its Hamiltonian cycles and an even-k
+    # build by one flow; the adversary's check and the reported level read
+    # the lambda kept on the built graph.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**json.loads((SCENARIOS / "case-a.json").read_text()), "cA": ca}))
     calls = count_flows(monkeypatch)
     out = ["--out", str(tmp_path / "built.json")] if command == "construct" else []
-    code, _, _ = run_cli(capsys, command, "--scenario", str(SCENARIOS / "case-a.json"), *out)
+    code, stdout, _ = run_cli(capsys, command, "--scenario", str(scenario), *out)
     assert code == 0
-    assert len(calls) == 1
+    bundle = json.loads(stdout)
+    assert bundle["k"] == k
+    level = bundle["p"] if command == "construct" else bundle["verification"]["p"]
+    assert level == k
+    if command == "construct":
+        assert bundle["cycles_built"] == 2
+    assert len(calls) == flows
 
 
 def test_cli_solve_case_a(capsys):
