@@ -187,11 +187,9 @@ def edge_connectivity(g: LayeredGraph) -> int:
     return g._lam
 
 
-def link_connectivity(g: LayeredGraph, cap_at: int | None = None) -> LinkConnectivity:
-    """Resilience level of ``g`` (edge connectivity minus one; -1 if disconnected),
-    with the edge connectivity truncated at ``cap_at``."""
-    lam = edge_connectivity(g)
-    return LinkConnectivity((lam if cap_at is None else min(lam, cap_at)) - 1)
+def link_connectivity(g: LayeredGraph) -> LinkConnectivity:
+    """Resilience level of ``g`` (edge connectivity minus one; -1 if disconnected)."""
+    return LinkConnectivity(edge_connectivity(g) - 1)
 
 
 def min_edge_cut(g: LayeredGraph) -> MinCut:

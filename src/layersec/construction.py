@@ -65,30 +65,46 @@ class StageOnePlan:
 
     n1: int
     k: int
-    e1: int
     e11: int
     e12: int
-    op2_intra: int
-    op2_cross: int
     c1_total: Fraction
     c2_total: Fraction
-    feasible: bool
 
     @property
     def total_links(self) -> int:
         return self.n1 * (self.k + 1)
+
+    @property
+    def e1(self) -> int:
+        return self.e11 + self.e12
+
+    @property
+    def op2_intra(self) -> int:
+        """Operator 2 mirrors every operator-1 intra link."""
+        return self.e11
+
+    @property
+    def op2_cross(self) -> int:
+        return self.total_links - 2 * self.e11 - self.e12
+
+    @property
+    def feasible(self) -> bool:
+        return self.c1_total < 1 and self.c2_total < 1
 
 
 @dataclass(frozen=True)
 class BuiltNetwork:
     graph: LayeredGraph
     plan: StageOnePlan
-    cycles_built: int
     cycle_tags: tuple  # frozenset of (u, v) pairs per cycle; empty for a null network
 
     @property
     def is_null(self) -> bool:
         return not self.plan.feasible
+
+    @property
+    def cycles_built(self) -> int:
+        return len(self.cycle_tags)
 
 
 def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
@@ -124,22 +140,8 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     e12 = max(0, e1 - nb11)
     e11 = e1 - e12
     c1_total = e12 * costs.c12 + e11 * costs.c1
-    op2_intra = e11
-    op2_cross = total - 2 * e11 - e12
-    c2 = op2_intra * costs.c2 + op2_cross * costs.c21
-    feasible = c2 < 1 and c1_total < 1
-    return StageOnePlan(
-        n1=n1,
-        k=k,
-        e1=e1,
-        e11=e11,
-        e12=e12,
-        op2_intra=op2_intra,
-        op2_cross=op2_cross,
-        c1_total=c1_total,
-        c2_total=c2,
-        feasible=feasible,
-    )
+    c2_total = e11 * costs.c2 + (total - 2 * e11 - e12) * costs.c21
+    return StageOnePlan(n1, k, e11, e12, c1_total, c2_total)
 
 
 def _steps_below_one(x: Fraction, step: Fraction) -> int:
@@ -205,32 +207,17 @@ def ham_path_decomposition(n: int) -> list:
     return [_ham_sequence(n, r) for r in range(n // 2)]
 
 
-def _mirrored_cycle(n1: int, path: list, closer: str, out: list, closer_slots: list):
-    """Stage-2 unit: layer-1 path + mirrored layer-2 path + 2 cross closers."""
-    tag = []
-    for a, b in zip(path, path[1:]):
-        out.append([a, b, OP1])
-        tag.append((a, b))
-        out.append([a + n1, b + n1, OP2])
-        tag.append((a + n1, b + n1))
-    u, w = path[0], path[-1]
-    if closer == "twisted":
-        closers = [(u, w + n1), (w, u + n1)]
-    else:
-        closers = [(u, u + n1), (w, w + n1)]
-    for a, b in closers:
-        closer_slots.append(len(out))
-        out.append([a, b, OP2])
-        tag.append((a, b))
-    return tag
+def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
+    """Cycle unit: z mirrored intra steps, the rest cross-switched.
 
-
-def _mixed_cycle(n1: int, seq: list, z: int, out: list):
-    """Stage-3/4 unit: z mirrored intra steps, the rest cross-switched.
-
-    With z = 0 this is an all-cross Hamiltonian cycle.  The two vertical
-    links at the sequence ends join the two alternating strands into a
-    single cycle through all 2*n1 nodes.
+    Each mirrored step is a layer-1 link by operator 1 and its layer-2
+    mirror by operator 2; each cross-switched step is two cross links by
+    operator 2.  The two end links (closer slots, operator 2 until stage 1
+    hands some to operator 1) join the two strands into a single cycle
+    through all 2*n1 nodes: verticals at the sequence ends, or, for a
+    fully mirrored cycle (z = n1 - 1) on odd n1, the twisted pair
+    (u, w+n1), (w, u+n1), the cross versions of the edge the Walecki
+    cycle was opened at.  With z = 0 this is an all-cross Hamiltonian cycle.
     """
     tag = []
     for i in range(z):
@@ -245,9 +232,12 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list):
         tag.append((a, b + n1))
         out.append([b, a + n1, OP2])
         tag.append((b, a + n1))
-    for v in (seq[0], seq[-1]):
-        out.append([v, v + n1, OP2])
-        tag.append((v, v + n1))
+    u, w = seq[0], seq[-1]
+    twisted = n1 % 2 == 1 and z == n1 - 1
+    for a, b in [(u, w + n1), (w, u + n1)] if twisted else [(u, u + n1), (w, w + n1)]:
+        closer_slots.append(len(out))
+        out.append([a, b, OP2])
+        tag.append((a, b))
     return tag
 
 
@@ -292,25 +282,23 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
     m, z = divmod(held, N - 1)
     out: list = []
     closer_slots: list = []
-    tags = []
 
     # One Hamiltonian path of the complete-graph decomposition per cycle:
     # a Walecki cycle opened at its closed-form edge for odd N, a zigzag
     # path for even N.  The first m are mirrored, the next one carries
-    # the z leftover intra steps, the rest are all-cross.
+    # the z leftover intra steps, the rest are all-cross.  Stage 1 hands
+    # closers to operator 1 only once the intra budget is spent (e12 > 0
+    # implies m = C), so only mirrored cycles' closers change hands.
     paths = [_ham_sequence(N, r) for r in range(C)]
-    openings, closer = [], "vertical"
+    openings = []
     if N % 2 == 1:
         openings = [_opening_edge(N, r) for r in range(C)]
         paths = [_open_at(seq, e) for seq, e in zip(paths, openings)]
-        closer = "twisted"
-    for path in paths[:m]:
-        tags.append(_mirrored_cycle(N, path, closer, out, closer_slots))
-    for i, seq in enumerate(paths[m:]):
-        tags.append(_mixed_cycle(N, seq, z if i == 0 else 0, out))
+    steps = [N - 1] * m + [z] + [0] * C
+    tags = [_mixed_cycle(N, path, steps[i], out, closer_slots) for i, path in enumerate(paths)]
     if k % 2 == 0:
         _add_matching(N, plan.e11 - held, paths, openings, m, out, closer_slots)
-    return out, closer_slots, tags, C
+    return out, closer_slots, tags
 
 
 def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list, closer_slots: list):
@@ -353,12 +341,12 @@ def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list
         out.append([a, b, OP2])
 
 
-def _assemble(n1: int, plan: StageOnePlan, out, closer_slots, tags, cycles) -> BuiltNetwork:
+def _assemble(n1: int, plan: StageOnePlan, out, closer_slots, tags) -> BuiltNetwork:
     for slot in closer_slots[: plan.e12]:
         out[slot][2] = OP1
     graph = from_pairs(n1, n1, [(a, b, o) for a, b, o in out])
     _verify_built(graph, plan, tags)
-    return BuiltNetwork(graph, plan, cycles, tuple(frozenset(t) for t in tags))
+    return BuiltNetwork(graph, plan, tuple(frozenset(t) for t in tags))
 
 
 def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
@@ -422,23 +410,23 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
         raise ConstructionError("generalized builder needs equal layer sizes")
     plan = stage1_allocate(n1, k, costs)
     if not plan.feasible:
-        return BuiltNetwork(new_graph(n1, n1), plan, 0, ())
+        return BuiltNetwork(new_graph(n1, n1), plan, ())
     return _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
 
 
-def structured_solve(n1: int, n2: int, costs: CostProfile, k: int | None = None):
-    """Equilibrium of a symmetric instance via the stage-1 split.
+def structured_solve(n1: int, n2: int, costs: CostProfile):
+    """Equilibrium of a symmetric instance via the stage-1 split, with
+    attack budget k = floor(1/cA).
 
-    Returns (SpeSolution, BuiltNetwork or None).  Requires n1 == n2,
-    1 <= k < n1, c1 <= c12 and c2 <= c21; the attack budget defaults to
-    floor(1/cA).
+    Returns (SpeSolution, BuiltNetwork or None).  Requires n1 == n2.  An
+    instance that ``null_spe_check`` declares null answers null with no
+    network, whatever the cost order; any other needs 1 <= k < n1,
+    c1 <= c12 and c2 <= c21.
     """
     if n1 != n2:
         raise ConstructionError("structured solver needs equal layer sizes")
-    if k is None:
-        k = attack_budget(costs.ca)
-    is_null, _ = null_spe_check(n1, n2, k, costs)
-    if is_null:
+    k = attack_budget(costs.ca)
+    if null_spe_check(n1, n2, k, costs)[0]:
         return SpeSolution.null(k, method="structured"), None
     built = build_generalized(n1, n2, k, costs)
     if built.is_null:

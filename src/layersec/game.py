@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_cut_pairs
+from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_edge_cut
 from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
@@ -237,23 +237,25 @@ def adversary_best_response(g: LayeredGraph, ca) -> frozenset:
     lam = edge_connectivity(g)
     if lam == 0 or lam > k:
         return frozenset()
-    cut = set(min_cut_pairs(g.n, g.edge_pairs()))
-    return frozenset(e for e in g.edges if e.pair in cut)
+    return min_edge_cut(g).edges
 
 
 def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
-    """Sufficient conditions for the all-null equilibrium.
+    """The one null test of every solver: (True, reason) when no
+    k-resistant network costs less than 2 in total, else (False, None).
 
-    Returns (True, "degree-bound") when no node can reach degree k + 1,
-    (True, "cost-bound") when the joint lower bound on build cost,
-    ``_joint_cost_floor``, reaches 2 (requires c1 <= c12 and c2 <= c21),
-    else (False, None).
+    A non-null equilibrium is a k-resistant network that each operator
+    pays less than 1 for, and a non-null team design is one that costs
+    less than 2, so either needs a k-resistant network of total cost
+    below 2.  Returns (True, "degree-bound") when no node can reach degree
+    k + 1, (True, "cost-bound") when ``_joint_cost_floor`` reaches 2.
+    The floor prices each link at its own class's cost (cross links at
+    min(c12, c21)), so it holds for any order of the four link costs.
     """
     if n1 + n2 - 1 < k + 1:
         return True, "degree-bound"
-    if costs.c1 <= costs.c12 and costs.c2 <= costs.c21:
-        if _joint_cost_floor(n1, n2, k, costs) >= 2:
-            return True, "cost-bound"
+    if _joint_cost_floor(n1, n2, k, costs) >= 2:
+        return True, "cost-bound"
     return False, None
 
 
@@ -267,17 +269,19 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile) -> Fraction:
     ceil(max(0, n2(k+1) - x)/2)*c2 over k+1 <= x <= n1*n2.  Between the
     breakpoints k+1, n1(k+1), n2(k+1) and n1*n2, f restricted to one
     parity of x is linear, so its minimum lies at a breakpoint or one
-    step from one.
+    step from one.  Priced in units of 1/L (``_scale``).
     """
-    cmin = min(costs.c12, costs.c21)
+    L, c1, c2, c12, c21 = _scale(costs)
+    cmin = min(c12, c21)
     lo, hi = k + 1, n1 * n2
     short1, short2 = n1 * (k + 1), n2 * (k + 1)
     xs = {x + step for x in (lo, hi, short1, short2) for step in (-1, 0, 1)}
-    return min(
-        x * cmin + (max(0, short1 - x) + 1) // 2 * costs.c1 + (max(0, short2 - x) + 1) // 2 * costs.c2
+    floor = min(
+        x * cmin + (max(0, short1 - x) + 1) // 2 * c1 + (max(0, short2 - x) + 1) // 2 * c2
         for x in xs
         if lo <= x <= hi
     )
+    return Fraction(floor, L)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +350,8 @@ class _Budget:
         self.cap = cap
         self.used = 0
 
-    def tick(self, amount: int = 1):
-        self.used += amount
+    def tick(self):
+        self.used += 1
         if self.used > self.cap:
             raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
 
@@ -521,7 +525,7 @@ def solve_spe_exact(
     n1 + n2 <= 7.
     """
     k = attack_budget(costs.ca)
-    if n1 + n2 - 1 < k + 1:
+    if null_spe_check(n1, n2, k, costs)[0]:
         return SpeSolution.null(k)
     uni = EdgeUniverse(n1, n2)
     budget = _Budget(cap)

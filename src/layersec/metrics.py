@@ -102,7 +102,8 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _solve_team_exact(n1, n2, k, costs, cap):
-    """(graph, cost) of the cheapest k-resistant design, or (None, None)."""
+    """(graph, cost) of the cheapest k-resistant design costing less than
+    2, or (None, None)."""
     uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
     cmin = min(c12, c21)
@@ -119,7 +120,8 @@ def _solve_team_exact(n1, n2, k, costs, cap):
                 if 2 * a + x < n1 * (k + 1) or 2 * b + x < n2 * (k + 1):
                     continue
                 cost = a * c1 + b * c2 + x * cmin
-                lattice.append((cost, a + b + x, a, b, x))
+                if cost < 2 * L:
+                    lattice.append((cost, a + b + x, a, b, x))
     lattice.sort()
 
     for cost, _, a, b, x in lattice:
@@ -134,8 +136,8 @@ def _solve_team_exact(n1, n2, k, costs, cap):
 
 def _team_structured(n1, n2, k, costs):
     """Cheapest certified large-instance construction (symmetric only)."""
-    if n1 != n2 or k >= n1:
-        raise MetricsError("structured benchmark needs n1 == n2 and k < n1")
+    if n1 != n2 or not 1 <= k < n1:
+        raise MetricsError("structured benchmark needs n1 == n2 and 1 <= k < n1")
     cmin = min(costs.c12, costs.c21)
     cross_owner = Owner.OPERATOR1 if costs.c12 <= costs.c21 else Owner.OPERATOR2
     candidates = []
@@ -170,22 +172,21 @@ def team_optimal(
 ) -> TeamResult:
     """Minimum-cost k-resistant design when the operators coordinate.
 
-    Exact for n1 + n2 <= 7; certified upper-bound construction (flagged
-    inexact unless it meets the analytic lower bound) for larger
-    symmetric instances.  Null when no k-resistant design costs less
-    than 2: no node can reach degree k + 1, the analytic lower bound
-    reaches 2 (only where that bound holds), or the exact optimum does.
+    Null when no k-resistant design costs less than 2: ``null_spe_check``
+    says so, or the exact search finds none.  Otherwise exact for
+    n1 + n2 <= 7; for larger symmetric instances with 1 <= k < n1 a
+    certified upper-bound construction, flagged exact only when it meets
+    ``cost_bounds``' lower bound and that bound holds (min(c1, c2) <=
+    min(c12, c21)).
     """
-    lower, _ = cost_bounds(n1, n2, k, costs)
-    bound_holds = min(costs.c1, costs.c2) <= min(costs.c12, costs.c21)
-    if n1 + n2 - 1 < k + 1 or (bound_holds and lower >= 2):
+    if null_spe_check(n1, n2, k, costs)[0]:
         return TeamResult(None, None, exact=True, null=True)
     if n1 + n2 <= 7:
         graph, cost = _solve_team_exact(n1, n2, k, costs, cap)
-        if graph is None or cost >= 2:
-            return TeamResult(None, None, exact=True, null=True)
-        return TeamResult(graph, cost, True, False)
+        return TeamResult(graph, cost, exact=True, null=graph is None)
     graph, cost = _team_structured(n1, n2, k, costs)
+    lower, _ = cost_bounds(n1, n2, k, costs)
+    bound_holds = min(costs.c1, costs.c2) <= min(costs.c12, costs.c21)
     return TeamResult(graph, cost, exact=bound_holds and cost == lower, null=False)
 
 

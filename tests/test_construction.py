@@ -246,11 +246,10 @@ def test_cycle_route_builds_every_plan():
     built = {0: 0, 1: 0}
     for n1 in range(2, 12):
         for k in range(1, n1):
-            total, nb11 = n1 * (k + 1), (n1 - 1) * (k + 1) // 2
+            nb11 = (n1 - 1) * (k + 1) // 2
             for e1 in range(nb11 + k + 2):
                 e12 = max(0, e1 - nb11)
-                e11 = e1 - e12
-                plan = StageOnePlan(n1, k, e1, e11, e12, e11, total - 2 * e11 - e12, F(0), F(0), True)
+                plan = StageOnePlan(n1, k, e1 - e12, e12, F(0), F(0))
                 g = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan)).graph
                 if k % 2:
                     # The lambda the cycles prove, audited by a fresh flow.

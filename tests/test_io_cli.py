@@ -359,6 +359,19 @@ def test_cli_metrics(capsys):
     assert report["team"]["exact"] is True
 
 
+def test_cli_metrics_team_is_null_when_the_joint_floor_reaches_two(tmp_path, capsys):
+    # The cheapest ring-plus-bridges design costs 119/50, and the joint
+    # floor (54/25) proves that no coordinated design costs under 2.
+    path = tmp_path / "floor.json"
+    costs = {"c1": "1/100", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/3"}
+    path.write_text(json.dumps({"n1": 9, "n2": 9, **costs}))
+    code, out, _ = run_cli(capsys, "metrics", "--scenario", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["team"] == {"null": True, "cost": None, "exact": True}
+    assert report["poa"]["spe_null"] is True
+
+
 def test_cli_metrics_solves_the_team_optimum_once(capsys, monkeypatch):
     calls, original = [], metrics.team_optimal
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import lambda_by_bipartition, random_costs
 from layersec.connectivity import link_connectivity
-from layersec.game import CostProfile, attack_budget, bruteforce_spe_oracle, solve_spe_exact
+from layersec.construction import structured_solve
+from layersec.game import CostProfile, attack_budget, bruteforce_spe_oracle, null_spe_check, solve_spe_exact
 from layersec.metrics import (
     MetricsError,
     cost_bounds,
@@ -64,7 +65,23 @@ def test_team_optimal_square():
 def test_team_optimal_null_cases():
     assert team_optimal(2, 2, 4, CASE_A).null  # degree bound
     expensive = costs_of("9/10", "9/10", "99/100", "99/100")
-    assert team_optimal(3, 3, 2, expensive).null  # lower bound >= 2
+    assert team_optimal(3, 3, 2, expensive).null  # joint cost floor >= 2
+
+
+def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
+    c = F(1, 20)
+    with pytest.raises(MetricsError, match="1 <= k < n1"):
+        team_optimal(4, 4, 0, costs_of(c, c, c, c))
+
+
+def test_out_of_order_costs_with_a_floor_of_two_are_null_everywhere():
+    # c1 > c12 and c2 > c21; the joint floor is 72/5.  The team search
+    # used to return the all-cross band at 72/5, and stage 1 raised.
+    costs = costs_of("1/2", "1/2", "2/5", "2/5", "1/3")
+    assert null_spe_check(9, 9, 3, costs) == (True, "cost-bound")
+    assert team_optimal(9, 9, 3, costs).null
+    assert structured_solve(9, 9, costs)[0].is_null
+    assert [(e.null, e.reason) for e in threat_sweep(9, costs, [3])] == [(True, "cost-bound")]
 
 
 @functools.cache
@@ -112,6 +129,29 @@ def test_team_optimal_matches_brute_force():
         k = rng.randint(1, n1 + n2 - 1)
         costs = random_costs(rng, ordered=trial % 2 == 0)
         _assert_team_matches_brute_force(n1, n2, k, costs)
+
+
+def test_null_check_is_sound_in_every_cost_order():
+    # Whenever null_spe_check says null, neither the oracle's equilibrium
+    # nor the brute-force team optimum is non-null, whichever of c1, c12
+    # and of c2, c21 is the larger.
+    rng = random.Random(53)
+    shapes = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]
+    orders = set()  # cost orders that gave a cost-bound null
+    for _ in range(400):
+        n1, n2 = rng.choice(shapes)
+        costs = random_costs(rng, max_den=6)
+        k = attack_budget(costs.ca)
+        order = (costs.c1 <= costs.c12, costs.c2 <= costs.c21)
+        is_null, reason = null_spe_check(n1, n2, k, costs)
+        if not is_null:
+            continue
+        if reason == "cost-bound":
+            orders.add(order)
+        assert bruteforce_spe_oracle(n1, n2, costs).is_null, (n1, n2, costs)
+        best = _team_by_brute_force(n1, n2, k, costs)
+        assert best is None or best >= 2, (n1, n2, k, costs, best)
+    assert len(orders) == 4, orders
 
 
 def _fractions_in(lo, hi):
