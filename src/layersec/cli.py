@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .connectivity import is_connected, link_connectivity
+from .connectivity import is_connected, is_p_resistant, link_connectivity
 from .construction import ConstructionError, stage1_allocate, structured_solve
 from .game import (
     CostProfile,
@@ -160,8 +160,8 @@ def cmd_attack(args) -> int:
 
 def cmd_verify(args) -> int:
     g = io.load_graph(args.graph)
+    resistant = is_p_resistant(g, args.k)
     p = link_connectivity(g).p
-    resistant = p >= args.k
     print(
         json.dumps(
             {

@@ -17,21 +17,20 @@ sweep for an even-k build.  The level queries here and
 most one flow however often it is judged.  Cut queries and queries on raw
 pairs (``edge_connectivity_pairs``) run their own sweep.
 
-One kernel, ``_sweep``, answers lambda, threshold and cut queries with
-unit-capacity max flows from source 0 to a list of sinks, each on a copy
-of one residual built per query.  The residual is an arc array: arc ``a``
-points to ``head[a]``, its reverse is ``a ^ 1``, and repeated pairs merge
-into one capacity.  Lambda and threshold queries stop a flow at the best
-value so far; cut queries stop one augmentation later, so a flow that ends
-at the best value is a full maximum flow.  The nodes reached by the last,
-failed search of the flow that set the best value are the source side of a
-minimum cut.
+One kernel, ``_sweep``, answers lambda and cut queries with unit-capacity
+max flows from source 0 to a list of sinks, each on a copy of one residual
+built per query.  The residual is an arc array: arc ``a`` points to
+``head[a]``, its reverse is ``a ^ 1``, and repeated pairs merge into one
+capacity.  Lambda queries stop a flow at the best value so far; cut
+queries stop one augmentation later, so a flow that ends at the best value
+is a full maximum flow.  The nodes reached by the last, failed search of
+the flow that set the best value are the source side of a minimum cut.
 
 Sink rule.  Cut queries, and every query on a multigraph (a repeated
 unordered pair or a self-loop), use all sinks 1..n-1, in order.  Lambda
-and threshold queries on a simple graph use only D - {0}, in increasing
-order, where D is the dominating set built greedily by scanning 0..n-1 and
-taking each node not yet dominated (so 0 is in D).
+queries on a simple graph use only D - {0}, in increasing order, where D
+is the dominating set built greedily by scanning 0..n-1 and taking each
+node not yet dominated (so 0 is in D).
 
 Lemma (Matula 1987; Esfahanian and Hakimi 1984).  In a simple graph with
 minimum degree delta and lambda < delta, each side S of a minimum cut has
@@ -144,19 +143,12 @@ def _sweep(n: int, pairs, best: int, cut: bool):
     return best, side
 
 
-def edge_connectivity_pairs(n: int, pairs, cap_at: int | None = None) -> int:
-    """Standard edge connectivity of (n, pairs); 0 if disconnected.
-
-    ``cap_at`` truncates the answer: values >= cap_at are reported as
-    cap_at, which keeps threshold queries cheap.
-    """
+def edge_connectivity_pairs(n: int, pairs) -> int:
+    """Standard edge connectivity of (n, pairs); 0 if disconnected."""
     pairs = list(pairs)
     if n <= 1 or not connected_pairs(n, pairs):
         return 0
-    best = min(degrees(n, pairs))  # lambda <= min degree
-    if cap_at is not None:
-        best = min(best, cap_at)
-    return _sweep(n, pairs, best, cut=False)[0]
+    return _sweep(n, pairs, min(degrees(n, pairs)), cut=False)[0]  # lambda <= min degree
 
 
 def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:

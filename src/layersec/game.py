@@ -10,17 +10,14 @@ the adversary finally removes any subset of the built links.  Utilities:
 
 All arithmetic is exact; equilibrium selection hinges on strict
 comparisons at the cost-1 and zero-payoff boundaries, so no floating point
-is used anywhere.  Payoffs at the API boundary are fractions.Fraction.  The
-search layers (solve_spe_exact with operator 2's cost lattice,
-operator2_best_response_exact, the oracle and the team search in metrics)
-scale the four link costs once per call to integers over
+is used anywhere, and CostProfile and attack_budget refuse floats.
+Payoffs at the API boundary are fractions.Fraction.  The search layers
+(solve_spe_exact, operator2_best_response_exact, the oracle and the team
+search) scale the four link costs once per call to integers over
 L = lcm(denominators) (``_scale``), compare against L instead of 1, and
-convert back to Fraction only in the result they return.  Operator 2's
-floor test, which halves c2, is doubled on both sides
-(2*xm*c21 + r*min(2*c21, c2) >= 2L) so that it stays exact when c2 is odd
-in units of 1/L.  Boundary conventions: the adversary does attack when its
-net payoff is exactly 0, the operators do not build when their net payoff
-would be exactly 0.
+convert back to Fraction only in the result they return.  Boundary
+conventions: the adversary does attack when its net payoff is exactly 0,
+the operators do not build when their net payoff would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
 and a deliberately naive full-enumeration oracle (bruteforce_spe_oracle)
@@ -28,14 +25,22 @@ used to cross-check it on tiny instances.  Each search call builds its
 own EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
 nothing outlives a call.  Every k-resistance test is
 EdgeUniverse.resists(mask, k): a node of degree <= k answers no without a
-flow (lambda <= min degree), otherwise lambda > k decides.  The exact
-search skips an operator-1 count level (a intra, b cross links) whose
-operator-2 completion must cost at least 1: layer 1 is d1 = n1(k+1) -
-2a - b degrees short and only operator-2 cross links cover that, layer 2
-is d2 = n2(k+1) - b short and an intra link covers 2 of it, so the
-completion costs at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over
-max(d1, k+1-b, 0) <= x <= n1*n2 - b.  The oracle settles resists once
-per union mask in a call-local table and prunes nothing.
+flow (lambda <= min degree), otherwise lambda > k decides.  The oracle
+settles resists once per union mask in a call-local table and prunes
+nothing.
+
+The three exact searches (operator 2's best response, operator 1's
+equilibrium scan and the team optimum) pick link counts per class in cost
+order from one count lattice (``_lattice``) and complete a base network
+through one loop (``_completion``), which skips a purchase that cannot
+cover the degree shortfall or the k + 1 cross links and hands the rest to
+``_place``.  One closed-form floor (``_count_floor``) serves the null test
+and the level bound: an operator-1 level of a intra and b cross links
+leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which only operator-2
+cross links cover, and layer 2 d2 = n2(k+1) - b short, where an intra
+link covers 2, so operator 2 pays at least min x*c21 +
+ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b, 0) <= x <= n1*n2 - b.  The
+exact search skips a level whose bound reaches 1 when its scan reaches it.
 """
 
 from __future__ import annotations
@@ -71,13 +76,8 @@ class CostProfile:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c12", "c21", "ca"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-        for name in ("c1", "c2", "c12", "c21", "ca"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise GameError(f"{name} = {value} is outside (0, 1)")
+            value = _exact_cost(getattr(self, name), name)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,22 @@ class SpeSolution:
         )
 
 
+def _exact_cost(value, name: str) -> Fraction:
+    """``value`` as a Fraction strictly inside (0, 1).  Floats and bools
+    are refused: Fraction(0.1) is slightly above 1/10, which moves the
+    strict comparisons every answer hinges on."""
+    if isinstance(value, (bool, float)):
+        kind = type(value).__name__
+        raise GameError(f"{name} = {value!r} is a {kind}: pass a Fraction, an int or a string")
+    value = Fraction(value)
+    if not 0 < value < 1:
+        raise GameError(f"{name} = {value} is outside (0, 1)")
+    return value
+
+
 def attack_budget(ca) -> int:
     """Largest attack size affordable at non-negative adversary payoff."""
-    ca = Fraction(ca)
-    if not 0 < ca < 1:
-        raise GameError(f"attack cost {ca} is outside (0, 1)")
-    return int(Fraction(1) / ca)  # floor of 1/ca
+    return int(1 / _exact_cost(ca, "attack cost"))  # floor of 1/ca
 
 
 def _scale(costs: CostProfile) -> tuple:
@@ -265,23 +275,35 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile) -> Fraction:
 
     With x cross links, at min(c12, c21) each, layer i is still
     max(0, ni(k+1) - x) degrees short and each intra link covers 2, so
-    the cost is at least f(x) = x*cmin + ceil(max(0, n1(k+1) - x)/2)*c1 +
-    ceil(max(0, n2(k+1) - x)/2)*c2 over k+1 <= x <= n1*n2.  Between the
-    breakpoints k+1, n1(k+1), n2(k+1) and n1*n2, f restricted to one
-    parity of x is linear, so its minimum lies at a breakpoint or one
-    step from one.  Priced in units of 1/L (``_scale``).
+    the cost is at least the ``_count_floor`` over k+1 <= x <= n1*n2 of
+    x*cmin + ceil(max(0, n1(k+1) - x)/2)*c1 + ceil(max(0, n2(k+1) - x)/2)*c2.
+    Priced in units of 1/L (``_scale``).
     """
     L, c1, c2, c12, c21 = _scale(costs)
-    cmin = min(c12, c21)
-    lo, hi = k + 1, n1 * n2
-    short1, short2 = n1 * (k + 1), n2 * (k + 1)
-    xs = {x + step for x in (lo, hi, short1, short2) for step in (-1, 0, 1)}
-    floor = min(
-        x * cmin + (max(0, short1 - x) + 1) // 2 * c1 + (max(0, short2 - x) + 1) // 2 * c2
-        for x in xs
-        if lo <= x <= hi
-    )
-    return Fraction(floor, L)
+    shorts = [(n1 * (k + 1), c1), (n2 * (k + 1), c2)]
+    return Fraction(_count_floor(k + 1, n1 * n2, min(c12, c21), shorts), L)
+
+
+def _count_floor(lo: int, hi: int, cx: int, shorts: list):
+    """Least x*cx + sum of ceil(max(0, s - x)/2)*c over (s, c) in
+    ``shorts``, over integers lo <= x <= hi; None if lo > hi.
+
+    x counts cross links at cx each; each (s, c) is a degree shortfall s
+    that a cross link covers by 1 and an intra link, at c, by 2.
+    Restricted to one parity of x the sum is linear between the
+    breakpoints lo, hi and each s, so its minimum lies at a breakpoint or
+    one step from one.
+    """
+    best = None
+    for x in {lo, lo + 1, hi - 1, hi, *[s + step for s, _ in shorts for step in (-1, 0, 1)]}:
+        if lo <= x <= hi:
+            cost = x * cx
+            for s, c in shorts:
+                if x < s:
+                    cost += (s - x + 1) // 2 * c
+            if best is None or cost < best:
+                best = cost
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -356,67 +378,63 @@ class _Budget:
             raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
 
 
-def _op2_lattice(uni: EdgeUniverse, scaled: tuple) -> list:
-    """Operator 2's (cost, x, y) purchases of x cross and y intra links
-    costing less than 1, cheapest first (ties by x, then y); (0, 0) left out.
-    ``scaled`` is ``_scale(costs)``; costs are in units of 1/L."""
-    L, _, c2, _, c21 = scaled
-    lattice = []
-    for x in range(len(uni.cross_bits) + 1):
-        for y in range(len(uni.intra2_bits) + 1):
-            if x == 0 and y == 0:
-                continue
-            cost = x * c21 + y * c2
-            if cost < L:
-                lattice.append((cost, x, y))
-    lattice.sort()
-    return lattice
+def _lattice(uni: EdgeUniverse, pools: list, prices: list, limit: int) -> list:
+    """Every purchase of counts[i] links from pools[i], at prices[i] each,
+    that costs less than ``limit``, sorted by (cost, counts): the empty
+    purchase comes first.  Each entry is (cost, counts, layer-1 link ends,
+    layer-2 link ends, cross links); a pool holds links of one class."""
+    n1 = uni.n1
+    entries = [(0, (), 0, 0, 0)]
+    for bits, price in zip(pools, prices):
+        u, v = uni.pairs[bits[0]] if bits else (0, 0)  # an empty pool sells nothing
+        e1, e2 = (u < n1) + (v < n1), (u >= n1) + (v >= n1)
+        steps = [(c * price, (c,), c * e1, c * e2, c * (e1 == 1)) for c in range(len(bits) + 1)]
+        grown = []
+        for cost, counts, ends1, ends2, cross in entries:
+            for price_c, c, ends1_c, ends2_c, cross_c in steps:
+                if cost + price_c >= limit:
+                    break
+                grown.append((cost + price_c, counts + c, ends1 + ends1_c, ends2 + ends2_c, cross + cross_c))
+        entries = grown
+    entries.sort()
+    return entries
 
 
-def _op2_best_response_masks(
-    uni: EdgeUniverse, mask1: int, k: int, scaled: tuple, lattice: list, budget: _Budget
-):
-    """Cheapest operator-2 completion mask2 with lam(mask1 | mask2) >= k + 1.
+def _completion(uni: EdgeUniverse, k: int, base: int, pools: list, lattice: list, budget: _Budget):
+    """Cheapest entry of ``lattice`` (built by ``_lattice`` over ``pools``)
+    whose links, placed by ``_place``, make ``base`` k-resistant.
 
-    ``scaled`` is ``_scale(costs)`` and ``lattice`` is ``_op2_lattice(uni,
-    scaled)``.  Returns (cost2, mask2) with cost2 in units of 1/L, (0, 0)
-    when mask1 already resists k removals, or (None, None) when no
-    completion costing strictly less than 1 exists.
+    Returns (cost, mask) with the placed links in ``mask``, (0, 0) when
+    ``base`` resists on its own, or (None, None).  Links of ``base`` are
+    not for sale.  An entry is skipped before any placement when its link
+    ends leave a layer's degree shortfall uncovered (a node of degree
+    d <= k in ``base`` is k + 1 - d short), when it leaves fewer than
+    k + 1 cross links, or when it asks for more links than a pool has.
+    Only when a first entry survives is the purchase of every pooled link
+    tested: if that does not resist, nothing does.
     """
-    if uni.resists(mask1, k):
-        return 0, 0
-    L, _, c2, _, c21 = scaled
-    n1, incident = uni.n1, uni.incident
-    avail_cross = uni.cross_mask & ~mask1
-    avail = avail_cross | uni.intra2_mask
-
-    degs = [(mask1 & inc).bit_count() for inc in incident]
-    defc = [k + 1 - d if d <= k else 0 for d in degs]
-    need_cross = sum(defc[:n1])  # layer-1 deficiencies: cross links only
-    need_l2 = sum(defc[n1:])
-    cross_built = (mask1 & uni.cross_mask).bit_count()
-    # Cheapest conceivable completion; rejects hopeless subgames before any
-    # connectivity work.  xm cross links are mandatory; whatever layer-2
-    # degree they leave uncovered costs at least min(c21, c2/2) per unit.
-    # Both sides are doubled so that c2/2 stays exact when c2 is odd.
-    xm = max(need_cross, k + 1 - cross_built)
-    if 2 * xm * c21 + max(0, need_l2 - xm) * min(2 * c21, c2) >= 2 * L:
-        return None, None
-    if not uni.resists(mask1 | avail, k):  # not even buying every link helps
-        return None, None
-
-    n_cross = avail_cross.bit_count()
-    cross_cands = [b for b in uni.cross_bits if avail_cross >> b & 1]
-    for cost, x, y in lattice:
-        # Cross links are the only way to raise a layer-1 degree; layer-2
-        # degrees rise by 1 per cross link and 2 per intra link.
-        if x > n_cross or x < need_cross or x + 2 * y < need_l2:
+    n1 = uni.n1
+    degs = [(base & inc).bit_count() for inc in uni.incident]
+    short1 = sum(k + 1 - d for d in degs[:n1] if d <= k)
+    short2 = sum(k + 1 - d for d in degs[n1:] if d <= k)
+    lack = k + 1 - (base & uni.cross_mask).bit_count()
+    free = None
+    for cost, counts, ends1, ends2, cross in lattice:
+        if ends1 < short1 or ends2 < short2 or cross < lack:
             continue
-        if x + cross_built < k + 1:
+        if not cost:  # the empty purchase places nothing
+            if uni.resists(base, k):
+                return 0, 0
             continue
-        mask2 = _place(uni, k, mask1, [(cross_cands, x), (uni.intra2_bits, y)], budget)
-        if mask2 is not None:
-            return cost, mask2
+        if free is None:
+            free = [[b for b in bits if not base >> b & 1] for bits in pools]
+            if not uni.resists(base | sum(1 << b for bits in free for b in bits), k):
+                return None, None
+        if any(c > len(bits) for c, bits in zip(counts, free)):
+            continue
+        mask = _place(uni, k, base, list(zip(free, counts)), budget)
+        if mask is not None:
+            return cost, mask
     return None, None
 
 
@@ -496,10 +514,10 @@ def operator2_best_response_exact(
     that; otherwise a minimum-cost edge set (owner tag OPERATOR2).
     """
     uni = EdgeUniverse(g1.n1, g1.n2)
-    mask1 = uni.mask_of(g1.edge_pairs())
-    scaled = _scale(costs)
-    lattice = _op2_lattice(uni, scaled)
-    cost, mask2 = _op2_best_response_masks(uni, mask1, k, scaled, lattice, _Budget(cap))
+    L, _, c2, _, c21 = _scale(costs)
+    pools = [uni.cross_bits, uni.intra2_bits]
+    lattice = _lattice(uni, pools, [c21, c2], L)
+    cost, mask2 = _completion(uni, k, uni.mask_of(g1.edge_pairs()), pools, lattice, _Budget(cap))
     if cost is None:
         return frozenset()
     return _profile_from_masks(uni, 0, mask2).to_graph(g1.n1, g1.n2).edges
@@ -518,44 +536,38 @@ def solve_spe_exact(
 ) -> SpeSolution:
     """Backward-induction equilibrium by pruned exact search.
 
-    Operator-1 strategies are scanned in nondecreasing cost order (ties by
-    cross-link count, then lexicographic edge order); the first cost level
-    admitting a securable completion is the equilibrium level, and every
-    securable strategy at that level is collected.  Intended for
-    n1 + n2 <= 7.
+    Operator 1's count levels (b cross, a intra links) are scanned in
+    nondecreasing cost order, ties by b, then a; within a level, its
+    strategies go in lexicographic edge order.  A level is skipped when
+    its level bound (module docstring) shows that operator 2 cannot
+    complete it below 1.  The first cost admitting a securable completion
+    is the equilibrium level, and every securable strategy at that cost is
+    collected.  Intended for n1 + n2 <= 7.
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs)[0]:
         return SpeSolution.null(k)
     uni = EdgeUniverse(n1, n2)
     budget = _Budget(cap)
-    scaled = _scale(costs)
-    L, c1, c2, c12, c21 = scaled
-    lattice = _op2_lattice(uni, scaled)
-
-    count_levels = []
-    for a in range(len(uni.intra1_bits) + 1):
-        for b in range(len(uni.cross_bits) + 1):
-            cost = a * c1 + b * c12
-            # Skip the level if operator 2 cannot complete it below 1 (the
-            # level bound of the module docstring).
-            d1, d2 = n1 * (k + 1) - 2 * a - b, n2 * (k + 1) - b
-            xs = range(max(d1, k + 1 - b, 0), n1 * n2 - b + 1)
-            floor2 = min((x * c21 + (max(0, d2 - x) + 1) // 2 * c2 for x in xs), default=L)
-            if cost < L and floor2 < L:
-                count_levels.append((cost, b, a))
-    count_levels.sort()
+    L, c1, c2, c12, c21 = _scale(costs)
+    op2_pools = [uni.cross_bits, uni.intra2_bits]
+    op2_lattice = _lattice(uni, op2_pools, [c21, c2], L)
+    levels = _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L)
+    need1, need2 = n1 * (k + 1), n2 * (k + 1)  # degree ends each layer needs
 
     found_cost = None
     found = []  # (mask1, cost2, mask2) in enumeration order
-    for cost1, b, a in count_levels:
+    for cost1, (b, a), ends1, ends2, _ in levels:
         if found_cost is not None and cost1 > found_cost:
             break
+        floor2 = _count_floor(max(need1 - ends1, k + 1 - b, 0), n1 * n2 - b, c21, [(need2 - ends2, c2)])
+        if floor2 is None or floor2 >= L:
+            continue
         for intra_sel in itertools.combinations(uni.intra1_bits, a):
             for cross_sel in itertools.combinations(uni.cross_bits, b):
                 budget.tick()
                 mask1 = sum(1 << i for i in intra_sel) + sum(1 << i for i in cross_sel)
-                cost2, mask2 = _op2_best_response_masks(uni, mask1, k, scaled, lattice, budget)
+                cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
                 if cost2 is None:
                     continue
                 found_cost = cost1
@@ -580,6 +592,22 @@ def solve_spe_exact(
         u2_values=tuple(Fraction(L - c, L) for c in classes),
         method="exact",
     )
+
+
+def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
+    """(graph, cost) of the cheapest k-resistant design costing less than
+    2, or (None, None).  Every link is priced at its own class's cost,
+    cross links at min(c12, c21), and the cheaper cross builder owns them."""
+    uni = EdgeUniverse(n1, n2)
+    L, c1, c2, c12, c21 = _scale(costs)
+    pools = [uni.intra1_bits, uni.intra2_bits, uni.cross_bits]
+    lattice = _lattice(uni, pools, [c1, c2, min(c12, c21)], 2 * L)
+    cost, mask = _completion(uni, k, 0, pools, lattice, _Budget(cap))
+    if cost is None:
+        return None, None
+    op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
+    graph = _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(n1, n2)
+    return graph, Fraction(cost, L)
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:

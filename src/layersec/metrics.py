@@ -19,11 +19,7 @@ from .construction import build_harary, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
-    EdgeUniverse,
-    _Budget,
-    _place,
-    _profile_from_masks,
-    _scale,
+    _solve_team_exact,
     attack_budget,
     null_spe_check,
     solve_spe_exact,
@@ -101,39 +97,6 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     return lower, upper
 
 
-def _solve_team_exact(n1, n2, k, costs, cap):
-    """(graph, cost) of the cheapest k-resistant design costing less than
-    2, or (None, None)."""
-    uni = EdgeUniverse(n1, n2)
-    L, c1, c2, c12, c21 = _scale(costs)
-    cmin = min(c12, c21)
-    budget = _Budget(cap)
-    p1, p2, px = uni.intra1_bits, uni.intra2_bits, uni.cross_bits
-    need_total = ((n1 + n2) * (k + 1) + 1) // 2
-
-    lattice = []
-    for a in range(len(p1) + 1):
-        for b in range(len(p2) + 1):
-            for x in range(len(px) + 1):
-                if x < k + 1 or a + b + x < need_total:
-                    continue
-                if 2 * a + x < n1 * (k + 1) or 2 * b + x < n2 * (k + 1):
-                    continue
-                cost = a * c1 + b * c2 + x * cmin
-                if cost < 2 * L:
-                    lattice.append((cost, a + b + x, a, b, x))
-    lattice.sort()
-
-    for cost, _, a, b, x in lattice:
-        mask = _place(uni, k, 0, [(p1, a), (p2, b), (px, x)], budget)
-        if mask is not None:
-            # Cross links go to the cheaper cross builder.
-            op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
-            graph = _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(n1, n2)
-            return graph, Fraction(cost, L)
-    return None, None
-
-
 def _team_structured(n1, n2, k, costs):
     """Cheapest certified large-instance construction (symmetric only)."""
     if n1 != n2 or not 1 <= k < n1:
@@ -158,7 +121,7 @@ def _team_structured(n1, n2, k, costs):
     best = None
     for cost, triples in sorted(candidates, key=lambda t: t[0]):
         pairs = [(u, v) for u, v, _ in triples]
-        if edge_connectivity_pairs(n1 + n2, pairs, cap_at=k + 1) >= k + 1:
+        if edge_connectivity_pairs(n1 + n2, pairs) >= k + 1:
             best = (cost, triples)
             break
     if best is None:

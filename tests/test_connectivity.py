@@ -110,7 +110,6 @@ def test_capped_queries_truncate_lambda():
         seen.add(lam > 0)
         g = embed(n1, n2, pairs)
         for c in range(1, lam + 2):
-            assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
             assert link_connectivity(g).p == lam - 1
             assert is_p_resistant(g, c - 1) == (lam >= c)
     assert seen == {False, True}  # both disconnected and connected graphs ran
@@ -146,11 +145,9 @@ def test_min_cut_removal_disconnects_random():
         assert cut.size == link_connectivity(g).p + 1
 
 
-def check_lambda_and_caps(n, pairs):
+def check_lambda(n, pairs):
     lam = lambda_by_bipartition(n, pairs)
     assert edge_connectivity_pairs(n, pairs) == lam
-    for c in range(1, lam + 2):
-        assert edge_connectivity_pairs(n, pairs, cap_at=c) == min(lam, c)
     return lam
 
 
@@ -181,7 +178,7 @@ def test_clique_chains_below_min_degree():
             pairs += rng.sample([(u, v) for u in span[0] for v in span[1]], links)
             junctions.append(links)
         pairs = relabel(rng, n, pairs)
-        assert check_lambda_and_caps(n, pairs) == min(junctions)
+        assert check_lambda(n, pairs) == min(junctions)
         assert len(min_cut_pairs(n, pairs)) == min(junctions)
 
 
@@ -198,7 +195,7 @@ def test_hamiltonian_cycle_unions_with_links_removed():
         for _ in range(rng.randint(1, 3)):
             pairs.pop(rng.randrange(len(pairs)))
         rng.shuffle(pairs)
-        lam = check_lambda_and_caps(n, pairs)
+        lam = check_lambda(n, pairs)
         if lam:
             assert len(min_cut_pairs(n, pairs)) == lam
 
@@ -208,7 +205,7 @@ def test_multigraph_takes_every_sink():
     # node 0 dominates every node; with parallel links the dominating-set
     # argument does not hold, so all sinks must be swept.
     pairs = [(0, 2), (0, 3)] + [(0, 1)] * 3 + [(2, 3)] * 3
-    assert check_lambda_and_caps(4, pairs) == 2
+    assert check_lambda(4, pairs) == 2
     assert sorted(min_cut_pairs(4, pairs)) == [(0, 2), (0, 3)]
 
 

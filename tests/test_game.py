@@ -11,6 +11,7 @@ from layersec.game import (
     GameError,
     SearchCapExceeded,
     StrategyProfile,
+    _count_floor,
     _joint_cost_floor,
     adversary_best_response,
     attack_budget,
@@ -20,7 +21,7 @@ from layersec.game import (
     solve_spe_exact,
     utilities,
 )
-from layersec.graph import Owner, add_edge, new_graph, remove_edges
+from layersec.graph import Owner, add_edge, from_pairs, new_graph, remove_edges
 from layersec.metrics import solve_game, team_optimal
 
 
@@ -129,6 +130,18 @@ def test_operator2_response_sizes_by_first_move():
     assert link_connectivity(embed(4, 3, union)).p >= 2
 
 
+def test_floats_are_refused():
+    # Fraction(0.1) is slightly above 1/10, so a float would floor 1/cA to 9.
+    with pytest.raises(GameError):
+        attack_budget(0.1)
+    with pytest.raises(GameError):
+        attack_budget(True)
+    with pytest.raises(GameError):
+        CostProfile(F(1, 10), 0.2, F(1, 10), F(1, 10), F(1, 3))
+    assert attack_budget(F(1, 10)) == attack_budget("0.1") == attack_budget("1/10") == 10
+    assert CostProfile("0.1", F(1, 5), "1/10", F(1, 10), "1/3") == costs_of("1/10", "1/5", "1/10", "1/10", "1/3")
+
+
 def test_operator2_response_refuses_at_cost_one():
     # completion needs 12 cross links at 1/12 each: exactly cost 1, so null
     costs = costs_of("1/100", "1/12", "1/100", "1/12", "1/2")
@@ -154,6 +167,12 @@ def test_joint_cost_floor_matches_a_scan_over_the_cross_count():
             for x in range(k + 1, n1 * n2 + 1)
         )
         assert _joint_cost_floor(n1, n2, k, costs) == scan, (n1, n2, k, costs)
+        # The operator-2 form (the level bound): layer 1 takes cross links only.
+        a, b = rng.randint(0, n1 * (n1 - 1) // 2), rng.randint(0, n1 * n2)
+        d1, d2 = n1 * (k + 1) - 2 * a - b, n2 * (k + 1) - b
+        lo, hi = max(d1, k + 1 - b, 0), n1 * n2 - b
+        scan = min((x * costs.c21 + (max(0, d2 - x) + 1) // 2 * costs.c2 for x in range(lo, hi + 1)), default=None)
+        assert _count_floor(lo, hi, costs.c21, [(d2, costs.c2)]) == scan, (n1, n2, k, a, b, costs)
 
 
 def test_cheap_cross_links_do_not_make_an_instance_null():
@@ -201,6 +220,19 @@ def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         solve_spe_exact(4, 3, PROP3_COSTS, cap=275)
     assert solve_spe_exact(4, 3, PROP3_COSTS, cap=276).u1 == F(91, 100)
+
+
+def test_search_cap_pins_the_team_and_operator2_searches():
+    # Exact tick counts of the other two lattice searches: each raises one
+    # tick short and solves at the pinned cap.
+    costs = costs_of("1/9", "1/8", "1/7", "1/6", "2/3")
+    with pytest.raises(SearchCapExceeded):
+        team_optimal(3, 4, 1, costs, cap=61)
+    assert team_optimal(3, 4, 1, costs, cap=62).cost == F(445, 504)
+    ring = from_pairs(4, 3, [(u, (u + 1) % 4, Owner.OPERATOR1) for u in range(4)])
+    with pytest.raises(SearchCapExceeded):
+        operator2_best_response_exact(ring, PROP3_COSTS, 2, cap=47)
+    assert len(operator2_best_response_exact(ring, PROP3_COSTS, 2, cap=48)) == 7
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2)])

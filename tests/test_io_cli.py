@@ -308,6 +308,15 @@ def test_cli_verify_failure_exit(tmp_path, capsys):
     assert json.loads(out)["resistant"] is False
 
 
+def test_cli_verify_refuses_a_negative_level(tmp_path, capsys):
+    path = tmp_path / "triangle.json"
+    edges = [{"u": u, "v": v, "owner": 1} for u, v in ((0, 1), (1, 2), (0, 2))]
+    path.write_text(json.dumps({"n1": 2, "n2": 1, "edges": edges}))
+    code, out, err = run_cli(capsys, "verify", "--graph", str(path), "--k", "-2")
+    assert (code, out) == (1, "")
+    assert err == "error: resistance level must be non-negative\n"
+
+
 def test_cli_attack_on_cycle(tmp_path, capsys):
     n = 18
     g = new_graph(9, 9)
