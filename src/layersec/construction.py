@@ -3,17 +3,18 @@
 ``build_generalized`` is the one builder.  It realizes the equilibrium
 topology over the 2*n1 nodes (either layer parity) as a superposition of
 floor((k+1)/2) pairwise edge-disjoint Hamiltonian cycles, plus, for even
-k, one perfect matching of pairs no cycle uses, after a closed-form
-stage-1 split of the link budget between the two operators:
+k, one perfect matching of pairs no cycle uses, after a stage-1 split of
+the link budget between the two operators:
 
-  stage 1  decide how many links operator 1 contributes (intra first,
-           cross only after the intra budget is exhausted);
+  stage 1  the cheapest operator-1 level (e11 intra, e12 cross links) whose
+           ``game._level_floor`` is below 1; operator 2 mirrors its intra links;
   stage 2  m mirrored cycles: a layer-1 Hamiltonian path by operator 1,
            its mirror image in layer 2 by operator 2, two cross closers;
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
   stage 4  remaining cycles built purely from cross links;
   stage 5  (even k) the matching: the intra budget the cycles could not
-           hold as mirrored intra pairs, the rest cross or vertical links.
+           hold as mirrored intra pairs, the rest cross or vertical links;
+  stage 6  operator 1 takes e12 of the cross links, closers first.
 
 The cycles come from the Walecki decomposition of K_n1 for odd n1, each
 opened at a closed-form edge, and from the zigzag path decomposition for
@@ -38,6 +39,8 @@ lambda queries on it run no flow.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +49,8 @@ from .game import (
     CostProfile,
     SpeSolution,
     StrategyProfile,
+    _level_floor,
+    _scale,
     attack_budget,
     null_spe_check,
 )
@@ -108,45 +113,45 @@ class BuiltNetwork:
 
 
 def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
-    """Operator 1's minimal contribution letting operator 2 stay under cost 1.
+    """Operator 1's cheapest count level that operator 2 can complete below 1.
 
-    Starting from the all-cross estimate x = n1*(k+1)*c21, each operator-1
-    intra link replaces two operator-2 cross links with one mirrored intra
-    link, saving d = 2*c21 - c2 > 0; once the intra budget (n1-1)(k+1)/2
-    is exhausted, further operator-1 links are cross links saving c21
-    each, up to k + 1 of them.  Operator 1 adds links until operator 2's
-    cost falls below 1, so each phase's count is one floor division.
-    Runs in exact rationals so the strict cost < 1 boundary is decided
-    correctly.
-    Requires 1 <= k < n1, the builder's domain; beyond it a plan's counts
-    need not fit the graph (n1 = 3, k = 4 would plan 15 cross links among
-    9 cross pairs).
+    The plan is the cheapest level (e11 intra, e12 cross links) whose
+    ``game._level_floor`` is below 1, ties to the lower floor, then to
+    fewer cross links; none gives an infeasible plan.  The floor does not
+    rise with e11 or e12, so the scan bisects for the least e11 of the
+    first e12 that has one and steps it down for each next e12.  Operator
+    2 mirrors every intra link and closes the (k+1)-regular graph with
+    cross links; if that does not cost the floor, this raises.
+    Requires 1 <= k < n1.
     """
-    if k < 1:
-        raise ConstructionError("attack budget must be at least 1")
-    if k >= n1:
-        raise ConstructionError("requires k < n1")
-    if not (costs.c1 <= costs.c12 and costs.c2 <= costs.c21):
-        raise ConstructionError("requires c1 <= c12 and c2 <= c21")
-    nb11 = (n1 - 1) * (k + 1) // 2
+    if not 1 <= k < n1:
+        raise ConstructionError(f"stage 1 requires 1 <= k < n1, got k = {k}, n1 = {n1}")
+    L, c1, c2, c12, c21 = _scale(costs)
     total = n1 * (k + 1)
-    x = total * costs.c21
-    d = 2 * costs.c21 - costs.c2
-    e1 = _steps_below_one(x, d)
-    if e1 > nb11:
-        # Beyond e12 = k + 1 operator 2's cross count would go negative, so
-        # the instance is infeasible for this topology family.
-        e1 = min(nb11 + _steps_below_one(x - nb11 * d, costs.c21), nb11 + k + 1)
-    e12 = max(0, e1 - nb11)
-    e11 = e1 - e12
-    c1_total = e12 * costs.c12 + e11 * costs.c1
-    c2_total = e11 * costs.c2 + (total - 2 * e11 - e12) * costs.c21
-    return StageOnePlan(n1, k, e11, e12, c1_total, c2_total)
-
-
-def _steps_below_one(x: Fraction, step: Fraction) -> int:
-    """Fewest subtractions of ``step`` > 0 that take ``x`` below 1."""
-    return (x - 1) // step + 1 if x >= 1 else 0
+    top = min(n1 * (n1 - 1) // 2, (L - 1) // c1)  # the most intra links operator 1 affords
+    floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)
+    best = None  # the cheapest level so far, as (cost1, floor2, e12, e11)
+    a = top + 1  # above top: no e11 fits yet
+    for b in range(n1 * n1 + 1):
+        bound = L - 1 if best is None else best[0]  # the most operator 1 may pay
+        if b * c12 > bound:
+            break
+        if a > top:
+            a = bisect.bisect_left(range(top + 1), True, key=lambda e11: floor(e11, b) < L)
+        while 0 < a <= top and floor(a - 1, b) < L:
+            a -= 1
+        cost1 = a * c1 + b * c12
+        if a <= top and cost1 <= bound:
+            level = (cost1, floor(a, b), b, a)
+            best = level if best is None else min(best, level)
+    if best is None:
+        return StageOnePlan(n1, k, 0, 0, Fraction(0), total * costs.c21)
+    cost1, floor2, e12, e11 = best
+    x = total - 2 * e11 - e12  # operator 2's cross links when it mirrors every intra link
+    if x < max(0, k + 1 - e12) or e11 * c2 + x * c21 != floor2:
+        raise ConstructionError(f"the cheapest level (e11, e12) = ({e11}, {e12}) has no "
+                                "(k+1)-regular completion at its floor; solve it with --mode exact")
+    return StageOnePlan(n1, k, e11, e12, Fraction(cost1, L), Fraction(floor2, L))
 
 
 def build_harary(n: int, r: int) -> list:
@@ -286,9 +291,7 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
     # One Hamiltonian path of the complete-graph decomposition per cycle:
     # a Walecki cycle opened at its closed-form edge for odd N, a zigzag
     # path for even N.  The first m are mirrored, the next one carries
-    # the z leftover intra steps, the rest are all-cross.  Stage 1 hands
-    # closers to operator 1 only once the intra budget is spent (e12 > 0
-    # implies m = C), so only mirrored cycles' closers change hands.
+    # the z leftover intra steps, the rest are all-cross.
     paths = [_ham_sequence(N, r) for r in range(C)]
     openings = []
     if N % 2 == 1:
@@ -342,7 +345,9 @@ def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list
 
 
 def _assemble(n1: int, plan: StageOnePlan, out, closer_slots, tags) -> BuiltNetwork:
-    for slot in closer_slots[: plan.e12]:
+    # Closers first; ``rest`` reads owners lazily, after the closers went to operator 1.
+    rest = (i for i, (a, b, owner) in enumerate(out) if a < n1 <= b and owner == OP2)
+    for slot in itertools.islice(itertools.chain(closer_slots, rest), plan.e12):
         out[slot][2] = OP1
     graph = from_pairs(n1, n1, [(a, b, o) for a, b, o in out])
     _verify_built(graph, plan, tags)
@@ -404,7 +409,8 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     parity), plus one perfect matching when k is even.  Every output
     realizes exactly the planned per-owner link counts and is certified
     k-resistant before being returned; a null network is returned when
-    stage 1 is infeasible.
+    stage 1 is infeasible, and stage 1 raises when its level has no
+    (k+1)-regular completion.
     """
     if n1 != n2:
         raise ConstructionError("generalized builder needs equal layer sizes")
@@ -420,8 +426,7 @@ def structured_solve(n1: int, n2: int, costs: CostProfile):
 
     Returns (SpeSolution, BuiltNetwork or None).  Requires n1 == n2.  An
     instance that ``null_spe_check`` declares null answers null with no
-    network, whatever the cost order; any other needs 1 <= k < n1,
-    c1 <= c12 and c2 <= c21.
+    network; any other needs 1 <= k < n1, in any cost order.
     """
     if n1 != n2:
         raise ConstructionError("structured solver needs equal layer sizes")

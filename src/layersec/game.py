@@ -24,10 +24,10 @@ and a deliberately naive full-enumeration oracle (bruteforce_spe_oracle)
 used to cross-check it on tiny instances.  Each search call builds its
 own EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
 nothing outlives a call.  Every k-resistance test is
-EdgeUniverse.resists(mask, k): a node of degree <= k answers no without a
-flow (lambda <= min degree), otherwise lambda > k decides.  The oracle
-settles resists once per union mask in a call-local table and prunes
-nothing.
+EdgeUniverse.resists(mask, k): without a flow, a node of degree <= k
+answers no (lambda <= min degree) and the complete graph yes (lambda =
+n - 1); otherwise lambda > k decides.  The oracle settles resists once per
+union mask in a call-local table and prunes nothing.
 
 The three exact searches (operator 2's best response, operator 1's
 equilibrium scan and the team optimum) pick link counts per class in cost
@@ -35,12 +35,14 @@ order from one count lattice (``_lattice``) and complete a base network
 through one loop (``_completion``), which skips a purchase that cannot
 cover the degree shortfall or the k + 1 cross links and hands the rest to
 ``_place``.  One closed-form floor (``_count_floor``) serves the null test
-and the level bound: an operator-1 level of a intra and b cross links
-leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which only operator-2
-cross links cover, and layer 2 d2 = n2(k+1) - b short, where an intra
-link covers 2, so operator 2 pays at least min x*c21 +
-ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b, 0) <= x <= n1*n2 - b.  The
-exact search skips a level whose bound reaches 1 when its scan reaches it.
+and the level bound ``_level_floor``: an operator-1 level of a intra and
+b cross links leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which
+only operator-2 cross links cover, and layer 2 d2 = n2(k+1) - b short,
+where an intra link covers 2 and at most C(n2, 2) fit, so operator 2 pays
+at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b,
+d2 - n2(n2-1), 0) <= x <= n1*n2 - b.  The exact search skips a level
+whose bound reaches 1; the structured route's stage 1 takes the cheapest
+level whose bound is below 1.
 """
 
 from __future__ import annotations
@@ -284,6 +286,14 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile) -> Fraction:
     return Fraction(_count_floor(k + 1, n1 * n2, min(c12, c21), shorts), L)
 
 
+def _level_floor(n1: int, n2: int, k: int, a: int, b: int, c2, c21):
+    """The level bound of the module docstring: operator 2's least cost to
+    complete a intra and b cross links of operator 1; None if no x fits."""
+    d2 = n2 * (k + 1) - b
+    lo = max(n1 * (k + 1) - 2 * a - b, k + 1 - b, d2 - n2 * (n2 - 1), 0)
+    return _count_floor(lo, n1 * n2 - b, c21, [(d2, c2)])
+
+
 def _count_floor(lo: int, hi: int, cx: int, shorts: list):
     """Least x*cx + sum of ceil(max(0, s - x)/2)*c over (s, c) in
     ``shorts``, over integers lo <= x <= hi; None if lo > hi.
@@ -361,10 +371,10 @@ class EdgeUniverse:
     def resists(self, mask: int, k: int) -> bool:
         """Whether the graph selected by ``mask`` survives any k removals
         (lam > k).  lam <= min degree, so a node of degree <= k settles it
-        without a flow."""
+        without a flow, and so does the complete graph, whose lam is n - 1."""
         if any((mask & inc).bit_count() <= k for inc in self.incident):
             return False
-        return self.lam(mask) > k
+        return mask.bit_count() == len(self.pairs) or self.lam(mask) > k
 
 
 class _Budget:
@@ -553,14 +563,13 @@ def solve_spe_exact(
     op2_pools = [uni.cross_bits, uni.intra2_bits]
     op2_lattice = _lattice(uni, op2_pools, [c21, c2], L)
     levels = _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L)
-    need1, need2 = n1 * (k + 1), n2 * (k + 1)  # degree ends each layer needs
 
     found_cost = None
     found = []  # (mask1, cost2, mask2) in enumeration order
-    for cost1, (b, a), ends1, ends2, _ in levels:
+    for cost1, (b, a), *_ in levels:
         if found_cost is not None and cost1 > found_cost:
             break
-        floor2 = _count_floor(max(need1 - ends1, k + 1 - b, 0), n1 * n2 - b, c21, [(need2 - ends2, c2)])
+        floor2 = _level_floor(n1, n2, k, a, b, c2, c21)
         if floor2 is None or floor2 >= L:
             continue
         for intra_sel in itertools.combinations(uni.intra1_bits, a):

@@ -162,24 +162,17 @@ def solve_game(
 ):
     """Dispatch to the structured or exact equilibrium solver.
 
-    Returns (SpeSolution, BuiltNetwork or None).  Auto mode prefers the
-    structured route on symmetric instances satisfying its cost-ordering
-    precondition, falls back to exact search for n1 + n2 <= 7, and
-    raises otherwise.
+    Returns (SpeSolution, BuiltNetwork or None).  Auto mode routes by
+    size only: exact search for n1 + n2 <= 7, otherwise the structured
+    route for n1 == n2 and 1 <= k < n1, in any cost order; it raises
+    otherwise.
     """
     k = attack_budget(costs.ca)
-    structured_ok = (
-        n1 == n2 and 1 <= k < n1 and costs.c1 <= costs.c12 and costs.c2 <= costs.c21
-    )
-    if mode == "structured" or (mode == "auto" and structured_ok):
-        if not structured_ok:
-            raise MetricsError("instance violates structured-solver preconditions")
-        return structured_solve(n1, n2, costs)
     if mode == "exact" or (mode == "auto" and n1 + n2 <= 7):
-        if n1 + n2 > 7 and mode != "exact":
-            raise MetricsError("instance too large for exact search")
         return solve_spe_exact(n1, n2, costs, cap=cap), None
-    raise MetricsError("no applicable solver for this instance")
+    if n1 != n2 or not 1 <= k < n1:
+        raise MetricsError("no applicable solver: the structured route needs n1 == n2 and 1 <= k < n1")
+    return structured_solve(n1, n2, costs)
 
 
 def price_of_anarchy(
@@ -236,8 +229,8 @@ def price_of_seniority(
         c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca
     )
     solution_swapped, _ = solve_game(n2, n1, swapped, mode=mode, cap=cap)
-    c2_second = max(1 - u2 for u2 in solution.u2_values)
-    c2_first = 1 - solution_swapped.u1
+    c2_second = 0 if solution.is_null else max(1 - u2 for u2 in solution.u2_values)
+    c2_first = 0 if solution_swapped.is_null else 1 - solution_swapped.u1
     if c2_first == 0:
         if c2_second == 0:
             return SeniorityReport(c2_second, c2_first, Fraction(1), False)
@@ -253,7 +246,8 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
     cheapest design is operator 2's spanning tree (n1 cross links plus
     n1 - 1 intra links), recorded when it costs less than 1.  A k >= n1
     that no null condition settles falls outside the builder's domain and
-    gives a null entry with reason "k >= n1".
+    gives a null entry with reason "k >= n1".  A k whose cheapest stage-1
+    level has no (k+1)-regular completion raises stage 1's error.
     """
     entries = []
     for k in ks:

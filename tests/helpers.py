@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import layersec
 from layersec.connectivity import connected_pairs
-from layersec.construction import StageOnePlan
-from layersec.game import CostProfile
+from layersec.construction import ConstructionError, structured_solve
+from layersec.game import CostProfile, solve_spe_exact
 from layersec.graph import Owner, from_pairs
 
 
@@ -68,10 +68,22 @@ def random_fraction(rng, max_den=12) -> Fraction:
     return Fraction(num, den)
 
 
-def random_costs(rng, max_den=12, ordered=False) -> CostProfile:
-    """Random cost profile; ordered=True enforces c1 <= c12 and c2 <= c21."""
-    c1, c12 = random_fraction(rng, max_den), random_fraction(rng, max_den)
-    c2, c21 = random_fraction(rng, max_den), random_fraction(rng, max_den)
+# Unscaled draws average 1/2 a link and make mostly null games; scaled by
+# s in [1/30, 1/3] with max_den=60, about 99% of 3+3 games with k = 2 are
+# non-null.
+SWEEP_SCALE = (Fraction(1, 30), Fraction(1, 3))
+
+
+def random_costs(rng, max_den=12, ordered=False, scale=None) -> CostProfile:
+    """Random cost profile; ordered=True enforces c1 <= c12 and c2 <= c21.
+    scale=(lo, hi) multiplies the four link costs by one draw of s in
+    [lo, hi] (in hundredths of the range)."""
+    s = 1
+    if scale is not None:
+        lo, hi = scale
+        s = lo + (hi - lo) * Fraction(rng.randint(0, 100), 100)
+    c1, c12 = s * random_fraction(rng, max_den), s * random_fraction(rng, max_den)
+    c2, c21 = s * random_fraction(rng, max_den), s * random_fraction(rng, max_den)
     if ordered:
         c1, c12 = min(c1, c12), max(c1, c12)
         c2, c21 = min(c2, c21), max(c2, c21)
@@ -101,17 +113,24 @@ def count_flows(monkeypatch):
     return calls
 
 
-def stage1_by_steps(n1, k, costs):
-    """``stage1_allocate``'s plan, adding operator-1 links one at a time
-    (intra first, then up to k + 1 cross) until operator 2's cost is below 1.
-    Takes inputs inside ``stage1_allocate``'s domain only."""
-    nb11 = (n1 - 1) * (k + 1) // 2
-    total = n1 * (k + 1)
-    c2 = total * costs.c21
-    e1 = 0
-    while c2 >= 1 and e1 < nb11 + k + 1:
-        e1 += 1
-        c2 -= 2 * costs.c21 - costs.c2 if e1 <= nb11 else costs.c21
-    e12 = max(0, e1 - nb11)
-    e11 = e1 - e12
-    return StageOnePlan(n1, k, e11, e12, e12 * costs.c12 + e11 * costs.c1, c2)
+def structured_matches_exact(n, costs) -> bool:
+    """Check ``structured_solve`` against ``solve_spe_exact`` on an n+n game:
+    the same null status and u1, and a u2 among the exact u2 classes.
+    Returns False when ``structured_solve`` raises a ConstructionError;
+    then the exact equilibrium must be non-null and none of its profiles
+    may be (k+1)-regular with operator 2 mirroring every intra link, the
+    only shape the structured route builds."""
+    exact = solve_spe_exact(n, n, costs)
+    try:
+        structured, _ = structured_solve(n, n, costs)
+    except ConstructionError:
+        assert not exact.is_null, costs
+        for profile in exact.profiles:
+            regular = set(graph_degrees(profile.to_graph(n, n))) == {exact.k + 1}
+            assert not (regular and len(profile.e2_intra) == len(profile.e1_intra)), costs
+        return False
+    assert structured.is_null == exact.is_null, costs
+    if not exact.is_null:
+        assert structured.u1 == exact.u1, costs
+        assert structured.u2 in exact.u2_values, costs
+    return True

@@ -1,10 +1,11 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import graph_degrees, lambda_by_enumeration, stage1_by_steps
+from helpers import SWEEP_SCALE, graph_degrees, lambda_by_enumeration, random_costs, structured_matches_exact
 from layersec.connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, link_connectivity
 from layersec.construction import (
     ConstructionError,
@@ -19,7 +20,7 @@ from layersec.construction import (
     stage1_allocate,
     structured_solve,
 )
-from layersec.game import CostProfile, StrategyProfile
+from layersec.game import CostProfile, StrategyProfile, _level_floor
 from layersec.graph import EdgeClass, Owner, count_by
 
 
@@ -59,37 +60,53 @@ def test_stage1_example_1():
 
 
 def test_stage1_threshold_minimality():
-    # one fewer operator-1 link must push operator 2 back to cost >= 1
-    for n1, k, costs in ((9, 3, CASE_A), (5, 3, costs_of("1/20", "1/20", "1/10", "1/10")), (3, 2, costs_of("0.19", "0.21", "0.19", "0.21"))):
-        plan = stage1_allocate(n1, k, costs)
-        assert plan.feasible and plan.e1 > 0
-        e1 = plan.e1 - 1
-        nb11 = (n1 - 1) * (k + 1) // 2
-        e12 = max(0, e1 - nb11)
-        e11 = e1 - e12
-        c2 = e11 * costs.c2 + (n1 * (k + 1) - 2 * e11 - e12) * costs.c21
-        assert c2 >= 1
-
-
-def test_stage1_closed_form_matches_one_link_at_a_time():
-    # Costs scaled to the link budget so that plans end in every phase:
-    # no operator-1 link, intra links only, cross links, and the k + 1 cap.
-    rng = random.Random(17)
-    for _ in range(1000):
-        n1 = rng.randint(2, 60)
+    # The scan's plan is the brute-force minimum over every (e11, e12)
+    # level whose floor is below 1, by operator-1 cost, then floor, then e12.
+    rng = random.Random(11)
+    cases = [(9, 3, CASE_A), (5, 3, costs_of("1/20", "1/20", "1/10", "1/10")), (3, 2, costs_of("0.19", "0.21", "0.19", "0.21"))]
+    for _ in range(30):
+        n1 = rng.randint(2, 7)
         k = rng.randint(1, n1 - 1)
-        total = n1 * (k + 1)
-        c21 = F(rng.randint(1, 60), 20 * total)
-        c1 = F(rng.randint(1, 20), 10 * total)
-        costs = CostProfile(c1, c21 * F(rng.randint(1, 10), 10), c1 + F(rng.randint(0, 20), 10 * total), c21, F(1, 2))
-        assert stage1_allocate(n1, k, costs) == stage1_by_steps(n1, k, costs), (n1, k, costs)
+        cases.append((n1, k, random_costs(rng, max_den=60, scale=(F(1, 2 * n1 * (k + 1)), F(4, n1 * (k + 1))))))
+    for n1, k, costs in cases:
+        levels = [
+            (a * costs.c1 + b * costs.c12, _level_floor(n1, n1, k, a, b, costs.c2, costs.c21), b, a)
+            for a in range(n1 * (n1 - 1) // 2 + 1)
+            for b in range(n1 * n1 + 1)
+        ]
+        best = min((level for level in levels if level[0] < 1 and level[1] < 1), default=None)
+        try:
+            plan = stage1_allocate(n1, k, costs)
+        except ConstructionError as exc:
+            assert best is not None and f"= ({best[3]}, {best[2]})" in str(exc)
+            continue
+        if best is None:
+            assert not plan.feasible
+        else:
+            assert (plan.c1_total, plan.c2_total, plan.e12, plan.e11) == best, (n1, k, costs)
+
+
+@pytest.mark.parametrize("n,ks,draws,raised", [(3, (1, 2), 200, 0), (4, (2,), 20, 2)], ids=["3+3", "4+4"])
+def test_structured_solve_matches_exact_search_in_every_cost_order(n, ks, draws, raised):
+    # Scaled costs make almost every game non-null; each of the four
+    # orders of (c1, c12) and (c2, c21) must occur among them.  4+4 stays
+    # at k = 2: some k = 3 games there run exact search to its cap.
+    rng = random.Random(17)
+    orders, errors = set(), 0
+    for _ in range(draws):
+        k = rng.choice(ks)
+        costs = replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=F(2, 2 * k + 1))
+        errors += not structured_matches_exact(n, costs)
+        orders.add((costs.c1 <= costs.c12, costs.c2 <= costs.c21))
+    assert len(orders) == 4
+    assert errors == raised
 
 
 def test_stage1_rejects_bad_inputs():
     with pytest.raises(ConstructionError):
         stage1_allocate(9, 0, CASE_A)
     with pytest.raises(ConstructionError):
-        stage1_allocate(9, 3, costs_of("1/20", "1/45", "1/30", "2/45"))  # c1 > c12
+        stage1_allocate(9, 9, CASE_A)
 
 
 def test_stage1_infeasible_case_b_k7():
@@ -239,23 +256,61 @@ def test_build_generalized_guards():
 
 
 def test_cycle_route_builds_every_plan():
-    # Every stage-1 split a plan can take (e1 operator-1 links, intra
-    # first, then cross), for every k of either parity, builds and passes
-    # verification, which raises on any count, degree, cycle or resilience
-    # failure.
+    # Every stage-1 split a plan can take, for every k of either parity,
+    # builds and passes verification, which raises on any count, degree,
+    # cycle or resilience failure: e1 operator-1 links, intra first, then
+    # up to k + 1 cross; for n1 <= 7 also every e11 up to the intra budget
+    # with every e12 up to all the remaining cross links.
     built = {0: 0, 1: 0}
     for n1 in range(2, 12):
         for k in range(1, n1):
-            nb11 = (n1 - 1) * (k + 1) // 2
-            for e1 in range(nb11 + k + 2):
-                e12 = max(0, e1 - nb11)
-                plan = StageOnePlan(n1, k, e1 - e12, e12, F(0), F(0))
+            nb11, total = (n1 - 1) * (k + 1) // 2, n1 * (k + 1)
+            splits = {(min(e1, nb11), max(0, e1 - nb11)) for e1 in range(nb11 + k + 2)}
+            if n1 <= 7:
+                splits |= {(e11, e12) for e11 in range(nb11 + 1) for e12 in range(total - 2 * e11 + 1)}
+            for e11, e12 in sorted(splits):
+                plan = StageOnePlan(n1, k, e11, e12, F(0), F(0))
                 g = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan)).graph
-                if k % 2:
-                    # The lambda the cycles prove, audited by a fresh flow.
+                if k % 2 and not e12:
+                    # The lambda the cycles prove, audited by a fresh flow
+                    # (e12 moves owners only: every e11 occurs with e12 = 0).
                     assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
                 built[k % 2] += 1
-    assert (built[1], built[0]) == (695, 675)
+    assert (built[1], built[0]) == (2153, 2308)
+
+
+def test_stage1_plan_is_the_tally_of_the_solved_build():
+    # A caller that re-derives the plan, as the benchmark's structured
+    # check does, relies on this: for a solved instance in any cost order,
+    # stage1_allocate's counts are the built graph's tally, every degree is
+    # k + 1, and the utilities are the plan's.  Some plans give operator 1
+    # more than k + 1 cross links, more than the cycle closers.
+    rng = random.Random(5)
+    solved = wide = 0
+    while solved < 60:
+        n1 = rng.randint(3, 12)
+        k = rng.randint(1, n1 - 1)
+        total = n1 * (k + 1)
+        costs = replace(random_costs(rng, max_den=60, scale=(F(1, total), F(3, total))), ca=F(2, 2 * k + 1))
+        try:
+            sol, built = structured_solve(n1, n1, costs)
+        except ConstructionError:
+            continue
+        if sol.is_null:
+            continue
+        solved += 1
+        plan = stage1_allocate(n1, k, costs)
+        want = {
+            (Owner.OPERATOR1, EdgeClass.INTRA1): plan.e11,
+            (Owner.OPERATOR1, EdgeClass.CROSS): plan.e12,
+            (Owner.OPERATOR2, EdgeClass.INTRA2): plan.op2_intra,
+            (Owner.OPERATOR2, EdgeClass.CROSS): plan.op2_cross,
+        }
+        assert built.graph.tally() == {key: n for key, n in want.items() if n}, (n1, k, costs)
+        assert set(graph_degrees(built.graph)) == {k + 1}
+        assert (sol.u1, sol.u2) == (1 - plan.c1_total, 1 - plan.c2_total)
+        wide += plan.e12 > k + 1
+    assert wide
 
 
 def _built_and_tags(k):

@@ -3,7 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import count_flows, embed, lambda_by_bipartition, random_costs, random_pairs
+from helpers import (
+    SWEEP_SCALE,
+    count_flows,
+    embed,
+    lambda_by_bipartition,
+    random_costs,
+    random_pairs,
+    structured_matches_exact,
+)
 from layersec.connectivity import is_connected, link_connectivity
 from layersec.game import (
     CostProfile,
@@ -244,6 +252,18 @@ def test_resists_matches_lambda_by_bipartition(n1, n2):
             assert uni.resists(mask, k) == (lam >= k + 1), (mask, k)
 
 
+def test_the_complete_graph_resists_without_a_flow(monkeypatch):
+    # Past the degree test, the all-links mask is K_n, whose lambda is
+    # n - 1: no flow.  So the 4+3 team search below runs one flow, not two.
+    calls = count_flows(monkeypatch)
+    uni = EdgeUniverse(4, 3)
+    full = (1 << len(uni.pairs)) - 1
+    assert uni.resists(full, 5) and not uni.resists(full, 6)
+    assert calls == []
+    assert team_optimal(4, 3, 3, costs_of("27/280", "1/20", "41/700", "17/280", "1/3")).cost == F(627, 700)
+    assert len(calls) == 1
+
+
 def test_repeated_solves_do_the_same_connectivity_work(monkeypatch):
     # No state survives a solve: an identical second solve repeats every
     # lambda computation of the first.
@@ -379,51 +399,48 @@ def test_no_profitable_operator2_deviation():
 
 def test_structured_route_matches_exact_search_on_small_symmetric():
     # both solvers must assign the same value to every symmetric instance
-    # within exact reach (the structured route is used for the large ones)
-    from layersec.construction import structured_solve
-
-    rng = random.Random(99)
-    checked = 0
-    while checked < 60:
-        costs = random_costs(rng, ordered=True)
-        k = attack_budget(costs.ca)
-        if not 1 <= k < 3:
-            continue
-        checked += 1
-        structured, _ = structured_solve(3, 3, costs)
-        exact = solve_spe_exact(3, 3, costs)
-        assert structured.is_null == exact.is_null, costs
-        if not exact.is_null:
-            assert structured.u1 == exact.u1, costs
-            assert structured.u2 in exact.u2_values, costs
+    # within exact reach (the structured route is used for the large ones);
+    # scaled 4+4 costs make most of its games non-null
+    for n, draws, scale in ((3, 60, None), (4, 24, SWEEP_SCALE)):
+        rng = random.Random(99)
+        checked = 0
+        while checked < draws:
+            costs = random_costs(rng, ordered=True, scale=scale)
+            if not 1 <= attack_budget(costs.ca) < n:
+                continue
+            checked += 1
+            assert structured_matches_exact(n, costs), costs
 
 
-# Inside structured_solve's domain, but the equilibrium lies outside the
-# stage-1 family, which caps operator 1 at k + 1 cross links and has
-# operator 2 mirror every operator-1 intra link: the structured route
-# answers null or a worse u1 where exact search finds an equilibrium.
-STAGE1_FAMILY_MISSES = [
+# Equilibria where operator 1 buys more than k + 1 cross links, shapes
+# (a, b, y, x) = (1, 4, 1, 0), (2, 4, 2, 0) and (1, 6, 1, 0), where a and y
+# are the intra links of operators 1 and 2 and b and x their cross links.
+MANY_CROSS_LINKS = [
     (3, ("2/57", "31/50", "1/10", "23/29", "32/39")),
     (3, ("1/7", "24/37", "1/5", "46/57", "16/31")),
     (3, ("4/55", "42/47", "1/5", "17/18", "31/50")),
     (4, ("1/21", "16/45", "4/37", "5/6", "17/33")),
     (4, ("2/57", "31/50", "1/10", "23/29", "32/39")),
-    (4, ("7/41", "1/35", "2/9", "8/29", "1/2")),
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="equilibrium outside the stage-1 family")
-@pytest.mark.parametrize("n,costs", STAGE1_FAMILY_MISSES)
+@pytest.mark.parametrize("n,costs", MANY_CROSS_LINKS)
 def test_structured_route_finds_the_exact_equilibrium(n, costs):
-    from layersec.construction import structured_solve
+    assert structured_matches_exact(n, costs_of(*costs))
 
-    costs = costs_of(*costs)
-    structured, _ = structured_solve(n, n, costs)
-    exact = solve_spe_exact(n, n, costs)
-    assert structured.is_null == exact.is_null
-    if not exact.is_null:
-        assert structured.u1 == exact.u1
-        assert structured.u2 in exact.u2_values
+
+def test_structured_route_names_a_non_regular_cheapest_level():
+    # 4+4, k = 2: the cheapest level is 5 intra links by operator 1, but
+    # operator 2 completes it only with 5 intra and 3 cross links, 13 links
+    # where a 3-regular network has 12.
+    from layersec.construction import ConstructionError, structured_solve
+
+    costs = costs_of("7/41", "1/35", "2/9", "8/29", "1/2")
+    with pytest.raises(ConstructionError, match=r"\(e11, e12\) = \(5, 0\).*--mode exact"):
+        structured_solve(4, 4, costs)
+    exact = solve_spe_exact(4, 4, costs)
+    assert exact.u1 == 1 - 5 * F(7, 41) == F(6, 41)
+    assert not structured_matches_exact(4, costs)
 
 
 def test_utilities_bounded_by_one():

@@ -245,6 +245,12 @@ def test_pos_at_least_one():
         assert sen.infinite or sen.pos >= 1
 
 
+def test_pos_of_a_null_game_charges_operator2_nothing():
+    # Nobody builds in a null game, whichever operator moves first.
+    sen = price_of_seniority(2, 2, costs_of("1/10", "1/10", "1/8", "1/8", "1/5"))
+    assert (sen.c2_second, sen.c2_first, sen.pos, sen.infinite) == (0, 0, 1, False)
+
+
 def test_pos_symmetric_first_cost_matches_operator1():
     costs = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     sol, _ = solve_game(3, 3, costs)
@@ -282,6 +288,13 @@ def test_solve_game_dispatch():
 
     sol, built = solve_game(9, 9, CASE_A)
     assert sol.method == "structured" and built is not None
+    # auto routes by size only: exact search up to n1 + n2 = 7, else the
+    # structured route in any cost order (here c1 > c12 and c2 > c21)
+    prop4 = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
+    assert solve_game(3, 3, prop4)[0].method == "exact"
+    assert solve_game(3, 3, prop4, mode="structured")[0].method == "structured"
+    sol, built = solve_game(5, 5, costs_of("1/20", "1/20", "1/40", "1/40", "1/3"))
+    assert sol.method == "structured" and not sol.is_null
     sol, built = solve_game(4, 3, costs_of("0.09", "0.09", "0.09", "0.09", "2/5"))
     assert sol.method == "exact" and built is None
     with pytest.raises(MetricsError):
