@@ -10,11 +10,11 @@ the package's own modules ask for.
 Lambda of a graph.  A graph keeps its lambda once known (graphs are
 immutable), and ``keep_lambda`` is the one writer of that slot.
 ``edge_connectivity(g)`` fills it with one sweep per graph object; the
-builder in ``construction`` fills it with no flow for an odd-k build,
-whose edge-disjoint Hamiltonian cycles prove the value, and with that
-sweep for an even-k build.  The level queries here and
-``game.adversary_best_response`` read it, so a built network pays for at
-most one flow however often it is judged.  Cut queries and queries on raw
+builder in ``construction`` fills it with no flow, with the value that a
+build's edge-disjoint Hamiltonian cycles prove (for even k, together with
+one pass over the arcs of the first cycle).  The level queries here and
+``game.adversary_best_response`` read it, so a graph pays for at most one
+flow however often it is judged, and a built network for none.  Cut queries and queries on raw
 pairs (``edge_connectivity_pairs``) run their own sweep.
 
 One kernel, ``_sweep``, answers lambda and cut queries with unit-capacity

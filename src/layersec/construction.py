@@ -30,11 +30,17 @@ Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
 edge-disjoint Hamiltonian cycles among a graph's links give lambda >= 2r.
 For odd k the (k+1)/2 tagged cycles, as unordered pairs, are exactly the
-graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1:
-the builder records lambda = k + 1 on the graph and runs no flow.  For
-even k the k/2 cycles prove only lambda >= k, so one max flow is the
-certificate.  Either way the lambda stays on the returned graph, so later
-lambda queries on it run no flow.
+graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1.
+
+Lemma (arc certificate, even k).  The k/2 tagged cycles give lambda >= k
+and degree k + 1 gives lambda <= k + 1.  A cut of size k then crosses each
+cycle exactly twice, the first one included, so its side is a contiguous
+arc of the first cycle.  Hence lambda = k + 1 exactly when every arc S of
+that cycle (1 <= |S| < n) has more than k links leaving it, which one sweep
+over the arcs (``_arc_floor``) decides with no flow.
+
+Either way the builder records lambda = k + 1 on the returned graph, so
+later lambda queries on it run no flow.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, edge_connectivity, keep_lambda
+from .connectivity import connected_pairs, keep_lambda
 from .game import (
     CostProfile,
     SpeSolution,
@@ -121,7 +127,8 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     rise with e11 or e12, so the scan bisects for the least e11 of the
     first e12 that has one and steps it down for each next e12.  Operator
     2 mirrors every intra link and closes the (k+1)-regular graph with
-    cross links; if that does not cost the floor, this raises.
+    cross links; if that does not cost the floor, this raises, pointing
+    to exact search only where it reaches (n1 + n2 <= 8).
     Requires 1 <= k < n1.
     """
     if not 1 <= k < n1:
@@ -149,8 +156,9 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     cost1, floor2, e12, e11 = best
     x = total - 2 * e11 - e12  # operator 2's cross links when it mirrors every intra link
     if x < max(0, k + 1 - e12) or e11 * c2 + x * c21 != floor2:
+        advice = "solve it with --mode exact" if 2 * n1 <= 8 else "no solver covers that level yet"
         raise ConstructionError(f"the cheapest level (e11, e12) = ({e11}, {e12}) has no "
-                                "(k+1)-regular completion at its floor; solve it with --mode exact")
+                                f"(k+1)-regular completion at its floor; {advice}")
     return StageOnePlan(n1, k, e11, e12, Fraction(cost1, L), Fraction(floor2, L))
 
 
@@ -386,19 +394,50 @@ def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
     pairs = graph.edge_pairs()
     if not (seen == pairs if k % 2 else seen <= pairs):
         raise ConstructionError("cycle tags are not the graph's links")
-    # Odd k: the module docstring's lemma proves lambda = k + 1.  Even k:
-    # every degree is k + 1, so the certificate is the full flow.  Either
-    # way lambda stays on the graph for every later lambda query.
-    if k % 2:
-        keep_lambda(graph, k + 1)
-    elif edge_connectivity(graph) < k + 1:
+    # The module docstring's lemmas: the cycles prove lambda = k + 1 for odd
+    # k, and with an arc floor of k + 1 on the first cycle for even k.
+    if k % 2 == 0 and _arc_floor(graph.n, tags[0], pairs) <= k:
         raise ConstructionError("constructed network failed the resilience check")
+    keep_lambda(graph, k + 1)
 
 
 def _is_ham_cycle(n: int, pairs: set) -> bool:
     if len(pairs) != n:
         return False
     return all(d == 2 for d in degrees(n, pairs)) and connected_pairs(n, pairs)
+
+
+def _arc_floor(n: int, cycle, pairs) -> int:
+    """Fewest ``pairs`` links leaving an arc of the Hamiltonian ``cycle``.
+
+    Number the nodes 0..n-1 along the cycle.  Each arc or its complement is
+    I = [g1, g2) with 0 <= g1 < g2 < n, and a link at positions p < q leaves
+    I when g1 <= p < g2 <= q or p < g1 <= q < g2.  For one g1, ``diff[j]``
+    counts the links with p = j - 1, minus those with q = j - 1, plus twice
+    those with q = j - 1 and p < g1; the prefix sums of diff[g1 + 1 : n]
+    are then the links leaving I for g2 = g1 + 1, ..., n - 1.
+    """
+    around = [[] for _ in range(n)]
+    for u, v in cycle:
+        around[u].append(v)
+        around[v].append(u)
+    pos, v = [0] + [-1] * (n - 1), 0
+    for i in range(1, n):
+        v = next(w for w in around[v] if pos[w] < 0)
+        pos[v] = i
+    diff = [0] * (n + 1)
+    turns = [[] for _ in range(n)]  # at g1 = p + 1: the q + 1 of each link
+    for u, v in pairs:
+        p, q = sorted((pos[u], pos[v]))
+        diff[p + 1] += 1
+        diff[q + 1] -= 1
+        turns[p + 1].append(q + 1)
+    best = len(pairs)
+    for g1 in range(n - 1):
+        for j in turns[g1]:
+            diff[j] += 2
+        best = min(best, min(itertools.accumulate(diff[g1 + 1 : n])))
+    return best
 
 
 def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork:

@@ -9,7 +9,7 @@ either answers a read-only query or returns a new graph.
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
 ``connectivity.keep_lambda`` fills it, with the value of a flow or, for an
-odd-k equilibrium build, the value its Hamiltonian cycles prove.  The slot
+equilibrium build, the value its cycle certificate proves.  The slot
 lives and dies with the graph object: ``add_edge``, ``remove_edges`` and
 ``from_pairs`` return graphs whose slot is empty, and two equal graphs
 built apart each fill their own.

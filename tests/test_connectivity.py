@@ -13,7 +13,7 @@ from layersec.connectivity import (
     min_cut_pairs,
     min_edge_cut,
 )
-from layersec.construction import build_generalized, build_harary
+from layersec.construction import build_generalized, build_harary, structured_solve
 from layersec.game import CostProfile, adversary_best_response
 from layersec.graph import GraphError, Owner, from_pairs, remove_edges
 
@@ -233,15 +233,24 @@ def test_a_graph_keeps_its_own_lambda(monkeypatch):
     assert len(calls) == 1
 
 
-def test_an_even_k_build_keeps_its_certificate_flow(monkeypatch):
+def test_an_even_k_build_is_certified_without_a_flow(monkeypatch):
     calls = count_flows(monkeypatch)
     even_k = CostProfile(c1=CASE_A.c1, c2=CASE_A.c2, c12=CASE_A.c12, c21=CASE_A.c21, ca=Fraction(1, 4))
     built = build_generalized(9, 9, 4, even_k)
     assert (built.is_null, built.cycles_built) == (False, 2)
-    assert len(calls) == 1  # the build certificate
+    assert len(calls) == 0  # the arc sweep over the first cycle is the certificate
     assert link_connectivity(built.graph).p == 4
     assert adversary_best_response(built.graph, even_k.ca) == frozenset()
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_a_large_even_k_solve_runs_no_flow(monkeypatch):
+    calls = count_flows(monkeypatch)
+    costs = CostProfile(Fraction(1, 3010), Fraction(1, 3010), Fraction(1, 1505), Fraction(1, 301), Fraction(1, 4))
+    sol, built = structured_solve(301, 301, costs)
+    assert (sol.k, sol.is_null, built.cycles_built) == (4, False, 2)
+    assert link_connectivity(built.graph).p == 4
+    assert len(calls) == 0
 
 
 def test_the_kept_lambda_is_not_part_of_the_value():

@@ -10,6 +10,7 @@ from layersec.connectivity import connected_pairs, edge_connectivity, edge_conne
 from layersec.construction import (
     ConstructionError,
     StageOnePlan,
+    _arc_floor,
     _assemble,
     _build_cycle_superposition,
     _opening_edge,
@@ -21,7 +22,7 @@ from layersec.construction import (
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor
-from layersec.graph import EdgeClass, Owner, count_by
+from layersec.graph import EdgeClass, Owner, count_by, from_pairs
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -270,11 +271,16 @@ def test_cycle_route_builds_every_plan():
                 splits |= {(e11, e12) for e11 in range(nb11 + 1) for e12 in range(total - 2 * e11 + 1)}
             for e11, e12 in sorted(splits):
                 plan = StageOnePlan(n1, k, e11, e12, F(0), F(0))
-                g = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan)).graph
-                if k % 2 and not e12:
-                    # The lambda the cycles prove, audited by a fresh flow
-                    # (e12 moves owners only: every e11 occurs with e12 = 0).
-                    assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
+                b = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
+                g = b.graph
+                if not e12:
+                    # The lambda the certificate proves, audited by a fresh
+                    # flow (e12 moves owners only: every e11 occurs with
+                    # e12 = 0); for even k the arc floor is that lambda.
+                    fresh = edge_connectivity_pairs(g.n, g.edge_pairs())
+                    assert edge_connectivity(g) == fresh == k + 1
+                    if k % 2 == 0:
+                        assert _arc_floor(g.n, b.cycle_tags[0], g.edge_pairs()) == fresh
                 built[k % 2] += 1
     assert (built[1], built[0]) == (2153, 2308)
 
@@ -348,6 +354,37 @@ def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
     two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     with pytest.raises(ConstructionError, match="Hamiltonian"):
         _verify_built(g, plan, [two_rings, tags[1]])
+
+
+def _arcs_brute_force(order, pairs):
+    """Fewest links leaving any arc of the cycle through ``order``."""
+    n = len(order)
+    arcs = [{order[(s + i) % n] for i in range(size)} for s in range(n) for size in range(1, n)]
+    return min(sum((u in arc) != (v in arc) for u, v in pairs) for arc in arcs)
+
+
+def test_arc_floor_is_the_least_cut_over_the_arcs():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        order = rng.sample(range(n), n)
+        cycle = list(zip(order, order[1:] + order[:1]))
+        chords = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()}
+        pairs = {(min(u, v), max(u, v)) for u, v in cycle} | chords
+        assert _arc_floor(n, cycle, pairs) == _arcs_brute_force(order, pairs), (order, pairs)
+
+
+def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():
+    # Counts, degrees and the one tagged cycle 0-1-...-7-0 all pass, but the
+    # arc {0, 1, 2, 3} of that cycle has only the links (3, 4) and (7, 0)
+    # leaving it: a cut of k = 2.
+    op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    links = [(u, v, op1 if max(u, v) < 4 else op2) for u, v in cycle]
+    links += [(0, 2, op1), (1, 3, op1), (4, 6, op2), (5, 7, op2)]
+    plan = StageOnePlan(4, 2, 5, 0, F(0), F(0))
+    with pytest.raises(ConstructionError, match="failed the resilience check"):
+        _verify_built(from_pairs(4, 4, links), plan, [cycle])
 
 
 def test_structured_solve_at_two_thousand_nodes_per_layer_is_fast():

@@ -441,6 +441,11 @@ def test_structured_route_names_a_non_regular_cheapest_level():
     exact = solve_spe_exact(4, 4, costs)
     assert exact.u1 == 1 - 5 * F(7, 41) == F(6, 41)
     assert not structured_matches_exact(4, costs)
+    # 8+8, k = 4: exact search exhausts its cap here, so the error names no solver.
+    costs = costs_of("139/3200", "3197/62000", "417/9500", "2641/42000", "2/9")
+    with pytest.raises(ConstructionError, match=r"\(e11, e12\) = \(18, 4\).*no solver") as raised:
+        structured_solve(8, 8, costs)
+    assert "--mode exact" not in str(raised.value)
 
 
 def test_utilities_bounded_by_one():

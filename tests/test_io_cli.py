@@ -148,15 +148,16 @@ def test_cli_fuzzed_scenarios_exit_cleanly(command, content, spoil):
     [
         ("solve", "1/3", 3, 0),
         ("construct", "1/3", 3, 0),
-        ("solve", "1/4", 4, 1),
-        ("construct", "1/4", 4, 1),
+        ("solve", "1/4", 4, 0),
+        ("construct", "1/4", 4, 0),
     ],
     ids=["odd-k-solve", "odd-k-construct", "even-k-solve", "even-k-construct"],
 )
 def test_a_structured_solve_flows_only_for_even_k(tmp_path, capsys, monkeypatch, command, ca, k, flows):
     # An odd-k build is certified by its Hamiltonian cycles and an even-k
-    # build by one flow; the adversary's check and the reported level read
-    # the lambda kept on the built graph.
+    # build by one sweep over the arcs of its first cycle, neither by a
+    # flow; the adversary's check and the reported level read the lambda
+    # kept on the built graph.
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({**json.loads((SCENARIOS / "case-a.json").read_text()), "cA": ca}))
     calls = count_flows(monkeypatch)
