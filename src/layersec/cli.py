@@ -221,7 +221,7 @@ def cmd_metrics(args) -> int:
         json.dumps(
             {
                 "k": attack_budget(scn.costs.ca),
-                "lower_bound": io.frac_str(eff.lower_bound),
+                "lower_bound": io.frac_str(eff.lower_bound) if eff.lower_bound is not None else None,
                 "upper_bound": io.frac_str(eff.upper_bound) if eff.upper_bound is not None else None,
                 "team": {
                     "null": eff.c_co is None,

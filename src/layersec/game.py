@@ -259,31 +259,38 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
     A non-null equilibrium is a k-resistant network that each operator
     pays less than 1 for, and a non-null team design is one that costs
     less than 2, so either needs a k-resistant network of total cost
-    below 2.  Returns (True, "degree-bound") when no node can reach degree
-    k + 1, (True, "cost-bound") when ``_joint_cost_floor`` reaches 2.
-    The floor prices each link at its own class's cost (cross links at
-    min(c12, c21)), so it holds for any order of the four link costs.
+    below 2.  Reads ``_joint_cost_floor``: (True, "degree-bound") when it
+    is None (no node can reach degree k + 1), (True, "cost-bound") when
+    it reaches 2.  The floor prices each link at its own class's cost
+    (cross links at min(c12, c21)), so it holds for any order of the four
+    link costs.
     """
-    if n1 + n2 - 1 < k + 1:
+    floor = _joint_cost_floor(n1, n2, k, costs)
+    if floor is None:
         return True, "degree-bound"
-    if _joint_cost_floor(n1, n2, k, costs) >= 2:
+    if floor >= 2:
         return True, "cost-bound"
     return False, None
 
 
-def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile) -> Fraction:
+def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
     """Least joint cost of a network with every degree >= k + 1 and at
-    least k + 1 cross links, which every k-resistant network has.
+    least k + 1 cross links, which every k-resistant network has; None
+    when no such network exists (n1 + n2 - 1 < k + 1).
 
     With x cross links, at min(c12, c21) each, layer i is still
     max(0, ni(k+1) - x) degrees short and each intra link covers 2, so
-    the cost is at least the ``_count_floor`` over k+1 <= x <= n1*n2 of
-    x*cmin + ceil(max(0, n1(k+1) - x)/2)*c1 + ceil(max(0, n2(k+1) - x)/2)*c2.
-    Priced in units of 1/L (``_scale``).
+    the cost is at least the ``_count_floor`` of
+    x*cmin + ceil(max(0, n1(k+1) - x)/2)*c1 + ceil(max(0, n2(k+1) - x)/2)*c2
+    over x <= n1*n2 and x >= max(k + 1, ni(k+1) - ni(ni-1)) for each
+    layer: a node has at most ni - 1 intra links, a layer at most
+    C(ni, 2).  Priced in units of 1/L (``_scale``).
     """
     L, c1, c2, c12, c21 = _scale(costs)
+    lo = max(k + 1, n1 * (k + 2 - n1), n2 * (k + 2 - n2))
     shorts = [(n1 * (k + 1), c1), (n2 * (k + 1), c2)]
-    return Fraction(_count_floor(k + 1, n1 * n2, min(c12, c21), shorts), L)
+    floor = _count_floor(lo, n1 * n2, min(c12, c21), shorts)
+    return None if floor is None else Fraction(floor, L)
 
 
 def _level_floor(n1: int, n2: int, k: int, a: int, b: int, c2, c21):

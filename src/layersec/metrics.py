@@ -2,15 +2,17 @@
 
 The coordinated benchmark prices every cross link at the cheaper of the
 two operators' cross costs, since a joint designer would always hand a
-cross link to whichever side builds it more cheaply.  On small instances
-(n1 + n2 <= 7) the benchmark is an exact minimum-cost search; on larger
-symmetric instances it is the cheaper of two certified constructions
-(an all-cross band, or one Harary ring per layer plus k + 1 bridges),
-reported together with the analytic lower bound and an exactness flag.
+cross link to whichever side builds it more cheaply.  One rule prices it,
+the capped joint floor ``game._joint_cost_floor``: it is the null test,
+``cost_bounds``' lower bound and the large-instance target.  Small
+instances (n1 + n2 <= 7) take exact search; larger symmetric ones the
+cheapest of a few designs at the floor's minima, flagged exact when it
+meets the floor.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from .construction import build_harary, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
+    _joint_cost_floor,
     _solve_team_exact,
     attack_budget,
     null_spe_check,
@@ -46,7 +49,7 @@ class EfficiencyReport:
     c_spe: Fraction | None
     c_co: Fraction | None
     poa: Fraction | None
-    lower_bound: Fraction
+    lower_bound: Fraction | None
     upper_bound: Fraction | None
     spe_null: bool
     co_exact: bool
@@ -74,60 +77,48 @@ class SweepEntry:
 
 
 def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
-    """Analytic (lower, upper) bounds on the coordinated build cost.
+    """(lower, upper) bounds on the coordinated build cost.
 
-    The lower bound prices the k + 1 mandatory cross links at the cheaper
-    cross cost and every remaining link at min(c1, c2); it is valid when
-    intra links are no pricier than cross links (min(c1, c2) <=
-    min(c12, c21)), the framework's standing assumption.  The upper bound
-    (two Harary rings plus k + 1 bridges) is only defined when both
-    layers have at least k + 1 nodes; None otherwise.
+    The lower bound is the capped joint floor ``game._joint_cost_floor``,
+    valid in any cost order; None when no node can reach degree k + 1.
+    The upper bound (two Harary rings plus k + 1 bridges) is only defined
+    when both layers have at least k + 1 nodes; None otherwise.
     """
-    cmin = min(costs.c12, costs.c21)
-    lower = (k + 1) * cmin + (((n1 + n2 - 2) * (k + 1) + 1) // 2) * min(
-        costs.c1, costs.c2
-    )
     upper = None
     if n1 >= k + 1 and n2 >= k + 1:
         upper = (
-            (k + 1) * cmin
+            (k + 1) * min(costs.c12, costs.c21)
             + ((n1 * (k + 1) + 1) // 2) * costs.c1
             + ((n2 * (k + 1) + 1) // 2) * costs.c2
         )
-    return lower, upper
+    return _joint_cost_floor(n1, n2, k, costs), upper
 
 
 def _team_structured(n1, n2, k, costs):
-    """Cheapest certified large-instance construction (symmetric only)."""
+    """Cheapest design at the capped joint floor's possible minima, one
+    flow-checked: the all-cross band, or H(n, k+1) in each layer with
+    ring links (and for odd n, even k, a diameter) traded for verticals.
+    """
     if n1 != n2 or not 1 <= k < n1:
         raise MetricsError("structured benchmark needs n1 == n2 and 1 <= k < n1")
-    cmin = min(costs.c12, costs.c21)
+    n, cmin = n1, min(costs.c12, costs.c21)
     cross_owner = Owner.OPERATOR1 if costs.c12 <= costs.c21 else Owner.OPERATOR2
-    candidates = []
-
-    band = [(i, n1 + (i + c) % n1, cross_owner) for i in range(n1) for c in range(k + 1)]
-    candidates.append((Fraction(n1 * (k + 1)) * cmin, band))
-
-    if k + 1 < n1:
-        ring = build_harary(n1, k + 1)
-        triples = [(u, v, Owner.OPERATOR1) for u, v in ring]
-        triples += [(u + n1, v + n1, Owner.OPERATOR2) for u, v in ring]
-        triples += [(i, n1 + i, cross_owner) for i in range(k + 1)]
-        cost = (
-            ((n1 * (k + 1) + 1) // 2) * (costs.c1 + costs.c2) + (k + 1) * cmin
-        )
-        candidates.append((cost, triples))
-
-    best = None
-    for cost, triples in sorted(candidates, key=lambda t: t[0]):
-        pairs = [(u, v) for u, v, _ in triples]
-        if edge_connectivity_pairs(n1 + n2, pairs) >= k + 1:
-            best = (cost, triples)
-            break
-    if best is None:
-        raise MetricsError("no certified structured benchmark construction")
-    cost, triples = best
-    return from_pairs(n1, n2, triples), cost
+    ring = list(itertools.combinations(range(n), 2)) if k + 1 == n else build_harary(n, k + 1)
+    if k + 1 == n:
+        cuts = [(set(), n)]
+    elif n % 2 and k % 2 == 0:
+        cuts = [({(0, n // 2)} | {(i, i + 1) for i in range(1, k, 2)}, k + 1)]
+    else:
+        cuts = [({(i, i + 1) for i in range(0, v - 1, 2)}, v) for v in (k + 1, k + 2)]
+    designs = [([], [(i, n + (i + c) % n) for i in range(n) for c in range(k + 1)])]
+    designs += [([p for p in ring if p not in cut], [(i, n + i) for i in range(v)]) for cut, v in cuts]
+    cost = lambda design: len(design[0]) * (costs.c1 + costs.c2) + len(design[1]) * cmin
+    layer, cross = min(designs, key=cost)
+    triples = [(u + s, v + s, o) for s, o in ((0, Owner.OPERATOR1), (n, Owner.OPERATOR2)) for u, v in layer]
+    triples += [(u, v, cross_owner) for u, v in cross]
+    if edge_connectivity_pairs(2 * n, [t[:2] for t in triples]) < k + 1:
+        raise MetricsError(f"the structured team design fails its flow check at n = {n}, k = {k}")
+    return from_pairs(n1, n2, triples), cost((layer, cross))
 
 
 def team_optimal(
@@ -136,11 +127,10 @@ def team_optimal(
     """Minimum-cost k-resistant design when the operators coordinate.
 
     Null when no k-resistant design costs less than 2: ``null_spe_check``
-    says so, or the exact search finds none.  Otherwise exact for
-    n1 + n2 <= 7; for larger symmetric instances with 1 <= k < n1 a
-    certified upper-bound construction, flagged exact only when it meets
-    ``cost_bounds``' lower bound and that bound holds (min(c1, c2) <=
-    min(c12, c21)).
+    says so, or the exact search finds none.  Otherwise exact search for
+    n1 + n2 <= 7; for larger symmetric instances with 1 <= k < n1 the
+    cheapest flow-checked design of ``_team_structured``, flagged exact
+    when its cost equals the capped joint floor.
     """
     if null_spe_check(n1, n2, k, costs)[0]:
         return TeamResult(None, None, exact=True, null=True)
@@ -148,9 +138,7 @@ def team_optimal(
         graph, cost = _solve_team_exact(n1, n2, k, costs, cap)
         return TeamResult(graph, cost, exact=True, null=graph is None)
     graph, cost = _team_structured(n1, n2, k, costs)
-    lower, _ = cost_bounds(n1, n2, k, costs)
-    bound_holds = min(costs.c1, costs.c2) <= min(costs.c12, costs.c21)
-    return TeamResult(graph, cost, exact=bound_holds and cost == lower, null=False)
+    return TeamResult(graph, cost, exact=cost == _joint_cost_floor(n1, n2, k, costs), null=False)
 
 
 def solve_game(

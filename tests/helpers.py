@@ -90,6 +90,24 @@ def random_costs(rng, max_den=12, ordered=False, scale=None) -> CostProfile:
     return CostProfile(c1=c1, c2=c2, c12=c12, c21=c21, ca=random_fraction(rng, max_den))
 
 
+def joint_floor_by_scan(n1, n2, k, costs):
+    """The capped joint floor by a scan over every cross count x: x cross
+    links at min(c12, c21), each layer's remaining degree shortfall in
+    intra links at 2 degrees each, with x >= k + 1, x <= n1*n2 and
+    x >= ni(k+1) - ni(ni-1) per layer; None when no x fits."""
+    cmin = min(costs.c12, costs.c21)
+    lo = max(k + 1, n1 * (k + 1) - n1 * (n1 - 1), n2 * (k + 1) - n2 * (n2 - 1))
+    return min(
+        (
+            x * cmin
+            + (max(0, n1 * (k + 1) - x) + 1) // 2 * costs.c1
+            + (max(0, n2 * (k + 1) - x) + 1) // 2 * costs.c2
+            for x in range(lo, n1 * n2 + 1)
+        ),
+        default=None,
+    )
+
+
 def graph_degrees(g):
     degs = [0] * g.n
     for e in g.edges:

@@ -7,6 +7,7 @@ from helpers import (
     SWEEP_SCALE,
     count_flows,
     embed,
+    joint_floor_by_scan,
     lambda_by_bipartition,
     random_costs,
     random_pairs,
@@ -169,12 +170,7 @@ def test_joint_cost_floor_matches_a_scan_over_the_cross_count():
         n1, n2 = rng.randint(1, 30), rng.randint(1, 30)
         k = rng.randint(1, max(1, n1 + n2 - 2))
         costs = random_costs(rng, max_den=50)
-        cmin = min(costs.c12, costs.c21)
-        scan = min(
-            x * cmin + (max(0, n1 * (k + 1) - x) + 1) // 2 * costs.c1 + (max(0, n2 * (k + 1) - x) + 1) // 2 * costs.c2
-            for x in range(k + 1, n1 * n2 + 1)
-        )
-        assert _joint_cost_floor(n1, n2, k, costs) == scan, (n1, n2, k, costs)
+        assert _joint_cost_floor(n1, n2, k, costs) == joint_floor_by_scan(n1, n2, k, costs), (n1, n2, k, costs)
         # The operator-2 form (the level bound): layer 1 takes cross links only.
         a, b = rng.randint(0, n1 * (n1 - 1) // 2), rng.randint(0, n1 * n2)
         d1, d2 = n1 * (k + 1) - 2 * a - b, n2 * (k + 1) - b

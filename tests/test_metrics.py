@@ -6,10 +6,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import lambda_by_bipartition, random_costs
-from layersec.connectivity import link_connectivity
+from helpers import SWEEP_SCALE, joint_floor_by_scan, lambda_by_bipartition, random_costs
+from layersec.connectivity import edge_connectivity_pairs, link_connectivity
 from layersec.construction import structured_solve
-from layersec.game import CostProfile, attack_budget, bruteforce_spe_oracle, null_spe_check, solve_spe_exact
+from layersec.game import (
+    DEFAULT_SEARCH_CAP,
+    CostProfile,
+    _solve_team_exact,
+    attack_budget,
+    bruteforce_spe_oracle,
+    null_spe_check,
+    solve_spe_exact,
+)
 from layersec.metrics import (
     MetricsError,
     cost_bounds,
@@ -29,8 +37,10 @@ CASE_A = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
 
 
 def test_cost_bounds_case_a():
+    # The capped joint floor: the k + 1 = 4 bridges at min(c12, c21) and
+    # 16 intra links per layer, each at its own layer's cost.
     lower, upper = cost_bounds(9, 9, 3, CASE_A)
-    assert lower == 4 * F(2, 45) + 32 * F(1, 45)
+    assert lower == 4 * F(2, 45) + 16 * (F(1, 30) + F(1, 45)) == F(16, 15)
     assert upper == 4 * F(2, 45) + 18 * F(1, 30) + 18 * F(1, 45)
 
 
@@ -120,8 +130,7 @@ def _assert_team_matches_brute_force(n1, n2, k, costs):
 def test_team_optimal_matches_brute_force():
     # Null exactly when no k-resistant edge set costs less than 2, the
     # optimum otherwise; cross links are priced at min(c12, c21).  Costs
-    # are drawn both ordered and unordered, so the analytic lower bound
-    # does not always hold.
+    # are drawn both ordered and unordered.
     rng = random.Random(47)
     shapes = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]
     for trial in range(400):
@@ -191,8 +200,66 @@ def test_team_optimal_structured_large():
     c = F(1, 20)
     team = team_optimal(4, 4, 1, costs_of(c, c, c, c))
     assert team.cost == 8 * c
-    assert team.exact  # meets the analytic lower bound
+    assert team.exact  # meets the capped joint floor
     assert link_connectivity(team.graph).p >= 1
+
+
+ALGO_EXAMPLE = costs_of("1/20", "1/20", "1/10", "1/10", "1/3")
+
+
+def test_team_optimum_meets_the_capped_floor_on_the_algorithm_example():
+    # The ring-plus-bridges design cost 7/5 and gave PoA = 13/14 < 1.
+    eff = price_of_anarchy(5, 5, ALGO_EXAMPLE)
+    assert (eff.c_spe, eff.c_co, eff.poa, eff.co_exact) == (F(13, 10), F(6, 5), F(13, 12), True)
+    assert eff.lower_bound == eff.c_co
+
+
+def test_team_optimum_below_two_where_a_design_cost_two_or_more():
+    team = team_optimal(9, 9, 3, costs_of("1/20", "1/20", "9/100", "9/100"))
+    assert (team.null, team.cost, team.exact) == (False, F(49, 25), True)  # was 54/25
+    team = team_optimal(8, 8, 3, ALGO_EXAMPLE)
+    assert (team.null, team.cost, team.exact) == (False, F(9, 5), True)  # was a design at 2
+    # A non-null team design always costs less than 2.
+    rng = random.Random(7)
+    nonnull = 0
+    for _ in range(1000):
+        n = rng.randint(4, 12)
+        k = rng.randint(1, n - 1)
+        costs = random_costs(rng, max_den=60, scale=(F(1, 2 * n * (k + 1)), F(8, n * (k + 1))))
+        team = team_optimal(n, n, k, costs)
+        if not team.null:
+            nonnull += 1
+            assert team.cost < 2, (n, k, costs, team.cost)
+    assert nonnull > 700
+
+
+def test_structured_team_designs_meet_the_floor():
+    # For every n, k and three cost orders the chosen design passes a
+    # fresh flow and costs exactly the capped joint floor.  Cross links
+    # cheap take the band; intra links cheap the Harary designs at
+    # k + 1 verticals; c12 = 2*c1 with c2 = 2*c1 lies between
+    # (c1 + c2)/2 and c1 + c2, where n even with k even takes k + 2.
+    for n in range(4, 17):
+        for k in range(1, n):
+            u = F(1, 2 * n * (k + 1))
+            for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3)):
+                costs = CostProfile(c1 * u, c2 * u, c12 * u, c21 * u, F(1, 2))
+                team = team_optimal(n, n, k, costs)
+                assert team.exact and team.cost == joint_floor_by_scan(n, n, k, costs), (n, k, costs)
+                g = team.graph
+                assert edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1, (n, k, costs)
+    # The designs agree with exact team search where it reaches.
+    rng = random.Random(59)
+    nonnull = 0
+    for trial in range(40):
+        n = 4 if trial % 2 else 5
+        k = rng.randint(1, n - 1)
+        costs = random_costs(rng, max_den=40, scale=SWEEP_SCALE)
+        graph, cost = _solve_team_exact(n, n, k, costs, DEFAULT_SEARCH_CAP)
+        team = team_optimal(n, n, k, costs)
+        assert (team.null, team.cost) == (graph is None, cost), (n, k, costs)
+        nonnull += graph is not None
+    assert nonnull >= 20
 
 
 def test_poa_is_one_for_uniform_symmetric_costs():
@@ -304,7 +371,8 @@ def test_solve_game_dispatch():
 
 
 def test_bounds_sandwich_exact_team():
-    # the analytic bounds assume intra links are no pricier than cross links
+    # the lower bound is the capped joint floor; the upper bound prices two
+    # Harary rings plus k + 1 bridges
     rng = random.Random(41)
     for _ in range(10):
         n1, n2 = rng.choice([(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
