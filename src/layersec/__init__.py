@@ -13,7 +13,6 @@ from .construction import (
     ConstructionError,
     StageOnePlan,
     build_generalized,
-    build_harary,
     stage1_allocate,
     structured_solve,
 )

@@ -1,10 +1,12 @@
-"""Equilibrium network construction.
+"""Network construction.
 
-``build_generalized`` is the one builder.  It realizes the equilibrium
-topology over the 2*n1 nodes (either layer parity) as a superposition of
-floor((k+1)/2) pairwise edge-disjoint Hamiltonian cycles, plus, for even
-k, one perfect matching of pairs no cycle uses, after a stage-1 split of
-the link budget between the two operators:
+One builder, ``_build_cycle_superposition``, lays out both the
+equilibrium network (``build_generalized``) and the team design
+(``metrics._team_structured``) over the 2*n1 nodes (either layer parity)
+as a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
+cycles, plus, for even k, one perfect matching of pairs no cycle uses.
+The equilibrium network follows a stage-1 split of the link budget
+between the two operators:
 
   stage 1  the cheapest operator-1 level (e11 intra, e12 cross links) whose
            ``game._level_floor`` is below 1; operator 2 mirrors its intra links;
@@ -20,11 +22,12 @@ The cycles come from the Walecki decomposition of K_n1 for odd n1, each
 opened at a closed-form edge, and from the zigzag path decomposition for
 even n1.
 
-Every constructed network is re-verified (exact edge counts against the
-stage-1 plan, degree k + 1 everywhere, the tagged cycles are edge-disjoint
-Hamiltonian cycles made of the graph's links, and the whole graph
-survives any k link removals); a construction that fails verification
-raises instead of returning silently.
+Every constructed network is re-verified (exact edge counts per owner and
+class, least degree k + 1, the tagged cycles are edge-disjoint Hamiltonian
+cycles made of the graph's links, and the whole graph survives any k link
+removals); a construction that fails verification raises instead of
+returning silently.  A stage-1 plan's counts total n1(k+1) links, so with
+least degree k + 1 its network is (k+1)-regular.
 
 Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
@@ -33,13 +36,14 @@ For odd k the (k+1)/2 tagged cycles, as unordered pairs, are exactly the
 graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1.
 
 Lemma (arc certificate, even k).  The k/2 tagged cycles give lambda >= k
-and degree k + 1 gives lambda <= k + 1.  A cut of size k then crosses each
-cycle exactly twice, the first one included, so its side is a contiguous
-arc of the first cycle.  Hence lambda = k + 1 exactly when every arc S of
-that cycle (1 <= |S| < n) has more than k links leaving it, which one sweep
-over the arcs (``_arc_floor``) decides with no flow.
+and least degree k + 1 gives lambda <= k + 1; no regularity is needed.
+A cut of size k then crosses each cycle exactly twice, the first one
+included, so its side is a contiguous arc of the first cycle.  Hence
+lambda = k + 1 exactly when every arc S of that cycle (1 <= |S| < n) has
+more than k links leaving it, which one sweep over the arcs
+(``_arc_floor``) decides with no flow.
 
-Either way the builder records lambda = k + 1 on the returned graph, so
+Either way the build records lambda = k + 1 on the returned graph, so
 later lambda queries on it run no flow.
 """
 
@@ -102,6 +106,16 @@ class StageOnePlan:
     def feasible(self) -> bool:
         return self.c1_total < 1 and self.c2_total < 1
 
+    @property
+    def counts(self) -> dict:
+        """Planned links per (owner, class)."""
+        return {
+            (OP1, EdgeClass.INTRA1): self.e11,
+            (OP1, EdgeClass.CROSS): self.e12,
+            (OP2, EdgeClass.INTRA2): self.op2_intra,
+            (OP2, EdgeClass.CROSS): self.op2_cross,
+        }
+
 
 @dataclass(frozen=True)
 class BuiltNetwork:
@@ -160,30 +174,6 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
         raise ConstructionError(f"the cheapest level (e11, e12) = ({e11}, {e12}) has no "
                                 f"(k+1)-regular completion at its floor; {advice}")
     return StageOnePlan(n1, k, e11, e12, Fraction(cost1, L), Fraction(floor2, L))
-
-
-def build_harary(n: int, r: int) -> list:
-    """Edge set of the circulant Harary graph H(n, r) on nodes 0..n-1.
-
-    Edge connectivity r with the minimum possible ceil(n*r/2) edges.
-    """
-    if not 2 <= r < n:
-        raise ConstructionError(f"Harary graph needs 2 <= r < n, got ({n}, {r})")
-    edges = set()
-    for d in range(1, r // 2 + 1):
-        for i in range(n):
-            u, v = i, (i + d) % n
-            edges.add((min(u, v), max(u, v)))
-    if r % 2 == 1:
-        if n % 2 == 0:
-            for i in range(n // 2):
-                edges.add((i, i + n // 2))
-        else:
-            for i in range(n // 2 + 1):
-                u, v = i, (i + n // 2) % n
-                edges.add((min(u, v), max(u, v)))
-    assert len(edges) == (n * r + 1) // 2
-    return sorted(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +273,16 @@ def _rotate_open(seq: list, p: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
-    """Edge list, closer slots and cycle tags for any k and layer parity.
+def _build_cycle_superposition(n1: int, k: int, e11: int):
+    """Edge list, closer slots and cycle tags for any k and layer parity,
+    with e11 mirrored intra links per layer and the rest cross links.
 
     (k+1)//2 Hamiltonian cycles take the intra budget first; for even k a
     perfect matching of pairs no cycle uses adds the last degree.
     """
     N = n1
     C = (k + 1) // 2
-    held = min(plan.e11, C * (N - 1))  # intra links per layer the cycles hold
+    held = min(e11, C * (N - 1))  # intra links per layer the cycles hold
     m, z = divmod(held, N - 1)
     out: list = []
     closer_slots: list = []
@@ -308,7 +299,7 @@ def _build_cycle_superposition(n1: int, k: int, plan: StageOnePlan):
     steps = [N - 1] * m + [z] + [0] * C
     tags = [_mixed_cycle(N, path, steps[i], out, closer_slots) for i, path in enumerate(paths)]
     if k % 2 == 0:
-        _add_matching(N, plan.e11 - held, paths, openings, m, out, closer_slots)
+        _add_matching(N, e11 - held, paths, openings, m, out, closer_slots)
     return out, closer_slots, tags
 
 
@@ -352,35 +343,29 @@ def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list
         out.append([a, b, OP2])
 
 
-def _assemble(n1: int, plan: StageOnePlan, out, closer_slots, tags) -> BuiltNetwork:
+def _assemble(n1: int, k: int, counts: dict, out, closer_slots, tags) -> LayeredGraph:
+    """The verified graph of a build, operator 1 holding counts[(OP1, CROSS)]
+    of its cross links."""
     # Closers first; ``rest`` reads owners lazily, after the closers went to operator 1.
     rest = (i for i, (a, b, owner) in enumerate(out) if a < n1 <= b and owner == OP2)
-    for slot in itertools.islice(itertools.chain(closer_slots, rest), plan.e12):
+    for slot in itertools.islice(itertools.chain(closer_slots, rest), counts[OP1, EdgeClass.CROSS]):
         out[slot][2] = OP1
     graph = from_pairs(n1, n1, [(a, b, o) for a, b, o in out])
-    _verify_built(graph, plan, tags)
-    return BuiltNetwork(graph, plan, tuple(frozenset(t) for t in tags))
+    _verify_built(graph, k, counts, tags)
+    return graph
 
 
-def _verify_built(graph: LayeredGraph, plan: StageOnePlan, tags):
-    n1, k = plan.n1, plan.k
-    counts = {
-        (OP1, EdgeClass.INTRA1): plan.e11,
-        (OP1, EdgeClass.CROSS): plan.e12,
-        (OP2, EdgeClass.INTRA2): plan.op2_intra,
-        (OP2, EdgeClass.CROSS): plan.op2_cross,
-    }
+def _verify_built(graph: LayeredGraph, k: int, counts: dict, tags):
+    """Check the links per (owner, class) against ``counts`` and certify
+    lambda = k + 1 by the module docstring's lemmas, or raise."""
     got = graph.tally()
     for key, want in counts.items():
         if got[key] != want:
             raise ConstructionError(f"count mismatch for {key}: built {got[key]}, planned {want}")
-    if len(graph.edges) != plan.total_links:
-        raise ConstructionError("total link count does not match the plan")
-    if any(d != k + 1 for d in degrees(graph.n, graph.edge_pairs())):
-        raise ConstructionError("constructed network is not (k+1)-regular")
-    # The (k+1)//2 tagged cycles take degree 2 at every node; with every
-    # degree k + 1 the untagged rest of an even-k build is a perfect matching.
-    # Links are unordered, so (u, v) and (v, u) are one link.
+    if min(degrees(graph.n, graph.edge_pairs())) < k + 1:
+        raise ConstructionError("a node of the constructed network has degree below k + 1")
+    # The (k+1)//2 tagged cycles take degree 2 at every node.  Links are
+    # unordered, so (u, v) and (v, u) are one link.
     seen = set()
     for tag in tags:
         tag = {(min(u, v), max(u, v)) for u, v in tag}
@@ -456,7 +441,9 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     plan = stage1_allocate(n1, k, costs)
     if not plan.feasible:
         return BuiltNetwork(new_graph(n1, n1), plan, ())
-    return _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
+    out, closer_slots, tags = _build_cycle_superposition(n1, k, plan.e11)
+    graph = _assemble(n1, k, plan.counts, out, closer_slots, tags)
+    return BuiltNetwork(graph, plan, tuple(frozenset(t) for t in tags))
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile):

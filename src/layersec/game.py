@@ -34,7 +34,8 @@ equilibrium scan and the team optimum) pick link counts per class in cost
 order from one count lattice (``_lattice``) and complete a base network
 through one loop (``_completion``), which skips a purchase that cannot
 cover the degree shortfall or the k + 1 cross links and hands the rest to
-``_place``.  One closed-form floor (``_count_floor``) serves the null test
+``_place``.  One closed-form floor (``_count_floor``, which also names the
+least cross count that reaches it) serves the null test, the team design
 and the level bound ``_level_floor``: an operator-1 level of a intra and
 b cross links leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which
 only operator-2 cross links cover, and layer 2 d2 = n2(k+1) - b short,
@@ -265,7 +266,7 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
     (cross links at min(c12, c21)), so it holds for any order of the four
     link costs.
     """
-    floor = _joint_cost_floor(n1, n2, k, costs)
+    floor, _ = _joint_cost_floor(n1, n2, k, costs)
     if floor is None:
         return True, "degree-bound"
     if floor >= 2:
@@ -274,8 +275,9 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
-    """Least joint cost of a network with every degree >= k + 1 and at
-    least k + 1 cross links, which every k-resistant network has; None
+    """(cost, x): the least joint cost of a network with every degree
+    >= k + 1 and at least k + 1 cross links, which every k-resistant
+    network has, and the fewest cross links x at that cost; (None, None)
     when no such network exists (n1 + n2 - 1 < k + 1).
 
     With x cross links, at min(c12, c21) each, layer i is still
@@ -289,8 +291,8 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
     L, c1, c2, c12, c21 = _scale(costs)
     lo = max(k + 1, n1 * (k + 2 - n1), n2 * (k + 2 - n2))
     shorts = [(n1 * (k + 1), c1), (n2 * (k + 1), c2)]
-    floor = _count_floor(lo, n1 * n2, min(c12, c21), shorts)
-    return None if floor is None else Fraction(floor, L)
+    floor, x = _count_floor(lo, n1 * n2, min(c12, c21), shorts)
+    return (None, None) if floor is None else (Fraction(floor, L), x)
 
 
 def _level_floor(n1: int, n2: int, k: int, a: int, b: int, c2, c21):
@@ -298,12 +300,13 @@ def _level_floor(n1: int, n2: int, k: int, a: int, b: int, c2, c21):
     complete a intra and b cross links of operator 1; None if no x fits."""
     d2 = n2 * (k + 1) - b
     lo = max(n1 * (k + 1) - 2 * a - b, k + 1 - b, d2 - n2 * (n2 - 1), 0)
-    return _count_floor(lo, n1 * n2 - b, c21, [(d2, c2)])
+    return _count_floor(lo, n1 * n2 - b, c21, [(d2, c2)])[0]
 
 
 def _count_floor(lo: int, hi: int, cx: int, shorts: list):
-    """Least x*cx + sum of ceil(max(0, s - x)/2)*c over (s, c) in
-    ``shorts``, over integers lo <= x <= hi; None if lo > hi.
+    """(cost, x): the least x*cx + sum of ceil(max(0, s - x)/2)*c over
+    (s, c) in ``shorts``, over integers lo <= x <= hi, and the least x
+    that reaches it; (None, None) if lo > hi.
 
     x counts cross links at cx each; each (s, c) is a degree shortfall s
     that a cross link covers by 1 and an intra link, at c, by 2.
@@ -311,16 +314,16 @@ def _count_floor(lo: int, hi: int, cx: int, shorts: list):
     breakpoints lo, hi and each s, so its minimum lies at a breakpoint or
     one step from one.
     """
-    best = None
+    best = arg = None
     for x in {lo, lo + 1, hi - 1, hi, *[s + step for s, _ in shorts for step in (-1, 0, 1)]}:
         if lo <= x <= hi:
             cost = x * cx
             for s, c in shorts:
                 if x < s:
                     cost += (s - x + 1) // 2 * c
-            if best is None or cost < best:
-                best = cost
-    return best
+            if best is None or cost < best or cost == best and x < arg:
+                best, arg = cost, x
+    return best, arg
 
 
 # ---------------------------------------------------------------------------

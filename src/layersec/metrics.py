@@ -4,30 +4,30 @@ The coordinated benchmark prices every cross link at the cheaper of the
 two operators' cross costs, since a joint designer would always hand a
 cross link to whichever side builds it more cheaply.  One rule prices it,
 the capped joint floor ``game._joint_cost_floor``: it is the null test,
-``cost_bounds``' lower bound and the large-instance target.  Small
-instances (n1 + n2 <= 7) take exact search; larger symmetric ones the
-cheapest of a few designs at the floor's minima, flagged exact when it
-meets the floor.
+``cost_bounds``' lower bound and the large-instance design.  Small
+instances (n1 + n2 <= 7) take exact search.  A larger symmetric one
+takes the floor's argmin of x cross links, built by the one equilibrium
+builder (``construction._build_cycle_superposition``) and certified by
+its cycle and arc lemmas with no flow; it costs the floor, so it is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import edge_connectivity_pairs
-from .construction import build_harary, stage1_allocate, structured_solve
+from .construction import OP1, OP2, _assemble, _build_cycle_superposition, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
+    SpeSolution,
     _joint_cost_floor,
     _solve_team_exact,
     attack_budget,
     null_spe_check,
     solve_spe_exact,
 )
-from .graph import LayeredGraph, Owner, from_pairs
+from .graph import EdgeClass, LayeredGraph
 
 
 class MetricsError(ValueError):
@@ -91,34 +91,36 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
             + ((n1 * (k + 1) + 1) // 2) * costs.c1
             + ((n2 * (k + 1) + 1) // 2) * costs.c2
         )
-    return _joint_cost_floor(n1, n2, k, costs), upper
+    return _joint_cost_floor(n1, n2, k, costs)[0], upper
 
 
 def _team_structured(n1, n2, k, costs):
-    """Cheapest design at the capped joint floor's possible minima, one
-    flow-checked: the all-cross band, or H(n, k+1) in each layer with
-    ring links (and for odd n, even k, a diameter) traded for verticals.
+    """(graph, cost) of a design at the capped joint floor, built by the
+    equilibrium builder from the floor's argmin of x cross links.
+
+    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links.  When
+    n(k+1) - x is odd (x = k + 1 with n and k even) the build has x - 1
+    cross links, so one vertical at a node without one adds the last.
+    The cheaper cross builder owns every cross link.
     """
     if n1 != n2 or not 1 <= k < n1:
         raise MetricsError("structured benchmark needs n1 == n2 and 1 <= k < n1")
-    n, cmin = n1, min(costs.c12, costs.c21)
-    cross_owner = Owner.OPERATOR1 if costs.c12 <= costs.c21 else Owner.OPERATOR2
-    ring = list(itertools.combinations(range(n), 2)) if k + 1 == n else build_harary(n, k + 1)
-    if k + 1 == n:
-        cuts = [(set(), n)]
-    elif n % 2 and k % 2 == 0:
-        cuts = [({(0, n // 2)} | {(i, i + 1) for i in range(1, k, 2)}, k + 1)]
-    else:
-        cuts = [({(i, i + 1) for i in range(0, v - 1, 2)}, v) for v in (k + 1, k + 2)]
-    designs = [([], [(i, n + (i + c) % n) for i in range(n) for c in range(k + 1)])]
-    designs += [([p for p in ring if p not in cut], [(i, n + i) for i in range(v)]) for cut, v in cuts]
-    cost = lambda design: len(design[0]) * (costs.c1 + costs.c2) + len(design[1]) * cmin
-    layer, cross = min(designs, key=cost)
-    triples = [(u + s, v + s, o) for s, o in ((0, Owner.OPERATOR1), (n, Owner.OPERATOR2)) for u, v in layer]
-    triples += [(u, v, cross_owner) for u, v in cross]
-    if edge_connectivity_pairs(2 * n, [t[:2] for t in triples]) < k + 1:
-        raise MetricsError(f"the structured team design fails its flow check at n = {n}, k = {k}")
-    return from_pairs(n1, n2, triples), cost((layer, cross))
+    n = n1
+    cost, x = _joint_cost_floor(n, n, k, costs)
+    e11 = (n * (k + 1) - x + 1) // 2
+    out, closer_slots, tags = _build_cycle_superposition(n, k, e11)
+    if (n * (k + 1) - x) % 2:
+        verticals = {a for a, b, _ in out if b == a + n}
+        v = min(set(range(n)) - verticals)
+        out.append([v, v + n, OP2])
+    op1_cross = x if costs.c12 <= costs.c21 else 0
+    counts = {
+        (OP1, EdgeClass.INTRA1): e11,
+        (OP1, EdgeClass.CROSS): op1_cross,
+        (OP2, EdgeClass.INTRA2): e11,
+        (OP2, EdgeClass.CROSS): x - op1_cross,
+    }
+    return _assemble(n, k, counts, out, closer_slots, tags), cost
 
 
 def team_optimal(
@@ -129,8 +131,8 @@ def team_optimal(
     Null when no k-resistant design costs less than 2: ``null_spe_check``
     says so, or the exact search finds none.  Otherwise exact search for
     n1 + n2 <= 7; for larger symmetric instances with 1 <= k < n1 the
-    cheapest flow-checked design of ``_team_structured``, flagged exact
-    when its cost equals the capped joint floor.
+    certified design of ``_team_structured``, which costs the capped
+    joint floor and so is exact.
     """
     if null_spe_check(n1, n2, k, costs)[0]:
         return TeamResult(None, None, exact=True, null=True)
@@ -138,7 +140,7 @@ def team_optimal(
         graph, cost = _solve_team_exact(n1, n2, k, costs, cap)
         return TeamResult(graph, cost, exact=True, null=graph is None)
     graph, cost = _team_structured(n1, n2, k, costs)
-    return TeamResult(graph, cost, exact=cost == _joint_cost_floor(n1, n2, k, costs), null=False)
+    return TeamResult(graph, cost, exact=True, null=False)
 
 
 def solve_game(
@@ -152,12 +154,15 @@ def solve_game(
 
     Returns (SpeSolution, BuiltNetwork or None).  Auto mode routes by
     size only: exact search for n1 + n2 <= 7, otherwise the structured
-    route for n1 == n2 and 1 <= k < n1, in any cost order; it raises
-    otherwise.
+    route, in any cost order.  That route answers null wherever
+    ``null_spe_check`` does, and otherwise needs n1 == n2 and
+    1 <= k < n1; it raises outside.
     """
     k = attack_budget(costs.ca)
     if mode == "exact" or (mode == "auto" and n1 + n2 <= 7):
         return solve_spe_exact(n1, n2, costs, cap=cap), None
+    if null_spe_check(n1, n2, k, costs)[0]:
+        return SpeSolution.null(k, method="structured"), None
     if n1 != n2 or not 1 <= k < n1:
         raise MetricsError("no applicable solver: the structured route needs n1 == n2 and 1 <= k < n1")
     return structured_solve(n1, n2, costs)

@@ -91,21 +91,44 @@ def random_costs(rng, max_den=12, ordered=False, scale=None) -> CostProfile:
 
 
 def joint_floor_by_scan(n1, n2, k, costs):
-    """The capped joint floor by a scan over every cross count x: x cross
-    links at min(c12, c21), each layer's remaining degree shortfall in
-    intra links at 2 degrees each, with x >= k + 1, x <= n1*n2 and
-    x >= ni(k+1) - ni(ni-1) per layer; None when no x fits."""
+    """The capped joint floor and its least argmin, (cost, x), by a scan
+    over every cross count x: x cross links at min(c12, c21), each layer's
+    remaining degree shortfall in intra links at 2 degrees each, with
+    x >= k + 1, x <= n1*n2 and x >= ni(k+1) - ni(ni-1) per layer;
+    (None, None) when no x fits."""
     cmin = min(costs.c12, costs.c21)
     lo = max(k + 1, n1 * (k + 1) - n1 * (n1 - 1), n2 * (k + 1) - n2 * (n2 - 1))
     return min(
         (
-            x * cmin
-            + (max(0, n1 * (k + 1) - x) + 1) // 2 * costs.c1
-            + (max(0, n2 * (k + 1) - x) + 1) // 2 * costs.c2
+            (
+                x * cmin
+                + (max(0, n1 * (k + 1) - x) + 1) // 2 * costs.c1
+                + (max(0, n2 * (k + 1) - x) + 1) // 2 * costs.c2,
+                x,
+            )
             for x in range(lo, n1 * n2 + 1)
         ),
-        default=None,
+        default=(None, None),
     )
+
+
+def harary_pairs(n, r):
+    """Links of the circulant Harary graph H(n, r) on nodes 0..n-1
+    (2 <= r < n): edge connectivity r with ceil(n*r/2) links."""
+    edges = set()
+    for d in range(1, r // 2 + 1):
+        for i in range(n):
+            u, v = i, (i + d) % n
+            edges.add((min(u, v), max(u, v)))
+    if r % 2 == 1:
+        if n % 2 == 0:
+            for i in range(n // 2):
+                edges.add((i, i + n // 2))
+        else:
+            for i in range(n // 2 + 1):
+                u, v = i, (i + n // 2) % n
+                edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
 
 
 def graph_degrees(g):
@@ -126,7 +149,7 @@ def count_flows(monkeypatch):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    for module in (layersec.connectivity, layersec.game, layersec.metrics):
+    for module in (layersec.connectivity, layersec.game):
         monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
     return calls
 

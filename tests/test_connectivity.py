@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_flows, embed, lambda_by_bipartition, lambda_by_enumeration, random_pairs
+from helpers import count_flows, embed, harary_pairs, lambda_by_bipartition, lambda_by_enumeration, random_pairs
 from layersec.connectivity import (
     edge_connectivity,
     edge_connectivity_pairs,
@@ -13,7 +13,7 @@ from layersec.connectivity import (
     min_cut_pairs,
     min_edge_cut,
 )
-from layersec.construction import build_generalized, build_harary, structured_solve
+from layersec.construction import build_generalized, structured_solve
 from layersec.game import CostProfile, adversary_best_response
 from layersec.graph import GraphError, Owner, from_pairs, remove_edges
 
@@ -40,7 +40,7 @@ def test_link_connectivity_examples():
 def test_harary_connectivity_small():
     for n in range(4, 9):
         for r in range(2, n):
-            pairs = build_harary(n, r)
+            pairs = harary_pairs(n, r)
             assert edge_connectivity_pairs(n, pairs) == r
 
 

@@ -16,7 +16,6 @@ from layersec.construction import (
     _opening_edge,
     _verify_built,
     build_generalized,
-    build_harary,
     ham_path_decomposition,
     stage1_allocate,
     structured_solve,
@@ -113,30 +112,6 @@ def test_stage1_rejects_bad_inputs():
 def test_stage1_infeasible_case_b_k7():
     plan = stage1_allocate(9, 7, CASE_A)
     assert not plan.feasible
-
-
-def test_build_harary_edge_counts_and_connectivity():
-    for n in range(3, 10):
-        for r in range(2, n):
-            pairs = build_harary(n, r)
-            assert len(pairs) == -(-n * r // 2)
-            assert edge_connectivity_pairs(n, pairs) == r
-            if n * r % 2 == 0:
-                degs = [0] * n
-                for u, v in pairs:
-                    degs[u] += 1
-                    degs[v] += 1
-                assert set(degs) == {r}
-    with pytest.raises(ConstructionError):
-        build_harary(5, 5)
-    with pytest.raises(ConstructionError):
-        build_harary(5, 1)
-
-
-def test_harary_small_brute_force():
-    for n, r in ((6, 3), (5, 3), (7, 4), (8, 4)):
-        pairs = build_harary(n, r)
-        assert lambda_by_enumeration(n, pairs) == r
 
 
 def test_min_cut_size_of_case_a_build():
@@ -271,8 +246,8 @@ def test_cycle_route_builds_every_plan():
                 splits |= {(e11, e12) for e11 in range(nb11 + 1) for e12 in range(total - 2 * e11 + 1)}
             for e11, e12 in sorted(splits):
                 plan = StageOnePlan(n1, k, e11, e12, F(0), F(0))
-                b = _assemble(n1, plan, *_build_cycle_superposition(n1, k, plan))
-                g = b.graph
+                out, closer_slots, tags = _build_cycle_superposition(n1, k, e11)
+                g = _assemble(n1, k, plan.counts, out, closer_slots, tags)
                 if not e12:
                     # The lambda the certificate proves, audited by a fresh
                     # flow (e12 moves owners only: every e11 occurs with
@@ -280,7 +255,7 @@ def test_cycle_route_builds_every_plan():
                     fresh = edge_connectivity_pairs(g.n, g.edge_pairs())
                     assert edge_connectivity(g) == fresh == k + 1
                     if k % 2 == 0:
-                        assert _arc_floor(g.n, b.cycle_tags[0], g.edge_pairs()) == fresh
+                        assert _arc_floor(g.n, tags[0], g.edge_pairs()) == fresh
                 built[k % 2] += 1
     assert (built[1], built[0]) == (2153, 2308)
 
@@ -321,23 +296,23 @@ def test_stage1_plan_is_the_tally_of_the_solved_build():
 
 def _built_and_tags(k):
     built = build_generalized(5, 5, k, costs_of("1/50", "1/50", "1/40", "1/40"))
-    return built.graph, built.plan, [sorted(tag) for tag in built.cycle_tags]
+    return built.graph, built.plan.counts, [sorted(tag) for tag in built.cycle_tags]
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_reads_tags_as_unordered_links(k):
-    g, plan, tags = _built_and_tags(k)
-    _verify_built(g, plan, tags)
-    _verify_built(g, plan, [[(v, u) for u, v in tag] for tag in tags])
+    g, counts, tags = _built_and_tags(k)
+    _verify_built(g, k, counts, tags)
+    _verify_built(g, k, counts, [[(v, u) for u, v in tag] for tag in tags])
     with pytest.raises(ConstructionError, match="edge-disjoint"):
-        _verify_built(g, plan, [tags[0], [(v, u) for u, v in tags[0]]])
+        _verify_built(g, k, counts, [tags[0], [(v, u) for u, v in tags[0]]])
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
     # A Hamiltonian cycle edge-disjoint from the first tag, but not made of
     # the graph's links, must not count towards the certificate.
-    g, plan, tags = _built_and_tags(k)
+    g, counts, tags = _built_and_tags(k)
     rng = random.Random(3)
     while True:
         order = rng.sample(range(g.n), g.n)
@@ -345,15 +320,15 @@ def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
         if not cycle & set(tags[0]) and not cycle <= g.edge_pairs():
             break
     with pytest.raises(ConstructionError, match="graph's links"):
-        _verify_built(g, plan, [tags[0], sorted(cycle)])
+        _verify_built(g, k, counts, [tags[0], sorted(cycle)])
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
-    g, plan, tags = _built_and_tags(k)
+    g, counts, tags = _built_and_tags(k)
     two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     with pytest.raises(ConstructionError, match="Hamiltonian"):
-        _verify_built(g, plan, [two_rings, tags[1]])
+        _verify_built(g, k, counts, [two_rings, tags[1]])
 
 
 def _arcs_brute_force(order, pairs):
@@ -384,7 +359,31 @@ def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():
     links += [(0, 2, op1), (1, 3, op1), (4, 6, op2), (5, 7, op2)]
     plan = StageOnePlan(4, 2, 5, 0, F(0), F(0))
     with pytest.raises(ConstructionError, match="failed the resilience check"):
-        _verify_built(from_pairs(4, 4, links), plan, [cycle])
+        _verify_built(from_pairs(4, 4, links), 2, plan.counts, [cycle])
+
+
+def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():
+    # The team design at x = k + 1 cross links for n = 6, k = 4: the build
+    # at e11 = 13 mirrored intra links per layer is 5-regular with only the
+    # k = 4 cycle closers as cross links, so layer 1, an arc of the first
+    # cycle, is a cut of k.  One more vertical makes it k-resistant, with
+    # two nodes of degree k + 2.
+    n, k, e11 = 6, 4, 13
+    out, closer_slots, tags = _build_cycle_superposition(n, k, e11)
+    counts = {
+        (Owner.OPERATOR1, EdgeClass.INTRA1): e11,
+        (Owner.OPERATOR1, EdgeClass.CROSS): 0,
+        (Owner.OPERATOR2, EdgeClass.INTRA2): e11,
+        (Owner.OPERATOR2, EdgeClass.CROSS): k,
+    }
+    with pytest.raises(ConstructionError, match="failed the resilience check"):
+        _verify_built(from_pairs(n, n, [tuple(t) for t in out]), k, counts, tags)
+    verticals = {a for a, b, _ in out if b == a + n}
+    v = min(set(range(n)) - verticals)
+    g = from_pairs(n, n, [tuple(t) for t in out] + [(v, v + n, Owner.OPERATOR2)])
+    _verify_built(g, k, {**counts, (Owner.OPERATOR2, EdgeClass.CROSS): k + 1}, tags)
+    assert sorted(graph_degrees(g)) == [k + 1] * (2 * n - 2) + [k + 2] * 2
+    assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
 
 
 def test_structured_solve_at_two_thousand_nodes_per_layer_is_fast():

@@ -176,7 +176,7 @@ def test_joint_cost_floor_matches_a_scan_over_the_cross_count():
         d1, d2 = n1 * (k + 1) - 2 * a - b, n2 * (k + 1) - b
         lo, hi = max(d1, k + 1 - b, 0), n1 * n2 - b
         scan = min((x * costs.c21 + (max(0, d2 - x) + 1) // 2 * costs.c2 for x in range(lo, hi + 1)), default=None)
-        assert _count_floor(lo, hi, costs.c21, [(d2, costs.c2)]) == scan, (n1, n2, k, a, b, costs)
+        assert _count_floor(lo, hi, costs.c21, [(d2, costs.c2)])[0] == scan, (n1, n2, k, a, b, costs)
 
 
 def test_cheap_cross_links_do_not_make_an_instance_null():

@@ -252,6 +252,22 @@ def test_cli_solve_null_exit_code(capsys):
     assert json.loads(out)["null"] is True
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        {"n1": 5, "n2": 5, "c1": "1/20", "c2": "1/20", "c12": "1/10", "c21": "1/10", "cA": "1/9"},
+        {"n1": 5, "n2": 4, "c1": "1/2", "c2": "1/2", "c12": "1/2", "c21": "1/2", "cA": "1/3"},
+    ],
+    ids=["degree-bound", "cost-bound"],
+)
+def test_cli_solve_null_outside_the_structured_domain_exits_2(tmp_path, capsys, game):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(game))
+    code, out, _ = run_cli(capsys, "solve", "--scenario", str(path))
+    assert code == 2
+    assert json.loads(out)["null"] is True
+
+
 def test_cli_solve_prop3_classes(capsys):
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop3.json"))
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SWEEP_SCALE, joint_floor_by_scan, lambda_by_bipartition, random_costs
+from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
 from layersec.construction import structured_solve
 from layersec.game import (
@@ -234,20 +234,22 @@ def test_team_optimum_below_two_where_a_design_cost_two_or_more():
 
 
 def test_structured_team_designs_meet_the_floor():
-    # For every n, k and three cost orders the chosen design passes a
-    # fresh flow and costs exactly the capped joint floor.  Cross links
-    # cheap take the band; intra links cheap the Harary designs at
-    # k + 1 verticals; c12 = 2*c1 with c2 = 2*c1 lies between
-    # (c1 + c2)/2 and c1 + c2, where n even with k even takes k + 2.
+    # For every n, k and four cost orders the design passes a fresh flow
+    # and costs exactly the capped joint floor.  Cross links cheap take
+    # the all-cross build; intra links cheap the fewest cross links,
+    # k + 1, where n and k even add one vertical to the build at k; with
+    # min(c12, c21) between (c1 + c2)/2 and c1 + c2 n and k even take
+    # k + 2; at min(c12, c21) = c1 + c2 the tie goes to k + 1.
     for n in range(4, 17):
         for k in range(1, n):
             u = F(1, 2 * n * (k + 1))
-            for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3)):
+            for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3), (1, 1, 3, 2)):
                 costs = CostProfile(c1 * u, c2 * u, c12 * u, c21 * u, F(1, 2))
                 team = team_optimal(n, n, k, costs)
-                assert team.exact and team.cost == joint_floor_by_scan(n, n, k, costs), (n, k, costs)
+                assert team.exact and team.cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
                 g = team.graph
                 assert edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1, (n, k, costs)
+                assert len(g.edges) == n * (k + 1) + (c12 == 3 and n % 2 == k % 2 == 0), (n, k, costs)
     # The designs agree with exact team search where it reaches.
     rng = random.Random(59)
     nonnull = 0
@@ -260,6 +262,16 @@ def test_structured_team_designs_meet_the_floor():
         assert (team.null, team.cost) == (graph is None, cost), (n, k, costs)
         nonnull += graph is not None
     assert nonnull >= 20
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_large_team_design_runs_no_flow(monkeypatch, k):
+    calls = count_flows(monkeypatch)
+    costs = costs_of("1/3010", "1/3010", "1/1505", "1/301")
+    team = team_optimal(301, 301, k, costs)
+    assert (team.null, team.exact, team.cost) == (False, True, joint_floor_by_scan(301, 301, k, costs)[0])
+    assert link_connectivity(team.graph).p == k
+    assert calls == []
 
 
 def test_poa_is_one_for_uniform_symmetric_costs():
@@ -366,6 +378,12 @@ def test_solve_game_dispatch():
     assert sol.method == "exact" and built is None
     with pytest.raises(MetricsError):
         solve_game(9, 8, CASE_A)  # asymmetric and too large for exact search
+    # Outside the structured domain, a game the null test settles is null.
+    for n1, n2, costs in ((5, 5, costs_of("1/20", "1/20", "1/10", "1/10", "1/9")),  # k = 9: degree-bound
+                          (5, 4, costs_of("1/2", "1/2", "1/2", "1/2", "1/3"))):  # cost-bound
+        assert null_spe_check(n1, n2, attack_budget(costs.ca), costs)[0]
+        sol, built = solve_game(n1, n2, costs)
+        assert (sol.is_null, sol.method, built) == (True, "structured", None)
     with pytest.raises(SearchCapExceeded):
         solve_game(9, 9, CASE_A, mode="exact", cap=20_000)  # forced exact burns its budget
 
