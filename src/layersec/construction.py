@@ -1,22 +1,26 @@
 """Network construction.
 
-One builder, ``_build_cycle_superposition``, lays out both the
-equilibrium network (``build_generalized``) and the team design
-(``metrics._team_structured``) over the 2*n1 nodes (either layer parity)
-as a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
-cycles, plus, for even k, one perfect matching of pairs no cycle uses.
+One realizer, ``_realize``, turns link counts per (owner, class) into
+both the equilibrium network (``build_generalized``) and the team design
+(``metrics._team_structured``) over the 2*n1 nodes (either layer parity):
+a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
+cycles, plus, for even k, one perfect matching of pairs no cycle uses,
+plus one extra vertical when the counts total n1(k+1) + 1 links.
 The equilibrium network follows a stage-1 split of the link budget
 between the two operators:
 
   stage 1  the cheapest operator-1 level (e11 intra, e12 cross links) whose
-           ``game._level_floor`` is below 1; operator 2 mirrors its intra links;
+           ``game._level_floor`` is below 1; operator 2 mirrors its intra
+           links and buys the floor's argmin x of cross links;
   stage 2  m mirrored cycles: a layer-1 Hamiltonian path by operator 1,
            its mirror image in layer 2 by operator 2, two cross closers;
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
   stage 4  remaining cycles built purely from cross links;
   stage 5  (even k) the matching: the intra budget the cycles could not
            hold as mirrored intra pairs, the rest cross or vertical links;
-  stage 6  operator 1 takes e12 of the cross links, closers first.
+  stage 6  the extra vertical, at the first node without one, when
+           2*e11 + e12 + x = n1(k+1) + 1;
+  stage 7  operator 1 takes e12 of the cross links, closers first.
 
 The cycles come from the Walecki decomposition of K_n1 for odd n1, each
 opened at a closed-form edge, and from the zigzag path decomposition for
@@ -26,8 +30,9 @@ Every constructed network is re-verified (exact edge counts per owner and
 class, least degree k + 1, the tagged cycles are edge-disjoint Hamiltonian
 cycles made of the graph's links, and the whole graph survives any k link
 removals); a construction that fails verification raises instead of
-returning silently.  A stage-1 plan's counts total n1(k+1) links, so with
-least degree k + 1 its network is (k+1)-regular.
+returning silently.  The cycles and the matching hold n1(k+1) links and
+give every node degree k + 1; the extra vertical raises its two ends to
+k + 2 (the parity shape), which leaves the least degree at k + 1.
 
 Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
@@ -78,29 +83,16 @@ class ConstructionError(ValueError):
 class StageOnePlan:
     """Link-budget split decided in stage 1 (layer sizes equal)."""
 
-    n1: int
-    k: int
     e11: int
     e12: int
+    op2_cross: int
     c1_total: Fraction
     c2_total: Fraction
-
-    @property
-    def total_links(self) -> int:
-        return self.n1 * (self.k + 1)
-
-    @property
-    def e1(self) -> int:
-        return self.e11 + self.e12
 
     @property
     def op2_intra(self) -> int:
         """Operator 2 mirrors every operator-1 intra link."""
         return self.e11
-
-    @property
-    def op2_cross(self) -> int:
-        return self.total_links - 2 * self.e11 - self.e12
 
     @property
     def feasible(self) -> bool:
@@ -140,17 +132,16 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     fewer cross links; none gives an infeasible plan.  The floor does not
     rise with e11 or e12, so the scan bisects for the least e11 of the
     first e12 that has one and steps it down for each next e12.  Operator
-    2 mirrors every intra link and closes the (k+1)-regular graph with
-    cross links; if that does not cost the floor, this raises, pointing
-    to exact search only where it reaches (n1 + n2 <= 8).
-    Requires 1 <= k < n1.
+    2 mirrors every intra link and buys the floor's argmin x of cross
+    links; the plan then totals n1(k+1) links, or n1(k+1) + 1 in the
+    parity shape.  Raises if that completion misses the floor, which would
+    report a wrong equilibrium.  Requires 1 <= k < n1.
     """
     if not 1 <= k < n1:
         raise ConstructionError(f"stage 1 requires 1 <= k < n1, got k = {k}, n1 = {n1}")
     L, c1, c2, c12, c21 = _scale(costs)
-    total = n1 * (k + 1)
     top = min(n1 * (n1 - 1) // 2, (L - 1) // c1)  # the most intra links operator 1 affords
-    floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)
+    floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)[0]
     best = None  # the cheapest level so far, as (cost1, floor2, e12, e11)
     a = top + 1  # above top: no e11 fits yet
     for b in range(n1 * n1 + 1):
@@ -166,14 +157,12 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
             level = (cost1, floor(a, b), b, a)
             best = level if best is None else min(best, level)
     if best is None:
-        return StageOnePlan(n1, k, 0, 0, Fraction(0), total * costs.c21)
-    cost1, floor2, e12, e11 = best
-    x = total - 2 * e11 - e12  # operator 2's cross links when it mirrors every intra link
-    if x < max(0, k + 1 - e12) or e11 * c2 + x * c21 != floor2:
-        advice = "solve it with --mode exact" if 2 * n1 <= 8 else "no solver covers that level yet"
-        raise ConstructionError(f"the cheapest level (e11, e12) = ({e11}, {e12}) has no "
-                                f"(k+1)-regular completion at its floor; {advice}")
-    return StageOnePlan(n1, k, e11, e12, Fraction(cost1, L), Fraction(floor2, L))
+        return StageOnePlan(0, 0, n1 * (k + 1), Fraction(0), n1 * (k + 1) * costs.c21)
+    cost1, _, e12, e11 = best
+    floor2, x = _level_floor(n1, n1, k, e11, e12, c2, c21)
+    if e11 * c2 + x * c21 != floor2:
+        raise ConstructionError(f"the mirrored completion of (e11, e12) = ({e11}, {e12}) misses its floor")
+    return StageOnePlan(e11, e12, x, Fraction(cost1, L), Fraction(floor2, L))
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +332,27 @@ def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list
         out.append([a, b, OP2])
 
 
-def _assemble(n1: int, k: int, counts: dict, out, closer_slots, tags) -> LayeredGraph:
-    """The verified graph of a build, operator 1 holding counts[(OP1, CROSS)]
-    of its cross links."""
+def _realize(n1: int, k: int, counts: dict):
+    """(graph, cycle tags): the certified network with ``counts`` links per
+    (owner, class), each layer holding counts[(OP1, INTRA1)] mirrored intra
+    links.
+
+    When the counts total n1(k+1) + 1 links, one vertical at the first
+    node without one adds the last (the parity shape).  Operator 1 takes
+    counts[(OP1, CROSS)] of the cross links, the cycle closers first.
+    """
+    out, closer_slots, tags = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1])
+    if sum(counts.values()) == n1 * (k + 1) + 1:
+        v = min(set(range(n1)) - {a for a, b, _ in out if b == a + n1})
+        out.append([v, v + n1, OP2])
     # Closers first; ``rest`` reads owners lazily, after the closers went to operator 1.
     rest = (i for i, (a, b, owner) in enumerate(out) if a < n1 <= b and owner == OP2)
     for slot in itertools.islice(itertools.chain(closer_slots, rest), counts[OP1, EdgeClass.CROSS]):
         out[slot][2] = OP1
     graph = from_pairs(n1, n1, [(a, b, o) for a, b, o in out])
+    tags = tuple(frozenset(t) for t in tags)
     _verify_built(graph, k, counts, tags)
-    return graph
+    return graph, tags
 
 
 def _verify_built(graph: LayeredGraph, k: int, counts: dict, tags):
@@ -428,22 +428,21 @@ def _arc_floor(n: int, cycle, pairs) -> int:
 def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork:
     """Equilibrium network of a symmetric instance (n1 == n2, k < n1).
 
-    Runs the stage-1 split, then builds the topology: the superposition
-    of floor((k+1)/2) edge-disjoint Hamiltonian cycles (either layer
-    parity), plus one perfect matching when k is even.  Every output
-    realizes exactly the planned per-owner link counts and is certified
+    Runs the stage-1 split, then ``_realize`` builds its counts: the
+    superposition of floor((k+1)/2) edge-disjoint Hamiltonian cycles
+    (either layer parity), plus one perfect matching when k is even, plus
+    the extra vertical of the parity shape.  Every output realizes
+    exactly the planned per-owner link counts and is certified
     k-resistant before being returned; a null network is returned when
-    stage 1 is infeasible, and stage 1 raises when its level has no
-    (k+1)-regular completion.
+    stage 1 is infeasible.
     """
     if n1 != n2:
         raise ConstructionError("generalized builder needs equal layer sizes")
     plan = stage1_allocate(n1, k, costs)
     if not plan.feasible:
         return BuiltNetwork(new_graph(n1, n1), plan, ())
-    out, closer_slots, tags = _build_cycle_superposition(n1, k, plan.e11)
-    graph = _assemble(n1, k, plan.counts, out, closer_slots, tags)
-    return BuiltNetwork(graph, plan, tuple(frozenset(t) for t in tags))
+    graph, tags = _realize(n1, k, plan.counts)
+    return BuiltNetwork(graph, plan, tags)
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile):

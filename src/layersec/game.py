@@ -43,7 +43,7 @@ where an intra link covers 2 and at most C(n2, 2) fit, so operator 2 pays
 at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b,
 d2 - n2(n2-1), 0) <= x <= n1*n2 - b.  The exact search skips a level
 whose bound reaches 1; the structured route's stage 1 takes the cheapest
-level whose bound is below 1.
+level whose bound is below 1, and operator 2 the bound's argmin x.
 """
 
 from __future__ import annotations
@@ -296,11 +296,12 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _level_floor(n1: int, n2: int, k: int, a: int, b: int, c2, c21):
-    """The level bound of the module docstring: operator 2's least cost to
-    complete a intra and b cross links of operator 1; None if no x fits."""
+    """(cost, x): the level bound of the module docstring, operator 2's
+    least cost to complete a intra and b cross links of operator 1, and the
+    fewest cross links x at that cost; (None, None) if no x fits."""
     d2 = n2 * (k + 1) - b
     lo = max(n1 * (k + 1) - 2 * a - b, k + 1 - b, d2 - n2 * (n2 - 1), 0)
-    return _count_floor(lo, n1 * n2 - b, c21, [(d2, c2)])[0]
+    return _count_floor(lo, n1 * n2 - b, c21, [(d2, c2)])
 
 
 def _count_floor(lo: int, hi: int, cx: int, shorts: list):
@@ -579,7 +580,7 @@ def solve_spe_exact(
     for cost1, (b, a), *_ in levels:
         if found_cost is not None and cost1 > found_cost:
             break
-        floor2 = _level_floor(n1, n2, k, a, b, c2, c21)
+        floor2 = _level_floor(n1, n2, k, a, b, c2, c21)[0]
         if floor2 is None or floor2 >= L:
             continue
         for intra_sel in itertools.combinations(uni.intra1_bits, a):

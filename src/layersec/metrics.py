@@ -6,9 +6,9 @@ cross link to whichever side builds it more cheaply.  One rule prices it,
 the capped joint floor ``game._joint_cost_floor``: it is the null test,
 ``cost_bounds``' lower bound and the large-instance design.  Small
 instances (n1 + n2 <= 7) take exact search.  A larger symmetric one
-takes the floor's argmin of x cross links, built by the one equilibrium
-builder (``construction._build_cycle_superposition``) and certified by
-its cycle and arc lemmas with no flow; it costs the floor, so it is exact.
+takes the floor's argmin of x cross links, built by the one realizer of
+both networks (``construction._realize``) and certified by its cycle and
+arc lemmas with no flow; it costs the floor, so it is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import OP1, OP2, _assemble, _build_cycle_superposition, stage1_allocate, structured_solve
+from .construction import OP1, OP2, _realize, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -95,24 +95,18 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
 
 
 def _team_structured(n1, n2, k, costs):
-    """(graph, cost) of a design at the capped joint floor, built by the
-    equilibrium builder from the floor's argmin of x cross links.
+    """(graph, cost) of a design at the capped joint floor, realized by
+    ``construction._realize`` from the floor's argmin of x cross links.
 
-    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links.  When
-    n(k+1) - x is odd (x = k + 1 with n and k even) the build has x - 1
-    cross links, so one vertical at a node without one adds the last.
-    The cheaper cross builder owns every cross link.
+    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links, so the
+    counts total n(k+1) + 1 links when n(k+1) - x is odd (x = k + 1 with
+    n and k even): the parity shape, with its extra vertical.  The
+    cheaper cross builder owns every cross link.
     """
     if n1 != n2 or not 1 <= k < n1:
         raise MetricsError("structured benchmark needs n1 == n2 and 1 <= k < n1")
-    n = n1
-    cost, x = _joint_cost_floor(n, n, k, costs)
-    e11 = (n * (k + 1) - x + 1) // 2
-    out, closer_slots, tags = _build_cycle_superposition(n, k, e11)
-    if (n * (k + 1) - x) % 2:
-        verticals = {a for a, b, _ in out if b == a + n}
-        v = min(set(range(n)) - verticals)
-        out.append([v, v + n, OP2])
+    cost, x = _joint_cost_floor(n1, n1, k, costs)
+    e11 = (n1 * (k + 1) - x + 1) // 2
     op1_cross = x if costs.c12 <= costs.c21 else 0
     counts = {
         (OP1, EdgeClass.INTRA1): e11,
@@ -120,7 +114,7 @@ def _team_structured(n1, n2, k, costs):
         (OP2, EdgeClass.INTRA2): e11,
         (OP2, EdgeClass.CROSS): x - op1_cross,
     }
-    return _assemble(n, k, counts, out, closer_slots, tags), cost
+    return _realize(n1, k, counts)[0], cost
 
 
 def team_optimal(
@@ -235,22 +229,22 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
     """Equilibrium link counts and utilities across attack budgets.
 
     Symmetric instances only; ``costs.ca`` is ignored (each entry fixes k
-    directly).  k = 0 falls outside the (k+1)-regular family: there the
-    cheapest design is operator 2's spanning tree (n1 cross links plus
-    n1 - 1 intra links), recorded when it costs less than 1.  A k >= n1
-    that no null condition settles falls outside the builder's domain and
-    gives a null entry with reason "k >= n1".  A k whose cheapest stage-1
-    level has no (k+1)-regular completion raises stage 1's error.
+    directly).  k = 0 falls outside the stage-1 family: there the
+    cheapest design is operator 2's spanning tree, x cross links plus
+    2*n1 - 1 - x intra links for x = n1 or the all-cross x = 2*n1 - 1,
+    ties to x = n1, recorded when it costs less than 1.  A k >= n1 that
+    no null condition settles falls outside the builder's domain and
+    gives a null entry with reason "k >= n1".
     """
     entries = []
     for k in ks:
         if k < 0:
             raise MetricsError("attack budget must be non-negative")
         if k == 0:
-            tree_cost = n1 * costs.c21 + (n1 - 1) * costs.c2
+            tree_cost, x = min((x * costs.c21 + (2 * n1 - 1 - x) * costs.c2, x) for x in (n1, 2 * n1 - 1))
             if tree_cost < 1:
                 entries.append(
-                    SweepEntry(0, False, "spanning-tree", 0, 0, n1 - 1, n1, Fraction(1), 1 - tree_cost)
+                    SweepEntry(0, False, "spanning-tree", 0, 0, 2 * n1 - 1 - x, x, Fraction(1), 1 - tree_cost)
                 )
             else:
                 entries.append(

