@@ -44,6 +44,16 @@ at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b,
 d2 - n2(n2-1), 0) <= x <= n1*n2 - b.  The exact search skips a level
 whose bound reaches 1; the structured route's stage 1 takes the cheapest
 level whose bound is below 1, and operator 2 the bound's argmin x.
+
+Operator 1's scan completes few strategies per orbit of S_n1 x S_n2, the
+relabellings of nodes within a layer.  They change no price and no
+payoff, so securability and operator 2's completion cost are constant on
+an orbit and each operator-2 cost class is a union of orbits.  The scan
+skips a strategy that swapping two adjacent nodes of one layer
+(``_layer_swaps``) maps to an earlier one of its level (``_maps_earlier``).
+The least member of an orbit passes every swap, and the first securable
+strategy of a class, the one reported, is the least of its orbit; so u1,
+the cost classes and their profiles are those of the unfiltered scan.
 """
 
 from __future__ import annotations
@@ -552,6 +562,33 @@ def _profile_from_masks(uni: EdgeUniverse, mask1: int, mask2: int) -> StrategyPr
     return StrategyProfile(e1i, e1c, e2i, e2c, frozenset())
 
 
+def _layer_swaps(uni: EdgeUniverse) -> list:
+    """Each swap of two adjacent nodes of one layer, as it moves operator
+    1's candidate links: a list of (shift, lows), where each bit of
+    ``lows`` trades places with the bit ``shift`` above it."""
+    swaps = []
+    for p in [*range(uni.n1 - 1), *range(uni.n1, uni.n - 1)]:
+        swap = {p: p + 1, p + 1: p}
+        lows = {}
+        for bit in uni.intra1_bits + uni.cross_bits:
+            u, v = uni.pairs[bit]
+            image = uni.bit_of[_norm_pair((swap.get(u, u), swap.get(v, v)))]
+            if image > bit:
+                lows[image - bit] = lows.get(image - bit, 0) | 1 << bit
+        swaps.append(list(lows.items()))
+    return swaps
+
+
+def _maps_earlier(mask: int, swap: list) -> bool:
+    """Whether ``swap`` maps ``mask`` to an earlier set: of two sets of
+    one size, the one holding the lowest bit of their difference comes
+    first in lexicographic order."""
+    moved = 0
+    for shift, lows in swap:
+        moved |= (mask ^ mask >> shift) & lows
+    return bool(moved & -moved & ~mask)
+
+
 def solve_spe_exact(
     n1: int, n2: int, costs: CostProfile, cap: int = DEFAULT_SEARCH_CAP
 ) -> SpeSolution:
@@ -559,11 +596,17 @@ def solve_spe_exact(
 
     Operator 1's count levels (b cross, a intra links) are scanned in
     nondecreasing cost order, ties by b, then a; within a level, its
-    strategies go in lexicographic edge order.  A level is skipped when
-    its level bound (module docstring) shows that operator 2 cannot
-    complete it below 1.  The first cost admitting a securable completion
-    is the equilibrium level, and every securable strategy at that cost is
-    collected.  Intended for n1 + n2 <= 7.
+    strategies go in lexicographic order of the intra links, then of the
+    cross links.  A level is skipped when its level bound shows that
+    operator 2 cannot complete it below 1, and a strategy, or an intra
+    set with all its cross sets, when swapping two adjacent nodes of one
+    layer maps it earlier; the first securable strategy of an operator-2
+    cost class is the least of its orbit, so it is kept (module docstring).
+    The first cost admitting a securable completion is the equilibrium
+    level, and every kept securable strategy at that cost is collected.
+    The cap counts a tick per operator-1 strategy enumerated, kept or
+    skipped, per skipped intra set and per node of operator 2's placement
+    search.  Intended for n1 + n2 <= 7.
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs)[0]:
@@ -574,6 +617,7 @@ def solve_spe_exact(
     op2_pools = [uni.cross_bits, uni.intra2_bits]
     op2_lattice = _lattice(uni, op2_pools, [c21, c2], L)
     levels = _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L)
+    swaps = _layer_swaps(uni)
 
     found_cost = None
     found = []  # (mask1, cost2, mask2) in enumeration order
@@ -584,9 +628,16 @@ def solve_spe_exact(
         if floor2 is None or floor2 >= L:
             continue
         for intra_sel in itertools.combinations(uni.intra1_bits, a):
+            intra = sum(1 << i for i in intra_sel)
+            if any(_maps_earlier(intra, swap) for swap in swaps):
+                budget.tick()
+                continue
             for cross_sel in itertools.combinations(uni.cross_bits, b):
                 budget.tick()
-                mask1 = sum(1 << i for i in intra_sel) + sum(1 << i for i in cross_sel)
+                # Intra bits lie below cross bits: the intra set decides first.
+                mask1 = intra | sum(1 << i for i in cross_sel)
+                if any(_maps_earlier(mask1, swap) for swap in swaps):
+                    continue
                 cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
                 if cost2 is None:
                     continue

@@ -8,7 +8,21 @@ from fractions import Fraction
 import layersec
 from layersec.connectivity import connected_pairs
 from layersec.construction import structured_solve
-from layersec.game import CostProfile, solve_spe_exact
+from layersec.game import (
+    DEFAULT_SEARCH_CAP,
+    CostProfile,
+    EdgeUniverse,
+    SpeSolution,
+    _Budget,
+    _completion,
+    _lattice,
+    _level_floor,
+    _profile_from_masks,
+    _scale,
+    attack_budget,
+    null_spe_check,
+    solve_spe_exact,
+)
 from layersec.graph import Owner, from_pairs
 
 
@@ -152,6 +166,45 @@ def count_flows(monkeypatch):
     for module in (layersec.connectivity, layersec.game):
         monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
     return calls
+
+
+def spe_by_unfiltered_scan(n1, n2, costs):
+    """``solve_spe_exact`` without its layer-swap filter: every operator-1
+    strategy of every level in the same scan order is completed, and each
+    operator-2 cost class keeps its first securable strategy."""
+    k = attack_budget(costs.ca)
+    if null_spe_check(n1, n2, k, costs)[0]:
+        return SpeSolution.null(k)
+    uni = EdgeUniverse(n1, n2)
+    L, c1, c2, c12, c21 = _scale(costs)
+    op2_pools = [uni.cross_bits, uni.intra2_bits]
+    op2_lattice = _lattice(uni, op2_pools, [c21, c2], L)
+    found_cost, by_class = None, {}
+    for cost1, (b, a), *_ in _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L):
+        if found_cost is not None and cost1 > found_cost:
+            break
+        floor2 = _level_floor(n1, n2, k, a, b, c2, c21)[0]
+        if floor2 is None or floor2 >= L:
+            continue
+        for intra_sel in itertools.combinations(uni.intra1_bits, a):
+            for cross_sel in itertools.combinations(uni.cross_bits, b):
+                mask1 = sum(1 << i for i in intra_sel + cross_sel)
+                budget = _Budget(DEFAULT_SEARCH_CAP)
+                cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
+                if cost2 is not None:
+                    found_cost = cost1
+                    by_class.setdefault(cost2, (mask1, mask2))
+    if found_cost is None:
+        return SpeSolution.null(k)
+    classes = sorted(by_class)
+    return SpeSolution(
+        k=k,
+        is_null=False,
+        u1=Fraction(L - found_cost, L),
+        uA=Fraction(0),
+        profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
+        u2_values=tuple(Fraction(L - c, L) for c in classes),
+    )
 
 
 def structured_matches_exact(n, costs):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from helpers import (
     lambda_by_bipartition,
     random_costs,
     random_pairs,
+    spe_by_unfiltered_scan,
     structured_matches_exact,
 )
 from layersec.connectivity import edge_connectivity_pairs, is_connected, link_connectivity
@@ -23,6 +25,8 @@ from layersec.game import (
     StrategyProfile,
     _count_floor,
     _joint_cost_floor,
+    _layer_swaps,
+    _maps_earlier,
     adversary_best_response,
     attack_budget,
     bruteforce_spe_oracle,
@@ -219,12 +223,67 @@ def test_solve_spe_exact_prop4_symmetric():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         solve_spe_exact(4, 3, PROP3_COSTS, cap=50)
-    # The search spends exactly 276 ticks here: pins the operator-1 level
-    # bound and the operator-2 placement search's pruning, which must not
-    # change the work done.
+    # The search spends exactly 57 ticks here: pins the operator-1 level
+    # bound, the layer-swap filter on operator 1's strategies and the
+    # operator-2 placement search's pruning, which must not change the
+    # work done.
     with pytest.raises(SearchCapExceeded):
-        solve_spe_exact(4, 3, PROP3_COSTS, cap=275)
-    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=276).u1 == F(91, 100)
+        solve_spe_exact(4, 3, PROP3_COSTS, cap=56)
+    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=57).u1 == F(91, 100)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2), (3, 3), (4, 1), (1, 4)])
+def test_the_least_strategy_of_every_orbit_passes_the_layer_swap_filter(n1, n2):
+    # Every operator-1 strategy, grouped into orbits under all n1! * n2!
+    # relabellings within layers.  Within a level the scan order is the
+    # intra links, then the cross links, each in lexicographic order.
+    uni = EdgeUniverse(n1, n2)
+    op1_bits = uni.intra1_bits + uni.cross_bits
+    key = lambda mask: tuple(tuple(b for b in bits if mask >> b & 1) for bits in (uni.intra1_bits, uni.cross_bits))
+
+    def image(perm, mask):
+        pairs = [(perm[u], perm[v]) for u, v in uni.pairs_of(mask)]
+        return uni.mask_of(pairs)
+
+    perms = [
+        (*p1, *(n1 + w for w in p2))
+        for p1 in itertools.permutations(range(n1))
+        for p2 in itertools.permutations(range(n2))
+    ]
+    adjacent = []
+    for p in [*range(n1 - 1), *range(n1, n1 + n2 - 1)]:
+        perm = list(range(n1 + n2))
+        perm[p], perm[p + 1] = p + 1, p
+        adjacent.append(perm)
+    swaps = _layer_swaps(uni)
+    assert len(swaps) == len(adjacent)
+    least = set()
+    for m in range(1 << len(op1_bits)):
+        mask = sum(1 << b for j, b in enumerate(op1_bits) if m >> j & 1)
+        # The predicate is exactly "the swapped strategy comes first".
+        for perm, swap in zip(adjacent, swaps):
+            assert _maps_earlier(mask, swap) == (key(image(perm, mask)) < key(mask)), (mask, perm)
+        least.add(min((image(perm, mask) for perm in perms), key=key))
+    for mask in least:
+        assert not any(_maps_earlier(mask, swap) for swap in swaps), uni.pairs_of(mask)
+
+
+def test_exact_search_matches_the_unfiltered_scan():
+    # Seeded draws on every shape of 5 to 7 nodes and on the 8-node shapes
+    # nearest symmetry (7+1 takes seconds unfiltered): the layer-swap
+    # filter keeps u1, the operator-2 cost classes and each class's profile.
+    rng = random.Random(18)
+    shapes = [(n1, n - n1) for n in range(5, 8) for n1 in range(1, n)] + [(4, 4), (5, 3), (3, 5)]
+    non_null = 0
+    for _ in range(60):
+        n1, n2 = rng.choice(shapes)
+        k = rng.randint(1, 3)
+        link = [F(rng.randint(1, 59), 60) * F(rng.randint(1, 10), 30) for _ in range(4)]
+        costs = CostProfile(*link, ca=F(2, 2 * k + 1))
+        exact = solve_spe_exact(n1, n2, costs)
+        assert exact == spe_by_unfiltered_scan(n1, n2, costs), (n1, n2, costs)
+        non_null += not exact.is_null
+    assert non_null >= 50
 
 
 def test_search_cap_pins_the_team_and_operator2_searches():
@@ -339,12 +398,12 @@ def test_integer_costs_keep_the_strict_boundaries():
         assert team.null or isinstance(team.cost, F)
 
     # Skipping the level bounded at exactly 1 is what keeps the search at
-    # 20 ticks; with the bound's floor in place of its ceiling, or a strict
+    # 8 ticks; with the bound's floor in place of its ceiling, or a strict
     # comparison against 1, it would take more.
     level_at_one = costs_of("1/10", "2/5", "1/5", "3/10", "2/3")
     with pytest.raises(SearchCapExceeded):
-        solve_spe_exact(2, 2, level_at_one, cap=19)
-    assert solve_spe_exact(2, 2, level_at_one, cap=20).u1 == F(4, 5)
+        solve_spe_exact(2, 2, level_at_one, cap=7)
+    assert solve_spe_exact(2, 2, level_at_one, cap=8).u1 == F(4, 5)
 
     # Operator 2 alone: four cross links at exactly 1 are not bought.
     empty = new_graph(2, 2)
