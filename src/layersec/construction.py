@@ -24,9 +24,9 @@ between the two operators:
            2*e11 + e12 + x = n1(k+1) + 1;
   stage 7  operator 1 takes e12 of the cross links, closers first.
 
-The cycles come from the Walecki decomposition of K_n1 for odd n1, each
-opened at a closed-form edge, and from the zigzag path decomposition for
-even n1.
+Every layer size takes the same layout: cycle r runs along zigzag path r
+of K_n1 (``_zigzag``), and the even-k matching pairs consecutive nodes of
+zigzag path (k+1)//2.
 
 Every constructed network is re-verified (exact edge counts per owner and
 class, least degree k + 1, the tagged cycles are edge-disjoint Hamiltonian
@@ -173,32 +173,18 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan | None:
 
 
 def _zigzag(length: int, r: int) -> list:
-    """Zigzag sequence r, r+1, r-1, r+2, ... covering Z_length."""
+    """Zigzag sequence r, r+1, r-1, r+2, ... covering Z_length.
+
+    Its steps alternate between the layer-1 pairs of sum 2r + 1 and of
+    sum 2r (mod length), and it holds every such pair, so zigzag paths r
+    and r' share no link when 2r, 2r + 1, 2r', 2r' + 1 are distinct mod
+    length.  It ends at r and at r + ceil(length/2).
+    """
     seq = [r]
     for i in range(1, length):
         off = (i + 1) // 2
         seq.append((r + off) % length if i % 2 == 1 else (r - off) % length)
     return seq
-
-
-def _walecki_cycle(n: int, r: int) -> list:
-    """r-th Hamiltonian cycle of the classical decomposition of K_n (n odd)."""
-    hub = n - 1
-    return [hub] + _zigzag(n - 1, r)
-
-
-def _ham_sequence(n: int, r: int) -> list:
-    """r-th sequence of ``ham_path_decomposition(n)``, built on its own."""
-    return _zigzag(n, r) if n % 2 == 0 else _walecki_cycle(n, r)
-
-
-def ham_path_decomposition(n: int) -> list:
-    """Edge-disjoint Hamiltonian path/cycle sequences covering K_n.
-
-    For even n: n/2 Hamiltonian paths (as node sequences).  For odd n:
-    (n-1)/2 Hamiltonian cycles (sequences whose closing edge is implied).
-    """
-    return [_ham_sequence(n, r) for r in range(n // 2)]
 
 
 def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
@@ -231,30 +217,6 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
     return tag
 
 
-def _opening_edge(n: int, r: int) -> frozenset:
-    """Edge at which Walecki cycle r of K_n (n odd) is opened.
-
-    With c = (n-1)/2 and hub n-1 = 2c, cycle r holds every pair of
-    0..2c-1 whose sum is 2r+1 mod 2c, so {r, r+1} (r even) and
-    {c+r, c+r+1} (r odd, c+r+1 < 2c) lie on it.  For r = c-1 with c even
-    the second is {2c-1, 2c}, the cycle's link to the hub.  The c edges
-    so chosen share no endpoint, so no node ends two opened paths.
-    """
-    a = r if r % 2 == 0 else (n - 1) // 2 + r
-    return frozenset((a, a + 1))
-
-
-def _open_at(seq: list, edge: frozenset) -> list:
-    """Hamiltonian path left by removing ``edge`` from the closed ``seq``."""
-    n = len(seq)
-    return _rotate_open(seq, next(p for p in range(n) if {seq[p], seq[(p + 1) % n]} == edge))
-
-
-def _rotate_open(seq: list, p: int) -> list:
-    """Open a cyclic sequence by removing the edge after position p."""
-    return seq[p + 1 :] + seq[: p + 1]
-
-
 # ---------------------------------------------------------------------------
 # Builders.
 # ---------------------------------------------------------------------------
@@ -265,7 +227,11 @@ def _build_cycle_superposition(n1: int, k: int, e11: int):
     with e11 mirrored intra links per layer and the rest cross links.
 
     (k+1)//2 Hamiltonian cycles take the intra budget first; for even k a
-    perfect matching of pairs no cycle uses adds the last degree.
+    perfect matching of pairs no cycle uses adds the last degree.  Cycle
+    r is laid on zigzag path r of layer 1.  Since k < n1, C = (k+1)//2 is
+    at most n1//2, so the sum classes 0..2C-1 of the C paths are distinct
+    mod n1: the paths are edge-disjoint, and their 2C ends r and
+    r + ceil(n1/2) are distinct, so are the verticals closing them.
     """
     N = n1
     C = (k + 1) // 2
@@ -273,54 +239,37 @@ def _build_cycle_superposition(n1: int, k: int, e11: int):
     m, z = divmod(held, N - 1)
     out: list = []
     closer_slots: list = []
-
-    # One Hamiltonian path of the complete-graph decomposition per cycle:
-    # a Walecki cycle opened at its closed-form edge for odd N, a zigzag
-    # path for even N.  The first m are mirrored, the next one carries
-    # the z leftover intra steps, the rest are all-cross.
-    paths = [_ham_sequence(N, r) for r in range(C)]
-    openings = []
-    if N % 2 == 1:
-        openings = [_opening_edge(N, r) for r in range(C)]
-        paths = [_open_at(seq, e) for seq, e in zip(paths, openings)]
+    # The first m paths are mirrored, the next one carries the z leftover
+    # intra steps, the rest are all-cross.
     steps = [N - 1] * m + [z] + [0] * C
-    tags = [_mixed_cycle(N, path, steps[i], out, closer_slots) for i, path in enumerate(paths)]
+    tags = [_mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots) for r in range(C)]
     if k % 2 == 0:
-        _add_matching(N, e11 - held, paths, openings, out, closer_slots)
+        _add_matching(N, C, e11 - held, out, closer_slots)
     return out, closer_slots, tags
 
 
-def _add_matching(N: int, q: int, paths: list, openings: list, out: list, closer_slots: list):
+def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
     """Even-k unit: a perfect matching of the 2*N nodes on pairs no cycle uses.
 
-    The layer-1 pairs are consecutive nodes of one sequence: zigzag path C
-    for even N; for odd N and C < (N-1)/2 the last Walecki cycle, which no
-    cycle took, rotated to end at the last node that ends no opened path;
-    for odd N and C = (N-1)/2 the opening edges.  The first q pairs carry
-    the leftover intra budget as mirrored intra links; the others become
-    the two cross links (a, b+N) and (b, a+N).  For odd N the node no pair
-    covers takes a vertical; it ends no opened path, so no cycle holds
-    that vertical.
+    The layer-1 pairs are consecutive nodes of zigzag path C: positions
+    (0, 1), (2, 3), ... for even N, all of sum 2C + 1; positions (1, 2),
+    (3, 4), ... for odd N, all of sum 2C (mod N).  As k = 2C < N (so
+    2C + 1 < N for even N), no cycle's path, of sum 0..2C-1, uses that
+    class.  The first q pairs carry the leftover intra budget as mirrored
+    intra links; the others become the two cross links (a, b+N) and
+    (b, a+N).  For odd N the leftover node C takes a vertical; C <
+    ceil(N/2), so it ends no path and no cycle holds that vertical.
     """
-    C = len(paths)
-    if N % 2 == 0:
-        seq = _zigzag(N, C)
-    elif C < (N - 1) // 2:
-        ends = {v for path in paths for v in (path[0], path[-1])}
-        cycle = _walecki_cycle(N, (N - 1) // 2 - 1)
-        seq = _rotate_open(cycle, cycle.index([v for v in cycle if v not in ends][-1]))
-    else:
-        seq = [v for e in openings for v in sorted(e)]
-        seq += sorted(set(range(N)) - set(seq))
+    seq = _zigzag(N, C)
     links = []
-    for i, (a, b) in enumerate(zip(seq[0::2], seq[1::2])):
+    for i, (a, b) in enumerate(zip(seq[N % 2 :: 2], seq[N % 2 + 1 :: 2])):
         if i < q:
             out.append([a, b, OP1])
             out.append([a + N, b + N, OP2])
         else:
             links += [(a, b + N), (b, a + N)]
-    if N % 2 == 1:
-        links.append((seq[-1], seq[-1] + N))
+    if N % 2:
+        links.append((C, C + N))
     for a, b in links:
         closer_slots.append(len(out))
         out.append([a, b, OP2])

@@ -204,8 +204,8 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
     cheapest design is operator 2's spanning tree, x cross links plus
     2*n1 - 1 - x intra links for x = n1 or the all-cross x = 2*n1 - 1,
     ties to x = n1, recorded when it costs less than 1.  A k >= n1 that
-    no null condition settles falls outside the builder's domain and
-    gives a null entry with reason "k >= n1".
+    no null condition settles lies outside the structured domain, and
+    ``stage1_allocate`` raises its ``ConstructionError``.
     """
     entries = []
     for k in ks:
@@ -223,8 +223,6 @@ def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
                 )
             continue
         is_null, reason = null_spe_check(n1, n1, k, costs)
-        if not is_null and k >= n1:
-            is_null, reason = True, "k >= n1"
         plan = None if is_null else stage1_allocate(n1, k, costs)
         if plan is None:
             entries.append(SweepEntry(k, True, reason or "stage1-infeasible", 0, 0, 0, 0, Fraction(0), Fraction(0)))

@@ -11,12 +11,12 @@ from layersec.construction import (
     ConstructionError,
     StageOnePlan,
     _arc_floor,
+    _add_matching,
     _build_cycle_superposition,
-    _opening_edge,
     _realize,
     _verify_built,
+    _zigzag,
     build_generalized,
-    ham_path_decomposition,
     stage1_allocate,
     structured_solve,
 )
@@ -130,22 +130,6 @@ def test_built_profiles_price_out_through_the_payoff_function():
         assert out.connected_after_attack
         assert (out.u1, out.u2) == want
         assert out.uA == 0
-
-
-def test_ham_path_decomposition_covers_complete_graph():
-    for n in range(3, 13):
-        seqs = ham_path_decomposition(n)
-        closed = n % 2 == 1
-        seen = set()
-        for seq in seqs:
-            assert sorted(seq) == list(range(n))
-            edges = [(min(a, b), max(a, b)) for a, b in zip(seq, seq[1:])]
-            if closed:
-                edges.append((min(seq[0], seq[-1]), max(seq[0], seq[-1])))
-            assert len(set(edges)) == len(edges)
-            assert not (seen & set(edges))
-            seen |= set(edges)
-        assert len(seen) == n * (n - 1) // 2
 
 
 BUILD_CASES = [
@@ -424,19 +408,33 @@ def test_structured_solve_at_two_thousand_nodes_per_layer_is_fast():
     assert link_connectivity(built.graph).p == 3
 
 
-def test_opening_edges_lie_on_their_cycles_and_share_no_endpoint():
-    for n in range(3, 202, 2):
-        ends = set()
-        for r, seq in enumerate(ham_path_decomposition(n)):
-            edge = _opening_edge(n, r)
-            assert edge in {frozenset(p) for p in zip(seq, seq[1:] + seq[:1])}
-            assert not (ends & edge)
-            ends |= edge
+def test_zigzag_paths_are_disjoint_and_the_matching_misses_them():
+    for n in range(2, 202):
+        used, ends = set(), set()  # links and ends of zigzag paths 0..c-1
+        for c in range(n // 2 + 1):
+            if 2 * c < n:  # even k = 2c: the matching of pairs beside c paths
+                out = []
+                _add_matching(n, c, n, out, [])  # every pair as intra links
+                pairs = {frozenset(e[:2]) for e in out if e[2] == Owner.OPERATOR1}
+                left = set(range(n)) - {v for p in pairs for v in p}
+                verticals = [e[0] for e in out if e[1] == e[0] + n]
+                assert len(pairs) == n // 2 and not (used & pairs)
+                assert left == set(verticals) == ({c} if n % 2 else set())
+                assert not (left & ends)
+            if c < n // 2:
+                path = _zigzag(n, c)
+                links = {frozenset(p) for p in zip(path, path[1:])}
+                assert sorted(path) == list(range(n)) and len(links) == n - 1
+                assert not (used & links)
+                assert (path[0], path[-1]) == (c, c + (n + 1) // 2)
+                assert not (ends & {path[0], path[-1]})
+                used |= links
+                ends |= {path[0], path[-1]}
 
 
 def test_large_k_all_cross_build_is_fast():
-    # k = n1 - 2 with every cycle all-cross: a search for disjoint cycle
-    # openings would backtrack for about a minute here.
+    # k = n1 - 2 with every cycle all-cross: 21 zigzag paths of K_43, laid
+    # out in closed form with no search.
     costs = costs_of("1/2000", "1/2000", "1/2000", "1/2000")
     start = time.perf_counter()
     built = build_generalized(43, 43, 41, costs)

@@ -356,14 +356,19 @@ def test_threat_sweep_k0_tree_takes_the_cheaper_cross_count():
     assert (tie.op2_intra, tie.op2_cross, tie.u2) == (2, 3, F(1, 2))
 
 
-def test_threat_sweep_is_null_for_k_at_least_n1():
-    # A 3+3 network has 9 cross pairs; k = 3, 4 would plan 12 and 15
-    # operator-2 cross links, and no null condition catches them.
+def test_threat_sweep_raises_the_domain_error_for_k_at_least_n1():
+    # Exact search solves 3+3 non-null at k = 3 and k = 4, so a null entry
+    # would be wrong: the structured route's one domain error names them.
+    # k = 5 is settled by the null test first.
     costs = costs_of("1/100", "1/100", "1/50", "1/50", "1/3")
-    entries = threat_sweep(3, costs, [2, 3, 4, 5])
+    entries = threat_sweep(3, costs, [2, 5])
     assert not entries[0].null
-    assert [(e.null, e.reason, e.op2_cross) for e in entries[1:3]] == [(True, "k >= n1", 0)] * 2
-    assert (entries[3].null, entries[3].reason) == (True, "degree-bound")
+    assert (entries[1].null, entries[1].reason) == (True, "degree-bound")
+    for k, u1 in ((3, F(49, 50)), (4, F(97, 100))):
+        exact = solve_spe_exact(3, 3, costs_of("1/100", "1/100", "1/50", "1/50", f"1/{k}"))
+        assert (exact.is_null, exact.u1) == (False, u1)
+        with pytest.raises(ConstructionError, match="1 <= k < n1"):
+            threat_sweep(3, costs, [k])
 
 
 def test_threat_sweep_null_entries_outside_stage_1():
