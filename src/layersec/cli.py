@@ -26,7 +26,7 @@ from .game import (
     bruteforce_spe_oracle,
     solve_spe_exact,
 )
-from .graph import EdgeClass, GraphError, LayeredGraph, Owner, degrees, remove_edges
+from .graph import ADMISSIBLE, GraphError, LayeredGraph, degrees, remove_edges
 from .metrics import (
     MetricsError,
     cost_bounds,
@@ -54,17 +54,9 @@ _ERRORS = (
 
 
 def _counts(g: LayeredGraph) -> dict:
+    """Links per operator and per class that operator may build, as the JSON reports them."""
     tally = g.tally()
-    return {
-        "operator1": {
-            "intra1": tally[(Owner.OPERATOR1, EdgeClass.INTRA1)],
-            "cross": tally[(Owner.OPERATOR1, EdgeClass.CROSS)],
-        },
-        "operator2": {
-            "intra2": tally[(Owner.OPERATOR2, EdgeClass.INTRA2)],
-            "cross": tally[(Owner.OPERATOR2, EdgeClass.CROSS)],
-        },
-    }
+    return {f"operator{o.value}": {c.value: tally[o, c] for c in classes} for o, classes in ADMISSIBLE.items()}
 
 
 def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> LayeredGraph:
@@ -211,12 +203,8 @@ def cmd_oracle(args) -> int:
 def cmd_metrics(args) -> int:
     scn = io.load_scenario(args.scenario)
     solution, _ = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
-    eff = price_of_anarchy(
-        scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution
-    )
-    sen = price_of_seniority(
-        scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution
-    )
+    eff = price_of_anarchy(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
+    sen = price_of_seniority(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
     print(
         json.dumps(
             {

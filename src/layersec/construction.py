@@ -30,11 +30,12 @@ zigzag path (k+1)//2.
 
 Every constructed network is re-verified (exact edge counts per owner and
 class, least degree k + 1, the tagged cycles are edge-disjoint Hamiltonian
-cycles made of the graph's links, and the whole graph survives any k link
-removals); a construction that fails verification raises instead of
-returning silently.  The cycles and the matching hold n1(k+1) links and
-give every node degree k + 1; the extra vertical raises its two ends to
-k + 2 (the parity shape), which leaves the least degree at k + 1.
+cycles made of the graph's links, each checked by one walk, ``_walk``, that
+numbers its nodes, and the whole graph survives any k link removals); a
+construction that fails verification raises instead of returning silently.
+The cycles and the matching hold n1(k+1) links and give every node degree
+k + 1; the extra vertical raises its two ends to k + 2 (the parity shape),
+which leaves the least degree at k + 1.
 
 Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
@@ -47,8 +48,8 @@ and least degree k + 1 gives lambda <= k + 1; no regularity is needed.
 A cut of size k then crosses each cycle exactly twice, the first one
 included, so its side is a contiguous arc of the first cycle.  Hence
 lambda = k + 1 exactly when every arc S of that cycle (1 <= |S| < n) has
-more than k links leaving it, which one sweep over the arcs
-(``_arc_floor``) decides with no flow.
+more than k links leaving it, which one sweep over the arcs as the first
+cycle's walk numbers them (``_arc_floor``) decides with no flow.
 
 Either way the build records lambda = k + 1 on the returned graph, so
 later lambda queries on it run no flow.
@@ -61,7 +62,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import connected_pairs, keep_lambda
+from .connectivity import keep_lambda
 from .game import (
     CostProfile,
     SpeSolution,
@@ -277,22 +278,25 @@ def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
 
 def _realize(n1: int, k: int, counts: dict):
     """(graph, cycle tags): the certified network with ``counts`` links per
-    (owner, class), each layer holding counts[(OP1, INTRA1)] mirrored intra
-    links.
+    (owner, class), counts[(OP1, INTRA1)] mirrored intra links per layer.
 
     When the counts total n1(k+1) + 1 links, one vertical at the first
-    node without one adds the last (the parity shape).  Operator 1 takes
-    counts[(OP1, CROSS)] of the cross links, the cycle closers first.
+    node without one adds the last (the parity shape), or it raises if no
+    node is left.  Operator 1 takes counts[(OP1, CROSS)] of the cross
+    links, the cycle closers first.
     """
     out, closer_slots, tags = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1])
     if sum(counts.values()) == n1 * (k + 1) + 1:
-        v = min(set(range(n1)) - {a for a, b, _ in out if b == a + n1})
+        free = set(range(n1)) - {a for a, b, _ in out if b == a + n1}
+        if not free:
+            raise ConstructionError(f"the parity shape's extra vertical has no free node: all n1 = {n1} have one")
+        v = min(free)
         out.append([v, v + n1, OP2])
     # Closers first; ``rest`` reads owners lazily, after the closers went to operator 1.
     rest = (i for i, (a, b, owner) in enumerate(out) if a < n1 <= b and owner == OP2)
     for slot in itertools.islice(itertools.chain(closer_slots, rest), counts[OP1, EdgeClass.CROSS]):
         out[slot][2] = OP1
-    graph = from_pairs(n1, n1, [(a, b, o) for a, b, o in out])
+    graph = from_pairs(n1, n1, out)
     tags = tuple(frozenset(t) for t in tags)
     _verify_built(graph, k, counts, tags)
     return graph, tags
@@ -305,38 +309,51 @@ def _verify_built(graph: LayeredGraph, k: int, counts: dict, tags):
     for key, want in counts.items():
         if got[key] != want:
             raise ConstructionError(f"count mismatch for {key}: built {got[key]}, planned {want}")
-    if min(degrees(graph.n, graph.edge_pairs())) < k + 1:
+    pairs = graph.edge_pairs()
+    if min(degrees(graph.n, pairs)) < k + 1:
         raise ConstructionError("a node of the constructed network has degree below k + 1")
     # The (k+1)//2 tagged cycles take degree 2 at every node.  Links are
     # unordered, so (u, v) and (v, u) are one link.
-    seen = set()
+    seen, walks = set(), []
     for tag in tags:
-        tag = {(min(u, v), max(u, v)) for u, v in tag}
-        if seen & tag:
+        tag = {(u, v) if u < v else (v, u) for u, v in tag}
+        if not seen.isdisjoint(tag):
             raise ConstructionError("cycles are not edge-disjoint")
         seen |= tag
-        if not _is_ham_cycle(graph.n, tag):
+        walks.append(_walk(graph.n, tag))
+        if walks[-1] is None:
             raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
     if len(seen) != graph.n * ((k + 1) // 2):
         raise ConstructionError("cycle tags do not cover 2 * n1 * floor((k+1)/2) links")
-    pairs = graph.edge_pairs()
     if not (seen == pairs if k % 2 else seen <= pairs):
         raise ConstructionError("cycle tags are not the graph's links")
     # The module docstring's lemmas: the cycles prove lambda = k + 1 for odd
     # k, and with an arc floor of k + 1 on the first cycle for even k.
-    if k % 2 == 0 and _arc_floor(graph.n, tags[0], pairs) <= k:
+    if k % 2 == 0 and _arc_floor(walks[0], pairs) <= k:
         raise ConstructionError("constructed network failed the resilience check")
     keep_lambda(graph, k + 1)
 
 
-def _is_ham_cycle(n: int, pairs: set) -> bool:
-    if len(pairs) != n:
-        return False
-    return all(d == 2 for d in degrees(n, pairs)) and connected_pairs(n, pairs)
+def _walk(n: int, cycle: set):
+    """Position of each node 0..n-1 along the unordered links ``cycle``,
+    walked from node 0, or None unless they form one Hamiltonian cycle."""
+    around = [[] for _ in range(n)]
+    for u, v in cycle:
+        around[u].append(v)
+        around[v].append(u)
+    pos, prev, v = [-1] * n, -1, 0
+    for i in range(n):
+        if pos[v] >= 0 or len(around[v]) != 2:
+            return None
+        pos[v] = i
+        a, b = around[v]
+        prev, v = v, b if a == prev else a
+    return pos
 
 
-def _arc_floor(n: int, cycle, pairs) -> int:
-    """Fewest ``pairs`` links leaving an arc of the Hamiltonian ``cycle``.
+def _arc_floor(pos: list, pairs) -> int:
+    """Fewest ``pairs`` links leaving an arc of a Hamiltonian cycle, given
+    each node's position ``pos`` along it (``_walk``).
 
     Number the nodes 0..n-1 along the cycle.  Each arc or its complement is
     I = [g1, g2) with 0 <= g1 < g2 < n, and a link at positions p < q leaves
@@ -345,14 +362,7 @@ def _arc_floor(n: int, cycle, pairs) -> int:
     those with q = j - 1 and p < g1; the prefix sums of diff[g1 + 1 : n]
     are then the links leaving I for g2 = g1 + 1, ..., n - 1.
     """
-    around = [[] for _ in range(n)]
-    for u, v in cycle:
-        around[u].append(v)
-        around[v].append(u)
-    pos, v = [0] + [-1] * (n - 1), 0
-    for i in range(1, n):
-        v = next(w for w in around[v] if pos[w] < 0)
-        pos[v] = i
+    n = len(pos)
     diff = [0] * (n + 1)
     turns = [[] for _ in range(n)]  # at g1 = p + 1: the q + 1 of each link
     for u, v in pairs:

@@ -105,9 +105,7 @@ class StrategyProfile:
 
     @staticmethod
     def empty() -> "StrategyProfile":
-        return StrategyProfile(
-            frozenset(), frozenset(), frozenset(), frozenset(), frozenset()
-        )
+        return StrategyProfile(*[frozenset()] * 5)
 
     def built_pairs(self) -> frozenset:
         return self.e1_intra | self.e1_cross | self.e2_intra | self.e2_cross
@@ -115,9 +113,8 @@ class StrategyProfile:
     @staticmethod
     def from_graph(g: LayeredGraph) -> "StrategyProfile":
         """The operators' choices realized by ``g`` (the adversary stays null)."""
-        sel = lambda owner, cls: frozenset(
-            e.pair for e in g.edges if e.owner == owner and e.cls == cls
-        )
+        groups = g.grouped()
+        sel = lambda owner, cls: frozenset(groups[owner, cls])
         return StrategyProfile(
             sel(Owner.OPERATOR1, EdgeClass.INTRA1),
             sel(Owner.OPERATOR1, EdgeClass.CROSS),

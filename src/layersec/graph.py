@@ -4,7 +4,11 @@ Nodes use a single 0-based index space: indices ``0..n1-1`` form layer 1,
 indices ``n1..n1+n2-1`` form layer 2.  Edges are undirected, simple, and
 carry an owner tag (which operator built the link) plus a class derived
 from the endpoint layers.  Graph values are immutable; every operation
-either answers a read-only query or returns a new graph.
+either answers a read-only query or returns a new graph.  ``from_pairs``
+admits an edge by plain comparisons (its class from how many ends lie in
+layer 1, its owner by identity) and hands only a refused one to the checks
+of ``add_edge``, so both raise the same ``GraphError``.  ``Owner`` and
+``EdgeClass`` members, singletons equal only to themselves, hash by identity.
 
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
@@ -17,7 +21,7 @@ built apart each fill their own.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -27,12 +31,14 @@ class EdgeClass(Enum):
     INTRA1 = "intra1"
     INTRA2 = "intra2"
     CROSS = "cross"
+    __hash__ = object.__hash__
 
 
 class Owner(Enum):
     OPERATOR1 = 1
     OPERATOR2 = 2
     UNOWNED = 0
+    __hash__ = object.__hash__
 
 
 # Edge classes each operator is allowed to build.
@@ -40,6 +46,7 @@ ADMISSIBLE = {
     Owner.OPERATOR1: (EdgeClass.INTRA1, EdgeClass.CROSS),
     Owner.OPERATOR2: (EdgeClass.INTRA2, EdgeClass.CROSS),
 }
+_BY_ENDS = (EdgeClass.INTRA2, EdgeClass.CROSS, EdgeClass.INTRA1)  # by the edge's layer-1 ends
 
 
 class GraphError(ValueError):
@@ -84,9 +91,16 @@ class LayeredGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {e.pair for e in self.edges}
 
+    def grouped(self) -> defaultdict:
+        """The (u, v) pairs per (owner, class), in one pass over the edges."""
+        groups = defaultdict(list)
+        for e in self.edges:
+            groups[e.owner, e.cls].append((e.u, e.v))
+        return groups
+
     def tally(self) -> Counter:
         """Edge count per (owner, class); absent combinations count 0."""
-        return Counter((e.owner, e.cls) for e in self.edges)
+        return Counter({key: len(pairs) for key, pairs in self.grouped().items()})
 
 
 def new_graph(n1: int, n2: int) -> LayeredGraph:
@@ -149,19 +163,20 @@ def count_by(g: LayeredGraph, owner: Owner | None = None, cls: EdgeClass | None 
     )
 
 
-def from_pairs(
-    n1: int,
-    n2: int,
-    owned_pairs: Iterable[tuple[int, int, Owner]],
-) -> LayeredGraph:
+def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) -> LayeredGraph:
     """Build a graph from (u, v, owner) triples, validating each edge.
 
     The first triple that ``add_edge`` would refuse after the ones before
     it raises the same ``GraphError``.
     """
     g = new_graph(n1, n2)
+    n, op1, op2 = n1 + n2, Owner.OPERATOR1, Owner.OPERATOR2
     edges: dict[tuple[int, int], Edge] = {}
     for u, v, owner in owned_pairs:
-        edge = _checked_edge(g, u, v, owner, edges)
-        edges[edge.pair] = edge
+        if u > v:
+            u, v = v, u
+        ends = (u < n1) + (v < n1)
+        if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or (u, v) in edges:
+            _checked_edge(g, u, v, owner, edges)  # raises
+        edges[u, v] = Edge(u, v, owner, _BY_ENDS[ends])
     return LayeredGraph(n1, n2, frozenset(edges.values()))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import layersec
@@ -153,19 +154,25 @@ def graph_degrees(g):
     return degs
 
 
-def count_flows(monkeypatch):
-    """List that records every ``edge_connectivity_pairs`` call from here on,
-    from whichever layersec module makes it."""
+def count_calls(monkeypatch, module, name):
+    """List that records every call of ``module.name`` from here on, from
+    whichever layersec module makes it."""
     calls = []
-    inner = layersec.connectivity.edge_connectivity_pairs
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    for module in (layersec.connectivity, layersec.game):
-        monkeypatch.setattr(module, "edge_connectivity_pairs", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "layersec" and vars(mod).get(name) is inner:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def count_flows(monkeypatch):
+    """List that records every ``edge_connectivity_pairs`` call from here on."""
+    return count_calls(monkeypatch, layersec.connectivity, "edge_connectivity_pairs")
 
 
 def spe_by_unfiltered_scan(n1, n2, costs):

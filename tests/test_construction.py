@@ -5,7 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import SWEEP_SCALE, graph_degrees, lambda_by_enumeration, random_costs, structured_matches_exact
+import layersec.connectivity
+import layersec.graph
+from helpers import (
+    SWEEP_SCALE,
+    count_calls,
+    count_flows,
+    graph_degrees,
+    lambda_by_enumeration,
+    random_costs,
+    structured_matches_exact,
+)
 from layersec.connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, link_connectivity
 from layersec.construction import (
     ConstructionError,
@@ -15,6 +25,7 @@ from layersec.construction import (
     _build_cycle_superposition,
     _realize,
     _verify_built,
+    _walk,
     _zigzag,
     build_generalized,
     stage1_allocate,
@@ -229,7 +240,7 @@ def test_cycle_route_builds_every_plan():
                     fresh = edge_connectivity_pairs(g.n, g.edge_pairs())
                     assert edge_connectivity(g) == fresh == k + 1
                     if k % 2 == 0:
-                        assert _arc_floor(g.n, tags[0], g.edge_pairs()) == fresh
+                        assert _arc_floor(_walk(g.n, tags[0]), g.edge_pairs()) == fresh
                 built[k % 2] += 1
     assert (built[1], built[0]) == (2153, 2308)
 
@@ -330,9 +341,14 @@ def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
     g, counts, tags = _built_and_tags(k)
+    # Ten links with every degree 2, so only the walk can reject them.
     two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     with pytest.raises(ConstructionError, match="Hamiltonian"):
         _verify_built(g, k, counts, [two_rings, tags[1]])
+    # Ten links, but node 5 has degree 3 and node 9 degree 1.
+    path_and_chord = [(i, i + 1) for i in range(9)] + [(5, 0)]
+    with pytest.raises(ConstructionError, match="Hamiltonian"):
+        _verify_built(g, k, counts, [path_and_chord, tags[1]])
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -347,6 +363,48 @@ def test_verify_built_rejects_wrong_counts_degrees_and_too_few_cycles(k):
         _verify_built(g, k, counts, tags[:1])
 
 
+def _ring(order):
+    """The unordered links of the cycle through ``order``."""
+    return {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
+
+
+def test_walk_numbers_a_hamiltonian_cycle_and_refuses_any_other_tag():
+    order = [0, 3, 1, 5, 2, 4]
+    assert _walk(6, _ring(order)) in ([0, 2, 4, 1, 5, 3], [0, 4, 2, 5, 1, 3])
+    assert _walk(6, _ring([0, 1, 2]) | _ring([3, 4, 5])) is None  # every degree 2
+    path = _ring(order) - {(0, 4)}
+    assert _walk(6, path) is None
+    assert _walk(6, path | {(0, 5)}) is None  # six links, node 5 of degree 3
+    assert _walk(6, _ring(order) | {(0, 1)}) is None
+
+
+@pytest.mark.parametrize("n1,k,e11,x", [(3, 2, 1, 8), (2, 1, 1, 3)])
+def test_realize_refuses_a_parity_shape_with_no_free_node(n1, k, e11, x):
+    # The counts total n1(k+1) + 1, but the cycle closers (and, for odd n1
+    # and even k, the matching) already give every node a vertical.
+    counts = {
+        (Owner.OPERATOR1, EdgeClass.INTRA1): e11,
+        (Owner.OPERATOR1, EdgeClass.CROSS): 0,
+        (Owner.OPERATOR2, EdgeClass.INTRA2): e11,
+        (Owner.OPERATOR2, EdgeClass.CROSS): x,
+    }
+    assert sum(counts.values()) == n1 * (k + 1) + 1
+    with pytest.raises(ConstructionError, match=f"parity shape's extra vertical has no free node: all n1 = {n1}"):
+        _realize(n1, k, counts)
+
+
+@pytest.mark.parametrize("ca", [F(1, 3), F(1, 4)])
+def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca):
+    # One from_pairs for the whole build; each tagged cycle is checked by
+    # its walk, so no component search or flow runs.
+    builds = count_calls(monkeypatch, layersec.graph, "from_pairs")
+    searches = count_calls(monkeypatch, layersec.connectivity, "connected_pairs")
+    flows = count_flows(monkeypatch)
+    sol, built = structured_solve(101, 101, CostProfile(F(1, 1010), F(1, 1010), F(1, 505), F(1, 101), ca))
+    assert (sol.is_null, built.cycles_built) == (False, 2)
+    assert (len(builds), len(searches), len(flows)) == (1, 0, 0)
+
+
 def _arcs_brute_force(order, pairs):
     """Fewest links leaving any arc of the cycle through ``order``."""
     n = len(order)
@@ -359,10 +417,15 @@ def test_arc_floor_is_the_least_cut_over_the_arcs():
     for _ in range(300):
         n = rng.randint(3, 12)
         order = rng.sample(range(n), n)
-        cycle = list(zip(order, order[1:] + order[:1]))
         chords = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()}
-        pairs = {(min(u, v), max(u, v)) for u, v in cycle} | chords
-        assert _arc_floor(n, cycle, pairs) == _arcs_brute_force(order, pairs), (order, pairs)
+        cycle = _ring(order)
+        pairs = cycle | chords
+        pos = _walk(n, cycle)
+        # The walk runs round the cycle from node 0, one way or the other.
+        i = order.index(0)
+        ring = order[i:] + order[:i]
+        assert sorted(range(n), key=pos.__getitem__) in (ring, ring[:1] + ring[:0:-1])
+        assert _arc_floor(pos, pairs) == _arcs_brute_force(order, pairs), (order, pairs)
 
 
 def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():

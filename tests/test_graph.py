@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from layersec.graph import (
+    ADMISSIBLE,
     EdgeClass,
     GraphError,
     Owner,
@@ -62,6 +63,9 @@ BAD_TRIPLES = {
     "inadmissible-owner": (5, 6, Owner.OPERATOR1),
     "unowned": (1, 4, Owner.UNOWNED),
     "out-of-range": (0, 99, Owner.OPERATOR1),
+    "one-past-the-end": (0, 7, Owner.OPERATOR2),
+    "negative": (-1, 0, Owner.OPERATOR1),
+    "not-an-owner": (1, 2, 1),
 }
 
 
@@ -100,6 +104,42 @@ def test_from_pairs_reports_the_first_bad_triple():
         with pytest.raises(GraphError) as err:
             from_pairs(4, 3, GOOD_TRIPLES + [first] + rest)
         assert str(err.value) == add_edge_message(first)
+
+
+# Over 4 + 3 nodes: any triple, or one that add_edge admits on an empty
+# graph, in either node order.
+ANY_TRIPLE = st.tuples(st.integers(-1, 7), st.integers(-1, 7), st.sampled_from([*Owner, 1]))
+ADMITTED_TRIPLE = st.sampled_from(
+    [
+        (u, v, owner)
+        for u in range(7)
+        for v in range(7)
+        for owner, classes in ADMISSIBLE.items()
+        if u != v and new_graph(4, 3).classify(u, v) in classes
+    ]
+)
+
+
+@given(
+    st.lists(st.one_of(ANY_TRIPLE, ADMITTED_TRIPLE), max_size=12)
+    | st.lists(ADMITTED_TRIPLE, unique_by=lambda t: frozenset(t[:2]))
+)
+def test_from_pairs_is_the_add_edge_fold(triples):
+    # The same edges, owners and classes as adding the triples one by one,
+    # or the GraphError of the first one refused.
+    g, message = new_graph(4, 3), None
+    try:
+        for t in triples:
+            g = add_edge(g, *t)
+    except GraphError as err:
+        message = str(err)
+    if message is None:
+        built = from_pairs(4, 3, triples)
+        assert {(e.u, e.v, e.owner, e.cls) for e in built.edges} == {(e.u, e.v, e.owner, e.cls) for e in g.edges}
+    else:
+        with pytest.raises(GraphError) as err:
+            from_pairs(4, 3, triples)
+        assert str(err.value) == message
 
 
 def test_remove_edges():
