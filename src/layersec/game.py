@@ -49,8 +49,8 @@ Operator 1's scan completes few strategies per orbit of S_n1 x S_n2, the
 relabellings of nodes within a layer.  They change no price and no
 payoff, so securability and operator 2's completion cost are constant on
 an orbit and each operator-2 cost class is a union of orbits.  The scan
-skips a strategy that swapping two adjacent nodes of one layer
-(``_layer_swaps``) maps to an earlier one of its level (``_maps_earlier``).
+generates row by row (``_strategies``) only the strategies that no swap
+of two adjacent nodes of one layer maps to an earlier one of its level.
 The least member of an orbit passes every swap, and the first securable
 strategy of a class, the one reported, is the least of its orbit; so u1,
 the cost classes and their profiles are those of the unfiltered scan.
@@ -58,7 +58,6 @@ the cost classes and their profiles are those of the unfiltered scan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +73,7 @@ class GameError(ValueError):
 
 
 class SearchCapExceeded(RuntimeError):
-    """Exact search exceeded its configured subset-evaluation budget."""
+    """Exact search exceeded its configured tick budget."""
 
 
 @dataclass(frozen=True)
@@ -396,14 +395,16 @@ class EdgeUniverse:
 
 
 class _Budget:
+    """A search call's ticks, and the operator-1 level it scans since tick ``since``."""
+
     def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
+        self.cap, self.used, self.since, self.level = cap, 0, 0, None
 
     def tick(self):
         self.used += 1
         if self.used > self.cap:
-            raise SearchCapExceeded(f"search cap of {self.cap} subsets exceeded")
+            at = f" while scanning operator-1 level (a, b) = {self.level}, {self.cap - self.since} of them on it"
+            raise SearchCapExceeded(f"search cap of {self.cap} ticks exceeded" + (at if self.level else ""))
 
 
 def _lattice(uni: EdgeUniverse, pools: list, prices: list, limit: int) -> list:
@@ -559,31 +560,61 @@ def _profile_from_masks(uni: EdgeUniverse, mask1: int, mask2: int) -> StrategyPr
     return StrategyProfile(e1i, e1c, e2i, e2c, frozenset())
 
 
-def _layer_swaps(uni: EdgeUniverse) -> list:
-    """Each swap of two adjacent nodes of one layer, as it moves operator
-    1's candidate links: a list of (shift, lows), where each bit of
-    ``lows`` trades places with the bit ``shift`` above it."""
-    swaps = []
-    for p in [*range(uni.n1 - 1), *range(uni.n1, uni.n - 1)]:
-        swap = {p: p + 1, p + 1: p}
-        lows = {}
-        for bit in uni.intra1_bits + uni.cross_bits:
-            u, v = uni.pairs[bit]
-            image = uni.bit_of[_norm_pair((swap.get(u, u), swap.get(v, v)))]
-            if image > bit:
-                lows[image - bit] = lows.get(image - bit, 0) | 1 << bit
-        swaps.append(list(lows.items()))
-    return swaps
+def _row_patterns(width: int, lo: int, hi: int, tied: int, ref):
+    """Rows of ``width`` columns (bit c is column c), lo to hi ones, in scan
+    order (lowest differing column set first), but no row with 0 at c and 1
+    at c + 1 for a bit c of ``tied`` or before ``ref`` (None: no bound).  Only
+    forced columns can miss lo, so work between rows is polynomial in width."""
+
+    def rec(c, pat, ones, tight):
+        if c == width:
+            yield pat
+            return
+        bit = 1 << c
+        if ones < hi and not (tied & ~pat) << 1 & bit and not (tight and not ref & bit):
+            yield from rec(c + 1, pat | bit, ones + 1, tight)
+        if ones + width - c > lo:
+            yield from rec(c + 1, pat, ones, tight and not ref & bit)
+
+    return rec(0, 0, 0, ref is not None)
 
 
-def _maps_earlier(mask: int, swap: list) -> bool:
-    """Whether ``swap`` maps ``mask`` to an earlier set: of two sets of
-    one size, the one holding the lowest bit of their difference comes
-    first in lexicographic order."""
-    moved = 0
-    for shift, lows in swap:
-        moved |= (mask ^ mask >> shift) & lows
-    return bool(moved & -moved & ~mask)
+def _strategies(n1: int, n2: int, a: int, b: int, budget: _Budget):
+    """Operator 1's strategies of a intra and b cross links that no swap
+    of two adjacent nodes of one layer maps earlier, in scan order, with a
+    tick per row node.  Intra row u holds the links (u, u + 1 + c) as
+    columns c, cross row u the links (u, n1 + c); bits rise row by row,
+    intra rows first, and the lowest link a swap moves decides.  Layer-1
+    nodes p, p + 1 exchange columns p, p + 1 (as nodes) of the intra rows
+    above p, then intra rows p and p + 1 beyond node p + 1, then, if those
+    agree, cross rows p and p + 1; layer-2 nodes n1 + w, n1 + w + 1
+    exchange columns w, w + 1 of every cross row.  So a row with 0 and 1
+    at exchanged columns is cut while every row before agrees on both, and
+    row p + 1 when it comes before row p.  Bit p + 1 of ``tie1`` and bit w
+    of ``tie2`` mark those swaps undecided."""
+
+    def intra(u, start, left, mask, prev, tie1):
+        width = n1 - 1 - u
+        if width <= 0:
+            yield from cross(0, start + n2 * (n2 - 1) // 2, b, mask, 0, tie1, (1 << n2) - 1 >> 1)
+            return
+        ref = prev >> 1 if tie1 >> u & 1 else None
+        for pat in _row_patterns(width, left - width * (width - 1) // 2, left, tie1 >> u + 2, ref):
+            budget.tick()
+            tie = tie1 & ~((pat & ~pat >> 1) << u + 2) & ~((pat != ref) << u)
+            yield from intra(u + 1, start + width, left - pat.bit_count(), mask | pat << start, pat, tie)
+
+    def cross(u, start, left, mask, prev, tie1, tie2):
+        if u == n1:
+            yield mask
+            return
+        ref = prev if tie1 >> u & 1 else None
+        for pat in _row_patterns(n2, left - (n1 - 1 - u) * n2, left, tie2, ref):
+            budget.tick()
+            tie = tie2 & ~(pat & ~pat >> 1)
+            yield from cross(u + 1, start + n2, left - pat.bit_count(), mask | pat << start, pat, tie1, tie)
+
+    return intra(0, 0, a, 0, 0, (1 << n1) - 2)
 
 
 def solve_spe_exact(
@@ -595,15 +626,14 @@ def solve_spe_exact(
     nondecreasing cost order, ties by b, then a; within a level, its
     strategies go in lexicographic order of the intra links, then of the
     cross links.  A level is skipped when its level bound shows that
-    operator 2 cannot complete it below 1, and a strategy, or an intra
-    set with all its cross sets, when swapping two adjacent nodes of one
-    layer maps it earlier; the first securable strategy of an operator-2
-    cost class is the least of its orbit, so it is kept (module docstring).
-    The first cost admitting a securable completion is the equilibrium
-    level, and every kept securable strategy at that cost is collected.
-    The cap counts a tick per operator-1 strategy enumerated, kept or
-    skipped, per skipped intra set and per node of operator 2's placement
-    search.  Intended for n1 + n2 <= 7.
+    operator 2 cannot complete it below 1; ``_strategies`` generates only
+    strategies that no adjacent swap within a layer maps earlier, among
+    them each operator-2 cost class's first securable one (module
+    docstring).  The first cost admitting a securable completion is the
+    equilibrium level, and every generated securable strategy at that cost
+    is collected.  The cap counts a tick per generated row node of
+    operator 1's strategies and per node of operator 2's placement search.
+    Intended for n1 + n2 <= 8.
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs)[0]:
@@ -614,7 +644,6 @@ def solve_spe_exact(
     op2_pools = [uni.cross_bits, uni.intra2_bits]
     op2_lattice = _lattice(uni, op2_pools, [c21, c2], L)
     levels = _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L)
-    swaps = _layer_swaps(uni)
 
     found_cost = None
     found = []  # (mask1, cost2, mask2) in enumeration order
@@ -624,22 +653,13 @@ def solve_spe_exact(
         floor2 = _level_floor(n1, n2, k, a, b, c2, c21)[0]
         if floor2 is None or floor2 >= L:
             continue
-        for intra_sel in itertools.combinations(uni.intra1_bits, a):
-            intra = sum(1 << i for i in intra_sel)
-            if any(_maps_earlier(intra, swap) for swap in swaps):
-                budget.tick()
+        budget.level, budget.since = (a, b), budget.used
+        for mask1 in _strategies(n1, n2, a, b, budget):
+            cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
+            if cost2 is None:
                 continue
-            for cross_sel in itertools.combinations(uni.cross_bits, b):
-                budget.tick()
-                # Intra bits lie below cross bits: the intra set decides first.
-                mask1 = intra | sum(1 << i for i in cross_sel)
-                if any(_maps_earlier(mask1, swap) for swap in swaps):
-                    continue
-                cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
-                if cost2 is None:
-                    continue
-                found_cost = cost1
-                found.append((mask1, cost2, mask2))
+            found_cost = cost1
+            found.append((mask1, cost2, mask2))
     if not found:
         return SpeSolution.null(k)
 

@@ -176,7 +176,7 @@ def count_flows(monkeypatch):
 
 
 def spe_by_unfiltered_scan(n1, n2, costs):
-    """``solve_spe_exact`` without its layer-swap filter: every operator-1
+    """``solve_spe_exact`` without its orbit pruning: every operator-1
     strategy of every level in the same scan order is completed, and each
     operator-2 cost class keeps its first securable strategy."""
     k = attack_budget(costs.ca)

@@ -91,11 +91,13 @@ def test_stage1_threshold_minimality():
             assert (plan.c1_total, plan.c2_total, plan.e12, plan.e11) == best, (n1, k, costs)
 
 
-@pytest.mark.parametrize("n,ks,draws", [(3, (1, 2), 200), (4, (2,), 20)], ids=["3+3", "4+4"])
+@pytest.mark.parametrize(
+    "n,ks,draws", [(3, (1, 2), 200), (4, (1, 2, 3), 40), (5, (1, 2, 3, 4), 30)], ids=["3+3", "4+4", "5+5"]
+)
 def test_structured_solve_matches_exact_search_in_every_cost_order(n, ks, draws):
     # Scaled costs make almost every game non-null; each of the four
-    # orders of (c1, c12) and (c2, c21) must occur among them.  4+4 stays
-    # at k = 2: some k = 3 games there run exact search to its cap.
+    # orders of (c1, c12) and (c2, c21) must occur among them.  Exact
+    # search is forced, and a game that reaches its cap fails the test.
     rng = random.Random(17)
     orders = set()
     for _ in range(draws):

@@ -24,9 +24,9 @@ from layersec.game import (
     SearchCapExceeded,
     StrategyProfile,
     _count_floor,
+    _Budget,
     _joint_cost_floor,
-    _layer_swaps,
-    _maps_earlier,
+    _strategies,
     adversary_best_response,
     attack_budget,
     bruteforce_spe_oracle,
@@ -190,7 +190,7 @@ def test_cheap_cross_links_do_not_make_an_instance_null():
     # overstated the cost: an all-cross network by operator 2 solves it.
     costs = costs_of("5/9", "1/16", "37/41", "1/10", "6/11")
     assert null_spe_check(4, 4, 1, costs) == (False, None)
-    structured, _ = solve_game(4, 4, costs)
+    structured, _ = solve_game(4, 4, costs, mode="structured")
     exact = solve_spe_exact(4, 4, costs)
     assert (structured.method, structured.is_null, structured.u1, structured.u2) == ("structured", False, 1, F(1, 5))
     assert (exact.is_null, exact.u1, exact.u2_values) == (False, 1, (F(1, 5),))
@@ -223,67 +223,65 @@ def test_solve_spe_exact_prop4_symmetric():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         solve_spe_exact(4, 3, PROP3_COSTS, cap=50)
-    # The search spends exactly 57 ticks here: pins the operator-1 level
-    # bound, the layer-swap filter on operator 1's strategies and the
-    # operator-2 placement search's pruning, which must not change the
-    # work done.
+    # The search spends exactly 58 ticks here, one per operator-1 row node
+    # and one per node of operator 2's placement search: pins the level
+    # bound, the rows that operator 1's generator cuts and the placement
+    # search's pruning, which must not change the work done.
     with pytest.raises(SearchCapExceeded):
-        solve_spe_exact(4, 3, PROP3_COSTS, cap=56)
-    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=57).u1 == F(91, 100)
+        solve_spe_exact(4, 3, PROP3_COSTS, cap=57)
+    assert solve_spe_exact(4, 3, PROP3_COSTS, cap=58).u1 == F(91, 100)
+    # Lazy rows: a forced-exact 20+20 game reaches its cap quickly.
+    with pytest.raises(SearchCapExceeded, match=r"level \(a, b\) = \(38, 3\)"):
+        solve_spe_exact(20, 20, costs_of("1/200", "1/200", "1/400", "1/2", "1/3"), cap=20_000)
 
 
-@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2), (3, 3), (4, 1), (1, 4)])
-def test_the_least_strategy_of_every_orbit_passes_the_layer_swap_filter(n1, n2):
-    # Every operator-1 strategy, grouped into orbits under all n1! * n2!
-    # relabellings within layers.  Within a level the scan order is the
-    # intra links, then the cross links, each in lexicographic order.
+@pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2), (3, 3), (4, 1), (1, 4), (4, 2), (2, 4)])
+def test_strategies_are_the_scan_that_no_adjacent_swap_maps_earlier(n1, n2):
+    # Brute force from permutation images: every level's operator-1
+    # strategies in scan order (intra links, then cross links, each in
+    # lexicographic order), less those that swapping two adjacent nodes of
+    # one layer maps to an earlier strategy of the level.
     uni = EdgeUniverse(n1, n2)
-    op1_bits = uni.intra1_bits + uni.cross_bits
     key = lambda mask: tuple(tuple(b for b in bits if mask >> b & 1) for bits in (uni.intra1_bits, uni.cross_bits))
-
-    def image(perm, mask):
-        pairs = [(perm[u], perm[v]) for u, v in uni.pairs_of(mask)]
-        return uni.mask_of(pairs)
-
-    perms = [
-        (*p1, *(n1 + w for w in p2))
-        for p1 in itertools.permutations(range(n1))
-        for p2 in itertools.permutations(range(n2))
-    ]
     adjacent = []
     for p in [*range(n1 - 1), *range(n1, n1 + n2 - 1)]:
         perm = list(range(n1 + n2))
         perm[p], perm[p + 1] = p + 1, p
         adjacent.append(perm)
-    swaps = _layer_swaps(uni)
-    assert len(swaps) == len(adjacent)
-    least = set()
-    for m in range(1 << len(op1_bits)):
-        mask = sum(1 << b for j, b in enumerate(op1_bits) if m >> j & 1)
-        # The predicate is exactly "the swapped strategy comes first".
-        for perm, swap in zip(adjacent, swaps):
-            assert _maps_earlier(mask, swap) == (key(image(perm, mask)) < key(mask)), (mask, perm)
-        least.add(min((image(perm, mask) for perm in perms), key=key))
-    for mask in least:
-        assert not any(_maps_earlier(mask, swap) for swap in swaps), uni.pairs_of(mask)
+
+    def image(perm, mask):
+        return uni.mask_of([(perm[u], perm[v]) for u, v in uni.pairs_of(mask)])
+
+    for a in range(len(uni.intra1_bits) + 1):
+        for b in range(len(uni.cross_bits) + 1):
+            scan = [
+                sum(1 << i for i in intra + cross)
+                for intra in itertools.combinations(uni.intra1_bits, a)
+                for cross in itertools.combinations(uni.cross_bits, b)
+            ]
+            assert scan == sorted(scan, key=key)
+            kept = [m for m in scan if all(key(m) <= key(image(perm, m)) for perm in adjacent)]
+            assert list(_strategies(n1, n2, a, b, _Budget(10**6))) == kept, (a, b)
 
 
 def test_exact_search_matches_the_unfiltered_scan():
-    # Seeded draws on every shape of 5 to 7 nodes and on the 8-node shapes
-    # nearest symmetry (7+1 takes seconds unfiltered): the layer-swap
-    # filter keeps u1, the operator-2 cost classes and each class's profile.
+    # Seeded draws on every shape of 5 to 7 nodes, on the 8-node shapes
+    # nearest symmetry and on the skewed ones, whose rows are longest (k <= 2
+    # keeps 7+1 under a second unfiltered): generating only the strategies
+    # no adjacent swap maps earlier keeps u1, the operator-2 cost classes
+    # and each class's profile.
     rng = random.Random(18)
     shapes = [(n1, n - n1) for n in range(5, 8) for n1 in range(1, n)] + [(4, 4), (5, 3), (3, 5)]
     non_null = 0
-    for _ in range(60):
-        n1, n2 = rng.choice(shapes)
-        k = rng.randint(1, 3)
+    for shape in [None] * 60 + [(7, 1), (1, 7), (6, 2), (2, 6)] * 2:
+        n1, n2 = shape or rng.choice(shapes)
+        k = rng.randint(1, 2 if shape else 3)
         link = [F(rng.randint(1, 59), 60) * F(rng.randint(1, 10), 30) for _ in range(4)]
         costs = CostProfile(*link, ca=F(2, 2 * k + 1))
         exact = solve_spe_exact(n1, n2, costs)
         assert exact == spe_by_unfiltered_scan(n1, n2, costs), (n1, n2, costs)
         non_null += not exact.is_null
-    assert non_null >= 50
+    assert non_null >= 58
 
 
 def test_search_cap_pins_the_team_and_operator2_searches():

@@ -289,8 +289,9 @@ def test_cli_construct_null_outside_the_structured_domain_exits_2(tmp_path, caps
 def test_cli_solves_and_constructs_a_parity_shape_level(tmp_path, capsys):
     # 4+4, k = 2: operator 2 completes the cheapest level with 13 links, one
     # more than a 3-regular network, so the build adds one extra vertical.
+    # (`auto` would take exact search at 8 nodes.)
     path = tmp_path / "parity.json"
-    path.write_text(json.dumps({"n1": 4, "n2": 4, "c1": "7/41", "c2": "1/35", "c12": "2/9", "c21": "8/29", "cA": "1/2"}))
+    path.write_text(json.dumps({"n1": 4, "n2": 4, "c1": "7/41", "c2": "1/35", "c12": "2/9", "c21": "8/29", "cA": "1/2", "mode": "structured"}))
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(path))
     assert code == 0
     bundle = json.loads(out)
@@ -299,6 +300,26 @@ def test_cli_solves_and_constructs_a_parity_shape_level(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["edges"], report["cycles_built"]) == (13, 1)
+
+
+def test_cli_solves_an_eight_node_game_outside_the_structured_domain(tmp_path, capsys):
+    # 4+4 with k = 4 = n1: `auto` takes exact search at 8 nodes, so both
+    # commands answer where the structured route's domain check exited 1.
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"n1": 4, "n2": 4, "c1": "1/40", "c2": "1/40", "c12": "1/40", "c21": "1/40", "cA": "1/4"}))
+    code, out, _ = run_cli(capsys, "solve", "--scenario", str(path))
+    bundle = json.loads(out)
+    assert (code, bundle["k"], bundle["mode_used"], bundle["u1"], bundle["u2"]) == (0, 4, "exact", "19/20", "11/20")
+    code, out, _ = run_cli(capsys, "metrics", "--scenario", str(path))
+    report = json.loads(out)
+    # c_spe = (1 - u1) + (1 - u2); moving second, operator 2 pays 1 - u2.
+    assert (code, report["poa"]["c_spe"], report["pos"]["c2_second"]) == (0, "1/2", "9/20")
+
+
+def test_cli_cap_error_names_the_level_it_reached(capsys):
+    code, out, err = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop3.json"), "--cap", "57")
+    assert (code, out) == (1, "")
+    assert err == "error: search cap of 57 ticks exceeded while scanning operator-1 level (a, b) = (0, 1), 21 of them on it\n"
 
 
 def test_cli_solve_prop3_classes(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
-from layersec.construction import ConstructionError, structured_solve
+from layersec.construction import ConstructionError, _team_design, structured_solve
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -80,8 +80,8 @@ def test_team_optimal_null_cases():
 
 def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
     c = F(1, 20)
-    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 4, n2 = 4, k = 0"):
-        team_optimal(4, 4, 0, costs_of(c, c, c, c))
+    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 5, n2 = 5, k = 0"):
+        team_optimal(5, 5, 0, costs_of(c, c, c, c))
 
 
 def test_out_of_order_costs_with_a_floor_of_two_are_null_everywhere():
@@ -244,9 +244,8 @@ def test_structured_team_designs_meet_the_floor():
             u = F(1, 2 * n * (k + 1))
             for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3), (1, 1, 3, 2)):
                 costs = CostProfile(c1 * u, c2 * u, c12 * u, c21 * u, F(1, 2))
-                team = team_optimal(n, n, k, costs)
-                assert team.cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
-                g = team.graph
+                g, cost = _team_design(n, n, k, costs)
+                assert cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
                 assert edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1, (n, k, costs)
                 assert len(g.edges) == n * (k + 1) + (c12 == 3 and n % 2 == k % 2 == 0), (n, k, costs)
     # The designs agree with exact team search where it reaches.
@@ -257,8 +256,8 @@ def test_structured_team_designs_meet_the_floor():
         k = rng.randint(1, n - 1)
         costs = random_costs(rng, max_den=40, scale=SWEEP_SCALE)
         graph, cost = _solve_team_exact(n, n, k, costs, DEFAULT_SEARCH_CAP)
-        team = team_optimal(n, n, k, costs)
-        assert (team.null, team.cost) == (graph is None, cost), (n, k, costs)
+        null = null_spe_check(n, n, k, costs)[0]
+        assert (null, None if null else _team_design(n, n, k, costs)[1]) == (graph is None, cost), (n, k, costs)
         nonnull += graph is not None
     assert nonnull >= 20
 
