@@ -104,20 +104,21 @@ def cmd_solve(args) -> int:
 
 def cmd_construct(args) -> int:
     scn = io.load_scenario(args.scenario)
-    solution, built = structured_solve(scn.n1, scn.n2, scn.costs)
-    if built is None:
+    solution, built = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
+    if solution.is_null:
         print("null equilibrium: nothing to construct", file=sys.stderr)
         return EXIT_NULL
-    io.save_graph(built.graph, args.out)
+    graph = _representative_graph(scn, solution, built)
+    io.save_graph(graph, args.out)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(io.to_dot(built.graph))
+            fh.write(io.to_dot(graph))
     report = {
         "k": solution.k,
-        "edges": len(built.graph.edges),
-        **_counts(built.graph),
-        "cycles_built": built.cycles_built,
-        "p": link_connectivity(built.graph).p,
+        "edges": len(graph.edges),
+        **_counts(graph),
+        "cycles_built": 0 if built is None else built.cycles_built,  # exact search lays out no cycles
+        "p": link_connectivity(graph).p,
         "u1": io.frac_str(solution.u1),
         "u2": io.frac_str(solution.u2),
         "out": str(args.out),

@@ -34,16 +34,19 @@ equilibrium scan and the team optimum) pick link counts per class in cost
 order from one count lattice (``_lattice``) and complete a base network
 through one loop (``_completion``), which skips a purchase that cannot
 cover the degree shortfall or the k + 1 cross links and hands the rest to
-``_place``.  One closed-form floor (``_count_floor``, which also names the
-least cross count that reaches it) serves the null test, the team design
-and the level bound ``_level_floor``: an operator-1 level of a intra and
-b cross links leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which
-only operator-2 cross links cover, and layer 2 d2 = n2(k+1) - b short,
-where an intra link covers 2 and at most C(n2, 2) fit, so operator 2 pays
-at least min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b,
-d2 - n2(n2-1), 0) <= x <= n1*n2 - b.  The exact search skips a level
-whose bound reaches 1; the structured route's stage 1 takes the cheapest
-level whose bound is below 1, and operator 2 the bound's argmin x.
+``_place``.  That depth-first placement search prunes by running counts
+alone (layer deficits against the picks left, and the nodes whose deficit
+exceeds their unvisited slots), so each search node costs O(1) and ticks
+once.  One closed-form floor (``_count_floor``, which also names the least
+cross count that reaches it) serves the null test, the team design and the
+level bound ``_level_floor``: an operator-1 level of a intra and b cross
+links leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which only
+operator-2 cross links cover, and layer 2 d2 = n2(k+1) - b short, where an
+intra link covers 2 and at most C(n2, 2) fit, so operator 2 pays at least
+min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b, d2 - n2(n2-1),
+0) <= x <= n1*n2 - b.  The exact search skips a level whose bound reaches
+1; the structured route's stage 1 takes the cheapest level whose bound is
+below 1, and operator 2 the bound's argmin x.
 
 Operator 1's scan completes few strategies per orbit of S_n1 x S_n2, the
 relabellings of nodes within a layer.  They change no price and no
@@ -113,7 +116,7 @@ class StrategyProfile:
     def from_graph(g: LayeredGraph) -> "StrategyProfile":
         """The operators' choices realized by ``g`` (the adversary stays null)."""
         groups = g.grouped()
-        sel = lambda owner, cls: frozenset(groups[owner, cls])
+        sel = lambda owner, cls: frozenset(groups.get((owner, cls), ()))
         return StrategyProfile(
             sel(Owner.OPERATOR1, EdgeClass.INTRA1),
             sel(Owner.OPERATOR1, EdgeClass.CROSS),
@@ -477,7 +480,13 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
     A branch is pruned when some node's degree deficit exceeds its
     unvisited candidate slots, or when a layer's deficit exceeds what the
     remaining picks can cover: 2 per same-layer intra pick, 1 per cross
-    pick.  Both layer sums and both coverages are kept as running counters.
+    pick.  Both layer sums and both coverages are kept as running counters,
+    and so is the slot test: ``over`` counts the nodes whose deficit
+    exceeds their slots.  Every node passes that test before a branch, and
+    taking a candidate lowers its ends' deficit and slots together, so only
+    passing it over can raise ``over``, and only at its two ends.  A search
+    node thus costs O(1), and the nodes and ticks are those of a per-node
+    scan.
     """
     n1 = uni.n1
     side = [0] * n1 + [1] * uni.n2
@@ -491,16 +500,14 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
             cover[side[u]] += count
             cover[side[v]] += count
 
-    def rec(gi, idx, left, mask):
+    def rec(gi, idx, left, mask, over):
         budget.tick()
         while left == 0:
             gi += 1
             if gi == len(groups):
                 return mask if uni.resists(base | mask, k) else None
             idx, left = 0, groups[gi][1]
-        if lack[0] > cover[0] or lack[1] > cover[1]:
-            return None
-        if any(d > s for d, s in zip(need, slots)):
+        if lack[0] > cover[0] or lack[1] > cover[1] or over:
             return None
         bits = groups[gi][0]
         if left > len(bits) - idx:
@@ -517,7 +524,7 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
         need[v] -= 1
         cover[su] -= 1
         cover[sv] -= 1
-        result = rec(gi, idx + 1, left - 1, mask | (1 << bit))
+        result = rec(gi, idx + 1, left - 1, mask | (1 << bit), 0)
         cover[su] += 1
         cover[sv] += 1
         need[u] += 1
@@ -525,12 +532,12 @@ def _place(uni: EdgeUniverse, k: int, base: int, groups: list, budget: _Budget):
         lack[su] += need[u] > 0
         lack[sv] += need[v] > 0
         if result is None:
-            result = rec(gi, idx + 1, left, mask)
+            result = rec(gi, idx + 1, left, mask, (need[u] > slots[u]) + (need[v] > slots[v]))
         slots[u] += 1
         slots[v] += 1
         return result
 
-    return rec(0, 0, groups[0][1], 0)
+    return rec(0, 0, groups[0][1], 0, sum(d > s for d, s in zip(need, slots)))
 
 
 def operator2_best_response_exact(

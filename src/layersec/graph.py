@@ -13,9 +13,11 @@ of ``add_edge``, so both raise the same ``GraphError``.  ``Owner`` and
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
 ``connectivity.keep_lambda`` fills it, with the value of a flow or, for an
-equilibrium build, the value its cycle certificate proves.  The slot
-lives and dies with the graph object: ``add_edge``, ``remove_edges`` and
-``from_pairs`` return graphs whose slot is empty, and two equal graphs
+equilibrium build, the value its cycle certificate proves.  A second such
+slot keeps ``grouped``'s pairs per (owner, class), so a build's count
+check and its strategy profile share one pass over the edges.  The slots
+live and die with the graph object: ``add_edge``, ``remove_edges`` and
+``from_pairs`` return graphs whose slots are empty, and two equal graphs
 built apart each fill their own.
 """
 
@@ -72,6 +74,8 @@ class LayeredGraph:
     edges: frozenset[Edge]
     # Edge connectivity, or None until connectivity.keep_lambda fills it.
     _lam: int | None = field(default=None, init=False, compare=False, repr=False)
+    # The pairs per (owner, class), or None until ``grouped`` fills it.
+    _groups: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -91,12 +95,15 @@ class LayeredGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {e.pair for e in self.edges}
 
-    def grouped(self) -> defaultdict:
-        """The (u, v) pairs per (owner, class), in one pass over the edges."""
-        groups = defaultdict(list)
-        for e in self.edges:
-            groups[e.owner, e.cls].append((e.u, e.v))
-        return groups
+    def grouped(self) -> dict:
+        """The (u, v) pairs per (owner, class) present, read-only: grouped in
+        one pass over the edges on the first call and kept with the graph."""
+        if self._groups is None:
+            groups = defaultdict(list)
+            for e in self.edges:
+                groups[e.owner, e.cls].append((e.u, e.v))
+            object.__setattr__(self, "_groups", {key: tuple(pairs) for key, pairs in groups.items()})
+        return self._groups
 
     def tally(self) -> Counter:
         """Edge count per (owner, class); absent combinations count 0."""

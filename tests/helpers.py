@@ -214,6 +214,17 @@ def spe_by_unfiltered_scan(n1, n2, costs):
     )
 
 
+def place_by_scan(uni, k, base, groups):
+    """The first mask, taking ``count`` of ``bits`` for each (bits, count)
+    of ``groups``, whose union with ``base`` resists k removals, in
+    itertools.product order of each group's combinations (None if none)."""
+    for picks in itertools.product(*(itertools.combinations(bits, c) for bits, c in groups)):
+        mask = sum(1 << b for pick in picks for b in pick)
+        if uni.resists(base | mask, k):
+            return mask
+    return None
+
+
 def structured_matches_exact(n, costs):
     """Check ``structured_solve`` against ``solve_spe_exact`` on an n+n game:
     the same null status and u1, and a u2 among the exact u2 classes."""

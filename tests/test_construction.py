@@ -32,7 +32,7 @@ from layersec.construction import (
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor, null_spe_check
-from layersec.graph import EdgeClass, Owner, count_by, from_pairs
+from layersec.graph import EdgeClass, LayeredGraph, Owner, count_by, from_pairs
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -398,13 +398,23 @@ def test_realize_refuses_a_parity_shape_with_no_free_node(n1, k, e11, x):
 @pytest.mark.parametrize("ca", [F(1, 3), F(1, 4)])
 def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca):
     # One from_pairs for the whole build; each tagged cycle is checked by
-    # its walk, so no component search or flow runs.
+    # its walk, so no component search or flow runs.  The count check
+    # (``tally``) and the reported profile (``from_graph``) share one
+    # grouping, kept with the graph.
     builds = count_calls(monkeypatch, layersec.graph, "from_pairs")
     searches = count_calls(monkeypatch, layersec.connectivity, "connected_pairs")
     flows = count_flows(monkeypatch)
+    inner, groupings = LayeredGraph.grouped, []
+
+    def grouped(g):
+        groupings.append(inner(g))
+        return groupings[-1]
+
+    monkeypatch.setattr(LayeredGraph, "grouped", grouped)
     sol, built = structured_solve(101, 101, CostProfile(F(1, 1010), F(1, 1010), F(1, 505), F(1, 101), ca))
     assert (sol.is_null, built.cycles_built) == (False, 2)
     assert (len(builds), len(searches), len(flows)) == (1, 0, 0)
+    assert len(groupings) == 2 and groupings[0] is groupings[1]
 
 
 def _arcs_brute_force(order, pairs):

@@ -11,6 +11,7 @@ from helpers import (
     graph_degrees,
     joint_floor_by_scan,
     lambda_by_bipartition,
+    place_by_scan,
     random_costs,
     random_pairs,
     spe_by_unfiltered_scan,
@@ -26,6 +27,7 @@ from layersec.game import (
     _count_floor,
     _Budget,
     _joint_cost_floor,
+    _place,
     _strategies,
     adversary_best_response,
     attack_budget,
@@ -295,6 +297,28 @@ def test_search_cap_pins_the_team_and_operator2_searches():
     with pytest.raises(SearchCapExceeded):
         operator2_best_response_exact(ring, PROP3_COSTS, 2, cap=47)
     assert len(operator2_best_response_exact(ring, PROP3_COSTS, 2, cap=48)) == 7
+
+
+def test_place_returns_the_first_resisting_placement_of_the_scan():
+    # Pools as ``_completion`` hands them over (operator 2's, then the
+    # team's, less the links of the base), counts from 0 up to 4 or the
+    # pool size: the slot and coverage pruning keeps the take-before-pass
+    # order.
+    rng = random.Random(22)
+    found = 0
+    for _ in range(300):
+        n1 = rng.randint(1, 5)
+        n2 = rng.randint(1, 6 - n1)
+        uni = EdgeUniverse(n1, n2)
+        k = rng.randint(1, 3)
+        base = uni.mask_of(random_pairs(rng, n1, n2, p=rng.choice([0.2, 0.4, 0.6])))
+        pools = rng.choice([[uni.cross_bits, uni.intra2_bits], [uni.intra1_bits, uni.intra2_bits, uni.cross_bits]])
+        free = [[b for b in bits if not base >> b & 1] for bits in pools]
+        groups = [(bits, rng.randint(0, min(len(bits), 4))) for bits in free]
+        want = place_by_scan(uni, k, base, groups)
+        assert _place(uni, k, base, groups, _Budget(10**6)) == want, (n1, n2, k, base, groups)
+        found += want is not None
+    assert found >= 60
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 3), (3, 2)])

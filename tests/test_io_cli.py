@@ -303,8 +303,9 @@ def test_cli_solves_and_constructs_a_parity_shape_level(tmp_path, capsys):
 
 
 def test_cli_solves_an_eight_node_game_outside_the_structured_domain(tmp_path, capsys):
-    # 4+4 with k = 4 = n1: `auto` takes exact search at 8 nodes, so both
-    # commands answer where the structured route's domain check exited 1.
+    # 4+4 with k = 4 = n1: `auto` takes exact search at 8 nodes, so every
+    # command answers where the structured route's domain check exited 1;
+    # `construct` saves the first equilibrium profile, which `verify` accepts.
     path = tmp_path / "k4.json"
     path.write_text(json.dumps({"n1": 4, "n2": 4, "c1": "1/40", "c2": "1/40", "c12": "1/40", "c21": "1/40", "cA": "1/4"}))
     code, out, _ = run_cli(capsys, "solve", "--scenario", str(path))
@@ -314,6 +315,15 @@ def test_cli_solves_an_eight_node_game_outside_the_structured_domain(tmp_path, c
     report = json.loads(out)
     # c_spe = (1 - u1) + (1 - u2); moving second, operator 2 pays 1 - u2.
     assert (code, report["poa"]["c_spe"], report["pos"]["c2_second"]) == (0, "1/2", "9/20")
+    out_path = tmp_path / "built.json"
+    code, out, _ = run_cli(capsys, "construct", "--scenario", str(path), "--out", str(out_path))
+    report = json.loads(out)
+    assert (code, report["cycles_built"], report["u1"], report["u2"]) == (0, 0, "19/20", "11/20")
+    assert report["p"] >= 4
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(out_path), "--k", "4")
+    verdict = json.loads(out)
+    assert (code, verdict["resistant"]) == (0, True)
+    assert verdict["p"] >= 4
 
 
 def test_cli_cap_error_names_the_level_it_reached(capsys):
