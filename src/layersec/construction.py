@@ -73,7 +73,7 @@ from .game import (
     attack_budget,
     null_spe_check,
 )
-from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
+from .graph import LINK_KINDS, EdgeClass, LayeredGraph, Owner, degrees, from_pairs
 
 OP1 = Owner.OPERATOR1
 OP2 = Owner.OPERATOR2
@@ -109,12 +109,7 @@ class StageOnePlan:
     @property
     def counts(self) -> dict:
         """Planned links per (owner, class)."""
-        return {
-            (OP1, EdgeClass.INTRA1): self.e11,
-            (OP1, EdgeClass.CROSS): self.e12,
-            (OP2, EdgeClass.INTRA2): self.op2_intra,
-            (OP2, EdgeClass.CROSS): self.op2_cross,
-        }
+        return dict(zip(LINK_KINDS, (self.e11, self.e12, self.op2_intra, self.op2_cross)))
 
 
 @dataclass(frozen=True)
@@ -409,12 +404,7 @@ def _team_design(n1: int, n2: int, k: int, costs: CostProfile):
     cost, x = _joint_cost_floor(n1, n1, k, costs)
     e11 = (n1 * (k + 1) - x + 1) // 2
     op1_cross = x if costs.c12 <= costs.c21 else 0
-    counts = {
-        (OP1, EdgeClass.INTRA1): e11,
-        (OP1, EdgeClass.CROSS): op1_cross,
-        (OP2, EdgeClass.INTRA2): e11,
-        (OP2, EdgeClass.CROSS): x - op1_cross,
-    }
+    counts = dict(zip(LINK_KINDS, (e11, op1_cross, e11, x - op1_cross)))
     return _realize(n1, k, counts)[0], cost
 
 

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_edge_cut
-from .graph import EdgeClass, LayeredGraph, Owner, degrees, from_pairs
+from .graph import LINK_KINDS, GraphError, LayeredGraph, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
 
@@ -109,27 +109,23 @@ class StrategyProfile:
     def empty() -> "StrategyProfile":
         return StrategyProfile(*[frozenset()] * 5)
 
+    def links(self) -> tuple:
+        """The operators' four link sets, in ``LINK_KINDS`` order."""
+        return (self.e1_intra, self.e1_cross, self.e2_intra, self.e2_cross)
+
     def built_pairs(self) -> frozenset:
-        return self.e1_intra | self.e1_cross | self.e2_intra | self.e2_cross
+        return frozenset().union(*self.links())
 
     @staticmethod
     def from_graph(g: LayeredGraph) -> "StrategyProfile":
         """The operators' choices realized by ``g`` (the adversary stays null)."""
         groups = g.grouped()
-        sel = lambda owner, cls: frozenset(groups.get((owner, cls), ()))
-        return StrategyProfile(
-            sel(Owner.OPERATOR1, EdgeClass.INTRA1),
-            sel(Owner.OPERATOR1, EdgeClass.CROSS),
-            sel(Owner.OPERATOR2, EdgeClass.INTRA2),
-            sel(Owner.OPERATOR2, EdgeClass.CROSS),
-            frozenset(),
-        )
+        return StrategyProfile(*(frozenset(groups.get(kind, ())) for kind in LINK_KINDS), frozenset())
 
     def to_graph(self, n1: int, n2: int) -> LayeredGraph:
         """The network the two operators build (the attack is not applied)."""
-        triples = [(u, v, Owner.OPERATOR1) for u, v in self.e1_intra | self.e1_cross]
-        triples += [(u, v, Owner.OPERATOR2) for u, v in self.e2_intra | self.e2_cross]
-        return from_pairs(n1, n2, triples)
+        kinds = zip(LINK_KINDS, self.links())
+        return from_pairs(n1, n2, [(u, v, owner) for (owner, _), pairs in kinds for u, v in pairs])
 
 
 @dataclass(frozen=True)
@@ -206,39 +202,24 @@ def _norm_pair(p) -> tuple:
 
 
 def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) -> GameOutcome:
-    """Evaluate the three payoffs of a (possibly off-equilibrium) profile."""
-    n = n1 + n2
+    """Evaluate the three payoffs of a (possibly off-equilibrium) profile.
 
-    def check(pairs, kinds, label):
-        out = set()
-        for p in pairs:
-            u, v = _norm_pair(p)
-            if not (0 <= u < v < n):
-                raise GameError(f"{label}: pair {p} out of range")
-            cls = (
-                EdgeClass.INTRA1
-                if v < n1
-                else EdgeClass.INTRA2
-                if u >= n1
-                else EdgeClass.CROSS
-            )
-            if cls not in kinds:
-                raise GameError(f"{label}: pair {p} has class {cls.value}")
-            out.add((u, v))
-        return frozenset(out)
-
-    e1i = check(profile.e1_intra, {EdgeClass.INTRA1}, "operator-1 intra")
-    e1c = check(profile.e1_cross, {EdgeClass.CROSS}, "operator-1 cross")
-    e2i = check(profile.e2_intra, {EdgeClass.INTRA2}, "operator-2 intra")
-    e2c = check(profile.e2_cross, {EdgeClass.CROSS}, "operator-2 cross")
-    if e1c & e2c:
-        raise GameError("a cross link may be built by only one operator")
-    built = e1i | e1c | e2i | e2c
+    The profile is valid when ``to_graph`` builds it and ``from_graph``
+    gives every link back in the field that lists it."""
+    try:
+        graph = profile.to_graph(n1, n2)
+    except GraphError as exc:
+        raise GameError(f"malformed profile: {exc}") from exc
+    e1i, e1c, e2i, e2c = StrategyProfile.from_graph(graph).links()
+    for (owner, cls), listed, back in zip(LINK_KINDS, profile.links(), (e1i, e1c, e2i, e2c)):
+        for p in listed:
+            if _norm_pair(p) not in back:
+                raise GameError(f"operator {owner.value}'s {cls.value} links list {p}, a link of another class")
     attack = frozenset(_norm_pair(p) for p in profile.attack)
+    built = graph.edge_pairs()
     if not attack <= built:
         raise GameError("attack targets a link that was not built")
-    remaining = built - attack
-    connected = connected_pairs(n, remaining)
+    connected = connected_pairs(n1 + n2, built - attack)
     one = Fraction(1 if connected else 0)
     u1 = one - costs.c1 * len(e1i) - costs.c12 * len(e1c)
     u2 = one - costs.c2 * len(e2i) - costs.c21 * len(e2c)

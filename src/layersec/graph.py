@@ -48,6 +48,8 @@ ADMISSIBLE = {
     Owner.OPERATOR1: (EdgeClass.INTRA1, EdgeClass.CROSS),
     Owner.OPERATOR2: (EdgeClass.INTRA2, EdgeClass.CROSS),
 }
+# The four kinds of built link, as (owner, class), in ``StrategyProfile``'s field order.
+LINK_KINDS = tuple((owner, cls) for owner, classes in ADMISSIBLE.items() for cls in classes)
 _BY_ENDS = (EdgeClass.INTRA2, EdgeClass.CROSS, EdgeClass.INTRA1)  # by the edge's layer-1 ends
 
 
@@ -81,17 +83,6 @@ class LayeredGraph:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    def layer(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise GraphError(f"node {v} out of range [0, {self.n})")
-        return 1 if v < self.n1 else 2
-
-    def classify(self, u: int, v: int) -> EdgeClass:
-        lu, lv = self.layer(u), self.layer(v)
-        if lu == lv:
-            return EdgeClass.INTRA1 if lu == 1 else EdgeClass.INTRA2
-        return EdgeClass.CROSS
-
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {e.pair for e in self.edges}
 
@@ -124,7 +115,9 @@ def _checked_edge(g: LayeredGraph, u: int, v: int, owner: Owner, present) -> Edg
         raise GraphError("self-loops are not allowed")
     if u > v:
         u, v = v, u
-    cls = g.classify(u, v)
+    if not 0 <= u < v < g.n:
+        raise GraphError(f"node {v if 0 <= u < g.n else u} out of range [0, {g.n})")
+    cls = _BY_ENDS[(u < g.n1) + (v < g.n1)]
     if owner not in ADMISSIBLE or cls not in ADMISSIBLE[owner]:
         raise GraphError(f"owner {owner} may not build a {cls.value} edge")
     if (u, v) in present:
@@ -157,7 +150,8 @@ def degrees(n: int, pairs) -> list[int]:
 
 
 def degree(g: LayeredGraph, v: int) -> int:
-    g.layer(v)  # range check
+    if not 0 <= v < g.n:
+        raise GraphError(f"node {v} out of range [0, {g.n})")
     return degrees(g.n, g.edge_pairs())[v]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import DEFAULT_SEARCH_CAP, CostProfile
-from .graph import LayeredGraph, Owner, from_pairs
+from .graph import ADMISSIBLE, LayeredGraph, Owner, from_pairs
 
 
 class FormatError(ValueError):
@@ -103,8 +103,8 @@ def load_scenario(path) -> Scenario:
         return scenario_from_dict(json.load(fh))
 
 
-_OWNER_CODE = {Owner.OPERATOR1: 1, Owner.OPERATOR2: 2}
-_CODE_OWNER = {1: Owner.OPERATOR1, 2: Owner.OPERATOR2}
+# A graph file names each link's owner by its operator number.
+_CODE_OWNER = {owner.value: owner for owner in ADMISSIBLE}
 
 
 def graph_to_dict(g: LayeredGraph) -> dict:
@@ -112,7 +112,7 @@ def graph_to_dict(g: LayeredGraph) -> dict:
     return {
         "n1": g.n1,
         "n2": g.n2,
-        "edges": [{"u": e.u, "v": e.v, "owner": _OWNER_CODE[e.owner]} for e in edges],
+        "edges": [{"u": e.u, "v": e.v, "owner": e.owner.value} for e in edges],
     }
 
 
@@ -139,11 +139,11 @@ def load_graph(path) -> LayeredGraph:
         return graph_from_dict(json.load(fh))
 
 
-def to_dot(g: LayeredGraph, attacked=frozenset(), name: str = "layersec") -> str:
+def to_dot(g: LayeredGraph, attacked=frozenset()) -> str:
     """DOT rendering: operator-1 links bold, operator-2 links thin,
     attacked links dashed; layer-1 nodes circles, layer-2 nodes boxes."""
     attacked = {tuple(sorted(p)) for p in attacked}
-    lines = [f"graph {name} {{"]
+    lines = ["graph layersec {"]
     for v in range(g.n1):
         lines.append(f'  {v} [shape=circle, label="{v}"];')
     for v in range(g.n1, g.n):

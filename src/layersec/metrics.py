@@ -5,8 +5,8 @@ two operators' cross costs, since a joint designer would always hand a
 cross link to whichever side builds it more cheaply.  One rule prices it,
 the capped joint floor ``game._joint_cost_floor``: it is the null test,
 ``cost_bounds``' lower bound and the large-instance design.  Small
-instances (n1 + n2 <= 8) take exact search.  A larger symmetric one
-takes the floor's argmin of x cross links, built by
+instances (n1 + n2 <= EXACT_MAX_NODES) take exact search.  A larger
+symmetric one takes the floor's argmin of x cross links, built by
 ``construction._team_design`` with the realizer of both networks and
 certified by its cycle and arc lemmas with no flow; it costs the floor,
 so it is exact.
@@ -28,6 +28,10 @@ from .game import (
     solve_spe_exact,
 )
 from .graph import LayeredGraph
+
+
+# The largest game, in nodes, that ``solve_game`` and ``team_optimal`` send to exact search.
+EXACT_MAX_NODES = 8
 
 
 class MetricsError(ValueError):
@@ -102,13 +106,13 @@ def team_optimal(
 
     Null when no k-resistant design costs less than 2: ``null_spe_check``
     says so, or the exact search finds none.  Otherwise exact search for
-    n1 + n2 <= 8; for larger instances in the structured domain the
-    certified design of ``construction._team_design``, which costs the
-    capped joint floor and so is exact.
+    n1 + n2 <= EXACT_MAX_NODES; for larger instances in the structured
+    domain the certified design of ``construction._team_design``, which
+    costs the capped joint floor and so is exact.
     """
     if null_spe_check(n1, n2, k, costs)[0]:
         return TeamResult(None, None)
-    if n1 + n2 <= 8:
+    if n1 + n2 <= EXACT_MAX_NODES:
         return TeamResult(*_solve_team_exact(n1, n2, k, costs, cap))
     return TeamResult(*_team_design(n1, n2, k, costs))
 
@@ -124,12 +128,12 @@ def solve_game(
 
     Returns (SpeSolution, BuiltNetwork or None).  ``mode`` is auto, exact
     or structured; auto routes by size only: exact search for
-    n1 + n2 <= 8, otherwise ``construction.structured_solve``, in any
-    cost order.
+    n1 + n2 <= EXACT_MAX_NODES, otherwise
+    ``construction.structured_solve``, in any cost order.
     """
     if mode not in ("auto", "exact", "structured"):
         raise MetricsError(f"unknown mode {mode!r}: expected auto, exact or structured")
-    if mode == "exact" or (mode == "auto" and n1 + n2 <= 8):
+    if mode == "exact" or (mode == "auto" and n1 + n2 <= EXACT_MAX_NODES):
         return solve_spe_exact(n1, n2, costs, cap=cap), None
     return structured_solve(n1, n2, costs)
 

@@ -82,6 +82,50 @@ def test_utilities_malformed():
         )  # attack on a link nobody built
 
 
+# Each profile lists one link in a field it does not belong to (4 + 3 nodes).
+MISFILED = {
+    "cross pair as operator-1 intra": ([(0, 4)], [], [], []),
+    "intra-1 pair as operator-1 cross": ([], [(0, 1)], [], []),
+    "intra-1 pair as operator-2 intra": ([], [], [(0, 1)], []),
+    "intra-2 pair as operator-2 cross": ([], [], [], [(4, 5)]),
+    "reversed duplicate in one field": ([(0, 1), (1, 0)], [], [], []),
+    "self-loop": ([(2, 2)], [], [], []),
+    "node out of range": ([], [], [], [(0, 7)]),
+}
+
+
+@pytest.mark.parametrize("fields", MISFILED.values(), ids=MISFILED.keys())
+def test_utilities_refuses_a_misfiled_link(fields):
+    profile = StrategyProfile(*map(frozenset, fields), frozenset())
+    with pytest.raises(GameError):
+        utilities(profile, PROP3_COSTS, 4, 3)
+
+
+def test_profiles_round_trip_and_utilities_match_a_hand_count():
+    rng = random.Random(23)
+    for _ in range(200):
+        n1, n2 = rng.randint(1, 4), rng.randint(1, 3)
+        costs = random_costs(rng)
+        fields = [set(), set(), set(), set()]  # e1_intra, e1_cross, e2_intra, e2_cross
+        for u, v in random_pairs(rng, n1, n2, p=0.5):
+            ends = (u < n1) + (v < n1)
+            fields[0 if ends == 2 else 2 if ends == 0 else rng.choice((1, 3))].add((u, v))
+        profile = StrategyProfile(*map(frozenset, fields), frozenset())
+        assert StrategyProfile.from_graph(profile.to_graph(n1, n2)) == profile
+        # utilities takes each pair in either order
+        listed = [frozenset((v, u) if rng.random() < 0.5 else (u, v) for u, v in f) for f in fields]
+        attack = frozenset(p for p in profile.built_pairs() if rng.random() < 0.3)
+        out = utilities(StrategyProfile(*listed, attack), costs, n1, n2)
+        one = int(lambda_by_bipartition(n1 + n2, profile.built_pairs() - attack) > 0)
+        e1i, e1c, e2i, e2c = map(len, fields)
+        assert (out.connected_after_attack, out.u1, out.u2, out.uA) == (
+            bool(one),
+            one - costs.c1 * e1i - costs.c12 * e1c,
+            one - costs.c2 * e2i - costs.c21 * e2c,
+            1 - one - costs.ca * len(attack),
+        )
+
+
 def test_utilities_counts_costs():
     costs = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
     profile = StrategyProfile(
@@ -144,6 +188,20 @@ def test_operator2_response_sizes_by_first_move():
     assert len(resp) == 10
     union = {e.pair for e in resp} | {(0, 1)}
     assert link_connectivity(embed(4, 3, union)).p >= 2
+
+
+def test_operator2_buys_when_the_base_passes_every_count_screen_but_does_not_resist():
+    # Two K4 blocks joined by (0, 2) and (4, 6): every degree is at least
+    # 3 and there are 8 cross links, so the empty purchase passes every
+    # count screen at k = 2, yet the two joining links cut the network.
+    blocks = [(0, 1, 4, 5), (2, 3, 6, 7)]
+    pairs = [p for block in blocks for p in itertools.combinations(block, 2)] + [(0, 2), (4, 6)]
+    g1 = embed(4, 4, pairs, cross_owner=Owner.OPERATOR1)
+    assert min(graph_degrees(g1)) >= 3
+    assert sum(u < 4 <= v for u, v in pairs) == 8
+    assert lambda_by_bipartition(8, pairs) == 2
+    resp = operator2_best_response_exact(g1, costs_of("1/10", "1/12", "1/10", "1/9", "1/2"), 2)
+    assert {e.pair for e in resp} == {(4, 7)}
 
 
 def test_floats_are_refused():
