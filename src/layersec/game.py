@@ -20,14 +20,17 @@ conventions: the adversary does attack when its net payoff is exactly 0,
 the operators do not build when their net payoff would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
-and a deliberately naive full-enumeration oracle (bruteforce_spe_oracle)
-used to cross-check it on tiny instances.  Each search call builds its
-own EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
-nothing outlives a call.  Every k-resistance test is
-EdgeUniverse.resists(mask, k): without a flow, a node of degree <= k
-answers no (lambda <= min degree) and the complete graph yes (lambda =
-n - 1); otherwise lambda > k decides.  The oracle settles resists once per
-union mask in a call-local table and prunes nothing.
+and an exhaustive oracle (bruteforce_spe_oracle) used to cross-check it
+on tiny instances.  Each search call builds its own EdgeUniverse
+(candidate links as bitmasks, plus a lambda memo), so nothing outlives a
+call.  Every k-resistance test is EdgeUniverse.resists(mask, k): without
+a flow, a node of degree <= k answers no (lambda <= min degree) and the
+complete graph yes (lambda = n - 1); otherwise lambda > k decides.  The
+oracle settles resists once per union mask in a call-local table, then
+takes operator 2's best response to every operator-1 strategy as one
+minimum over the supersets that add only operator 2's pool (the cheapest
+resisting union, ties to the largest mask); it uses nothing of the
+pruned search.
 
 The three exact searches (operator 2's best response, operator 1's
 equilibrium scan and the team optimum) pick link counts per class in cost
@@ -687,12 +690,14 @@ def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
-    """Ground-truth equilibrium by full enumeration (n1 + n2 <= 5).
+    """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 5).
 
-    Evaluates every operator-1 subset against every operator-2 subset,
-    resolving the adversary by k-resistance, with no pruning beyond the
-    problem size cap.  Must agree with solve_spe_exact on u1, null status,
-    and the set of operator-2 equilibrium payoffs.
+    Settles k-resistance for every union mask, then takes operator 2's
+    best response to every operator-1 subset as a minimum over the
+    supersets that add only its own pool's links, ties going to the
+    largest mask.  Nothing of the pruned search is used.  Must agree with
+    solve_spe_exact on u1, null status, and the set of operator-2
+    equilibrium payoffs.
     """
     if n1 + n2 > 5:
         raise GameError("oracle instances are capped at n1 + n2 <= 5")
@@ -700,34 +705,50 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
     op1_pool = uni.intra1_mask | uni.cross_mask
-    op2_base = uni.intra2_mask | uni.cross_mask
     intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
+    m = len(uni.pairs)
+    size, full = 1 << m, (1 << m) - 1
     # Every mask of the universe is the union of some (mask1, sub) pair, and
     # most unions recur many times: settle each one once.
-    resists = [uni.resists(mask, k) for mask in range(1 << len(uni.pairs))]
+    resists = [uni.resists(mask, k) for mask in range(size)]
 
-    # Payoffs and costs in units of 1/L.
+    # Payoffs and costs in units of 1/L.  Operator 2 earns L*[mask1|sub
+    # resists] - cost2(sub), and every link costs > 0.  So its best response
+    # is the cheapest securing sub (empty when mask1 resists alone), ties to
+    # the numerically largest, if that payoff is positive, and the empty
+    # response otherwise: the first strict improvement of a descending scan
+    # from the empty response.  key ranks a resisting union M by its cost
+    # with every cross link at c21, then by size (full ^ M in the low m
+    # bits); any other mask gets top, above every key.
+    top = (c2 * intra2.bit_count() + c21 * cross.bit_count() + 1) << m
+    key = [
+        (c2 * (mask & intra2).bit_count() + c21 * (mask & cross).bit_count()) << m | (full ^ mask)
+        if resists[mask] else top
+        for mask in range(size)
+    ]
+    # Minimum over supersets by each bit of operator 2's pool (intra-2 and
+    # cross, the bits above intra-1): key[mask1] is then the best union
+    # mask1 | sub, since such a union keeps mask1's intra-1 links.
+    for bit in range(len(uni.intra1_bits), m):
+        step = 1 << bit
+        for j in range(0, size, 2 * step):
+            for i in range(j, j + step):
+                if key[i + step] < key[i]:
+                    key[i] = key[i + step]
+
     results = []  # (u1, cost1, mask1, secured, cost2, mask2)
     mask1 = op1_pool
     while True:
         cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
-        # Operator 2 plays empty first; later strict improvement only, so
-        # zero-net-payoff securing never displaces the null response.
-        if resists[mask1]:
-            best_u2, best_conn, best_cost2, best_mask2 = L, True, 0, 0
+        best = key[mask1]
+        # The key priced operator 1's own cross links at c21 too.
+        cost2 = (best >> m) - c21 * (mask1 & cross).bit_count()
+        if best < top and cost2 < L:
+            secured, mask2 = True, (full & ~best) ^ mask1
         else:
-            best_u2, best_conn, best_cost2, best_mask2 = 0, False, 0, 0
-        allowed = op2_base & ~mask1
-        sub = allowed
-        while sub:
-            cost2 = c2 * (sub & intra2).bit_count() + c21 * (sub & cross).bit_count()
-            survives = resists[mask1 | sub]
-            u2 = (L if survives else 0) - cost2
-            if u2 > best_u2:
-                best_u2, best_conn, best_cost2, best_mask2 = u2, survives, cost2, sub
-            sub = (sub - 1) & allowed
-        u1 = (L if best_conn else 0) - cost1
-        results.append((u1, cost1, mask1, best_conn, best_cost2, best_mask2))
+            secured, cost2, mask2 = False, 0, 0
+        u1 = (L if secured else 0) - cost1
+        results.append((u1, cost1, mask1, secured, cost2, mask2))
         if mask1 == 0:
             break
         mask1 = (mask1 - 1) & op1_pool

@@ -13,6 +13,7 @@ from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
     EdgeUniverse,
+    GameError,
     SpeSolution,
     _Budget,
     _completion,
@@ -211,6 +212,67 @@ def spe_by_unfiltered_scan(n1, n2, costs):
         uA=Fraction(0),
         profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
         u2_values=tuple(Fraction(L - c, L) for c in classes),
+    )
+
+
+def spe_by_pair_enumeration(n1, n2, costs):
+    """``bruteforce_spe_oracle`` as a pair loop: every operator-1 subset
+    against every operator-2 subset, operator 2 keeping the first strict
+    improvement over the empty response in descending subset order."""
+    if n1 + n2 > 5:
+        raise GameError("oracle instances are capped at n1 + n2 <= 5")
+    k = attack_budget(costs.ca)
+    uni = EdgeUniverse(n1, n2)
+    L, c1, c2, c12, c21 = _scale(costs)
+    op1_pool = uni.intra1_mask | uni.cross_mask
+    op2_base = uni.intra2_mask | uni.cross_mask
+    intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
+    # Every mask of the universe is the union of some (mask1, sub) pair, and
+    # most unions recur many times: settle each one once.
+    resists = [uni.resists(mask, k) for mask in range(1 << len(uni.pairs))]
+
+    # Payoffs and costs in units of 1/L.
+    results = []  # (u1, cost1, mask1, secured, cost2, mask2)
+    mask1 = op1_pool
+    while True:
+        cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
+        # Operator 2 plays empty first; later strict improvement only, so
+        # zero-net-payoff securing never displaces the null response.
+        if resists[mask1]:
+            best_u2, best_conn, best_cost2, best_mask2 = L, True, 0, 0
+        else:
+            best_u2, best_conn, best_cost2, best_mask2 = 0, False, 0, 0
+        allowed = op2_base & ~mask1
+        sub = allowed
+        while sub:
+            cost2 = c2 * (sub & intra2).bit_count() + c21 * (sub & cross).bit_count()
+            survives = resists[mask1 | sub]
+            u2 = (L if survives else 0) - cost2
+            if u2 > best_u2:
+                best_u2, best_conn, best_cost2, best_mask2 = u2, survives, cost2, sub
+            sub = (sub - 1) & allowed
+        u1 = (L if best_conn else 0) - cost1
+        results.append((u1, cost1, mask1, best_conn, best_cost2, best_mask2))
+        if mask1 == 0:
+            break
+        mask1 = (mask1 - 1) & op1_pool
+
+    best_u1 = max(r[0] for r in results)
+    if best_u1 <= 0:
+        return SpeSolution.null(k, method="oracle")
+    by_class = {}
+    for u1, cost1, mask1, conn, cost2, mask2 in results:
+        if u1 == best_u1 and cost2 not in by_class:
+            by_class[cost2] = (mask1, mask2)
+    classes = sorted(by_class)
+    return SpeSolution(
+        k=k,
+        is_null=False,
+        u1=Fraction(best_u1, L),
+        uA=Fraction(0),
+        profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
+        u2_values=tuple(Fraction(L - c, L) for c in classes),
+        method="oracle",
     )
 
 

@@ -1,11 +1,14 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import layersec.game
 from helpers import (
     SWEEP_SCALE,
+    count_calls,
     count_flows,
     embed,
     graph_degrees,
@@ -14,6 +17,7 @@ from helpers import (
     place_by_scan,
     random_costs,
     random_pairs,
+    spe_by_pair_enumeration,
     spe_by_unfiltered_scan,
     structured_matches_exact,
 )
@@ -492,6 +496,77 @@ def test_integer_costs_keep_the_strict_boundaries():
     assert operator2_best_response_exact(empty, at_one, 1) == frozenset()
     bought = operator2_best_response_exact(empty, below_one, 1)
     assert sorted(e.pair for e in bought) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+ORACLE_SHAPES = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if n1 + n2 <= 5]
+
+
+@pytest.mark.parametrize("n1, n2", ORACLE_SHAPES)
+def test_oracle_matches_the_pair_enumeration(n1, n2):
+    rng = random.Random(100 * n1 + n2)
+    draws = [
+        draw(rng)
+        for draw in (
+            random_costs,
+            lambda rng: random_costs(rng, max_den=60, scale=SWEEP_SCALE),
+            # Small denominators make ties between operator-2 completions.
+            lambda rng: random_costs(rng, max_den=7),
+        )
+        for _ in range(5)
+    ]
+    for costs in draws:
+        assert repr(bruteforce_spe_oracle(n1, n2, costs)) == repr(spe_by_pair_enumeration(n1, n2, costs)), costs
+
+
+def test_oracle_matches_the_pair_enumeration_on_the_strict_boundaries():
+    # The instances of test_integer_costs_keep_the_strict_boundaries.
+    for n1, n2, costs in [
+        (2, 2, costs_of("1/10", "1/2", "9/10", "1/4", "2/3")),
+        (2, 1, costs_of("1/2", "1/2", "1/2", "3/4", "2/3")),
+        (2, 1, costs_of("1/2", "1/2", "499/1000", "3/4", "2/3")),
+        (2, 2, costs_of("1/4", "3/4", "1/4", "1/2", "2/3")),
+        (2, 2, costs_of("1/10", "2/5", "1/5", "3/10", "2/3")),
+        (2, 2, costs_of("1/10", "399/1000", "1/5", "3/10", "2/3")),
+        (2, 2, costs_of("100/997", "301/991", "250/983", "260/977", "2/3")),
+        (3, 2, costs_of("100/997", "101/991", "150/983", "160/977", "2/3")),
+    ]:
+        assert repr(bruteforce_spe_oracle(n1, n2, costs)) == repr(spe_by_pair_enumeration(n1, n2, costs)), costs
+
+
+def test_oracle_breaks_operator2_ties_towards_the_largest_mask():
+    # After 0-1 operator 2 completes the square with 2-3 and either
+    # {0-2, 1-3} or {0-3, 1-2}, both at 1/3 + 2 * 1/4 = 5/6.  The oracle
+    # reports the numerically largest operator-2 mask: {0-2, 1-3} holds
+    # cross bits 0 and 3 of 0-2, 0-3, 1-2, 1-3.
+    n1, n2, costs = 2, 2, costs_of("3/5", "1/3", "2/3", "1/4", "3/4")
+    sol = bruteforce_spe_oracle(n1, n2, costs)
+    assert (sol.k, sol.is_null, sol.u1, sol.u2_values) == (1, False, F(2, 5), (F(1, 6),))
+    (profile,) = sol.profiles
+    assert profile.e1_intra == {(0, 1)} and not profile.e1_cross
+    assert profile.e2_intra | profile.e2_cross == {(0, 2), (1, 3), (2, 3)}
+    other = replace(profile, e2_cross=frozenset({(0, 3), (1, 2)}))
+    assert utilities(profile, costs, n1, n2) == utilities(other, costs, n1, n2)
+    assert utilities(other, costs, n1, n2).u2 == F(1, 6)
+
+
+def test_oracle_uses_nothing_of_the_pruned_search(monkeypatch):
+    pruned = {
+        name: count_calls(monkeypatch, layersec.game, name)
+        for name in ("_lattice", "_completion", "_place", "_strategies", "_level_floor", "null_spe_check")
+    }
+    resists = []
+    inner = EdgeUniverse.resists
+
+    def counted(self, mask, k):
+        resists.append(mask)
+        return inner(self, mask, k)
+
+    monkeypatch.setattr(EdgeUniverse, "resists", counted)
+    sol = bruteforce_spe_oracle(3, 2, costs_of("1/27", "1/27", "1/9", "1/15", "2/3"))
+    assert not sol.is_null
+    assert {name: len(calls) for name, calls in pruned.items()} == dict.fromkeys(pruned, 0)
+    # k-resistance is settled once per union mask of the 10 candidate links.
+    assert sorted(resists) == list(range(1 << 10))
 
 
 def test_equilibrium_network_is_k_resistant():
