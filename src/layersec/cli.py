@@ -28,6 +28,7 @@ from .game import (
 )
 from .graph import ADMISSIBLE, GraphError, LayeredGraph, degrees, remove_edges
 from .metrics import (
+    MODES,
     MetricsError,
     cost_bounds,
     price_of_anarchy,
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="equilibrium of a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--mode", choices=["auto", "exact", "structured"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_solve)
 
@@ -513,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except _ERRORS as exc:

@@ -193,24 +193,17 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
     join the two strands into a single cycle through all 2*n1 nodes.
     With z = 0 this is an all-cross Hamiltonian cycle.
     """
-    tag = []
     for i in range(z):
         a, b = seq[i], seq[i + 1]
         out.append([a, b, OP1])
-        tag.append((a, b))
         out.append([a + n1, b + n1, OP2])
-        tag.append((a + n1, b + n1))
     for i in range(z, len(seq) - 1):
         a, b = seq[i], seq[i + 1]
         out.append([a, b + n1, OP2])
-        tag.append((a, b + n1))
         out.append([b, a + n1, OP2])
-        tag.append((b, a + n1))
     for a in (seq[0], seq[-1]):
         closer_slots.append(len(out))
         out.append([a, a + n1, OP2])
-        tag.append((a, a + n1))
-    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,11 @@ def _build_cycle_superposition(n1: int, k: int, e11: int):
     # The first m paths are mirrored, the next one carries the z leftover
     # intra steps, the rest are all-cross.
     steps = [N - 1] * m + [z] + [0] * C
-    tags = [_mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots) for r in range(C)]
+    tags = []  # a cycle's tag is the slice of ``out`` that it appended
+    for r in range(C):
+        start = len(out)
+        _mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots)
+        tags.append([(a, b) for a, b, _ in out[start:]])
     if k % 2 == 0:
         _add_matching(N, C, e11 - held, out, closer_slots)
     return out, closer_slots, tags

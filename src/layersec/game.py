@@ -26,11 +26,13 @@ on tiny instances.  Each search call builds its own EdgeUniverse
 call.  Every k-resistance test is EdgeUniverse.resists(mask, k): without
 a flow, a node of degree <= k answers no (lambda <= min degree) and the
 complete graph yes (lambda = n - 1); otherwise lambda > k decides.  The
-oracle settles resists once per union mask in a call-local table, then
-takes operator 2's best response to every operator-1 strategy as one
-minimum over the supersets that add only operator 2's pool (the cheapest
-resisting union, ties to the largest mask); it uses nothing of the
-pruned search.
+oracle settles resists once per union mask while it builds a call-local
+key table, then takes operator 2's best response to every operator-1
+strategy as one minimum over the supersets that add only operator 2's
+pool (the cheapest resisting union, ties to the largest mask); it uses
+nothing of the pruned search.  Both solvers fill one table of operator-2
+cost classes while they scan, keeping the first strategy of each, and
+report through one summary (``_equilibrium``).
 
 The three exact searches (operator 2's best response, operator 1's
 equilibrium scan and the team optimum) pick link counts per class in cost
@@ -551,6 +553,25 @@ def _profile_from_masks(uni: EdgeUniverse, mask1: int, mask2: int) -> StrategyPr
     return StrategyProfile(e1i, e1c, e2i, e2c, frozenset())
 
 
+def _equilibrium(uni: EdgeUniverse, k: int, L: int, cost1, by_class: dict, method: str) -> SpeSolution:
+    """The equilibrium summary of both exact solvers: null when ``cost1``,
+    operator 1's least securing cost in units of 1/L, is None; otherwise
+    one profile per operator-2 cost class of ``by_class`` (cost ->
+    (mask1, mask2)), cheapest first, so u2 descends."""
+    if cost1 is None:
+        return SpeSolution.null(k, method=method)
+    classes = sorted(by_class)
+    return SpeSolution(
+        k=k,
+        is_null=False,
+        u1=Fraction(L - cost1, L),
+        uA=Fraction(0),
+        profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
+        u2_values=tuple(Fraction(L - c, L) for c in classes),
+        method=method,
+    )
+
+
 def _row_patterns(width: int, lo: int, hi: int, tied: int, ref):
     """Rows of ``width`` columns (bit c is column c), lo to hi ones, in scan
     order (lowest differing column set first), but no row with 0 at c and 1
@@ -621,10 +642,10 @@ def solve_spe_exact(
     strategies that no adjacent swap within a layer maps earlier, among
     them each operator-2 cost class's first securable one (module
     docstring).  The first cost admitting a securable completion is the
-    equilibrium level, and every generated securable strategy at that cost
-    is collected.  The cap counts a tick per generated row node of
-    operator 1's strategies and per node of operator 2's placement search.
-    Intended for n1 + n2 <= 8.
+    equilibrium level, and each operator-2 cost class keeps the first
+    securable strategy generated at that cost.  The cap counts a tick per
+    generated row node of operator 1's strategies and per node of operator
+    2's placement search.  Intended for n1 + n2 <= 8.
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs)[0]:
@@ -637,7 +658,7 @@ def solve_spe_exact(
     levels = _lattice(uni, [uni.cross_bits, uni.intra1_bits], [c12, c1], L)
 
     found_cost = None
-    found = []  # (mask1, cost2, mask2) in enumeration order
+    by_class = {}  # operator-2 cost -> (mask1, mask2) of its first securable strategy
     for cost1, (b, a), *_ in levels:
         if found_cost is not None and cost1 > found_cost:
             break
@@ -647,30 +668,10 @@ def solve_spe_exact(
         budget.level, budget.since = (a, b), budget.used
         for mask1 in _strategies(n1, n2, a, b, budget):
             cost2, mask2 = _completion(uni, k, mask1, op2_pools, op2_lattice, budget)
-            if cost2 is None:
-                continue
-            found_cost = cost1
-            found.append((mask1, cost2, mask2))
-    if not found:
-        return SpeSolution.null(k)
-
-    by_class = {}
-    for mask1, cost2, mask2 in found:
-        if cost2 not in by_class:
-            by_class[cost2] = (mask1, mask2)
-    classes = sorted(by_class)  # ascending operator-2 cost = descending u2
-    profiles = tuple(
-        _profile_from_masks(uni, *by_class[c]) for c in classes
-    )
-    return SpeSolution(
-        k=k,
-        is_null=False,
-        u1=Fraction(L - found_cost, L),
-        uA=Fraction(0),
-        profiles=profiles,
-        u2_values=tuple(Fraction(L - c, L) for c in classes),
-        method="exact",
-    )
+            if cost2 is not None:
+                found_cost = cost1
+                by_class.setdefault(cost2, (mask1, mask2))
+    return _equilibrium(uni, k, L, found_cost, by_class, "exact")
 
 
 def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
@@ -692,11 +693,14 @@ def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 5).
 
-    Settles k-resistance for every union mask, then takes operator 2's
-    best response to every operator-1 subset as a minimum over the
-    supersets that add only its own pool's links, ties going to the
-    largest mask.  Nothing of the pruned search is used.  Must agree with
-    solve_spe_exact on u1, null status, and the set of operator-2
+    Settles k-resistance once per union mask while it builds the key
+    table, then takes operator 2's best response to every operator-1
+    subset as a minimum over the supersets that add only its own pool's
+    links, ties going to the largest mask.  One descending scan keeps
+    operator 1's least securing cost and, per operator-2 cost class, the
+    first strategy at it; like solve_spe_exact it reports through
+    ``_equilibrium``.  Nothing of the pruned search is used.  Must agree
+    with solve_spe_exact on u1, null status, and the set of operator-2
     equilibrium payoffs.
     """
     if n1 + n2 > 5:
@@ -708,10 +712,6 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
     m = len(uni.pairs)
     size, full = 1 << m, (1 << m) - 1
-    # Every mask of the universe is the union of some (mask1, sub) pair, and
-    # most unions recur many times: settle each one once.
-    resists = [uni.resists(mask, k) for mask in range(size)]
-
     # Payoffs and costs in units of 1/L.  Operator 2 earns L*[mask1|sub
     # resists] - cost2(sub), and every link costs > 0.  So its best response
     # is the cheapest securing sub (empty when mask1 resists alone), ties to
@@ -719,11 +719,13 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     # response otherwise: the first strict improvement of a descending scan
     # from the empty response.  key ranks a resisting union M by its cost
     # with every cross link at c21, then by size (full ^ M in the low m
-    # bits); any other mask gets top, above every key.
+    # bits); any other mask gets top, above every key.  Every mask is the
+    # union of some (mask1, sub) pair and most recur many times, so resists
+    # is settled once per mask, here.
     top = (c2 * intra2.bit_count() + c21 * cross.bit_count() + 1) << m
     key = [
         (c2 * (mask & intra2).bit_count() + c21 * (mask & cross).bit_count()) << m | (full ^ mask)
-        if resists[mask] else top
+        if uni.resists(mask, k) else top
         for mask in range(size)
     ]
     # Minimum over supersets by each bit of operator 2's pool (intra-2 and
@@ -736,37 +738,22 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
                 if key[i + step] < key[i]:
                     key[i] = key[i + step]
 
-    results = []  # (u1, cost1, mask1, secured, cost2, mask2)
+    # Operator 1 keeps its least securing cost below L, and per operator-2
+    # cost class the first strategy of the descending scan at that cost.
+    found_cost = None
+    by_class = {}
     mask1 = op1_pool
     while True:
         cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
         best = key[mask1]
         # The key priced operator 1's own cross links at c21 too.
         cost2 = (best >> m) - c21 * (mask1 & cross).bit_count()
-        if best < top and cost2 < L:
-            secured, mask2 = True, (full & ~best) ^ mask1
-        else:
-            secured, cost2, mask2 = False, 0, 0
-        u1 = (L if secured else 0) - cost1
-        results.append((u1, cost1, mask1, secured, cost2, mask2))
+        if best < top and cost2 < L and cost1 < L:
+            if found_cost is None or cost1 < found_cost:
+                found_cost, by_class = cost1, {}
+            if cost1 == found_cost:
+                by_class.setdefault(cost2, (mask1, (full & ~best) ^ mask1))
         if mask1 == 0:
             break
         mask1 = (mask1 - 1) & op1_pool
-
-    best_u1 = max(r[0] for r in results)
-    if best_u1 <= 0:
-        return SpeSolution.null(k, method="oracle")
-    by_class = {}
-    for u1, cost1, mask1, conn, cost2, mask2 in results:
-        if u1 == best_u1 and cost2 not in by_class:
-            by_class[cost2] = (mask1, mask2)
-    classes = sorted(by_class)
-    return SpeSolution(
-        k=k,
-        is_null=False,
-        u1=Fraction(best_u1, L),
-        uA=Fraction(0),
-        profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
-        u2_values=tuple(Fraction(L - c, L) for c in classes),
-        method="oracle",
-    )
+    return _equilibrium(uni, k, L, found_cost, by_class, "oracle")

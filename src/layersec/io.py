@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .game import DEFAULT_SEARCH_CAP, CostProfile
 from .graph import ADMISSIBLE, LayeredGraph, Owner, from_pairs
+from .metrics import MODES
 
 
 class FormatError(ValueError):
@@ -91,7 +92,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if n1 < 1 or n2 < 1:
         raise FormatError("scenario needs n1, n2 >= 1")
     mode = data.get("mode", "auto")
-    if mode not in ("auto", "exact", "structured"):
+    if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r}")
     caps = data.get("caps", {})
     cap = search_cap(caps.get("search", DEFAULT_SEARCH_CAP) if isinstance(caps, dict) else caps)
@@ -139,22 +140,16 @@ def load_graph(path) -> LayeredGraph:
         return graph_from_dict(json.load(fh))
 
 
-def to_dot(g: LayeredGraph, attacked=frozenset()) -> str:
-    """DOT rendering: operator-1 links bold, operator-2 links thin,
-    attacked links dashed; layer-1 nodes circles, layer-2 nodes boxes."""
-    attacked = {tuple(sorted(p)) for p in attacked}
+def to_dot(g: LayeredGraph) -> str:
+    """DOT rendering: operator-1 links bold, operator-2 links thin;
+    layer-1 nodes circles, layer-2 nodes boxes."""
     lines = ["graph layersec {"]
     for v in range(g.n1):
         lines.append(f'  {v} [shape=circle, label="{v}"];')
     for v in range(g.n1, g.n):
         lines.append(f'  {v} [shape=box, label="{v}"];')
     for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
-        styles = []
-        if e.owner == Owner.OPERATOR1:
-            styles.append("penwidth=2.5")
-        if e.pair in attacked:
-            styles.append("style=dashed")
-        suffix = f" [{', '.join(styles)}]" if styles else ""
+        suffix = " [penwidth=2.5]" if e.owner == Owner.OPERATOR1 else ""
         lines.append(f"  {e.u} -- {e.v}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

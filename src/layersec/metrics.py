@@ -32,6 +32,8 @@ from .graph import LayeredGraph
 
 # The largest game, in nodes, that ``solve_game`` and ``team_optimal`` send to exact search.
 EXACT_MAX_NODES = 8
+# The solver routes ``solve_game`` accepts: a scenario's ``mode`` and ``solve --mode``.
+MODES = ("auto", "exact", "structured")
 
 
 class MetricsError(ValueError):
@@ -131,7 +133,7 @@ def solve_game(
     n1 + n2 <= EXACT_MAX_NODES, otherwise
     ``construction.structured_solve``, in any cost order.
     """
-    if mode not in ("auto", "exact", "structured"):
+    if mode not in MODES:
         raise MetricsError(f"unknown mode {mode!r}: expected auto, exact or structured")
     if mode == "exact" or (mode == "auto" and n1 + n2 <= EXACT_MAX_NODES):
         return solve_spe_exact(n1, n2, costs, cap=cap), None

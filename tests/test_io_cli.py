@@ -55,9 +55,9 @@ def test_dot_export_styles():
     g = new_graph(2, 2)
     g = add_edge(g, 0, 1, Owner.OPERATOR1)
     g = add_edge(g, 1, 2, Owner.OPERATOR2)
-    dot = io.to_dot(g, attacked=[(1, 2)])
+    dot = io.to_dot(g)
     assert "0 -- 1 [penwidth=2.5];" in dot
-    assert "1 -- 2 [style=dashed];" in dot
+    assert "  1 -- 2;" in dot
     assert "shape=circle" in dot and "shape=box" in dot
 
 
@@ -115,7 +115,7 @@ _FUZZ_SCENARIO = st.fixed_dictionaries(
         "cA": st.fractions(F(1, 4), 1, max_denominator=30).filter(lambda c: c < 1).map(str),
         "caps": st.one_of(_FUZZ_CAP, st.fixed_dictionaries({"search": _FUZZ_CAP})),
     },
-    optional={"mode": st.sampled_from(["auto", "exact", "structured"])},
+    optional={"mode": st.sampled_from(metrics.MODES)},
 )
 _FUZZ_JUNK = st.one_of(
     st.integers(-2, 0),
@@ -494,6 +494,30 @@ def test_cli_error_exit_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--scenario", "/nonexistent.json")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["solve"], "the following arguments are required: --scenario"),
+        (["solve", "--scenario", "s.json", "--mode", "bogus"], "invalid choice: 'bogus' (choose from 'auto', 'exact', 'structured')"),
+        (["verify", "--graph", "g.json", "--k", "notanint"], "argument --k: invalid int value: 'notanint'"),
+    ],
+    ids=["missing-scenario", "unknown-mode", "k-not-an-int"],
+)
+def test_cli_usage_errors_exit_with_error_not_the_null_code(capsys, args, message):
+    # argparse exits 2 on a usage error, which is the null-equilibrium code.
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage: layersec {args[0]}")
+    assert message in err
+
+
+def test_cli_help_exits_ok(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: layersec")
 
 
 def test_cli_reproduce_example_1(capsys):
