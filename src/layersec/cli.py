@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     scn = io.load_scenario(args.scenario)
-    # The oracle goes first: it refuses n1 + n2 > 5 before any exact search.
+    # The oracle goes first: it refuses n1 + n2 > 6 before any exact search.
     oracle = bruteforce_spe_oracle(scn.n1, scn.n2, scn.costs)
     exact = solve_spe_exact(scn.n1, scn.n2, scn.costs, cap=scn.cap)
     agree = (

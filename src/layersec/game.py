@@ -21,18 +21,21 @@ the operators do not build when their net payoff would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
 and an exhaustive oracle (bruteforce_spe_oracle) used to cross-check it
-on tiny instances.  Each search call builds its own EdgeUniverse
-(candidate links as bitmasks, plus a lambda memo), so nothing outlives a
-call.  Every k-resistance test is EdgeUniverse.resists(mask, k): without
-a flow, a node of degree <= k answers no (lambda <= min degree) and the
-complete graph yes (lambda = n - 1); otherwise lambda > k decides.  The
-oracle settles resists once per union mask while it builds a call-local
-key table, then takes operator 2's best response to every operator-1
-strategy as one minimum over the supersets that add only operator 2's
-pool (the cheapest resisting union, ties to the largest mask); it uses
-nothing of the pruned search.  Both solvers fill one table of operator-2
-cost classes while they scan, keeping the first strategy of each, and
-report through one summary (``_equilibrium``).
+on instances of up to 6 nodes.  Each search call builds its own
+EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
+nothing outlives a call.  Every k-resistance test is
+EdgeUniverse.resists(mask, k): without a flow, a node of degree <= k
+answers no (lambda <= min degree) and the complete graph yes (lambda =
+n - 1); otherwise lambda > k decides.  The oracle lists the resisting
+masks with EdgeUniverse.resisting, which calls resists only on masks
+where every degree exceeds k and no one-link-smaller subset resists.  It
+folds each resisting union onto the operator-1 strategy left when its
+intra-2 links are dropped, then takes operator 2's best response to
+every operator-1 strategy as one minimum over the supersets that add
+cross links (the cheapest resisting union, ties to the largest mask); it
+uses nothing of the pruned search.  Both solvers fill one table of
+operator-2 cost classes while they scan, keeping the first strategy of
+each, and report through one summary (``_equilibrium``).
 
 The three exact searches (operator 2's best response, operator 1's
 equilibrium scan and the team optimum) pick link counts per class in cost
@@ -382,6 +385,41 @@ class EdgeUniverse:
             return False
         return mask.bit_count() == len(self.pairs) or self.lam(mask) > k
 
+    def resisting(self, k: int) -> set:
+        """Every mask that survives any k removals.
+
+        Only a mask with every degree >= k + 1 can: it is the complete
+        graph less a removed set of at most n - 2 - k links at each node,
+        and one recursion over the links lists those sets.  They are
+        settled in ascending popcount order of the mask.  Resistance is
+        monotone, so a mask with a resisting one-link-smaller subset
+        resists; ``resists`` settles the rest, each once.
+        """
+        m = len(self.pairs)
+        full = (1 << m) - 1
+        spare = [self.n - 2 - k] * self.n
+        by_size = [[] for _ in range(m + 1)]  # masks by the number of links removed
+
+        def rec(start, removed):
+            by_size[removed.bit_count()].append(full ^ removed)
+            for i in range(start, m):
+                u, v = self.pairs[i]
+                if spare[u] and spare[v]:
+                    spare[u] -= 1
+                    spare[v] -= 1
+                    rec(i + 1, removed | 1 << i)
+                    spare[u] += 1
+                    spare[v] += 1
+
+        if k <= self.n - 2:  # otherwise even the complete graph has degree n - 1 <= k
+            rec(0, 0)
+        out = set()
+        for masks in reversed(by_size):
+            for mask in masks:
+                if any((mask ^ 1 << b) in out for b in range(m) if mask >> b & 1) or self.resists(mask, k):
+                    out.add(mask)
+        return out
+
 
 class _Budget:
     """A search call's ticks, and the operator-1 level it scans since tick ``since``."""
@@ -691,27 +729,27 @@ def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
-    """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 5).
+    """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 6).
 
-    Settles k-resistance once per union mask while it builds the key
-    table, then takes operator 2's best response to every operator-1
-    subset as a minimum over the supersets that add only its own pool's
-    links, ties going to the largest mask.  One descending scan keeps
+    Ranks every resisting union (``EdgeUniverse.resisting``) and keeps,
+    per operator-1 strategy, the best union that adds only intra-2 links;
+    a minimum over the supersets that add cross links then gives
+    operator 2's best response to every operator-1 subset, ties going to
+    the largest mask.  One descending scan keeps
     operator 1's least securing cost and, per operator-2 cost class, the
     first strategy at it; like solve_spe_exact it reports through
     ``_equilibrium``.  Nothing of the pruned search is used.  Must agree
     with solve_spe_exact on u1, null status, and the set of operator-2
     equilibrium payoffs.
     """
-    if n1 + n2 > 5:
-        raise GameError("oracle instances are capped at n1 + n2 <= 5")
+    if n1 + n2 > 6:
+        raise GameError("oracle instances are capped at n1 + n2 <= 6")
     k = attack_budget(costs.ca)
     uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
-    op1_pool = uni.intra1_mask | uni.cross_mask
-    intra1, intra2, cross = uni.intra1_mask, uni.intra2_mask, uni.cross_mask
-    m = len(uni.pairs)
-    size, full = 1 << m, (1 << m) - 1
+    intra2, cross = uni.intra2_mask, uni.cross_mask
+    i1, i2, m = len(uni.intra1_bits), len(uni.intra2_bits), len(uni.pairs)
+    full, low = (1 << m) - 1, (1 << i1) - 1
     # Payoffs and costs in units of 1/L.  Operator 2 earns L*[mask1|sub
     # resists] - cost2(sub), and every link costs > 0.  So its best response
     # is the cheapest securing sub (empty when mask1 resists alone), ties to
@@ -719,41 +757,38 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     # response otherwise: the first strict improvement of a descending scan
     # from the empty response.  key ranks a resisting union M by its cost
     # with every cross link at c21, then by size (full ^ M in the low m
-    # bits); any other mask gets top, above every key.  Every mask is the
-    # union of some (mask1, sub) pair and most recur many times, so resists
-    # is settled once per mask, here.
-    top = (c2 * intra2.bit_count() + c21 * cross.bit_count() + 1) << m
-    key = [
-        (c2 * (mask & intra2).bit_count() + c21 * (mask & cross).bit_count()) << m | (full ^ mask)
-        if uni.resists(mask, k) else top
-        for mask in range(size)
-    ]
-    # Minimum over supersets by each bit of operator 2's pool (intra-2 and
-    # cross, the bits above intra-1): key[mask1] is then the best union
-    # mask1 | sub, since such a union keeps mask1's intra-1 links.
-    for bit in range(len(uni.intra1_bits), m):
+    # bits); top lies above every key.  Operator 1 holds no intra-2 link, so
+    # M serves only the operator-1 strategies inside M & ~intra2: key is
+    # indexed by the intra-1 bits, then the cross bits above them, and each
+    # entry starts as the least key of the unions that fold onto it.
+    top = (c2 * i2 + c21 * cross.bit_count() + 1) << m
+    key = [top] * (1 << (m - i2))
+    for mask in uni.resisting(k):
+        rank = (c2 * (mask & intra2).bit_count() + c21 * (mask & cross).bit_count()) << m | (full ^ mask)
+        j = mask & low | mask >> (i1 + i2) << i1
+        if rank < key[j]:
+            key[j] = rank
+    # Minimum over supersets by each cross bit: key[j] is then the best
+    # resisting union that adds only operator 2's links to strategy j.
+    for bit in range(i1, m - i2):
         step = 1 << bit
-        for j in range(0, size, 2 * step):
-            for i in range(j, j + step):
-                if key[i + step] < key[i]:
-                    key[i] = key[i + step]
+        for j in range(0, len(key), 2 * step):
+            key[j:j + step] = [x if x < y else y for x, y in zip(key[j:j + step], key[j + step:j + 2 * step])]
 
     # Operator 1 keeps its least securing cost below L, and per operator-2
     # cost class the first strategy of the descending scan at that cost.
     found_cost = None
     by_class = {}
-    mask1 = op1_pool
-    while True:
-        cost1 = c1 * (mask1 & intra1).bit_count() + c12 * (mask1 & cross).bit_count()
-        best = key[mask1]
+    for j in reversed(range(len(key))):
+        b = (j >> i1).bit_count()
+        cost1 = c1 * (j & low).bit_count() + c12 * b
+        best = key[j]
         # The key priced operator 1's own cross links at c21 too.
-        cost2 = (best >> m) - c21 * (mask1 & cross).bit_count()
+        cost2 = (best >> m) - c21 * b
         if best < top and cost2 < L and cost1 < L:
             if found_cost is None or cost1 < found_cost:
                 found_cost, by_class = cost1, {}
             if cost1 == found_cost:
+                mask1 = j & low | j >> i1 << (i1 + i2)
                 by_class.setdefault(cost2, (mask1, (full & ~best) ^ mask1))
-        if mask1 == 0:
-            break
-        mask1 = (mask1 - 1) & op1_pool
     return _equilibrium(uni, k, L, found_cost, by_class, "oracle")

@@ -22,6 +22,7 @@ from helpers import (
     structured_matches_exact,
 )
 from layersec.connectivity import edge_connectivity_pairs, is_connected, link_connectivity
+from layersec.construction import structured_solve
 from layersec.game import (
     CostProfile,
     EdgeUniverse,
@@ -501,10 +502,9 @@ def test_integer_costs_keep_the_strict_boundaries():
 ORACLE_SHAPES = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if n1 + n2 <= 5]
 
 
-@pytest.mark.parametrize("n1, n2", ORACLE_SHAPES)
-def test_oracle_matches_the_pair_enumeration(n1, n2):
-    rng = random.Random(100 * n1 + n2)
-    draws = [
+def regime_draws(rng, count):
+    """``count`` cost draws from each of three regimes, one regime after another."""
+    return [
         draw(rng)
         for draw in (
             random_costs,
@@ -512,10 +512,45 @@ def test_oracle_matches_the_pair_enumeration(n1, n2):
             # Small denominators make ties between operator-2 completions.
             lambda rng: random_costs(rng, max_den=7),
         )
-        for _ in range(5)
+        for _ in range(count)
     ]
-    for costs in draws:
+
+
+@pytest.mark.parametrize("n1, n2", ORACLE_SHAPES)
+def test_oracle_matches_the_pair_enumeration(n1, n2):
+    rng = random.Random(100 * n1 + n2)
+    for costs in regime_draws(rng, 5):
         assert repr(bruteforce_spe_oracle(n1, n2, costs)) == repr(spe_by_pair_enumeration(n1, n2, costs)), costs
+
+
+@pytest.mark.parametrize("n1", range(1, 6))
+def test_six_node_oracle_matches_exact_search(n1):
+    n2 = 6 - n1
+    rng = random.Random(100 * n1 + n2)
+    for costs in regime_draws(rng, 2):
+        exact, oracle = solve_spe_exact(n1, n2, costs), bruteforce_spe_oracle(n1, n2, costs)
+        assert (exact.is_null, exact.u1, set(exact.u2_values)) == (
+            oracle.is_null,
+            oracle.u1,
+            set(oracle.u2_values),
+        ), costs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_structured_route_reports_the_oracle_best_class(k):
+    # The test draws on 3+3 with cA = 2/(2k + 1), so the attack budget is k.
+    rng = random.Random(60 + k)
+    draws = [replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=F(2, 2 * k + 1)) for _ in range(3)]
+    if k == 1:
+        # Draw 62 of the same rule: two operator-2 classes, 439/3250 and 5861/68640.
+        draws.append(costs_of("12181/63000", "6559/132000", "937/12750", "937/3250", "2/3"))
+        assert len(bruteforce_spe_oracle(3, 3, draws[-1]).u2_values) == 2
+    for costs in draws:
+        structured, _ = structured_solve(3, 3, costs)
+        oracle = bruteforce_spe_oracle(3, 3, costs)
+        assert structured.is_null == oracle.is_null, costs
+        if not oracle.is_null:
+            assert (structured.u1, structured.u2) == (oracle.u1, oracle.u2_values[0]), costs
 
 
 def test_oracle_matches_the_pair_enumeration_on_the_strict_boundaries():
@@ -565,8 +600,12 @@ def test_oracle_uses_nothing_of_the_pruned_search(monkeypatch):
     sol = bruteforce_spe_oracle(3, 2, costs_of("1/27", "1/27", "1/9", "1/15", "2/3"))
     assert not sol.is_null
     assert {name: len(calls) for name, calls in pruned.items()} == dict.fromkeys(pruned, 0)
-    # k-resistance is settled once per union mask of the 10 candidate links.
-    assert sorted(resists) == list(range(1 << 10))
+    # k-resistance (k = 1) is settled only on masks where every node keeps
+    # degree >= 2, each at most once: 37 of the 1,024 masks of the 10
+    # candidate links.
+    uni = EdgeUniverse(3, 2)
+    assert all((mask & inc).bit_count() >= 2 for mask in resists for inc in uni.incident)
+    assert len(set(resists)) == len(resists) == 37
 
 
 def test_equilibrium_network_is_k_resistant():
@@ -645,8 +684,6 @@ def test_structured_route_solves_a_parity_shape_cheapest_level():
     # operator 2 completes it with 5 intra and 3 cross links, 13 links
     # where a 3-regular network has 12: the parity shape, with one extra
     # vertical.
-    from layersec.construction import structured_solve
-
     costs = costs_of("7/41", "1/35", "2/9", "8/29", "1/2")
     sol, built = structured_solve(4, 4, costs)
     plan = built.plan

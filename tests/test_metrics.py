@@ -389,7 +389,7 @@ def test_solve_game_dispatch():
 
     sol, built = solve_game(9, 9, CASE_A)
     assert sol.method == "structured" and built is not None
-    # auto routes by size only: exact search up to n1 + n2 = 7, else the
+    # auto routes by size only: exact search up to n1 + n2 = 8, else the
     # structured route in any cost order (here c1 > c12 and c2 > c21)
     prop4 = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     assert solve_game(3, 3, prop4)[0].method == "exact"
