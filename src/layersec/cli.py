@@ -2,7 +2,9 @@
 
 Subcommands: solve, construct, attack, verify, reproduce, oracle, metrics.
 Exit codes are stable and scriptable: 0 success, 1 error, 2 null
-equilibrium.  Game quantities (costs, utilities, ratios) are printed as
+equilibrium.  Each subcommand returns (report, exit code); its report
+holds game quantities (costs, utilities, ratios) as ``Fraction``s, and
+``main`` alone writes it, through ``io.rational_json``, so they print as
 exact rational strings, never floats.
 """
 
@@ -66,7 +68,7 @@ def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> Lay
     return solution.profiles[0].to_graph(scn.n1, scn.n2)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
     scn = io.load_scenario(args.scenario)
     mode = args.mode or scn.mode
     cap = scn.cap if args.cap is None else io.search_cap(args.cap, "--cap")
@@ -76,15 +78,15 @@ def cmd_solve(args) -> int:
         "k": solution.k,
         "mode_used": solution.method,
         "null": solution.is_null,
-        "u1": io.frac_str(solution.u1),
-        "uA": io.frac_str(solution.uA),
-        "u2_classes": [io.frac_str(v) for v in solution.u2_values],
-        "operator2_cost_classes": [io.frac_str(1 - v) for v in solution.u2_values],
+        "u1": solution.u1,
+        "uA": solution.uA,
+        "u2_classes": solution.u2_values,
+        "operator2_cost_classes": [1 - v for v in solution.u2_values],
     }
     if not solution.is_null:
         graph = _representative_graph(scn, solution, built)
         bundle.update(_counts(graph))
-        bundle["u2"] = io.frac_str(solution.u2)
+        bundle["u2"] = solution.u2
         attack = adversary_best_response(graph, scn.costs.ca)
         bundle["verification"] = {
             "p": link_connectivity(graph).p,
@@ -93,22 +95,18 @@ def cmd_solve(args) -> int:
         }
         if len(solution.profiles) > 1:
             bundle["classes"] = [
-                {
-                    "u2": io.frac_str(u2),
-                    **_counts(prof.to_graph(scn.n1, scn.n2)),
-                }
+                {"u2": u2, **_counts(prof.to_graph(scn.n1, scn.n2))}
                 for u2, prof in zip(solution.u2_values, solution.profiles)
             ]
-    print(json.dumps(bundle, indent=2))
-    return EXIT_NULL if solution.is_null else EXIT_OK
+    return bundle, EXIT_NULL if solution.is_null else EXIT_OK
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple:
     scn = io.load_scenario(args.scenario)
     solution, built = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     if solution.is_null:
         print("null equilibrium: nothing to construct", file=sys.stderr)
-        return EXIT_NULL
+        return None, EXIT_NULL
     graph = _representative_graph(scn, solution, built)
     io.save_graph(graph, args.out)
     if args.dot:
@@ -120,58 +118,44 @@ def cmd_construct(args) -> int:
         **_counts(graph),
         "cycles_built": 0 if built is None else built.cycles_built,  # exact search lays out no cycles
         "p": link_connectivity(graph).p,
-        "u1": io.frac_str(solution.u1),
-        "u2": io.frac_str(solution.u2),
+        "u1": solution.u1,
+        "u2": solution.u2,
         "out": str(args.out),
     }
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> tuple:
     g = io.load_graph(args.graph)
     ca = io.parse_rational(args.ca)
     k = attack_budget(ca)
     p = link_connectivity(g).p
     attack = adversary_best_response(g, ca)
-    post = remove_edges(g, attack)
-    connected_after = is_connected(post)
-    ua = Fraction(1 - (1 if connected_after else 0)) - ca * len(attack)
-    print(
-        json.dumps(
-            {
-                "k": k,
-                "p": p,
-                "attack": sorted(e.pair for e in attack),
-                "post_attack_connected": connected_after,
-                "uA": io.frac_str(ua),
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK
+    connected_after = is_connected(remove_edges(g, attack))
+    report = {
+        "k": k,
+        "p": p,
+        "attack": sorted(e.pair for e in attack),
+        "post_attack_connected": connected_after,
+        "uA": (0 if connected_after else 1) - ca * len(attack),
+    }
+    return report, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     g = io.load_graph(args.graph)
     resistant = is_p_resistant(g, args.k)
-    p = link_connectivity(g).p
-    print(
-        json.dumps(
-            {
-                "connected": is_connected(g),
-                "p": p,
-                "k": args.k,
-                "resistant": resistant,
-                "degrees": degrees(g.n, g.edge_pairs()),
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if resistant else EXIT_ERROR
+    report = {
+        "connected": is_connected(g),
+        "p": link_connectivity(g).p,
+        "k": args.k,
+        "resistant": resistant,
+        "degrees": degrees(g.n, g.edge_pairs()),
+    }
+    return report, EXIT_OK if resistant else EXIT_ERROR
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple:
     scn = io.load_scenario(args.scenario)
     # The oracle goes first: it refuses n1 + n2 > 6 before any exact search.
     oracle = bruteforce_spe_oracle(scn.n1, scn.n2, scn.costs)
@@ -181,59 +165,31 @@ def cmd_oracle(args) -> int:
         and exact.u1 == oracle.u1
         and set(exact.u2_values) == set(oracle.u2_values)
     )
-    print(
-        json.dumps(
-            {
-                "agree": agree,
-                "exact": {
-                    "null": exact.is_null,
-                    "u1": io.frac_str(exact.u1),
-                    "u2_classes": [io.frac_str(v) for v in exact.u2_values],
-                },
-                "oracle": {
-                    "null": oracle.is_null,
-                    "u1": io.frac_str(oracle.u1),
-                    "u2_classes": [io.frac_str(v) for v in oracle.u2_values],
-                },
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if agree else EXIT_ERROR
+
+    def summary(solution: SpeSolution) -> dict:
+        return {"null": solution.is_null, "u1": solution.u1, "u2_classes": solution.u2_values}
+
+    return {"agree": agree, "exact": summary(exact), "oracle": summary(oracle)}, EXIT_OK if agree else EXIT_ERROR
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> tuple:
     scn = io.load_scenario(args.scenario)
     solution, _ = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     eff = price_of_anarchy(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
     sen = price_of_seniority(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
-    print(
-        json.dumps(
-            {
-                "k": attack_budget(scn.costs.ca),
-                "lower_bound": io.frac_str(eff.lower_bound) if eff.lower_bound is not None else None,
-                "upper_bound": io.frac_str(eff.upper_bound) if eff.upper_bound is not None else None,
-                "team": {
-                    "null": eff.c_co is None,
-                    "cost": io.frac_str(eff.c_co) if eff.c_co is not None else None,
-                    "exact": True,
-                },
-                "poa": {
-                    "c_spe": io.frac_str(eff.c_spe) if eff.c_spe is not None else None,
-                    "c_co": io.frac_str(eff.c_co) if eff.c_co is not None else None,
-                    "value": io.frac_str(eff.poa) if eff.poa is not None else None,
-                    "spe_null": eff.spe_null,
-                },
-                "pos": {
-                    "c2_second": io.frac_str(sen.c2_second),
-                    "c2_first": io.frac_str(sen.c2_first),
-                    "value": "infinite" if sen.infinite else io.frac_str(sen.pos),
-                },
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK
+    report = {
+        "k": attack_budget(scn.costs.ca),
+        "lower_bound": eff.lower_bound,
+        "upper_bound": eff.upper_bound,
+        "team": {"null": eff.c_co is None, "cost": eff.c_co, "exact": True},
+        "poa": {"c_spe": eff.c_spe, "c_co": eff.c_co, "value": eff.poa, "spe_null": eff.spe_null},
+        "pos": {
+            "c2_second": sen.c2_second,
+            "c2_first": sen.c2_first,
+            "value": "infinite" if sen.infinite else sen.pos,
+        },
+    }
+    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +205,7 @@ class _Report:
         ok = computed == expected
         self.failures += 0 if ok else 1
         tag = "PASS" if ok else "FAIL"
-        print(f"{tag}  {label}: computed {computed}  expected {expected}")
+        print(f"{tag}  {label}: computed {io.as_text(computed)}  expected {io.as_text(expected)}")
 
     def note(self, text: str):
         print(f"note  {text}")
@@ -463,10 +419,10 @@ _REPRODUCTIONS = {
 }
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple:
     rep = _Report()
     _REPRODUCTIONS[args.case](rep)
-    return rep.exit_code
+    return None, rep.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,10 +475,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if report is not None:
+        print(json.dumps(report, indent=2, default=io.rational_json))
+    return code
 
 
 if __name__ == "__main__":

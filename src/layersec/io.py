@@ -3,8 +3,8 @@
 Costs travel as exact rational strings ("2/45", "0.09", "1/3"); decimals
 are parsed exactly, so "0.09" means 9/100.  Graph files carry only the
 layer sizes and an owned edge list, with the edge class re-derived on
-load.  Utilities and costs are always serialized as rational strings,
-never as floats.
+load.  Every report writes its utilities and costs through
+``rational_json`` as rational strings, never as floats.
 """
 
 from __future__ import annotations
@@ -34,6 +34,27 @@ def parse_rational(value) -> Fraction:
         raise FormatError(f"cannot parse rational {value!r}") from exc
 
 
+def rational_json(value) -> str:
+    """``json.dumps`` hook: a ``Fraction`` as its exact "p/q" string.
+
+    Anything else that JSON cannot hold raises ``TypeError``, so no object
+    is written through an accidental ``str``.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"cannot write {type(value).__name__} {value!r} as exact JSON")
+
+
+def as_text(value) -> str:
+    """A computed value as one line of plain text: lists and tuples element
+    by element, rationals as ``rational_json`` writes them, anything else
+    through ``str``."""
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(map(as_text, value))
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    return rational_json(value) if isinstance(value, Fraction) else str(value)
+
+
 def _int(value, what: str) -> int:
     try:
         if isinstance(value, (bool, float)):
@@ -50,8 +71,8 @@ def search_cap(value, what: str = "caps.search") -> int:
     return cap
 
 
-def frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
+# Scenario cost keys, in file and parse order, and the CostProfile field each sets.
+_COST_KEYS = {"c1": "c1", "c2": "c2", "c12": "c12", "c21": "c21", "cA": "ca"}
 
 
 @dataclass(frozen=True)
@@ -63,16 +84,9 @@ class Scenario:
     cap: int = DEFAULT_SEARCH_CAP
 
     def echo(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "c1": frac_str(self.costs.c1),
-            "c2": frac_str(self.costs.c2),
-            "c12": frac_str(self.costs.c12),
-            "c21": frac_str(self.costs.c21),
-            "cA": frac_str(self.costs.ca),
-            "mode": self.mode,
-        }
+        """The scenario as a report echoes it, costs as ``Fraction``s."""
+        costs = {key: getattr(self.costs, field) for key, field in _COST_KEYS.items()}
+        return {"n1": self.n1, "n2": self.n2, **costs, "mode": self.mode}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -80,13 +94,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise FormatError("a scenario must be a JSON object")
     try:
         n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
-        costs = CostProfile(
-            c1=parse_rational(data["c1"]),
-            c2=parse_rational(data["c2"]),
-            c12=parse_rational(data["c12"]),
-            c21=parse_rational(data["c21"]),
-            ca=parse_rational(data["cA"]),
-        )
+        costs = CostProfile(**{field: parse_rational(data[key]) for key, field in _COST_KEYS.items()})
     except KeyError as exc:
         raise FormatError(f"scenario is missing key {exc}") from exc
     if n1 < 1 or n2 < 1:

@@ -193,8 +193,8 @@ def price_of_seniority(
         c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca
     )
     solution_swapped, _ = solve_game(n2, n1, swapped, mode=mode, cap=cap)
-    c2_second = 0 if solution.is_null else max(1 - u2 for u2 in solution.u2_values)
-    c2_first = 0 if solution_swapped.is_null else 1 - solution_swapped.u1
+    c2_second = Fraction(0) if solution.is_null else max(1 - u2 for u2 in solution.u2_values)
+    c2_first = Fraction(0) if solution_swapped.is_null else 1 - solution_swapped.u1
     if c2_first == 0:
         if c2_second == 0:
             return SeniorityReport(c2_second, c2_first, Fraction(1), False)

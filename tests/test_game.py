@@ -527,13 +527,20 @@ def test_oracle_matches_the_pair_enumeration(n1, n2):
 def test_six_node_oracle_matches_exact_search(n1):
     n2 = 6 - n1
     rng = random.Random(100 * n1 + n2)
-    for costs in regime_draws(rng, 2):
+    # The three regimes give mostly null six-node games; the test-draw rule,
+    # cA = 2/(2k + 1) with k in 1..4, gives mostly non-null ones.
+    ks = [rng.randint(1, 4) for _ in range(4)]
+    draws = [replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=F(2, 2 * k + 1)) for k in ks]
+    non_null = 0
+    for costs in draws + regime_draws(rng, 2):
         exact, oracle = solve_spe_exact(n1, n2, costs), bruteforce_spe_oracle(n1, n2, costs)
         assert (exact.is_null, exact.u1, set(exact.u2_values)) == (
             oracle.is_null,
             oracle.u1,
             set(oracle.u2_values),
         ), costs
+        non_null += not exact.is_null
+    assert non_null > 0
 
 
 @pytest.mark.parametrize("k", [1, 2])

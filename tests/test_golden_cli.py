@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io as _stdio
+import json
 from pathlib import Path
 
 from layersec.cli import _REPRODUCTIONS, main
@@ -27,14 +28,17 @@ def _commands():
         yield ["reproduce", case]
 
 
-def transcript() -> str:
-    chunks = []
+def _runs():
+    """(argv, stdout, exit code) of every transcript command."""
     for argv in _commands():
         out, err = _stdio.StringIO(), _stdio.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(ROOT / a) if a.startswith("scenarios/") else a for a in argv])
-        chunks.append(f"$ layersec {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
-    return "".join(chunks)
+        yield argv, out.getvalue(), code
+
+
+def transcript() -> str:
+    return "".join(f"$ layersec {' '.join(argv)}\n{out}exit {code}\n" for argv, out, code in _runs())
 
 
 def _answers(text: str) -> list:
@@ -43,6 +47,17 @@ def _answers(text: str) -> list:
 
 def test_cli_transcript_matches_golden():
     assert _answers(transcript()) == _answers(GOLDEN.read_text())
+
+
+def _refuse_float(text):
+    raise AssertionError(f"float {text} in JSON output")
+
+
+def test_cli_output_holds_no_float_and_no_python_repr():
+    for argv, out, _ in _runs():
+        if out and argv[0] != "reproduce":
+            json.loads(out, parse_float=_refuse_float)
+        assert "Fraction(" not in out, argv
 
 
 if __name__ == "__main__":

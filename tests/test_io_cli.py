@@ -26,6 +26,16 @@ def test_parse_rational():
         io.parse_rational("a/b")
 
 
+def test_the_json_writer_takes_fractions_and_refuses_other_objects():
+    report = {"u1": F(2, 45), "classes": (F(1), F(3, 2)), "k": 3, "bound": None}
+    assert json.dumps(report, default=io.rational_json) == '{"u1": "2/45", "classes": ["1", "3/2"], "k": 3, "bound": null}'
+    edge = next(iter(add_edge(new_graph(2, 1), 0, 2, Owner.OPERATOR1).edges))
+    with pytest.raises(TypeError):
+        io.rational_json(edge)
+    with pytest.raises(TypeError):
+        json.dumps({"attack": [edge]}, default=io.rational_json)
+
+
 def test_scenario_parsing():
     scn = io.load_scenario(SCENARIOS / "case-a.json")
     assert (scn.n1, scn.n2) == (9, 9)
