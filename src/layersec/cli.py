@@ -264,7 +264,7 @@ def _repro_case_b_sweep(rep: _Report):
     entries = threat_sweep(9, _case_a_costs(), range(0, 9))
     for e in entries:
         ops = f"op1 {e.op1_intra}+{e.op1_cross}, op2 {e.op2_intra}+{e.op2_cross}"
-        print(f"      k={e.k}: null={e.null} {ops} u1={e.u1} u2={e.u2}")
+        print(f"      k={e.k}: null={e.null} {ops} u1={io.as_text(e.u1)} u2={io.as_text(e.u2)}")
     rep.check("operator 1 idle for k <= 1", [e.op1_intra + e.op1_cross for e in entries[:2]], [0, 0])
     rep.check(
         "operator 1 contributes for 2 <= k <= 6",
@@ -397,12 +397,8 @@ def _repro_bounds_sweep(rep: _Report):
                 print(f"      ({n1},{n2}) k={k}: null benchmark")
                 continue
             ok = lower <= team.cost and (upper is None or team.cost <= upper)
-            rep.check(
-                f"({n1},{n2}) k={k} bounds sandwich the optimum "
-                f"[{lower} <= {team.cost} <= {upper}]",
-                ok,
-                True,
-            )
+            sandwich = " <= ".join(map(io.as_text, (lower, team.cost, upper)))
+            rep.check(f"({n1},{n2}) k={k} bounds sandwich the optimum [{sandwich}]", ok, True)
 
 
 _REPRODUCTIONS = {

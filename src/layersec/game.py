@@ -683,7 +683,7 @@ def solve_spe_exact(
     equilibrium level, and each operator-2 cost class keeps the first
     securable strategy generated at that cost.  The cap counts a tick per
     generated row node of operator 1's strategies and per node of operator
-    2's placement search.  Intended for n1 + n2 <= 8.
+    2's placement search.  Intended for n1 + n2 <= 9.
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs)[0]:

@@ -9,6 +9,10 @@ admits an edge by plain comparisons (its class from how many ends lie in
 layer 1, its owner by identity) and hands only a refused one to the checks
 of ``add_edge``, so both raise the same ``GraphError``.  ``Owner`` and
 ``EdgeClass`` members, singletons equal only to themselves, hash by identity.
+An ``Edge`` is a ``NamedTuple``, equal over all four fields but hashed
+over (u, v) alone: with the identity-hashed owner and class in the hash,
+the order of every edge set, and so the minimum cut an attack takes,
+would move with object addresses from run to run.
 
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class EdgeClass(Enum):
@@ -57,12 +61,14 @@ class GraphError(ValueError):
     """Raised on malformed graph operations (self-loop, duplicate, bad owner)."""
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
-    owner: Owner = field(compare=False)
-    cls: EdgeClass = field(compare=False)
+    owner: Owner
+    cls: EdgeClass
+
+    def __hash__(self):
+        return hash((self.u, self.v))
 
     @property
     def pair(self) -> tuple[int, int]:

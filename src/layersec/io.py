@@ -47,11 +47,13 @@ def rational_json(value) -> str:
 
 def as_text(value) -> str:
     """A computed value as one line of plain text: lists and tuples element
-    by element, rationals as ``rational_json`` writes them, anything else
-    through ``str``."""
+    by element, rationals as ``rational_json`` writes them, ``None`` as the
+    JSON reports' ``null``, anything else through ``str``."""
     if isinstance(value, (list, tuple)):
         inner = ", ".join(map(as_text, value))
         return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+    if value is None:
+        return "null"
     return rational_json(value) if isinstance(value, Fraction) else str(value)
 
 

@@ -31,7 +31,7 @@ from .graph import LayeredGraph
 
 
 # The largest game, in nodes, that ``solve_game`` and ``team_optimal`` send to exact search.
-EXACT_MAX_NODES = 8
+EXACT_MAX_NODES = 9
 # The solver routes ``solve_game`` accepts: a scenario's ``mode`` and ``solve --mode``.
 MODES = ("auto", "exact", "structured")
 

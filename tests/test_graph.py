@@ -1,8 +1,15 @@
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import layersec
 from layersec.graph import (
     ADMISSIBLE,
+    Edge,
     EdgeClass,
     GraphError,
     Owner,
@@ -156,6 +163,52 @@ def test_remove_edges():
     assert len(empty.edges) == 0
     with pytest.raises(GraphError):
         remove_edges(empty, [next(iter(g.edges))])
+
+
+def test_an_edge_is_a_tuple_hashed_by_its_pair():
+    (e,) = from_pairs(4, 3, [(4, 0, Owner.OPERATOR1)]).edges
+    u, v, owner, cls = e
+    assert (u, v, owner, cls) == (0, 4, Owner.OPERATOR1, EdgeClass.CROSS)
+    assert repr(e) == "Edge(u=0, v=4, owner=<Owner.OPERATOR1: 1>, cls=<EdgeClass.CROSS: 'cross'>)"
+    assert hash(e) == hash((e.u, e.v))
+    with pytest.raises(AttributeError):
+        e.owner = Owner.OPERATOR2
+
+
+def test_edges_and_graphs_that_differ_in_an_owner_are_unequal():
+    by1 = from_pairs(4, 3, [(0, 4, Owner.OPERATOR1)])
+    by2 = from_pairs(4, 3, [(0, 4, Owner.OPERATOR2)])
+    assert by1.edge_pairs() == by2.edge_pairs()
+    assert by1.edges != by2.edges
+    assert by1 != by2
+    assert hash(by1) == hash(by2)  # the hash reads only the pairs
+    foreign = Edge(0, 4, Owner.OPERATOR2, EdgeClass.CROSS)
+    with pytest.raises(GraphError):
+        remove_edges(by1, [foreign])
+    assert len(remove_edges(by2, [foreign]).edges) == 0
+
+
+# Builds the case-a 9 + 9 network and prints its pairs in set order.
+CASE_A_PAIRS = """
+from fractions import Fraction
+from layersec import CostProfile, structured_solve
+costs = CostProfile(*map(Fraction, ("1/30", "1/45", "1/20", "2/45", "1/3")))
+_, built = structured_solve(9, 9, costs)
+print(list(built.graph.edge_pairs()))
+"""
+
+
+def test_edge_order_is_the_same_in_every_process():
+    # Owner and EdgeClass hash by identity, so an edge hashed over all its
+    # fields would iterate in an order that moves with object addresses.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layersec.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [
+        subprocess.run([sys.executable, "-c", CASE_A_PAIRS], env=env, capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    ]
+    assert len(ast.literal_eval(runs[0])) == 36  # the case-a build's links
+    assert runs[0] == runs[1]
 
 
 def test_remove_one_cycle_edge_keeps_connectivity():

@@ -36,6 +36,10 @@ def test_the_json_writer_takes_fractions_and_refuses_other_objects():
         json.dumps({"attack": [edge]}, default=io.rational_json)
 
 
+def test_plain_text_writes_values_as_the_json_reports_do():
+    assert io.as_text([F(2, 45), None, (3, True)]) == "[2/45, null, (3, True)]"
+
+
 def test_scenario_parsing():
     scn = io.load_scenario(SCENARIOS / "case-a.json")
     assert (scn.n1, scn.n2) == (9, 9)

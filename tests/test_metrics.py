@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from layersec.game import (
     bruteforce_spe_oracle,
     null_spe_check,
     solve_spe_exact,
+    utilities,
 )
 from layersec.metrics import (
     MetricsError,
@@ -389,7 +391,7 @@ def test_solve_game_dispatch():
 
     sol, built = solve_game(9, 9, CASE_A)
     assert sol.method == "structured" and built is not None
-    # auto routes by size only: exact search up to n1 + n2 = 8, else the
+    # auto routes by size only: exact search up to n1 + n2 = 9, else the
     # structured route in any cost order (here c1 > c12 and c2 > c21)
     prop4 = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     assert solve_game(3, 3, prop4)[0].method == "exact"
@@ -403,14 +405,38 @@ def test_solve_game_dispatch():
     assert sol.method == "exact" and built is None
     with pytest.raises(ConstructionError, match=r"n1 == n2 and 1 <= k < n1, got n1 = 9, n2 = 8, k = 3"):
         solve_game(9, 8, CASE_A)  # asymmetric and too large for exact search
-    # Outside the structured domain, a game the null test settles is null.
-    for n1, n2, costs in ((5, 5, costs_of("1/20", "1/20", "1/10", "1/10", "1/9")),  # k = 9: degree-bound
-                          (5, 4, costs_of("1/2", "1/2", "1/2", "1/2", "1/3"))):  # cost-bound
+    # Outside the structured domain, a game the null test settles is null,
+    # on whichever route its size takes.
+    for n1, n2, costs, method in ((5, 5, costs_of("1/20", "1/20", "1/10", "1/10", "1/9"), "structured"),  # k = 9: degree-bound
+                                  (5, 4, costs_of("1/2", "1/2", "1/2", "1/2", "1/3"), "exact")):  # cost-bound
         assert null_spe_check(n1, n2, attack_budget(costs.ca), costs)[0]
         sol, built = solve_game(n1, n2, costs)
-        assert (sol.is_null, sol.method, built) == (True, "structured", None)
+        assert (sol.is_null, sol.method, built) == (True, method, None)
     with pytest.raises(SearchCapExceeded):
         solve_game(9, 9, CASE_A, mode="exact", cap=20_000)  # forced exact burns its budget
+
+
+@pytest.mark.parametrize("n1", range(1, 9))
+def test_nine_node_games_take_exact_search(n1):
+    # The test-draw rule, cA = 2/(2k + 1) with k in 1..4: no draw hits the
+    # cap, and each reported class is a k-resistant profile whose payoffs
+    # re-evaluate to the reported ones.
+    n2 = 9 - n1
+    rng = random.Random(100 * n1 + n2)
+    ks = [rng.randint(1, 4) for _ in range(3)]
+    non_null = 0
+    for k in ks:
+        costs = replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=F(2, 2 * k + 1))
+        sol, built = solve_game(n1, n2, costs)
+        assert (sol.method, sol.k, built) == ("exact", k, None), costs
+        if sol.is_null:
+            continue
+        non_null += 1
+        for profile, u2 in zip(sol.profiles, sol.u2_values, strict=True):
+            outcome = utilities(profile, costs, n1, n2)
+            assert (outcome.u1, outcome.u2, outcome.uA) == (sol.u1, u2, sol.uA), costs
+            assert lambda_by_bipartition(n1 + n2, profile.built_pairs()) > k, costs
+    assert non_null > 0
 
 
 def test_bounds_sandwich_exact_team():
