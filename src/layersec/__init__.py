@@ -45,11 +45,9 @@ from .graph import (
 )
 from .metrics import (
     EfficiencyReport,
-    SeniorityReport,
     TeamResult,
     cost_bounds,
-    price_of_anarchy,
-    price_of_seniority,
+    efficiency,
     solve_game,
     team_optimal,
     threat_sweep,

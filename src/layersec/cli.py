@@ -33,8 +33,7 @@ from .metrics import (
     MODES,
     MetricsError,
     cost_bounds,
-    price_of_anarchy,
-    price_of_seniority,
+    efficiency,
     solve_game,
     team_optimal,
     threat_sweep,
@@ -52,7 +51,6 @@ _ERRORS = (
     SearchCapExceeded,
     io.FormatError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -174,19 +172,17 @@ def cmd_oracle(args) -> tuple:
 
 def cmd_metrics(args) -> tuple:
     scn = io.load_scenario(args.scenario)
-    solution, _ = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
-    eff = price_of_anarchy(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
-    sen = price_of_seniority(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap, solution=solution)
+    eff = efficiency(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     report = {
-        "k": attack_budget(scn.costs.ca),
+        "k": eff.k,
         "lower_bound": eff.lower_bound,
         "upper_bound": eff.upper_bound,
         "team": {"null": eff.c_co is None, "cost": eff.c_co, "exact": True},
-        "poa": {"c_spe": eff.c_spe, "c_co": eff.c_co, "value": eff.poa, "spe_null": eff.spe_null},
+        "poa": {"c_spe": eff.c_spe, "c_co": eff.c_co, "value": eff.poa, "spe_null": eff.c_spe is None},
         "pos": {
-            "c2_second": sen.c2_second,
-            "c2_first": sen.c2_first,
-            "value": "infinite" if sen.infinite else sen.pos,
+            "c2_second": eff.c2_second,
+            "c2_first": eff.c2_first,
+            "value": "infinite" if eff.pos is None else eff.pos,
         },
     }
     return report, EXIT_OK
@@ -349,8 +345,8 @@ def _repro_prop4(rep: _Report):
     exact = solve_spe_exact(3, 3, costs)
     rep.check("exact search agrees on u1", exact.u1, solution.u1)
     rep.check("exact search agrees on u2", exact.u2, solution.u2)
-    sen = price_of_seniority(3, 3, costs)
-    rep.check("price of seniority is infinite", sen.infinite, True)
+    sen = efficiency(3, 3, costs)
+    rep.check("price of seniority is infinite", sen.pos is None, True)
 
 
 def _repro_poa_family(rep: _Report):
@@ -362,7 +358,7 @@ def _repro_poa_family(rep: _Report):
             c21=Fraction(1, 3 * n1),
             ca=Fraction(2, 3),
         )
-        eff = price_of_anarchy(n1, 2, costs)
+        eff = efficiency(n1, 2, costs)
         rep.check(f"n1={n1} equilibrium cost", eff.c_spe, Fraction(2, 3))
         rep.check(f"n1={n1} coordinated cost", eff.c_co, Fraction(3, n1**2))
         quoted_cco = n1 * costs.c1 + 2 * costs.c12
@@ -376,15 +372,15 @@ def _repro_pos_family(rep: _Report):
         costs = CostProfile(
             c1=Fraction(1, 8 * n1), c2=Fraction(1, 8 * n1), c12=Fraction(1, 4 * n1), c21=Fraction(1, 4 * n1), ca=ca
         )
-        sen = price_of_seniority(n1, n1, costs)
+        sen = efficiency(n1, n1, costs)
         rep.check(f"n1={n1} first-mover cost", sen.c2_first, Fraction(0))
         rep.check(
             f"n1={n1} second-mover cost", sen.c2_second, n1 * (k + 1) * costs.c21
         )
-        rep.check(f"n1={n1} price of seniority infinite", sen.infinite, True)
+        rep.check(f"n1={n1} price of seniority infinite", sen.pos is None, True)
     costs = CostProfile(Fraction(1, 9), Fraction(1, 8), Fraction(1, 7), Fraction(1, 6), Fraction(2, 3))
-    sen = price_of_seniority(2, 2, costs)
-    rep.check("asymmetric-cost instance has pos >= 1", sen.infinite or sen.pos >= 1, True)
+    sen = efficiency(2, 2, costs)
+    rep.check("asymmetric-cost instance has pos >= 1", sen.pos is None or sen.pos >= 1, True)
 
 
 def _repro_bounds_sweep(rep: _Report):

@@ -46,10 +46,11 @@ def rational_json(value) -> str:
 
 
 def as_text(value) -> str:
-    """A computed value as one line of plain text: lists and tuples element
-    by element, rationals as ``rational_json`` writes them, ``None`` as the
-    JSON reports' ``null``, anything else through ``str``."""
-    if isinstance(value, (list, tuple)):
+    """A computed value as one line of plain text: plain lists and tuples
+    element by element, rationals as ``rational_json`` writes them, ``None``
+    as the JSON reports' ``null``, anything else (a named tuple such as an
+    ``Edge`` too) through ``str``."""
+    if type(value) in (list, tuple):
         inner = ", ".join(map(as_text, value))
         return f"[{inner}]" if isinstance(value, list) else f"({inner})"
     if value is None:
@@ -109,9 +110,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(n1, n2, costs, mode, cap)
 
 
+def _read_json(path):
+    """A JSON file's value; a file that is not UTF-8 JSON, or nests too
+    deeply to parse, raises ``FormatError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a readable JSON file: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(_read_json(path))
 
 
 # A graph file names each link's owner by its operator number.
@@ -146,8 +156,7 @@ def save_graph(g: LayeredGraph, path) -> None:
 
 
 def load_graph(path) -> LayeredGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(_read_json(path))
 
 
 def to_dot(g: LayeredGraph) -> str:

@@ -1,5 +1,10 @@
 """Equilibrium efficiency: coordinated benchmark, cost bounds, PoA, PoS.
 
+``efficiency`` reports one game against its coordinated benchmark: the
+cost bounds, the team optimum, the price of anarchy (equilibrium build
+cost over the team optimum) and the price of seniority (operator 2's
+cost moving second over its cost moving first).
+
 The coordinated benchmark prices every cross link at the cheaper of the
 two operators' cross costs, since a joint designer would always hand a
 cross link to whichever side builds it more cheaply.  One rule prices it,
@@ -54,20 +59,19 @@ class TeamResult:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    c_spe: Fraction | None
-    c_co: Fraction | None
-    poa: Fraction | None
+    """``efficiency``'s report.  c_spe and poa are None for a null game,
+    c_co and poa for a null team optimum; pos is None when it is infinite
+    (operator 2 pays nothing moving first, something moving second)."""
+
+    k: int
     lower_bound: Fraction | None
     upper_bound: Fraction | None
-    spe_null: bool
-
-
-@dataclass(frozen=True)
-class SeniorityReport:
+    c_co: Fraction | None
+    c_spe: Fraction | None
+    poa: Fraction | None
     c2_second: Fraction
     c2_first: Fraction
     pos: Fraction | None
-    infinite: bool
 
 
 @dataclass(frozen=True)
@@ -140,66 +144,44 @@ def solve_game(
     return structured_solve(n1, n2, costs)
 
 
-def price_of_anarchy(
-    n1: int,
-    n2: int,
-    costs: CostProfile,
-    mode: str = "auto",
-    cap: int = DEFAULT_SEARCH_CAP,
-    *,
-    solution=None,
+def efficiency(
+    n1: int, n2: int, costs: CostProfile, mode: str = "auto", cap: int = DEFAULT_SEARCH_CAP
 ) -> EfficiencyReport:
-    """Worst equilibrium build cost over the coordinated optimum.
+    """Bounds, team optimum, PoA and PoS of one game.
 
-    ``solution`` is the (n1, n2) equilibrium if the caller already has it.
+    Solves the game, then the coordinated optimum, then the game with the
+    layers swapped: the new first mover keeps operator 2's admissible
+    pools and unit costs.  Operator 2's worst equilibrium cost class
+    prices both the equilibrium build (with operator 1's cost) and the
+    second mover's cost; a null game charges nobody.
     """
+    solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     k = attack_budget(costs.ca)
-    if solution is None:
-        solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     lower, upper = cost_bounds(n1, n2, k, costs)
     team = team_optimal(n1, n2, k, costs, cap=cap)
+    swapped = CostProfile(c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca)
+    solution_swapped, _ = solve_game(n2, n1, swapped, mode=mode, cap=cap)
     c_spe = None
+    c2_second = Fraction(0)
     if not solution.is_null:
-        c_spe = (1 - solution.u1) + max(1 - u2 for u2 in solution.u2_values)
+        c2_second = max(1 - u2 for u2 in solution.u2_values)
+        c_spe = (1 - solution.u1) + c2_second
+    c2_first = Fraction(0) if solution_swapped.is_null else 1 - solution_swapped.u1
+    if c2_first:
+        pos = c2_second / c2_first
+    else:
+        pos = None if c2_second else Fraction(1)
     return EfficiencyReport(
-        c_spe=c_spe,
-        c_co=team.cost,
-        poa=None if c_spe is None or team.null else c_spe / team.cost,
+        k=k,
         lower_bound=lower,
         upper_bound=upper,
-        spe_null=solution.is_null,
+        c_co=team.cost,
+        c_spe=c_spe,
+        poa=None if c_spe is None or team.null else c_spe / team.cost,
+        c2_second=c2_second,
+        c2_first=c2_first,
+        pos=pos,
     )
-
-
-def price_of_seniority(
-    n1: int,
-    n2: int,
-    costs: CostProfile,
-    mode: str = "auto",
-    cap: int = DEFAULT_SEARCH_CAP,
-    *,
-    solution=None,
-) -> SeniorityReport:
-    """Operator 2's cost penalty for moving second instead of first.
-
-    The swapped ordering relabels the layers: the new first mover keeps
-    operator 2's admissible pools and unit costs.  ``solution`` is the
-    (n1, n2) equilibrium if the caller already has it; the swapped game
-    is always solved here.
-    """
-    if solution is None:
-        solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
-    swapped = CostProfile(
-        c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca
-    )
-    solution_swapped, _ = solve_game(n2, n1, swapped, mode=mode, cap=cap)
-    c2_second = Fraction(0) if solution.is_null else max(1 - u2 for u2 in solution.u2_values)
-    c2_first = Fraction(0) if solution_swapped.is_null else 1 - solution_swapped.u1
-    if c2_first == 0:
-        if c2_second == 0:
-            return SeniorityReport(c2_second, c2_first, Fraction(1), False)
-        return SeniorityReport(c2_second, c2_first, None, True)
-    return SeniorityReport(c2_second, c2_first, c2_second / c2_first, False)
 
 
 def threat_sweep(n1: int, costs: CostProfile, ks) -> list:

@@ -21,7 +21,7 @@ from layersec.game import (
     solve_spe_exact,
 )
 from layersec.graph import EdgeClass, Owner, count_by
-from layersec.metrics import price_of_anarchy, price_of_seniority, team_optimal, cost_bounds, threat_sweep
+from layersec.metrics import efficiency, team_optimal, cost_bounds, threat_sweep
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -147,12 +147,12 @@ def test_criterion_7_prop4_and_seniority():
         costs = CostProfile(c1=c12 / 2, c2=c12 / 2, c12=c12, c21=c12, ca=ca)
         assert n1 * (k + 1) * c12 < 1
         solution, _ = structured_solve(n1, n1, costs)
-        sen = price_of_seniority(n1, n1, costs)
+        sen = efficiency(n1, n1, costs)
         ok = (
             ok
             and solution.u1 == 1
             and solution.u2 == 1 - n1 * (k + 1) * c12
-            and sen.infinite
+            and sen.pos is None
         )
     _report(7, "first mover free-rides in the symmetric regime, PoS infinite", ok)
 
@@ -161,7 +161,7 @@ def test_criterion_8_poa_family():
     ok = True
     for n1 in (3, 4, 5):
         costs = CostProfile(F(1, n1**3), F(1, n1**3), F(1, n1**2), F(1, 3 * n1), F(2, 3))
-        eff = price_of_anarchy(n1, 2, costs, mode="exact")
+        eff = efficiency(n1, 2, costs, mode="exact")
         quoted_cco = n1 * costs.c1 + 2 * costs.c12  # cycle priced at the first mover's cross cost
         ok = (
             ok

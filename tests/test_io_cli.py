@@ -37,7 +37,8 @@ def test_the_json_writer_takes_fractions_and_refuses_other_objects():
 
 
 def test_plain_text_writes_values_as_the_json_reports_do():
-    assert io.as_text([F(2, 45), None, (3, True)]) == "[2/45, null, (3, True)]"
+    edge = next(iter(add_edge(new_graph(2, 1), 0, 2, Owner.OPERATOR1).edges))
+    assert io.as_text([F(2, 45), None, (3, True), edge]) == f"[2/45, null, (3, True), {edge!r}]"
 
 
 def test_scenario_parsing():
@@ -114,6 +115,18 @@ def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content
     path.write_text(json.dumps(content))
     where = ["--graph", str(path), "--k", "1"] if command == "verify" else ["--scenario", str(path)]
     code, out, err = run_cli(capsys, command, *where, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 200_000], ids=["not-utf8", "too-deep"])
+def test_cli_unreadable_files_exit_with_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    where = ["--graph", str(path), "--k", "1"] if command == "verify" else ["--scenario", str(path)]
+    code, out, err = run_cli(capsys, command, *where)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

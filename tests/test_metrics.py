@@ -23,8 +23,7 @@ from layersec.game import (
 from layersec.metrics import (
     MetricsError,
     cost_bounds,
-    price_of_anarchy,
-    price_of_seniority,
+    efficiency,
     solve_game,
     team_optimal,
     threat_sweep,
@@ -210,7 +209,7 @@ ALGO_EXAMPLE = costs_of("1/20", "1/20", "1/10", "1/10", "1/3")
 
 def test_team_optimum_meets_the_capped_floor_on_the_algorithm_example():
     # The ring-plus-bridges design cost 7/5 and gave PoA = 13/14 < 1.
-    eff = price_of_anarchy(5, 5, ALGO_EXAMPLE)
+    eff = efficiency(5, 5, ALGO_EXAMPLE)
     assert (eff.c_spe, eff.c_co, eff.poa) == (F(13, 10), F(6, 5), F(13, 12))
     assert eff.lower_bound == eff.c_co
 
@@ -276,7 +275,7 @@ def test_a_large_team_design_runs_no_flow(monkeypatch, k):
 
 def test_poa_is_one_for_uniform_symmetric_costs():
     c = F(1, 20)
-    eff = price_of_anarchy(4, 4, costs_of(c, c, c, c, "2/3"))
+    eff = efficiency(4, 4, costs_of(c, c, c, c, "2/3"))
     assert eff.poa == 1
     assert eff.c_spe == eff.c_co == 8 * c
 
@@ -284,7 +283,7 @@ def test_poa_is_one_for_uniform_symmetric_costs():
 def test_poa_family_values():
     for n1 in (3, 4, 5):
         costs = CostProfile(F(1, n1**3), F(1, n1**3), F(1, n1**2), F(1, 3 * n1), F(2, 3))
-        eff = price_of_anarchy(n1, 2, costs, mode="exact")
+        eff = efficiency(n1, 2, costs, mode="exact")
         assert eff.poa == F(2 * n1 * n1, 9)
         assert eff.lower_bound <= eff.c_co
         assert eff.upper_bound is None or eff.c_co <= eff.upper_bound
@@ -296,7 +295,7 @@ def test_poa_at_least_one_on_random_small_instances():
     while seen < 10:
         costs = random_costs(rng)
         n1, n2 = rng.choice([(2, 2), (3, 2), (2, 3)])
-        eff = price_of_anarchy(n1, n2, costs, mode="exact")
+        eff = efficiency(n1, n2, costs, mode="exact")
         if eff.poa is None:
             continue
         seen += 1
@@ -305,8 +304,8 @@ def test_poa_at_least_one_on_random_small_instances():
 
 def test_pos_infinite_in_prop4_regime():
     costs = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
-    sen = price_of_seniority(3, 3, costs)
-    assert sen.infinite
+    sen = efficiency(3, 3, costs)
+    assert sen.pos is None
     assert sen.c2_first == 0
     assert sen.c2_second == 6 * F(1, 10)
 
@@ -316,24 +315,24 @@ def test_pos_at_least_one():
     seen = 0
     while seen < 8:
         costs = random_costs(rng)
-        sen = price_of_seniority(2, 2, costs, mode="exact")
+        sen = efficiency(2, 2, costs, mode="exact")
         if sen.c2_second == 0 and sen.c2_first == 0:
             assert sen.pos == 1
             continue
         seen += 1
-        assert sen.infinite or sen.pos >= 1
+        assert sen.pos is None or sen.pos >= 1
 
 
 def test_pos_of_a_null_game_charges_operator2_nothing():
     # Nobody builds in a null game, whichever operator moves first.
-    sen = price_of_seniority(2, 2, costs_of("1/10", "1/10", "1/8", "1/8", "1/5"))
-    assert (sen.c2_second, sen.c2_first, sen.pos, sen.infinite) == (0, 0, 1, False)
+    sen = efficiency(2, 2, costs_of("1/10", "1/10", "1/8", "1/8", "1/5"))
+    assert (sen.c2_second, sen.c2_first, sen.pos, sen.pos is None) == (0, 0, 1, False)
 
 
 def test_pos_symmetric_first_cost_matches_operator1():
     costs = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     sol, _ = solve_game(3, 3, costs)
-    sen = price_of_seniority(3, 3, costs)
+    sen = efficiency(3, 3, costs)
     assert sen.c2_first == 1 - sol.u1
 
 
@@ -396,7 +395,7 @@ def test_solve_game_dispatch():
     prop4 = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     assert solve_game(3, 3, prop4)[0].method == "exact"
     assert solve_game(3, 3, prop4, mode="structured")[0].method == "structured"
-    for call in (solve_game, price_of_anarchy, price_of_seniority):
+    for call in (solve_game, efficiency):
         with pytest.raises(MetricsError, match="unknown mode 'Exact'"):
             call(3, 3, prop4, mode="Exact")
     sol, built = solve_game(5, 5, costs_of("1/20", "1/20", "1/40", "1/40", "1/3"))
