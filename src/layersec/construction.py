@@ -57,7 +57,6 @@ later lambda queries on it run no flow.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,39 +127,69 @@ def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan | None:
 
     The plan is the cheapest level (e11 intra, e12 cross links) whose
     ``game._level_floor`` is below 1, ties to the lower floor, then to
-    fewer cross links; None when no level is below 1.  The floor does not
-    rise with e11 or e12, so the scan bisects for the least e11 of the
-    first e12 that has one and steps it down for each next e12.  Operator
-    2 mirrors every intra link and buys the floor's argmin x of cross
-    links; the plan then totals n1(k+1) links, or n1(k+1) + 1 in the
-    parity shape.  Raises if that completion misses the floor, which would
-    report a wrong equilibrium.  Requires 1 <= k < n1.
+    fewer cross links; None when no level is below 1.  Operator 2 mirrors
+    every intra link and buys the floor's argmin x of cross links; the
+    plan then totals n1(k+1) links, or n1(k+1) + 1 in the parity shape.
+    Raises if that completion misses the floor, which would report a wrong
+    equilibrium.  Requires 1 <= k < n1.
+
+    Each e12 = b takes its least e11 in closed form, with no search.  With
+    n = n1, d2 = n(k+1) - b, B = max(k+1-b, d2 - n(n-1), 0) and
+    hi = n^2 - b, the floor of (a, b) is the least
+    h(x) = x*c21 + ceil(max(0, d2-x)/2)*c2 over max(d2 - 2a, B) <= x <= hi.
+    So it is below 1 exactly when d2 - 2a <= X, the largest x in [B, hi]
+    with h(x) < 1 (``_last_below``): the least e11 is
+    max(0, ceil((d2 - X)/2)), and b has none when X does not exist or that
+    e11 is above ``top``.  Only a level within the bound pays one
+    ``_level_floor`` call, for its floor2 tie-break and argmin x.
     """
     _check_domain(n1, n1, k)
     L, c1, c2, c12, c21 = _scale(costs)
     top = min(n1 * (n1 - 1) // 2, (L - 1) // c1)  # the most intra links operator 1 affords
-    floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)[0]
-    best = None  # the cheapest level so far, as (cost1, floor2, e12, e11)
-    a = top + 1  # above top: no e11 fits yet
+    best = None  # the cheapest level so far, as (cost1, floor2, e12, e11, x)
     for b in range(n1 * n1 + 1):
         bound = L - 1 if best is None else best[0]  # the most operator 1 may pay
         if b * c12 > bound:
             break
-        if a > top:
-            a = bisect.bisect_left(range(top + 1), True, key=lambda e11: floor(e11, b) < L)
-        while 0 < a <= top and floor(a - 1, b) < L:
-            a -= 1
+        d2 = n1 * (k + 1) - b
+        last = _last_below(L, max(k + 1 - b, d2 - n1 * (n1 - 1), 0), n1 * n1 - b, d2, c2, c21)
+        if last is None:
+            continue
+        a = max(0, (d2 - last + 1) // 2)
         cost1 = a * c1 + b * c12
         if a <= top and cost1 <= bound:
-            level = (cost1, floor(a, b), b, a)
+            floor2, x = _level_floor(n1, n1, k, a, b, c2, c21)
+            level = (cost1, floor2, b, a, x)
             best = level if best is None else min(best, level)
     if best is None:
         return None
-    cost1, _, e12, e11 = best
-    floor2, x = _level_floor(n1, n1, k, e11, e12, c2, c21)
+    cost1, floor2, e12, e11, x = best
     if e11 * c2 + x * c21 != floor2:
         raise ConstructionError(f"the mirrored completion of (e11, e12) = ({e11}, {e12}) misses its floor")
     return StageOnePlan(e11, e12, x, Fraction(cost1, L), Fraction(floor2, L))
+
+
+def _last_below(L: int, lo: int, hi: int, d2: int, c2: int, c21: int):
+    """The largest x in [lo, hi] with h(x) = x*c21 + ceil(max(0, d2-x)/2)*c2
+    below L, or None.
+
+    From d2 up, h(x) = x*c21 rises with x.  Below d2, on each parity p of
+    d2 - x, 2h(x) = x*(2*c21 - c2) + (d2 + p)*c2 is linear in x, so the
+    largest x of that parity below L is one division away.
+    """
+    start = max(lo, d2)
+    if start <= hi and start * c21 < L:
+        return min(hi, (L - 1) // c21)
+    slope, best = 2 * c21 - c2, None
+    for p in (0, 1):
+        room = 2 * L - (d2 + p) * c2  # 2h(x) < 2L exactly when x * slope < room
+        x = min(hi, d2)
+        if slope > 0:
+            x = min(x, (room - 1) // slope)
+        x -= (d2 - x - p) % 2
+        if lo <= x and x * slope < room and (best is None or x > best):
+            best = x
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
 ``connectivity.keep_lambda`` fills it, with the value of a flow or, for an
 equilibrium build, the value its cycle certificate proves.  A second such
 slot keeps ``grouped``'s pairs per (owner, class), so a build's count
-check and its strategy profile share one pass over the edges.  The slots
-live and die with the graph object: ``add_edge``, ``remove_edges`` and
-``from_pairs`` return graphs whose slots are empty, and two equal graphs
-built apart each fill their own.
+check and its strategy profile share one grouping.  The slots live and
+die with the graph object, and two equal graphs built apart each fill
+their own.  ``from_pairs`` returns its graph grouped, filled by the loop
+that admits the edges, with the lambda slot empty; graphs from
+``add_edge``, ``remove_edges`` or ``LayeredGraph(...)`` start with both
+empty, and ``grouped`` fills its slot on first use.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -90,11 +93,13 @@ class LayeredGraph:
         return self.n1 + self.n2
 
     def edge_pairs(self) -> set[tuple[int, int]]:
-        return {e.pair for e in self.edges}
+        """A fresh set of the (u, v) pairs, inserted in the order of ``edges``."""
+        return set(map(itemgetter(0, 1), self.edges))
 
     def grouped(self) -> dict:
-        """The (u, v) pairs per (owner, class) present, read-only: grouped in
-        one pass over the edges on the first call and kept with the graph."""
+        """The (u, v) pairs per (owner, class) present, read-only: filled by
+        ``from_pairs``, or grouped in one pass over the edges on the first
+        call, and kept with the graph."""
         if self._groups is None:
             groups = defaultdict(list)
             for e in self.edges:
@@ -158,7 +163,7 @@ def degrees(n: int, pairs) -> list[int]:
 def degree(g: LayeredGraph, v: int) -> int:
     if not 0 <= v < g.n:
         raise GraphError(f"node {v} out of range [0, {g.n})")
-    return degrees(g.n, g.edge_pairs())[v]
+    return sum(e.u == v or e.v == v for e in g.edges)
 
 
 def count_by(g: LayeredGraph, owner: Owner | None = None, cls: EdgeClass | None = None) -> int:
@@ -174,16 +179,23 @@ def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) 
     """Build a graph from (u, v, owner) triples, validating each edge.
 
     The first triple that ``add_edge`` would refuse after the ones before
-    it raises the same ``GraphError``.
+    it raises the same ``GraphError``.  The graph comes back grouped: the
+    loop that admits the edges fills ``grouped``'s slot as it goes.
     """
     g = new_graph(n1, n2)
     n, op1, op2 = n1 + n2, Owner.OPERATOR1, Owner.OPERATOR2
     edges: dict[tuple[int, int], Edge] = {}
+    groups = defaultdict(list)
     for u, v, owner in owned_pairs:
         if u > v:
             u, v = v, u
-        ends = (u < n1) + (v < n1)
-        if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or (u, v) in edges:
+        pair, ends = (u, v), (u < n1) + (v < n1)
+        if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or pair in edges:
             _checked_edge(g, u, v, owner, edges)  # raises
-        edges[u, v] = Edge(u, v, owner, _BY_ENDS[ends])
-    return LayeredGraph(n1, n2, frozenset(edges.values()))
+        cls = _BY_ENDS[ends]
+        # What Edge(u, v, owner, cls) does, without its extra Python frame.
+        edges[pair] = tuple.__new__(Edge, (u, v, owner, cls))
+        groups[owner, cls].append(pair)
+    g = LayeredGraph(n1, n2, frozenset(edges.values()))
+    object.__setattr__(g, "_groups", {key: tuple(pairs) for key, pairs in groups.items()})
+    return g

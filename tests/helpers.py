@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import sys
 from fractions import Fraction
 
 import layersec
 from layersec.connectivity import connected_pairs
-from layersec.construction import structured_solve
+from layersec.construction import ConstructionError, StageOnePlan, _check_domain, structured_solve
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -174,6 +175,37 @@ def count_calls(monkeypatch, module, name):
 def count_flows(monkeypatch):
     """List that records every ``edge_connectivity_pairs`` call from here on."""
     return count_calls(monkeypatch, layersec.connectivity, "edge_connectivity_pairs")
+
+
+def stage1_by_scan(n1, k, costs):
+    """``stage1_allocate`` by a search over the levels: the least e11 of
+    each e12 is bisected for the first e12 that has one and stepped down
+    for each next e12, as the floor does not rise with e11 or e12."""
+    _check_domain(n1, n1, k)
+    L, c1, c2, c12, c21 = _scale(costs)
+    top = min(n1 * (n1 - 1) // 2, (L - 1) // c1)  # the most intra links operator 1 affords
+    floor = lambda a, b: _level_floor(n1, n1, k, a, b, c2, c21)[0]
+    best = None  # the cheapest level so far, as (cost1, floor2, e12, e11)
+    a = top + 1  # above top: no e11 fits yet
+    for b in range(n1 * n1 + 1):
+        bound = L - 1 if best is None else best[0]  # the most operator 1 may pay
+        if b * c12 > bound:
+            break
+        if a > top:
+            a = bisect.bisect_left(range(top + 1), True, key=lambda e11: floor(e11, b) < L)
+        while 0 < a <= top and floor(a - 1, b) < L:
+            a -= 1
+        cost1 = a * c1 + b * c12
+        if a <= top and cost1 <= bound:
+            level = (cost1, floor(a, b), b, a)
+            best = level if best is None else min(best, level)
+    if best is None:
+        return None
+    cost1, _, e12, e11 = best
+    floor2, x = _level_floor(n1, n1, k, e11, e12, c2, c21)
+    if e11 * c2 + x * c21 != floor2:
+        raise ConstructionError(f"the mirrored completion of (e11, e12) = ({e11}, {e12}) misses its floor")
+    return StageOnePlan(e11, e12, x, Fraction(cost1, L), Fraction(floor2, L))
 
 
 def spe_by_unfiltered_scan(n1, n2, costs):

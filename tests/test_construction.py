@@ -14,6 +14,7 @@ from helpers import (
     graph_degrees,
     lambda_by_enumeration,
     random_costs,
+    stage1_by_scan,
     structured_matches_exact,
 )
 from layersec.connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, link_connectivity
@@ -89,6 +90,40 @@ def test_stage1_threshold_minimality():
             assert plan is None
         else:
             assert (plan.c1_total, plan.c2_total, plan.e12, plan.e11) == best, (n1, k, costs)
+
+
+def test_stage1_closed_form_matches_the_scan():
+    # Three seeded draws for every 2 <= n1 <= 40 and 1 <= k < n1, the link
+    # costs either fractions over primes from 2 to 104729 scaled round
+    # 1/(n1(k+1)), or unit fractions, so that null and non-null games and
+    # exact ties with 1 all occur: the closed form gives the scan's whole
+    # plan, None, or raise.
+    primes = (2, 3, 5, 7, 11, 13, 31, 101, 997, 7919, 104729)
+    rng = random.Random(30)
+
+    def outcome(stage1, n1, k, costs):
+        try:
+            return stage1(n1, k, costs)
+        except ConstructionError as err:
+            return str(err)
+
+    orders, plans, draws = set(), 0, 0
+    for n1 in range(2, 41):
+        for k in range(1, n1):
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    s = F(rng.randint(1, 800), 100 * n1 * (k + 1))
+                    c1, c2, c12, c21 = (min(s * F(rng.randint(1, p - 1), p), F(p - 1, p)) for p in rng.choices(primes, k=4))
+                else:  # unit fractions, so that some bounds meet 1 exactly
+                    c1, c2, c12, c21 = (F(1, rng.randint(2, 3 * n1 * (k + 1))) for _ in range(4))
+                costs = CostProfile(c1, c2, c12, c21, F(1, k + 1))
+                want = outcome(stage1_by_scan, n1, k, costs)
+                assert outcome(stage1_allocate, n1, k, costs) == want, (n1, k, costs)
+                orders.add(c1 <= c12)
+                plans += isinstance(want, StageOnePlan)
+                draws += 1
+    assert orders == {True, False}
+    assert draws > 2000 and draws // 4 < plans < draws
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from layersec.graph import (
     Edge,
     EdgeClass,
     GraphError,
+    LayeredGraph,
     Owner,
     add_edge,
     count_by,
@@ -152,6 +154,65 @@ def test_from_pairs_is_the_add_edge_fold(triples):
         with pytest.raises(GraphError) as err:
             from_pairs(4, 3, triples)
         assert str(err.value) == message
+
+
+def random_admitted_triples(rng, n1, n2):
+    """Each link of K_(n1+n2) with probability 1/2, by an owner allowed to
+    build it, in either node order, shuffled."""
+    n, triples = n1 + n2, []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                owners = [owner for owner, classes in ADMISSIBLE.items() if class_by_ends(n1, u, v) in classes]
+                triples.append((*rng.sample((u, v), 2), rng.choice(owners)))
+    rng.shuffle(triples)
+    return triples
+
+
+def grouping_of(edges):
+    """The pairs per (owner, class) of ``edges``, as sets."""
+    groups = {}
+    for e in edges:
+        groups.setdefault((e.owner, e.cls), set()).add(e.pair)
+    return groups
+
+
+def test_from_pairs_returns_its_grouping_filled():
+    rng = random.Random(29)
+    for _ in range(200):
+        n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+        triples = random_admitted_triples(rng, n1, n2)
+        g = from_pairs(n1, n2, triples)
+        assert g._groups is not None
+        assert all(type(pairs) is tuple for pairs in g.grouped().values())
+        assert {key: set(pairs) for key, pairs in g.grouped().items()} == grouping_of(g.edges)
+        for e in g.edges:
+            twin = Edge(e.u, e.v, e.owner, e.cls)
+            assert type(e) is Edge and e == twin
+            assert (repr(e), hash(e)) == (repr(twin), hash(twin))
+        if not triples:
+            continue
+        # Every other way to a graph leaves the slot empty until first use.
+        for h in (
+            add_edge(new_graph(n1, n2), *triples[0]),
+            remove_edges(g, [next(iter(g.edges))]),
+            LayeredGraph(n1, n2, g.edges),
+        ):
+            assert h._groups is None
+            assert {key: set(pairs) for key, pairs in h.grouped().items()} == grouping_of(h.edges)
+            assert h._groups is not None
+
+
+def test_edge_pairs_is_a_fresh_set_in_edge_order():
+    # The minimum cut search reads the pairs in this order.
+    rng = random.Random(31)
+    for _ in range(100):
+        n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+        g = from_pairs(n1, n2, random_admitted_triples(rng, n1, n2))
+        pairs = g.edge_pairs()
+        assert list(pairs) == list({e.pair for e in g.edges})
+        pairs.add((-1, -1))
+        assert g.edge_pairs() == {e.pair for e in g.edges}
 
 
 def test_remove_edges():
