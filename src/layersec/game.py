@@ -25,8 +25,9 @@ on instances of up to 6 nodes.  Each search call builds its own
 EdgeUniverse (candidate links as bitmasks, plus a lambda memo), so
 nothing outlives a call.  Every k-resistance test is
 EdgeUniverse.resists(mask, k): without a flow, a node of degree <= k
-answers no (lambda <= min degree) and the complete graph yes (lambda =
-n - 1); otherwise lambda > k decides.  The oracle lists the resisting
+answers no (lambda <= min degree) and a least degree >= floor(n/2) yes
+(lambda is then that degree, Chartrand 1966); otherwise lambda > k
+decides.  The oracle lists the resisting
 masks with EdgeUniverse.resisting, which calls resists only on masks
 where every degree exceeds k and no one-link-smaller subset resists.  It
 folds each resisting union onto the operator-1 strategy left when its
@@ -379,11 +380,13 @@ class EdgeUniverse:
 
     def resists(self, mask: int, k: int) -> bool:
         """Whether the graph selected by ``mask`` survives any k removals
-        (lam > k).  lam <= min degree, so a node of degree <= k settles it
-        without a flow, and so does the complete graph, whose lam is n - 1."""
-        if any((mask & inc).bit_count() <= k for inc in self.incident):
+        (lam > k).  lam <= min degree, so a least degree <= k settles it
+        without a flow, and so does one >= floor(n/2), where a simple
+        graph's lam equals it (Chartrand 1966)."""
+        least = min((mask & inc).bit_count() for inc in self.incident)
+        if least <= k:
             return False
-        return mask.bit_count() == len(self.pairs) or self.lam(mask) > k
+        return 2 * least >= self.n - 1 or self.lam(mask) > k
 
     def resisting(self, k: int) -> set:
         """Every mask that survives any k removals.

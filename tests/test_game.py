@@ -393,15 +393,54 @@ def test_resists_matches_lambda_by_bipartition(n1, n2):
             assert uni.resists(mask, k) == (lam >= k + 1), (mask, k)
 
 
-def test_the_complete_graph_resists_without_a_flow(monkeypatch):
-    # Past the degree test, the all-links mask is K_n, whose lambda is
-    # n - 1: no flow.  So the 4+3 team search below runs one flow, not two.
+@pytest.mark.parametrize("n1,n2", [(3, 3), (4, 2), (4, 3), (5, 2)])
+def test_resists_matches_lambda_on_dense_masks(monkeypatch, n1, n2):
+    # Seeded masks, mostly near-complete, on both sides of the degree rule
+    # 2 * least >= n - 1, under which resists runs no flow.  Half of them
+    # thin out the links across a random split of the nodes, which gives
+    # masks below the rule whose lambda is less than their least degree.
+    calls = count_flows(monkeypatch)
+    rng = random.Random(n1 * 10 + n2)
+    uni = EdgeUniverse(n1, n2)
+    sides = {True: 0, False: 0}  # masks with least > 1, by whether the rule applies
+    below_least = 0
+    for _ in range(200):
+        p = rng.choice([0.05, 0.15, 0.3, 0.45])
+        q = rng.choice([p, 0.9])  # the drop rate across the split
+        split = rng.getrandbits(uni.n)
+        mask = sum(
+            1 << b for b, (u, v) in enumerate(uni.pairs) if rng.random() > (q if (split >> u ^ split >> v) & 1 else p)
+        )
+        lam = lambda_by_bipartition(uni.n, uni.pairs_of(mask))
+        least = min((mask & inc).bit_count() for inc in uni.incident)
+        dense = 2 * least >= uni.n - 1
+        if least > 1:
+            sides[dense] += 1
+            below_least += lam < least
+        for k in range(1, uni.n - 1):
+            before = len(calls)
+            assert uni.resists(mask, k) == (lam >= k + 1), (mask, k)
+            if dense:
+                assert len(calls) == before, (mask, k)
+    assert min(sides.values()) >= 20 and below_least >= 5, (sides, below_least)
+
+
+def test_dense_masks_resist_without_a_flow(monkeypatch):
+    # Past the degree test, a least degree of at least floor(n/2) is
+    # lambda (Chartrand), so K_n and any such mask need no flow, and the
+    # 4+3 team search below runs none.
     calls = count_flows(monkeypatch)
     uni = EdgeUniverse(4, 3)
     full = (1 << len(uni.pairs)) - 1
     assert uni.resists(full, 5) and not uni.resists(full, 6)
+    ring = [(i, (i + 1) % 7) for i in range(7)]
+    chords = uni.mask_of(ring + [(0, 3), (1, 4), (2, 5), (3, 6)])  # least degree 3 = floor(7/2)
+    assert uni.resists(chords, 2) and not uni.resists(chords, 3)
     assert calls == []
     assert team_optimal(4, 3, 3, costs_of("27/280", "1/20", "41/700", "17/280", "1/3")).cost == F(627, 700)
+    assert calls == []
+    # A 7-cycle has least degree 2 < 3: one flow settles k = 1.
+    assert uni.resists(uni.mask_of(ring), 1)
     assert len(calls) == 1
 
 
@@ -409,12 +448,14 @@ def test_repeated_solves_do_the_same_connectivity_work(monkeypatch):
     # No state survives a solve: an identical second solve repeats every
     # lambda computation of the first.
     calls = count_flows(monkeypatch)
-    first = solve_spe_exact(4, 3, PROP3_COSTS)
+    costs = costs_of("13/70", "87/700", "13/175", "27/140", "2/3")
+    first = solve_spe_exact(4, 3, costs)
     n_first = len(calls)
-    second = solve_spe_exact(4, 3, PROP3_COSTS)
+    second = solve_spe_exact(4, 3, costs)
     assert n_first > 0
     assert len(calls) - n_first == n_first
     assert first == second
+    assert first.u1 == F(136, 175)
 
 
 def test_oracle_agreement_spec_instances():

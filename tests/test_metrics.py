@@ -13,6 +13,7 @@ from layersec.construction import ConstructionError, _team_design, structured_so
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
+    _joint_cost_floor,
     _solve_team_exact,
     attack_budget,
     bruteforce_spe_oracle,
@@ -261,6 +262,29 @@ def test_structured_team_designs_meet_the_floor():
         assert (null, None if null else _team_design(n, n, k, costs)[1]) == (graph is None, cost), (n, k, costs)
         nonnull += graph is not None
     assert nonnull >= 20
+
+
+def test_exact_team_search_meets_the_joint_floor():
+    # On every shape of up to 8 nodes and every k, the team optimum costs
+    # exactly _joint_cost_floor, under both draw rules: scaled test draws,
+    # and near-threshold draws of 1/randint(2, 3n(k+1)) per link.  A draw
+    # is null exactly when the floor is None or reaches 2.
+    rng = random.Random(31)
+    nonnull = 0
+    for n in range(3, 9):
+        for n1 in range(1, n):
+            n2 = n - n1
+            for k in range(1, n - 1):
+                ca = F(2, 2 * k + 1)
+                for _ in range(2):
+                    scaled = replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=ca)
+                    near = CostProfile(*(F(1, rng.randint(2, 3 * n * (k + 1))) for _ in range(4)), ca)
+                    for costs in (scaled, near):
+                        floor = _joint_cost_floor(n1, n2, k, costs)[0]
+                        want = None if floor is None or floor >= 2 else floor
+                        assert team_optimal(n1, n2, k, costs).cost == want, (n1, n2, k, costs)
+                        nonnull += want is not None
+    assert nonnull >= 350, nonnull
 
 
 @pytest.mark.parametrize("k", [3, 4])
