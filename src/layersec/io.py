@@ -45,19 +45,6 @@ def rational_json(value) -> str:
     raise TypeError(f"cannot write {type(value).__name__} {value!r} as exact JSON")
 
 
-def as_text(value) -> str:
-    """A computed value as one line of plain text: plain lists and tuples
-    element by element, rationals as ``rational_json`` writes them, ``None``
-    as the JSON reports' ``null``, anything else (a named tuple such as an
-    ``Edge`` too) through ``str``."""
-    if type(value) in (list, tuple):
-        inner = ", ".join(map(as_text, value))
-        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
-    if value is None:
-        return "null"
-    return rational_json(value) if isinstance(value, Fraction) else str(value)
-
-
 def _int(value, what: str) -> int:
     try:
         if isinstance(value, (bool, float)):

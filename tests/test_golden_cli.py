@@ -1,10 +1,9 @@
 """Golden CLI transcript: stdout and exit code of the scenario and reproduce commands.
 
 ``tests/golden/cli.txt`` holds the output of ``solve``, ``metrics`` and
-``oracle`` on every ``scenarios/*.json`` plus every ``reproduce`` case.  The
-test compares it byte for byte, except ``note`` lines, which describe the
-construction rather than state an answer.  Regenerate after an intended
-output change with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+``oracle`` on every ``scenarios/*.json`` plus every ``reproduce`` case of
+``claims.CLAIMS``.  The test compares it byte for byte.  Regenerate after an
+intended output change with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ import io as _stdio
 import json
 from pathlib import Path
 
-from layersec.cli import _REPRODUCTIONS, main
+from layersec import claims
+from layersec.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
@@ -24,7 +24,7 @@ def _commands():
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         for cmd in ("solve", "metrics", "oracle"):
             yield [cmd, "--scenario", f"scenarios/{path.name}"]
-    for case in sorted(_REPRODUCTIONS):
+    for case in sorted(claims.CLAIMS):
         yield ["reproduce", case]
 
 
@@ -41,12 +41,8 @@ def transcript() -> str:
     return "".join(f"$ layersec {' '.join(argv)}\n{out}exit {code}\n" for argv, out, code in _runs())
 
 
-def _answers(text: str) -> list:
-    return [line for line in text.splitlines() if not line.startswith("note  ")]
-
-
 def test_cli_transcript_matches_golden():
-    assert _answers(transcript()) == _answers(GOLDEN.read_text())
+    assert transcript() == GOLDEN.read_text()
 
 
 def _refuse_float(text):

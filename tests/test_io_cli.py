@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import count_flows, lambda_by_bipartition
-from layersec import cli, io, metrics
+from layersec import claims, cli, io, metrics
 from layersec.cli import main
 from layersec.graph import EdgeClass, Owner, count_by, new_graph, add_edge
 
@@ -34,11 +34,6 @@ def test_the_json_writer_takes_fractions_and_refuses_other_objects():
         io.rational_json(edge)
     with pytest.raises(TypeError):
         json.dumps({"attack": [edge]}, default=io.rational_json)
-
-
-def test_plain_text_writes_values_as_the_json_reports_do():
-    edge = next(iter(add_edge(new_graph(2, 1), 0, 2, Owner.OPERATOR1).edges))
-    assert io.as_text([F(2, 45), None, (3, True), edge]) == f"[2/45, null, (3, True), {edge!r}]"
 
 
 def test_scenario_parsing():
@@ -368,6 +363,13 @@ def test_cli_solve_prop3_classes(capsys):
     assert bundle["operator2_cost_classes"] == ["9/10", "99/100"]
 
 
+def test_cli_solve_echoes_the_mode_it_was_asked_for(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop4.json"), "--mode", "structured")
+    assert code == 0
+    bundle = json.loads(out)
+    assert (bundle["scenario"]["mode"], bundle["mode_used"]) == ("structured", "structured")
+
+
 def test_cli_construct_verify_round_trip(tmp_path, capsys):
     out_path = tmp_path / "built.json"
     dot_path = tmp_path / "built.dot"
@@ -497,7 +499,6 @@ def test_cli_metrics_solves_the_team_optimum_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "team_optimal", counted)
-    monkeypatch.setattr(cli, "team_optimal", counted)
     code, _, _ = run_cli(capsys, "metrics", "--scenario", str(SCENARIOS / "poa-n3.json"))
     assert code == 0
     assert len(calls) == 1
@@ -550,4 +551,40 @@ def test_cli_help_exits_ok(capsys):
 def test_cli_reproduce_example_1(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "example-1")
     assert code == 0
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 6
+
+
+def test_cli_reproduce_fails_on_a_wrong_expected_value(capsys, monkeypatch):
+    command, scenario, _ = claims.CLAIMS["example-1"][0]
+    monkeypatch.setitem(claims.CLAIMS, "example-1", [(command, scenario, {"k": 1, "u1": "1/2", "null": 0})])
+    code, out, _ = run_cli(capsys, "reproduce", "example-1")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  3+3 cA=2/3 structured k: computed 1  expected 1",
+        'FAIL  3+3 cA=2/3 structured u1: computed "31/50"  expected "1/2"',
+        "FAIL  3+3 cA=2/3 structured null: computed false  expected 0",  # no bool/int confusion
+    ]
+
+
+def test_cli_reproduce_fails_on_a_missing_path_even_when_null_is_expected(capsys, monkeypatch):
+    command, scenario, expected = claims.CLAIMS["bounds-sweep"][1]
+    assert expected["upper_bound"] is None  # the report holds a real null here
+    monkeypatch.setitem(claims.CLAIMS, "bounds-sweep", [(command, scenario, {"upper_bound": None, "upper_bond": None})])
+    code, out, _ = run_cli(capsys, "reproduce", "bounds-sweep")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  2+2 cA=2/5 auto upper_bound: computed null  expected null",
+        "FAIL  2+2 cA=2/5 auto upper_bond: computed missing  expected null",
+    ]
+
+
+def test_cli_reproduce_reads_no_file(capsys, monkeypatch, tmp_path):
+    def refuse(path):
+        raise AssertionError(f"reproduce read {path}")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(io, "_read_json", refuse)
+    for case in sorted(claims.CLAIMS):
+        code, out, _ = run_cli(capsys, "reproduce", case)
+        assert code == 0, case
+        assert "FAIL" not in out, case
