@@ -2,7 +2,6 @@
 
 from .connectivity import (
     LinkConnectivity,
-    MinCut,
     is_connected,
     is_p_resistant,
     link_connectivity,
@@ -50,7 +49,6 @@ from .metrics import (
     efficiency,
     solve_game,
     team_optimal,
-    threat_sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

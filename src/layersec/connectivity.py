@@ -60,12 +60,6 @@ class LinkConnectivity:
     p: int
 
 
-@dataclass(frozen=True)
-class MinCut:
-    edges: frozenset[Edge]
-    size: int
-
-
 def connected_pairs(n: int, pairs) -> bool:
     """True iff (n, pairs) is one component; the graph on no nodes is not."""
     if n == 0:
@@ -184,11 +178,10 @@ def link_connectivity(g: LayeredGraph) -> LinkConnectivity:
     return LinkConnectivity(edge_connectivity(g) - 1)
 
 
-def min_edge_cut(g: LayeredGraph) -> MinCut:
+def min_edge_cut(g: LayeredGraph) -> frozenset[Edge]:
     """A minimum disconnecting edge set of a connected graph."""
     cut_pairs = set(min_cut_pairs(g.n, g.edge_pairs()))
-    cut = frozenset(e for e in g.edges if e.pair in cut_pairs)
-    return MinCut(cut, len(cut))
+    return frozenset(e for e in g.edges if e.pair in cut_pairs)
 
 
 def is_p_resistant(g: LayeredGraph, p: int) -> bool:

@@ -444,7 +444,7 @@ def structured_solve(n1: int, n2: int, costs: CostProfile):
     order.
     """
     k = attack_budget(costs.ca)
-    built = None if null_spe_check(n1, n2, k, costs)[0] else build_generalized(n1, n2, k, costs)
+    built = None if null_spe_check(n1, n2, k, costs) else build_generalized(n1, n2, k, costs)
     if built is None:
         return SpeSolution.null(k, method="structured"), None
     plan = built.plan
@@ -452,7 +452,6 @@ def structured_solve(n1: int, n2: int, costs: CostProfile):
         k=k,
         is_null=False,
         u1=1 - plan.c1_total,
-        uA=Fraction(0),
         profiles=(StrategyProfile.from_graph(built.graph),),
         u2_values=(1 - plan.c2_total,),
         method="structured",

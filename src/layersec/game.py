@@ -157,7 +157,6 @@ class SpeSolution:
     k: int
     is_null: bool
     u1: Fraction
-    uA: Fraction
     profiles: tuple
     u2_values: tuple
     method: str = "exact"
@@ -166,13 +165,17 @@ class SpeSolution:
     def u2(self) -> Fraction:
         return self.u2_values[0]
 
+    @property
+    def uA(self) -> Fraction:
+        """The adversary's payoff: 1 if nothing is built, else 0 (no affordable attack cuts it)."""
+        return Fraction(int(self.is_null))
+
     @staticmethod
     def null(k: int, method: str = "exact") -> "SpeSolution":
         return SpeSolution(
             k=k,
             is_null=True,
             u1=Fraction(0),
-            uA=Fraction(1),
             profiles=(StrategyProfile.empty(),),
             u2_values=(Fraction(0),),
             method=method,
@@ -249,28 +252,27 @@ def adversary_best_response(g: LayeredGraph, ca) -> frozenset:
     lam = edge_connectivity(g)
     if lam == 0 or lam > k:
         return frozenset()
-    return min_edge_cut(g).edges
+    return min_edge_cut(g)
 
 
 def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
-    """The one null test of every solver: (True, reason) when no
-    k-resistant network costs less than 2 in total, else (False, None).
+    """The one null test of every solver: the reason, when no
+    k-resistant network costs less than 2 in total, else None.
 
     A non-null equilibrium is a k-resistant network that each operator
     pays less than 1 for, and a non-null team design is one that costs
     less than 2, so either needs a k-resistant network of total cost
-    below 2.  Reads ``_joint_cost_floor``: (True, "degree-bound") when it
-    is None (no node can reach degree k + 1), (True, "cost-bound") when
-    it reaches 2.  The floor prices each link at its own class's cost
-    (cross links at min(c12, c21)), so it holds for any order of the four
-    link costs.
+    below 2.  Reads ``_joint_cost_floor``: "degree-bound" when it is None
+    (no node can reach degree k + 1), "cost-bound" when it reaches 2.
+    The floor prices each link at its own class's cost (cross links at
+    min(c12, c21)), so it holds for any order of the four link costs.
     """
     floor, _ = _joint_cost_floor(n1, n2, k, costs)
     if floor is None:
-        return True, "degree-bound"
+        return "degree-bound"
     if floor >= 2:
-        return True, "cost-bound"
-    return False, None
+        return "cost-bound"
+    return None
 
 
 def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
@@ -606,7 +608,6 @@ def _equilibrium(uni: EdgeUniverse, k: int, L: int, cost1, by_class: dict, metho
         k=k,
         is_null=False,
         u1=Fraction(L - cost1, L),
-        uA=Fraction(0),
         profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
         u2_values=tuple(Fraction(L - c, L) for c in classes),
         method=method,
@@ -689,7 +690,7 @@ def solve_spe_exact(
     2's placement search.  Intended for n1 + n2 <= 9.
     """
     k = attack_budget(costs.ca)
-    if null_spe_check(n1, n2, k, costs)[0]:
+    if null_spe_check(n1, n2, k, costs):
         return SpeSolution.null(k)
     uni = EdgeUniverse(n1, n2)
     budget = _Budget(cap)

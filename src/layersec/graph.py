@@ -46,7 +46,6 @@ class EdgeClass(Enum):
 class Owner(Enum):
     OPERATOR1 = 1
     OPERATOR2 = 2
-    UNOWNED = 0
     __hash__ = object.__hash__
 
 

@@ -63,6 +63,8 @@ def search_cap(value, what: str = "caps.search") -> int:
 
 # Scenario cost keys, in file and parse order, and the CostProfile field each sets.
 _COST_KEYS = {"c1": "c1", "c2": "c2", "c12": "c12", "c21": "c21", "cA": "ca"}
+# Every key a scenario may hold; any other is refused, not ignored.
+_SCENARIO_KEYS = {"n1", "n2", *_COST_KEYS, "mode", "caps"}
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,9 @@ class Scenario:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise FormatError("a scenario must be a JSON object")
+    unknown = sorted(set(data) - _SCENARIO_KEYS)
+    if unknown:
+        raise FormatError(f"unknown scenario key(s): {', '.join(map(repr, unknown))}")
     try:
         n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
         costs = CostProfile(**{field: parse_rational(data[key]) for key, field in _COST_KEYS.items()})
@@ -93,7 +98,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r}")
     caps = data.get("caps", {})
-    cap = search_cap(caps.get("search", DEFAULT_SEARCH_CAP) if isinstance(caps, dict) else caps)
+    if not isinstance(caps, dict) or set(caps) - {"search"}:
+        raise FormatError(f'caps must be an object {{"search": N}}, got {caps!r}')
+    cap = search_cap(caps.get("search", DEFAULT_SEARCH_CAP))
     return Scenario(n1, n2, costs, mode, cap)
 
 

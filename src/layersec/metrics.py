@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import _team_design, stage1_allocate, structured_solve
+from .construction import _team_design, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -74,19 +74,6 @@ class EfficiencyReport:
     pos: Fraction | None
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    k: int
-    null: bool
-    reason: str | None
-    op1_intra: int
-    op1_cross: int
-    op2_intra: int
-    op2_cross: int
-    u1: Fraction | None
-    u2: Fraction | None
-
-
 def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     """(lower, upper) bounds on the coordinated build cost.
 
@@ -116,7 +103,7 @@ def team_optimal(
     domain the certified design of ``construction._team_design``, which
     costs the capped joint floor and so is exact.
     """
-    if null_spe_check(n1, n2, k, costs)[0]:
+    if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
     if n1 + n2 <= EXACT_MAX_NODES:
         return TeamResult(*_solve_team_exact(n1, n2, k, costs, cap))
@@ -182,50 +169,3 @@ def efficiency(
         c2_first=c2_first,
         pos=pos,
     )
-
-
-def threat_sweep(n1: int, costs: CostProfile, ks) -> list:
-    """Equilibrium link counts and utilities across attack budgets.
-
-    Symmetric instances only; ``costs.ca`` is ignored (each entry fixes k
-    directly).  k = 0 falls outside the stage-1 family: there the
-    cheapest design is operator 2's spanning tree, x cross links plus
-    2*n1 - 1 - x intra links for x = n1 or the all-cross x = 2*n1 - 1,
-    ties to x = n1, recorded when it costs less than 1.  A k >= n1 that
-    no null condition settles lies outside the structured domain, and
-    ``stage1_allocate`` raises its ``ConstructionError``.
-    """
-    entries = []
-    for k in ks:
-        if k < 0:
-            raise MetricsError("attack budget must be non-negative")
-        if k == 0:
-            tree_cost, x = min((x * costs.c21 + (2 * n1 - 1 - x) * costs.c2, x) for x in (n1, 2 * n1 - 1))
-            if tree_cost < 1:
-                entries.append(
-                    SweepEntry(0, False, "spanning-tree", 0, 0, 2 * n1 - 1 - x, x, Fraction(1), 1 - tree_cost)
-                )
-            else:
-                entries.append(
-                    SweepEntry(0, True, "outside modeled regime", 0, 0, 0, 0, Fraction(0), Fraction(0))
-                )
-            continue
-        is_null, reason = null_spe_check(n1, n1, k, costs)
-        plan = None if is_null else stage1_allocate(n1, k, costs)
-        if plan is None:
-            entries.append(SweepEntry(k, True, reason or "stage1-infeasible", 0, 0, 0, 0, Fraction(0), Fraction(0)))
-        else:
-            entries.append(
-                SweepEntry(
-                    k,
-                    False,
-                    None,
-                    plan.e11,
-                    plan.e12,
-                    plan.op2_intra,
-                    plan.op2_cross,
-                    1 - plan.c1_total,
-                    1 - plan.c2_total,
-                )
-            )
-    return entries

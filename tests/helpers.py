@@ -213,7 +213,7 @@ def spe_by_unfiltered_scan(n1, n2, costs):
     strategy of every level in the same scan order is completed, and each
     operator-2 cost class keeps its first securable strategy."""
     k = attack_budget(costs.ca)
-    if null_spe_check(n1, n2, k, costs)[0]:
+    if null_spe_check(n1, n2, k, costs):
         return SpeSolution.null(k)
     uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
@@ -241,7 +241,6 @@ def spe_by_unfiltered_scan(n1, n2, costs):
         k=k,
         is_null=False,
         u1=Fraction(L - found_cost, L),
-        uA=Fraction(0),
         profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
         u2_values=tuple(Fraction(L - c, L) for c in classes),
     )
@@ -301,7 +300,6 @@ def spe_by_pair_enumeration(n1, n2, costs):
         k=k,
         is_null=False,
         u1=Fraction(best_u1, L),
-        uA=Fraction(0),
         profiles=tuple(_profile_from_masks(uni, *by_class[c]) for c in classes),
         u2_values=tuple(Fraction(L - c, L) for c in classes),
         method="oracle",

@@ -7,12 +7,16 @@ pass/fail line.  Every expected value is exact.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import ast
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import layersec
 from helpers import graph_degrees, lambda_by_enumeration, random_costs, random_pairs
 from layersec import claims
 from layersec.cli import main
@@ -129,3 +133,20 @@ def test_criterion_10_structural_invariants():
                 assert team.cost <= upper
     assert sandwich_checked >= 10
     _report(10, "builder invariants and bound sandwiches", True)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # The solver stays stdlib-only: every absolute import in the package
+    # names a standard-library module (relative imports stay inside it).
+    sources = sorted(Path(layersec.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -228,10 +228,10 @@ def test_operator2_response_refuses_at_cost_one():
 
 
 def test_null_spe_check():
-    assert null_spe_check(2, 2, 4, PROP3_COSTS) == (True, "degree-bound")
+    assert null_spe_check(2, 2, 4, PROP3_COSTS) == "degree-bound"
     case_b = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
-    assert null_spe_check(9, 9, 7, case_b) == (True, "cost-bound")
-    assert null_spe_check(9, 9, 3, case_b) == (False, None)
+    assert null_spe_check(9, 9, 7, case_b) == "cost-bound"
+    assert null_spe_check(9, 9, 3, case_b) is None
 
 
 def test_joint_cost_floor_matches_a_scan_over_the_cross_count():
@@ -254,7 +254,7 @@ def test_cheap_cross_links_do_not_make_an_instance_null():
     # (5/9 + 1/16), so pricing every node's degree with intra links
     # overstated the cost: an all-cross network by operator 2 solves it.
     costs = costs_of("5/9", "1/16", "37/41", "1/10", "6/11")
-    assert null_spe_check(4, 4, 1, costs) == (False, None)
+    assert null_spe_check(4, 4, 1, costs) is None
     structured, _ = solve_game(4, 4, costs, mode="structured")
     exact = solve_spe_exact(4, 4, costs)
     assert (structured.method, structured.is_null, structured.u1, structured.u2) == ("structured", False, 1, F(1, 5))

@@ -62,8 +62,6 @@ def test_add_edge_rejections():
         add_edge(g, 2, 2, Owner.OPERATOR1)  # self-loop
     with pytest.raises(GraphError):
         add_edge(g, 0, 99, Owner.OPERATOR1)  # out of range
-    with pytest.raises(GraphError):
-        add_edge(g, 0, 4, Owner.UNOWNED)
     g = add_edge(g, 0, 1, Owner.OPERATOR1)
     with pytest.raises(GraphError):
         add_edge(g, 1, 0, Owner.OPERATOR1)  # duplicate, reversed
@@ -75,7 +73,6 @@ BAD_TRIPLES = {
     "duplicate-reversed": (4, 0, Owner.OPERATOR1),
     "self-loop": (2, 2, Owner.OPERATOR1),
     "inadmissible-owner": (5, 6, Owner.OPERATOR1),
-    "unowned": (1, 4, Owner.UNOWNED),
     "out-of-range": (0, 99, Owner.OPERATOR1),
     "one-past-the-end": (0, 7, Owner.OPERATOR2),
     "negative": (-1, 0, Owner.OPERATOR1),
@@ -296,7 +293,7 @@ def test_degree():
 
 def test_count_by_empty():
     g = new_graph(3, 3)
-    for owner in (Owner.OPERATOR1, Owner.OPERATOR2, Owner.UNOWNED):
+    for owner in Owner:
         for cls in EdgeClass:
             assert count_by(g, owner, cls) == 0
 

@@ -14,6 +14,7 @@ from layersec.cli import main
 from layersec.graph import EdgeClass, Owner, count_by, new_graph, add_edge
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/2"}
 
 
 def test_parse_rational():
@@ -47,6 +48,13 @@ def test_scenario_parsing():
         io.scenario_from_dict(
             {"n1": 2, "n2": 2, "c1": "1/2", "c2": "1/2", "c12": "1/2", "c21": "1/2", "cA": "1/2", "mode": "x"}
         )
+    # Every key is read: a misspelt one is refused by name, not ignored.
+    full = {**_GOOD, "mode": "exact", "caps": {"search": 7}}
+    scn = io.scenario_from_dict(full)
+    assert (scn.mode, scn.cap) == ("exact", 7)
+    for key in ("mdoe", "cap"):
+        with pytest.raises(io.FormatError, match=f"unknown scenario key.*'{key}'"):
+            io.scenario_from_dict({**full, key: "structured"})
 
 
 def test_graph_round_trip(tmp_path):
@@ -77,9 +85,6 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-_GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/2"}
-
-
 @pytest.mark.parametrize(
     "command,content,flags",
     [
@@ -98,11 +103,17 @@ _GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/
         ("solve", {**_GOOD, "cA": "1/5"}, ("--cap", "-1")),
         ("solve", {**_GOOD, "cA": "1/5", "caps": 0}, ()),
         ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": -3}}, ()),
+        # Keys a scenario does not define, and caps in any but the object form.
+        ("solve", {**_GOOD, "mdoe": "structured"}, ()),
+        ("solve", {**_GOOD, "cap": {"search": 1}}, ()),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": 1}, ()),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": 5, "ticks": 5}}, ()),
     ],
     ids=[
         "n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text",
         "n1-float", "n1-bool", "caps-bool", "search-cap-float",
         "cap-flag-zero", "cap-flag-negative", "caps-zero", "search-cap-negative",
+        "unknown-key", "unknown-key-cap", "caps-bare-number", "caps-unknown-key",
     ],
 )
 def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content, flags):
@@ -135,7 +146,7 @@ _FUZZ_SCENARIO = st.fixed_dictionaries(
         "n2": st.integers(1, 4),
         **{key: _FUZZ_COST for key in ("c1", "c2", "c12", "c21")},
         "cA": st.fractions(F(1, 4), 1, max_denominator=30).filter(lambda c: c < 1).map(str),
-        "caps": st.one_of(_FUZZ_CAP, st.fixed_dictionaries({"search": _FUZZ_CAP})),
+        "caps": st.fixed_dictionaries({"search": _FUZZ_CAP}),
     },
     optional={"mode": st.sampled_from(metrics.MODES)},
 )

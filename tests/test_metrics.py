@@ -27,7 +27,6 @@ from layersec.metrics import (
     efficiency,
     solve_game,
     team_optimal,
-    threat_sweep,
 )
 
 
@@ -90,10 +89,9 @@ def test_out_of_order_costs_with_a_floor_of_two_are_null_everywhere():
     # c1 > c12 and c2 > c21; the joint floor is 72/5.  The team search
     # used to return the all-cross band at 72/5, and stage 1 raised.
     costs = costs_of("1/2", "1/2", "2/5", "2/5", "1/3")
-    assert null_spe_check(9, 9, 3, costs) == (True, "cost-bound")
+    assert null_spe_check(9, 9, 3, costs) == "cost-bound"
     assert team_optimal(9, 9, 3, costs).null
     assert structured_solve(9, 9, costs)[0].is_null
-    assert [(e.null, e.reason) for e in threat_sweep(9, costs, [3])] == [(True, "cost-bound")]
 
 
 @functools.cache
@@ -154,8 +152,8 @@ def test_null_check_is_sound_in_every_cost_order():
         costs = random_costs(rng, max_den=6)
         k = attack_budget(costs.ca)
         order = (costs.c1 <= costs.c12, costs.c2 <= costs.c21)
-        is_null, reason = null_spe_check(n1, n2, k, costs)
-        if not is_null:
+        reason = null_spe_check(n1, n2, k, costs)
+        if reason is None:
             continue
         if reason == "cost-bound":
             orders.add(order)
@@ -258,7 +256,7 @@ def test_structured_team_designs_meet_the_floor():
         k = rng.randint(1, n - 1)
         costs = random_costs(rng, max_den=40, scale=SWEEP_SCALE)
         graph, cost = _solve_team_exact(n, n, k, costs, DEFAULT_SEARCH_CAP)
-        null = null_spe_check(n, n, k, costs)[0]
+        null = null_spe_check(n, n, k, costs) is not None
         assert (null, None if null else _team_design(n, n, k, costs)[1]) == (graph is None, cost), (n, k, costs)
         nonnull += graph is not None
     assert nonnull >= 20
@@ -360,53 +358,29 @@ def test_pos_symmetric_first_cost_matches_operator1():
     assert sen.c2_first == 1 - sol.u1
 
 
-def test_threat_sweep_case_b():
-    entries = threat_sweep(9, CASE_A, range(0, 9))
-    by_k = {e.k: e for e in entries}
-    assert by_k[1].op1_intra + by_k[1].op1_cross == 0
-    assert by_k[2].op1_intra == 4
-    assert by_k[7].null and by_k[8].null
-    costs2 = {1 - by_k[k].u2 for k in range(2, 7)}
-    assert costs2 == {F(14, 15)}
-
-
-def test_threat_sweep_k0_tree_takes_the_cheaper_cross_count():
-    # 3+3 with c21 < c2: n1 cross plus n1 - 1 intra links cost 7/10, the
-    # all-cross tree of 2*n1 - 1 = 5 cross links 1/2, so u2 at k = 0 is
-    # 1/2, not below k = 1's 2/5.  Ties go to x = n1.
-    entries = threat_sweep(3, costs_of("1/5", "1/5", "1/10", "1/10"), [0, 1])
-    assert [(e.op2_intra, e.op2_cross, e.u2) for e in entries] == [(0, 5, F(1, 2)), (0, 6, F(2, 5))]
-    tie = threat_sweep(3, costs_of("1/5", "1/10", "1/10", "1/10"), [0])[0]
-    assert (tie.op2_intra, tie.op2_cross, tie.u2) == (2, 3, F(1, 2))
-
-
-def test_threat_sweep_raises_the_domain_error_for_k_at_least_n1():
-    # Exact search solves 3+3 non-null at k = 3 and k = 4, so a null entry
+def test_structured_solve_raises_the_domain_error_for_k_at_least_n1():
+    # Exact search solves 3+3 non-null at k = 3 and k = 4, so a null answer
     # would be wrong: the structured route's one domain error names them.
     # k = 5 is settled by the null test first.
-    costs = costs_of("1/100", "1/100", "1/50", "1/50", "1/3")
-    entries = threat_sweep(3, costs, [2, 5])
-    assert not entries[0].null
-    assert (entries[1].null, entries[1].reason) == (True, "degree-bound")
+    def costs_at(k):
+        return costs_of("1/100", "1/100", "1/50", "1/50", f"1/{k}")
+
+    assert not structured_solve(3, 3, costs_at(2))[0].is_null
+    assert null_spe_check(3, 3, 5, costs_at(5)) == "degree-bound"
+    assert structured_solve(3, 3, costs_at(5))[0].is_null
     for k, u1 in ((3, F(49, 50)), (4, F(97, 100))):
-        exact = solve_spe_exact(3, 3, costs_of("1/100", "1/100", "1/50", "1/50", f"1/{k}"))
+        exact = solve_spe_exact(3, 3, costs_at(k))
         assert (exact.is_null, exact.u1) == (False, u1)
         with pytest.raises(ConstructionError, match="1 <= k < n1"):
-            threat_sweep(3, costs, [k])
+            structured_solve(3, 3, costs_at(k))
 
 
-def test_threat_sweep_null_entries_outside_stage_1():
-    # k = 2 passes the null test, but no operator-1 level has a floor
-    # below 1; at k = 0 even the cheaper spanning tree costs 5/2.
-    entries = threat_sweep(3, costs_of("1/10", "1/10", "2/5", "2/5"), [2])
-    assert [(e.k, e.null, e.reason, e.u1, e.u2) for e in entries] == [(2, True, "stage1-infeasible", 0, 0)]
-    entry = threat_sweep(3, costs_of("1/2", "1/2", "1/2", "1/2"), [0])[0]
-    assert (entry.null, entry.reason, entry.op2_cross, entry.u2) == (True, "outside modeled regime", 0, 0)
-
-
-def test_threat_sweep_rejects_negative_k():
-    with pytest.raises(MetricsError):
-        threat_sweep(3, CASE_A, [-1])
+def test_structured_solve_is_null_outside_stage_1():
+    # k = 2 passes the null test, but no operator-1 level has a floor below 1.
+    costs = costs_of("1/10", "1/10", "2/5", "2/5")  # cA = 1/2, so k = 2
+    assert null_spe_check(3, 3, 2, costs) is None
+    sol, built = structured_solve(3, 3, costs)
+    assert (sol.k, sol.is_null, sol.method, built) == (2, True, "structured", None)
 
 
 def test_solve_game_dispatch():
@@ -432,7 +406,7 @@ def test_solve_game_dispatch():
     # on whichever route its size takes.
     for n1, n2, costs, method in ((5, 5, costs_of("1/20", "1/20", "1/10", "1/10", "1/9"), "structured"),  # k = 9: degree-bound
                                   (5, 4, costs_of("1/2", "1/2", "1/2", "1/2", "1/3"), "exact")):  # cost-bound
-        assert null_spe_check(n1, n2, attack_budget(costs.ca), costs)[0]
+        assert null_spe_check(n1, n2, attack_budget(costs.ca), costs)
         sol, built = solve_game(n1, n2, costs)
         assert (sol.is_null, sol.method, built) == (True, method, None)
     with pytest.raises(SearchCapExceeded):
