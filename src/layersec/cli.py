@@ -109,7 +109,7 @@ def cmd_construct(args) -> tuple:
             fh.write(io.to_dot(graph))
     report = {
         "k": solution.k,
-        "edges": len(graph.edges),
+        "edges": sum(map(len, graph.links)),
         **_counts(graph),
         "cycles_built": 0 if built is None else built.cycles_built,  # exact search lays out no cycles
         "p": link_connectivity(graph).p,

@@ -29,10 +29,13 @@ of K_n1 (``_zigzag``), and the even-k matching pairs consecutive nodes of
 zigzag path (k+1)//2.
 
 Every constructed network is re-verified (exact edge counts per owner and
-class, least degree k + 1, the tagged cycles are edge-disjoint Hamiltonian
-cycles made of the graph's links, each checked by one walk, ``_walk``, that
-numbers its nodes, and the whole graph survives any k link removals); a
-construction that fails verification raises instead of returning silently.
+class, least degree k + 1, the cycles are edge-disjoint Hamiltonian cycles
+made of the graph's links, and the whole graph survives any k link
+removals); a construction that fails verification raises instead of
+returning silently.  The builder keeps each cycle as its node order, the
+certificate a build carries (``BuiltNetwork.cycle_tags``): an order is a
+Hamiltonian cycle when it is a permutation of the nodes, and its links are
+its n consecutive pairs, the last one back to the first node.
 The cycles and the matching hold n1(k+1) links and give every node degree
 k + 1; the extra vertical raises its two ends to k + 2 (the parity shape),
 which leaves the least degree at k + 1.
@@ -40,16 +43,16 @@ which leaves the least degree at k + 1.
 Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
 edge-disjoint Hamiltonian cycles among a graph's links give lambda >= 2r.
-For odd k the (k+1)/2 tagged cycles, as unordered pairs, are exactly the
+For odd k the (k+1)/2 cycles, as unordered pairs, are exactly the
 graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1.
 
-Lemma (arc certificate, even k).  The k/2 tagged cycles give lambda >= k
+Lemma (arc certificate, even k).  The k/2 cycles give lambda >= k
 and least degree k + 1 gives lambda <= k + 1; no regularity is needed.
 A cut of size k then crosses each cycle exactly twice, the first one
 included, so its side is a contiguous arc of the first cycle.  Hence
 lambda = k + 1 exactly when every arc S of that cycle (1 <= |S| < n) has
-more than k links leaving it, which one sweep over the arcs as the first
-cycle's walk numbers them (``_arc_floor``) decides with no flow.
+more than k links leaving it, which one sweep over the arcs, numbered by
+the first cycle's order (``_arc_floor``), decides with no flow.
 
 Either way the build records lambda = k + 1 on the returned graph, so
 later lambda queries on it run no flow.
@@ -115,7 +118,7 @@ class StageOnePlan:
 class BuiltNetwork:
     graph: LayeredGraph
     plan: StageOnePlan
-    cycle_tags: tuple  # frozenset of (u, v) pairs per cycle
+    cycle_tags: tuple  # the node order of each cycle
 
     @property
     def cycles_built(self) -> int:
@@ -221,6 +224,9 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
     hands some to operator 1) are the verticals at the sequence ends; they
     join the two strands into a single cycle through all 2*n1 nodes.
     With z = 0 this is an all-cross Hamiltonian cycle.
+
+    Returns the cycle's node order: the top strand, seq[:z+1] in layer 1
+    and then alternating layers, followed by the bottom strand reversed.
     """
     for i in range(z):
         a, b = seq[i], seq[i + 1]
@@ -233,6 +239,9 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
     for a in (seq[0], seq[-1]):
         closer_slots.append(len(out))
         out.append([a, a + n1, OP2])
+    top = [a + n1 * (i > z and (i - z) % 2) for i, a in enumerate(seq)]
+    bottom = [2 * a + n1 - t for a, t in zip(seq, top)]  # each node's other copy
+    return tuple(top + bottom[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +250,7 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
 
 
 def _build_cycle_superposition(n1: int, k: int, e11: int):
-    """Edge list, closer slots and cycle tags for any k and layer parity,
+    """Edge list, closer slots and cycle node orders for any k and layer parity,
     with e11 mirrored intra links per layer and the rest cross links.
 
     (k+1)//2 Hamiltonian cycles take the intra budget first; for even k a
@@ -260,14 +269,10 @@ def _build_cycle_superposition(n1: int, k: int, e11: int):
     # The first m paths are mirrored, the next one carries the z leftover
     # intra steps, the rest are all-cross.
     steps = [N - 1] * m + [z] + [0] * C
-    tags = []  # a cycle's tag is the slice of ``out`` that it appended
-    for r in range(C):
-        start = len(out)
-        _mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots)
-        tags.append([(a, b) for a, b, _ in out[start:]])
+    orders = tuple(_mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots) for r in range(C))
     if k % 2 == 0:
         _add_matching(N, C, e11 - held, out, closer_slots)
-    return out, closer_slots, tags
+    return out, closer_slots, orders
 
 
 def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
@@ -298,7 +303,7 @@ def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
 
 
 def _realize(n1: int, k: int, counts: dict):
-    """(graph, cycle tags): the certified network with ``counts`` links per
+    """(graph, cycle orders): the certified network with ``counts`` links per
     (owner, class), counts[(OP1, INTRA1)] mirrored intra links per layer.
 
     When the counts total n1(k+1) + 1 links, one vertical at the first
@@ -306,7 +311,7 @@ def _realize(n1: int, k: int, counts: dict):
     node is left.  Operator 1 takes counts[(OP1, CROSS)] of the cross
     links, the cycle closers first.
     """
-    out, closer_slots, tags = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1])
+    out, closer_slots, orders = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1])
     if sum(counts.values()) == n1 * (k + 1) + 1:
         free = set(range(n1)) - {a for a, b, _ in out if b == a + n1}
         if not free:
@@ -318,12 +323,11 @@ def _realize(n1: int, k: int, counts: dict):
     for slot in itertools.islice(itertools.chain(closer_slots, rest), counts[OP1, EdgeClass.CROSS]):
         out[slot][2] = OP1
     graph = from_pairs(n1, n1, out)
-    tags = tuple(frozenset(t) for t in tags)
-    _verify_built(graph, k, counts, tags)
-    return graph, tags
+    _verify_built(graph, k, counts, orders)
+    return graph, orders
 
 
-def _verify_built(graph: LayeredGraph, k: int, counts: dict, tags):
+def _verify_built(graph: LayeredGraph, k: int, counts: dict, orders):
     """Check the links per (owner, class) against ``counts`` and certify
     lambda = k + 1 by the module docstring's lemmas, or raise."""
     got = graph.tally()
@@ -333,48 +337,35 @@ def _verify_built(graph: LayeredGraph, k: int, counts: dict, tags):
     pairs = graph.edge_pairs()
     if min(degrees(graph.n, pairs)) < k + 1:
         raise ConstructionError("a node of the constructed network has degree below k + 1")
-    # The (k+1)//2 tagged cycles take degree 2 at every node.  Links are
-    # unordered, so (u, v) and (v, u) are one link.
-    seen, walks = set(), []
-    for tag in tags:
-        tag = {(u, v) if u < v else (v, u) for u, v in tag}
-        if not seen.isdisjoint(tag):
+    if len(orders) != (k + 1) // 2:
+        raise ConstructionError(f"{len(orders)} cycle orders do not cover (k+1)//2 = {(k + 1) // 2} cycles")
+    # Each order visits every node once, and its n consecutive links, the
+    # last back to the first node, are links of the graph no other cycle uses.
+    nodes, seen = set(range(graph.n)), set()
+    for order in orders:
+        if len(order) != graph.n or set(order) != nodes:
+            raise ConstructionError("a cycle order is not a Hamiltonian cycle: it does not visit each node once")
+        links = _cycle_links(order)
+        if not seen.isdisjoint(links):
             raise ConstructionError("cycles are not edge-disjoint")
-        seen |= tag
-        walks.append(_walk(graph.n, tag))
-        if walks[-1] is None:
-            raise ConstructionError("a tagged edge set is not a Hamiltonian cycle")
-    if len(seen) != graph.n * ((k + 1) // 2):
-        raise ConstructionError("cycle tags do not cover 2 * n1 * floor((k+1)/2) links")
+        seen |= links
     if not (seen == pairs if k % 2 else seen <= pairs):
-        raise ConstructionError("cycle tags are not the graph's links")
+        raise ConstructionError("cycle orders are not the graph's links")
     # The module docstring's lemmas: the cycles prove lambda = k + 1 for odd
     # k, and with an arc floor of k + 1 on the first cycle for even k.
-    if k % 2 == 0 and _arc_floor(walks[0], pairs) <= k:
+    if k % 2 == 0 and _arc_floor(orders[0], pairs) <= k:
         raise ConstructionError("constructed network failed the resilience check")
     keep_lambda(graph, k + 1)
 
 
-def _walk(n: int, cycle: set):
-    """Position of each node 0..n-1 along the unordered links ``cycle``,
-    walked from node 0, or None unless they form one Hamiltonian cycle."""
-    around = [[] for _ in range(n)]
-    for u, v in cycle:
-        around[u].append(v)
-        around[v].append(u)
-    pos, prev, v = [-1] * n, -1, 0
-    for i in range(n):
-        if pos[v] >= 0 or len(around[v]) != 2:
-            return None
-        pos[v] = i
-        a, b = around[v]
-        prev, v = v, b if a == prev else a
-    return pos
+def _cycle_links(order) -> set:
+    """The unordered links (u, v), u < v, of the cycle through ``order``."""
+    return {(u, v) if u < v else (v, u) for u, v in zip(order, order[1:] + order[:1])}
 
 
-def _arc_floor(pos: list, pairs) -> int:
-    """Fewest ``pairs`` links leaving an arc of a Hamiltonian cycle, given
-    each node's position ``pos`` along it (``_walk``).
+def _arc_floor(order, pairs) -> int:
+    """Fewest ``pairs`` links leaving an arc of the Hamiltonian cycle
+    through ``order``.
 
     Number the nodes 0..n-1 along the cycle.  Each arc or its complement is
     I = [g1, g2) with 0 <= g1 < g2 < n, and a link at positions p < q leaves
@@ -383,7 +374,10 @@ def _arc_floor(pos: list, pairs) -> int:
     those with q = j - 1 and p < g1; the prefix sums of diff[g1 + 1 : n]
     are then the links leaving I for g2 = g1 + 1, ..., n - 1.
     """
-    n = len(pos)
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     diff = [0] * (n + 1)
     turns = [[] for _ in range(n)]  # at g1 = p + 1: the q + 1 of each link
     for u, v in pairs:
@@ -413,8 +407,8 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     plan = stage1_allocate(n1, k, costs)
     if plan is None:
         return None
-    graph, tags = _realize(n1, k, plan.counts)
-    return BuiltNetwork(graph, plan, tags)
+    graph, orders = _realize(n1, k, plan.counts)
+    return BuiltNetwork(graph, plan, orders)
 
 
 def _team_design(n1: int, n2: int, k: int, costs: CostProfile):

@@ -128,8 +128,7 @@ class StrategyProfile:
     @staticmethod
     def from_graph(g: LayeredGraph) -> "StrategyProfile":
         """The operators' choices realized by ``g`` (the adversary stays null)."""
-        groups = g.grouped()
-        return StrategyProfile(*(frozenset(groups.get(kind, ())) for kind in LINK_KINDS), frozenset())
+        return StrategyProfile(*g.links, frozenset())
 
     def to_graph(self, n1: int, n2: int) -> LayeredGraph:
         """The network the two operators build (the attack is not applied)."""
@@ -216,14 +215,14 @@ def _norm_pair(p) -> tuple:
 def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) -> GameOutcome:
     """Evaluate the three payoffs of a (possibly off-equilibrium) profile.
 
-    The profile is valid when ``to_graph`` builds it and ``from_graph``
-    gives every link back in the field that lists it."""
+    The profile is valid when ``to_graph`` builds it and the graph's
+    ``links`` hold every link in the kind of the field that lists it."""
     try:
         graph = profile.to_graph(n1, n2)
     except GraphError as exc:
         raise GameError(f"malformed profile: {exc}") from exc
-    e1i, e1c, e2i, e2c = StrategyProfile.from_graph(graph).links()
-    for (owner, cls), listed, back in zip(LINK_KINDS, profile.links(), (e1i, e1c, e2i, e2c)):
+    e1i, e1c, e2i, e2c = graph.links
+    for (owner, cls), listed, back in zip(LINK_KINDS, profile.links(), graph.links):
         for p in listed:
             if _norm_pair(p) not in back:
                 raise GameError(f"operator {owner.value}'s {cls.value} links list {p}, a link of another class")

@@ -61,6 +61,13 @@ def search_cap(value, what: str = "caps.search") -> int:
     return cap
 
 
+def _refuse_unknown(data, keys: set, what: str) -> None:
+    """Raise ``FormatError`` naming every key of the object ``data`` outside ``keys``."""
+    unknown = sorted(set(data) - keys) if isinstance(data, dict) else ()
+    if unknown:
+        raise FormatError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 # Scenario cost keys, in file and parse order, and the CostProfile field each sets.
 _COST_KEYS = {"c1": "c1", "c2": "c2", "c12": "c12", "c21": "c21", "cA": "ca"}
 # Every key a scenario may hold; any other is refused, not ignored.
@@ -84,9 +91,7 @@ class Scenario:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise FormatError("a scenario must be a JSON object")
-    unknown = sorted(set(data) - _SCENARIO_KEYS)
-    if unknown:
-        raise FormatError(f"unknown scenario key(s): {', '.join(map(repr, unknown))}")
+    _refuse_unknown(data, _SCENARIO_KEYS, "scenario")
     try:
         n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
         costs = CostProfile(**{field: parse_rational(data[key]) for key, field in _COST_KEYS.items()})
@@ -120,6 +125,9 @@ def load_scenario(path) -> Scenario:
 
 # A graph file names each link's owner by its operator number.
 _CODE_OWNER = {owner.value: owner for owner in ADMISSIBLE}
+# Every key a graph file and each of its edges may hold; any other is refused, not ignored.
+_GRAPH_KEYS = {"n1", "n2", "edges"}
+_EDGE_KEYS = {"u", "v", "owner"}
 
 
 def graph_to_dict(g: LayeredGraph) -> dict:
@@ -132,12 +140,13 @@ def graph_to_dict(g: LayeredGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> LayeredGraph:
+    _refuse_unknown(data, _GRAPH_KEYS, "graph")
     try:
         n1, n2 = _int(data["n1"], "n1"), _int(data["n2"], "n2")
-        triples = [
-            (_int(e["u"], "u"), _int(e["v"], "v"), _CODE_OWNER[_int(e["owner"], "owner")])
-            for e in data["edges"]
-        ]
+        triples = []
+        for e in data["edges"]:
+            _refuse_unknown(e, _EDGE_KEYS, "edge")
+            triples.append((_int(e["u"], "u"), _int(e["v"], "v"), _CODE_OWNER[_int(e["owner"], "owner")]))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed graph file: {exc}") from exc
     return from_pairs(n1, n2, triples)

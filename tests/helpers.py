@@ -148,6 +148,11 @@ def harary_pairs(n, r):
     return sorted(edges)
 
 
+def ring_links(order):
+    """The unordered links (u, v), u < v, of the cycle through ``order``."""
+    return {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
+
+
 def graph_degrees(g):
     degs = [0] * g.n
     for e in g.edges:

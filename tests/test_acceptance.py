@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import layersec
-from helpers import graph_degrees, lambda_by_enumeration, random_costs, random_pairs
+from helpers import graph_degrees, lambda_by_enumeration, random_costs, random_pairs, ring_links
 from layersec import claims
 from layersec.cli import main
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
@@ -109,7 +109,8 @@ def test_criterion_10_structural_invariants():
         assert set(graph_degrees(g)) == {k + 1}
         assert built.cycles_built == (k + 1) // 2
         seen = set()
-        for tag in built.cycle_tags:
+        for order in built.cycle_tags:
+            tag = ring_links(order)
             assert not (seen & tag)
             seen |= tag
             degs = [0] * g.n

@@ -14,6 +14,7 @@ from helpers import (
     graph_degrees,
     lambda_by_enumeration,
     random_costs,
+    ring_links,
     stage1_by_scan,
     structured_matches_exact,
 )
@@ -26,14 +27,13 @@ from layersec.construction import (
     _build_cycle_superposition,
     _realize,
     _verify_built,
-    _walk,
     _zigzag,
     build_generalized,
     stage1_allocate,
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor, null_spe_check
-from layersec.graph import EdgeClass, LayeredGraph, Owner, count_by, from_pairs
+from layersec.graph import Edge, EdgeClass, Owner, count_by, from_pairs
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -224,7 +224,8 @@ def test_builder_invariants(n1, k, costs):
     assert built.cycles_built == (k + 1) // 2
     assert len(built.cycle_tags) == built.cycles_built
     seen = set()
-    for tag in built.cycle_tags:
+    for order in built.cycle_tags:
+        tag = ring_links(order)
         assert len(tag) == 2 * n1
         assert not (seen & tag)
         seen |= tag
@@ -277,7 +278,7 @@ def test_cycle_route_builds_every_plan():
                     fresh = edge_connectivity_pairs(g.n, g.edge_pairs())
                     assert edge_connectivity(g) == fresh == k + 1
                     if k % 2 == 0:
-                        assert _arc_floor(_walk(g.n, tags[0]), g.edge_pairs()) == fresh
+                        assert _arc_floor(tags[0], g.edge_pairs()) == fresh
                 built[k % 2] += 1
     assert (built[1], built[0]) == (2153, 2308)
 
@@ -348,44 +349,52 @@ def test_structured_solve_realizes_every_cheapest_level_on_even_layers():
 
 def _built_and_tags(k):
     built = build_generalized(5, 5, k, costs_of("1/50", "1/50", "1/40", "1/40"))
-    return built.graph, built.plan.counts, [sorted(tag) for tag in built.cycle_tags]
+    return built.graph, built.plan.counts, [list(order) for order in built.cycle_tags]
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_reads_tags_as_unordered_links(k):
+    # A cycle's links are unordered: its order reversed or started at any
+    # node is the same cycle, so it shares its links with the original.
     g, counts, tags = _built_and_tags(k)
     _verify_built(g, k, counts, tags)
-    _verify_built(g, k, counts, [[(v, u) for u, v in tag] for tag in tags])
+    _verify_built(g, k, counts, [tag[::-1] for tag in tags])
+    _verify_built(g, k, counts, [tag[3:] + tag[:3] for tag in tags])
     with pytest.raises(ConstructionError, match="edge-disjoint"):
-        _verify_built(g, k, counts, [tags[0], [(v, u) for u, v in tags[0]]])
+        _verify_built(g, k, counts, [tags[0], tags[0][::-1]])
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
-    # A Hamiltonian cycle edge-disjoint from the first tag, but not made of
+    # A Hamiltonian cycle edge-disjoint from the first one, but not made of
     # the graph's links, must not count towards the certificate.
     g, counts, tags = _built_and_tags(k)
     rng = random.Random(3)
     while True:
         order = rng.sample(range(g.n), g.n)
-        cycle = {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
-        if not cycle & set(tags[0]) and not cycle <= g.edge_pairs():
+        if not ring_links(order) & ring_links(tags[0]) and not ring_links(order) <= g.edge_pairs():
             break
     with pytest.raises(ConstructionError, match="graph's links"):
-        _verify_built(g, k, counts, [tags[0], sorted(cycle)])
+        _verify_built(g, k, counts, [tags[0], order])
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
+    # Orders that do not visit each of the ten nodes once: a repeated node,
+    # a missing one, and nodes outside 0..9.  A negative node must not wrap
+    # into range the way a Python index does.
     g, counts, tags = _built_and_tags(k)
-    # Ten links with every degree 2, so only the walk can reject them.
-    two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    with pytest.raises(ConstructionError, match="Hamiltonian"):
-        _verify_built(g, k, counts, [two_rings, tags[1]])
-    # Ten links, but node 5 has degree 3 and node 9 degree 1.
-    path_and_chord = [(i, i + 1) for i in range(9)] + [(5, 0)]
-    with pytest.raises(ConstructionError, match="Hamiltonian"):
-        _verify_built(g, k, counts, [path_and_chord, tags[1]])
+    first = tags[0]
+    for order in (
+        first[:-1] + first[:1],  # the first node twice, the last one never
+        first[:-1],  # nine nodes
+        first[:-1] + [10],
+        first[:-1] + [-1],
+        first[:-1] + [-10],
+        first + [first[0]],  # eleven entries
+    ):
+        with pytest.raises(ConstructionError, match="Hamiltonian"):
+            _verify_built(g, k, counts, [tags[1], order])
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -398,21 +407,8 @@ def test_verify_built_rejects_wrong_counts_degrees_and_too_few_cycles(k):
         _verify_built(g, k + 1, counts, tags)
     with pytest.raises(ConstructionError, match="do not cover"):
         _verify_built(g, k, counts, tags[:1])
-
-
-def _ring(order):
-    """The unordered links of the cycle through ``order``."""
-    return {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
-
-
-def test_walk_numbers_a_hamiltonian_cycle_and_refuses_any_other_tag():
-    order = [0, 3, 1, 5, 2, 4]
-    assert _walk(6, _ring(order)) in ([0, 2, 4, 1, 5, 3], [0, 4, 2, 5, 1, 3])
-    assert _walk(6, _ring([0, 1, 2]) | _ring([3, 4, 5])) is None  # every degree 2
-    path = _ring(order) - {(0, 4)}
-    assert _walk(6, path) is None
-    assert _walk(6, path | {(0, 5)}) is None  # six links, node 5 of degree 3
-    assert _walk(6, _ring(order) | {(0, 1)}) is None
+    with pytest.raises(ConstructionError, match="do not cover"):
+        _verify_built(g, k, counts, [])
 
 
 @pytest.mark.parametrize("n1,k,e11,x", [(3, 2, 1, 8), (2, 1, 1, 3)])
@@ -432,24 +428,25 @@ def test_realize_refuses_a_parity_shape_with_no_free_node(n1, k, e11, x):
 
 @pytest.mark.parametrize("ca", [F(1, 3), F(1, 4)])
 def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca):
-    # One from_pairs for the whole build; each tagged cycle is checked by
-    # its walk, so no component search or flow runs.  The count check
-    # (``tally``) and the reported profile (``from_graph``) share one
-    # grouping, kept with the graph.
+    # One from_pairs for the whole build; each cycle is checked through its
+    # node order, so no component search or flow runs.  The count check
+    # and the reported profile read the graph's link sets, so no Edge is
+    # built.
     builds = count_calls(monkeypatch, layersec.graph, "from_pairs")
     searches = count_calls(monkeypatch, layersec.connectivity, "connected_pairs")
     flows = count_flows(monkeypatch)
-    inner, groupings = LayeredGraph.grouped, []
+    inner, edges = Edge.__new__, []
 
-    def grouped(g):
-        groupings.append(inner(g))
-        return groupings[-1]
+    def new_edge(cls, *args, **kwargs):
+        edges.append(args)
+        return inner(cls, *args, **kwargs)
 
-    monkeypatch.setattr(LayeredGraph, "grouped", grouped)
+    monkeypatch.setattr(Edge, "__new__", new_edge)
+    assert Edge(0, 1, Owner.OPERATOR1, EdgeClass.INTRA1) and len(edges) == 1  # the count sees a new Edge
+    edges.clear()
     sol, built = structured_solve(101, 101, CostProfile(F(1, 1010), F(1, 1010), F(1, 505), F(1, 101), ca))
     assert (sol.is_null, built.cycles_built) == (False, 2)
-    assert (len(builds), len(searches), len(flows)) == (1, 0, 0)
-    assert len(groupings) == 2 and groupings[0] is groupings[1]
+    assert (len(builds), len(searches), len(flows), len(edges)) == (1, 0, 0, 0)
 
 
 def _arcs_brute_force(order, pairs):
@@ -465,18 +462,16 @@ def test_arc_floor_is_the_least_cut_over_the_arcs():
         n = rng.randint(3, 12)
         order = rng.sample(range(n), n)
         chords = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.random()}
-        cycle = _ring(order)
-        pairs = cycle | chords
-        pos = _walk(n, cycle)
-        # The walk runs round the cycle from node 0, one way or the other.
-        i = order.index(0)
-        ring = order[i:] + order[:i]
-        assert sorted(range(n), key=pos.__getitem__) in (ring, ring[:1] + ring[:0:-1])
-        assert _arc_floor(pos, pairs) == _arcs_brute_force(order, pairs), (order, pairs)
+        pairs = ring_links(order) | chords
+        floor = _arc_floor(order, pairs)
+        assert floor == _arcs_brute_force(order, pairs), (order, pairs)
+        # The same cycle read from another node, or the other way round.
+        i = rng.randrange(n)
+        assert _arc_floor(order[i:] + order[:i], pairs) == _arc_floor(order[::-1], pairs) == floor
 
 
 def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():
-    # Counts, degrees and the one tagged cycle 0-1-...-7-0 all pass, but the
+    # Counts, degrees and the one cycle 0-1-...-7-0 all pass, but the
     # arc {0, 1, 2, 3} of that cycle has only the links (3, 4) and (7, 0)
     # leaving it: a cut of k = 2.
     op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
@@ -485,7 +480,7 @@ def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():
     links += [(0, 2, op1), (1, 3, op1), (4, 6, op2), (5, 7, op2)]
     plan = StageOnePlan(5, 0, 2, F(0), F(0))
     with pytest.raises(ConstructionError, match="failed the resilience check"):
-        _verify_built(from_pairs(4, 4, links), 2, plan.counts, [cycle])
+        _verify_built(from_pairs(4, 4, links), 2, plan.counts, [list(range(8))])
 
 
 def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import layersec
+from layersec.connectivity import min_cut_pairs, min_edge_cut
 from layersec.graph import (
     ADMISSIBLE,
+    LINK_KINDS,
     Edge,
     EdgeClass,
     GraphError,
-    LayeredGraph,
     Owner,
     add_edge,
     count_by,
@@ -174,42 +175,62 @@ def grouping_of(edges):
     return groups
 
 
+def links_of(g):
+    """The graph's non-empty link sets per (owner, class), as sets."""
+    assert len(g.links) == len(LINK_KINDS)
+    assert all(type(pairs) is frozenset for pairs in g.links)
+    return {kind: set(pairs) for kind, pairs in zip(LINK_KINDS, g.links) if pairs}
+
+
 def test_from_pairs_returns_its_grouping_filled():
+    # The link sets are the grouping of the Edge view, for graphs from
+    # every way to a graph.
     rng = random.Random(29)
     for _ in range(200):
         n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
         triples = random_admitted_triples(rng, n1, n2)
         g = from_pairs(n1, n2, triples)
-        assert g._groups is not None
-        assert all(type(pairs) is tuple for pairs in g.grouped().values())
-        assert {key: set(pairs) for key, pairs in g.grouped().items()} == grouping_of(g.edges)
+        assert links_of(g) == grouping_of(g.edges)
         for e in g.edges:
             twin = Edge(e.u, e.v, e.owner, e.cls)
             assert type(e) is Edge and e == twin
             assert (repr(e), hash(e)) == (repr(twin), hash(twin))
         if not triples:
             continue
-        # Every other way to a graph leaves the slot empty until first use.
-        for h in (
-            add_edge(new_graph(n1, n2), *triples[0]),
-            remove_edges(g, [next(iter(g.edges))]),
-            LayeredGraph(n1, n2, g.edges),
-        ):
-            assert h._groups is None
-            assert {key: set(pairs) for key, pairs in h.grouped().items()} == grouping_of(h.edges)
-            assert h._groups is not None
+        for h in (add_edge(new_graph(n1, n2), *triples[0]), remove_edges(g, [next(iter(g.edges))])):
+            assert links_of(h) == grouping_of(h.edges)
 
 
-def test_edge_pairs_is_a_fresh_set_in_edge_order():
-    # The minimum cut search reads the pairs in this order.
+def test_edge_pairs_is_a_fresh_set():
     rng = random.Random(31)
     for _ in range(100):
         n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
         g = from_pairs(n1, n2, random_admitted_triples(rng, n1, n2))
         pairs = g.edge_pairs()
-        assert list(pairs) == list({e.pair for e in g.edges})
+        assert pairs == {e.pair for e in g.edges}
         pairs.add((-1, -1))
         assert g.edge_pairs() == {e.pair for e in g.edges}
+
+
+def test_the_minimum_cut_does_not_depend_on_pair_order():
+    # A Hamiltonian cycle plus random chords has many minimum cuts; the
+    # sweep takes the same one whatever order its pairs arrive in.
+    rng = random.Random(37)
+    for _ in range(200):
+        n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+        n = n1 + n2
+        order = rng.sample(range(n), n)
+        pairs = {tuple(sorted(p)) for p in zip(order, order[1:] + order[:1])}
+        pairs |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15}
+        triples = [(u, v, Owner.OPERATOR1 if u < n1 else Owner.OPERATOR2) for u, v in sorted(pairs)]
+        cuts, pair_cuts = set(), set()
+        for _ in range(4):
+            rng.shuffle(triples)
+            cuts.add(min_edge_cut(from_pairs(n1, n2, triples)))
+            flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v, _ in triples]
+            pair_cuts.add(frozenset(tuple(sorted(p)) for p in min_cut_pairs(n, flipped)))
+        assert len(cuts) == 1 and len(pair_cuts) == 1
+        assert {e.pair for e in cuts.pop()} == pair_cuts.pop()
 
 
 def test_remove_edges():
@@ -252,7 +273,7 @@ from fractions import Fraction
 from layersec import CostProfile, structured_solve
 costs = CostProfile(*map(Fraction, ("1/30", "1/45", "1/20", "2/45", "1/3")))
 _, built = structured_solve(9, 9, costs)
-print(list(built.graph.edge_pairs()))
+print(list(built.graph.edge_pairs()), hash(built.graph))
 """
 
 
@@ -265,7 +286,8 @@ def test_edge_order_is_the_same_in_every_process():
         subprocess.run([sys.executable, "-c", CASE_A_PAIRS], env=env, capture_output=True, text=True, check=True).stdout
         for _ in range(2)
     ]
-    assert len(ast.literal_eval(runs[0])) == 36  # the case-a build's links
+    pairs, _ = runs[0].rsplit(" ", 1)
+    assert len(ast.literal_eval(pairs)) == 36  # the case-a build's links
     assert runs[0] == runs[1]
 
 

@@ -438,6 +438,38 @@ def test_cli_verify_refuses_a_negative_level(tmp_path, capsys):
     assert err == "error: resistance level must be non-negative\n"
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (
+            {"n1": 2, "n2": 2, "edgs": [], "edges": [{"u": 0, "v": 2, "owner": 1, "layer": 9}]},
+            "unknown graph key(s): 'edgs'",
+        ),
+        ({"n1": 2, "n2": 2, "edges": [{"u": 0, "v": 2, "owner": 1, "layer": 9}]}, "unknown edge key(s): 'layer'"),
+    ],
+    ids=["graph-key", "edge-key"],
+)
+def test_cli_verify_refuses_a_graph_file_with_an_unknown_key(tmp_path, capsys, content, message):
+    # A misspelt key is refused by name, not dropped.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "verify", "--graph", str(path), "--k", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_attack_on_the_case_a_build(tmp_path, capsys):
+    # At ca = 1/4 the adversary affords k = 4 removals of the 3-resistant
+    # case-a build, and takes the four links of node 0.
+    path = tmp_path / "built.json"
+    run_cli(capsys, "construct", "--scenario", str(SCENARIOS / "case-a.json"), "--out", str(path))
+    code, out, _ = run_cli(capsys, "attack", "--graph", str(path), "--ca", "1/4")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["k"], report["p"]) == (4, 3)
+    assert report["attack"] == [[0, 1], [0, 2], [0, 9], [0, 12]]
+    assert (report["post_attack_connected"], report["uA"]) == (False, "0")
+
+
 def test_cli_attack_on_cycle(tmp_path, capsys):
     n = 18
     g = new_graph(9, 9)
