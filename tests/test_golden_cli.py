@@ -1,8 +1,10 @@
 """Golden CLI transcript: stdout and exit code of the scenario and reproduce commands.
 
 ``tests/golden/cli.txt`` holds the output of ``solve``, ``metrics`` and
-``oracle`` on every ``scenarios/*.json`` plus every ``reproduce`` case of
-``claims.CLAIMS``.  The test compares it byte for byte.  Regenerate after an
+``oracle`` on every ``scenarios/*.json``, every ``reproduce`` case of
+``claims.CLAIMS``, and ``attack`` and ``verify`` on the case-a build as
+``construct`` writes it (``tests/golden/case-a-build.json``).  The test
+compares it byte for byte.  Regenerate after an
 intended output change with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
@@ -18,6 +20,7 @@ from layersec.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
+BUILD = "tests/golden/case-a-build.json"
 
 
 def _commands():
@@ -26,6 +29,10 @@ def _commands():
             yield [cmd, "--scenario", f"scenarios/{path.name}"]
     for case in sorted(claims.CLAIMS):
         yield ["reproduce", case]
+    for ca in ("1/3", "1/4"):
+        yield ["attack", "--graph", BUILD, "--ca", ca]
+    for k in ("3", "4"):
+        yield ["verify", "--graph", BUILD, "--k", k]
 
 
 def _runs():
@@ -33,7 +40,7 @@ def _runs():
     for argv in _commands():
         out, err = _stdio.StringIO(), _stdio.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(ROOT / a) if a.startswith("scenarios/") else a for a in argv])
+            code = main([str(ROOT / a) if a.startswith(("scenarios/", "tests/")) else a for a in argv])
         yield argv, out.getvalue(), code
 
 
