@@ -54,12 +54,6 @@ def _counts(g: LayeredGraph) -> dict:
     return {f"operator{o.value}": {c.value: tally[o, c] for c in classes} for o, classes in ADMISSIBLE.items()}
 
 
-def _representative_graph(scn: io.Scenario, solution: SpeSolution, built) -> LayeredGraph:
-    if built is not None:
-        return built.graph
-    return solution.profiles[0].to_graph(scn.n1, scn.n2)
-
-
 def cmd_solve(args) -> tuple:
     scn = io.load_scenario(args.scenario)
     cap = scn.cap if args.cap is None else io.search_cap(args.cap, "--cap")
@@ -67,7 +61,7 @@ def cmd_solve(args) -> tuple:
 
 
 def solve_report(scn: io.Scenario) -> tuple:
-    solution, built = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
+    solution, _ = solve_game(scn.n1, scn.n2, scn.costs, mode=scn.mode, cap=scn.cap)
     bundle = {
         "scenario": scn.echo(),
         "k": solution.k,
@@ -79,18 +73,18 @@ def solve_report(scn: io.Scenario) -> tuple:
         "operator2_cost_classes": [1 - v for v in solution.u2_values],
     }
     if not solution.is_null:
-        graph = _representative_graph(scn, solution, built)
+        graph = solution.profiles[0].network
         bundle.update(_counts(graph))
         bundle["u2"] = solution.u2
         attack = adversary_best_response(graph, scn.costs.ca)
         bundle["verification"] = {
             "p": link_connectivity(graph).p,
-            "adversary_attack": sorted(e.pair for e in attack),
+            "adversary_attack": sorted(attack),
             "post_attack_connected": is_connected(remove_edges(graph, attack)),
         }
         if len(solution.profiles) > 1:
             bundle["classes"] = [
-                {"u2": u2, **_counts(prof.to_graph(scn.n1, scn.n2))}
+                {"u2": u2, **_counts(prof.network)}
                 for u2, prof in zip(solution.u2_values, solution.profiles)
             ]
     return bundle, EXIT_NULL if solution.is_null else EXIT_OK
@@ -102,7 +96,7 @@ def cmd_construct(args) -> tuple:
     if solution.is_null:
         print("null equilibrium: nothing to construct", file=sys.stderr)
         return None, EXIT_NULL
-    graph = _representative_graph(scn, solution, built)
+    graph = solution.profiles[0].network
     io.save_graph(graph, args.out)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -130,7 +124,7 @@ def cmd_attack(args) -> tuple:
     report = {
         "k": k,
         "p": p,
-        "attack": sorted(e.pair for e in attack),
+        "attack": sorted(attack),
         "post_attack_connected": connected_after,
         "uA": (0 if connected_after else 1) - ca * len(attack),
     }

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, GraphError, LayeredGraph, degrees
+from .graph import GraphError, LayeredGraph, degrees
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ class LinkConnectivity:
 
 
 def connected_pairs(n: int, pairs) -> bool:
-    """True iff (n, pairs) is one component; the graph on no nodes is not."""
-    if n == 0:
+    """True iff (n, pairs) is one component; the graph on no nodes is not.
+    ``pairs`` is a list or a set; with fewer than n - 1 of them the answer
+    is False before any per-node list is made."""
+    if n == 0 or len(pairs) < n - 1:
         return False
     adj = [[] for _ in range(n)]
     for u, v in pairs:
@@ -178,10 +180,9 @@ def link_connectivity(g: LayeredGraph) -> LinkConnectivity:
     return LinkConnectivity(edge_connectivity(g) - 1)
 
 
-def min_edge_cut(g: LayeredGraph) -> frozenset[Edge]:
-    """A minimum disconnecting edge set of a connected graph."""
-    cut_pairs = set(min_cut_pairs(g.n, g.edge_pairs()))
-    return frozenset(e for e in g.edges if e.pair in cut_pairs)
+def min_edge_cut(g: LayeredGraph) -> frozenset[tuple[int, int]]:
+    """A minimum disconnecting link set of a connected graph, as (u, v) pairs."""
+    return frozenset(min_cut_pairs(g.n, g.edge_pairs()))
 
 
 def is_p_resistant(g: LayeredGraph, p: int) -> bool:

@@ -440,13 +440,13 @@ def structured_solve(n1: int, n2: int, costs: CostProfile):
     k = attack_budget(costs.ca)
     built = None if null_spe_check(n1, n2, k, costs) else build_generalized(n1, n2, k, costs)
     if built is None:
-        return SpeSolution.null(k, method="structured"), None
+        return SpeSolution.null(k, n1, n2, "structured"), None
     plan = built.plan
     solution = SpeSolution(
         k=k,
         is_null=False,
         u1=1 - plan.c1_total,
-        profiles=(StrategyProfile.from_graph(built.graph),),
+        profiles=(StrategyProfile(built.graph),),
         u2_values=(1 - plan.c2_total,),
         method="structured",
     )

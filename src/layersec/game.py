@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_edge_cut
-from .graph import LINK_KINDS, GraphError, LayeredGraph, degrees, from_pairs
+from .graph import LayeredGraph, degrees, new_graph
 
 DEFAULT_SEARCH_CAP = 2**20
 
@@ -106,34 +106,15 @@ class CostProfile:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Edge-set choices of the three players, as (u, v) pairs."""
+    """The three players' choices: the network both operators build, its
+    links filed by owner and class in ``network.links``, and the links
+    the adversary removes, as (u, v) pairs in either order."""
 
-    e1_intra: frozenset
-    e1_cross: frozenset
-    e2_intra: frozenset
-    e2_cross: frozenset
-    attack: frozenset
-
-    @staticmethod
-    def empty() -> "StrategyProfile":
-        return StrategyProfile(*[frozenset()] * 5)
-
-    def links(self) -> tuple:
-        """The operators' four link sets, in ``LINK_KINDS`` order."""
-        return (self.e1_intra, self.e1_cross, self.e2_intra, self.e2_cross)
+    network: LayeredGraph
+    attack: frozenset = frozenset()
 
     def built_pairs(self) -> frozenset:
-        return frozenset().union(*self.links())
-
-    @staticmethod
-    def from_graph(g: LayeredGraph) -> "StrategyProfile":
-        """The operators' choices realized by ``g`` (the adversary stays null)."""
-        return StrategyProfile(*g.links, frozenset())
-
-    def to_graph(self, n1: int, n2: int) -> LayeredGraph:
-        """The network the two operators build (the attack is not applied)."""
-        kinds = zip(LINK_KINDS, self.links())
-        return from_pairs(n1, n2, [(u, v, owner) for (owner, _), pairs in kinds for u, v in pairs])
+        return frozenset().union(*self.network.links)
 
 
 @dataclass(frozen=True)
@@ -150,7 +131,7 @@ class SpeSolution:
 
     Across all equilibria operator 1's payoff is unique; operator 2's may
     take several values, listed in ``u2_values`` (best first) and aligned
-    with ``profiles``.
+    with ``profiles``, each a network with no attack (the empty one if null).
     """
 
     k: int
@@ -170,12 +151,12 @@ class SpeSolution:
         return Fraction(int(self.is_null))
 
     @staticmethod
-    def null(k: int, method: str = "exact") -> "SpeSolution":
+    def null(k: int, n1: int, n2: int, method: str = "exact") -> "SpeSolution":
         return SpeSolution(
             k=k,
             is_null=True,
             u1=Fraction(0),
-            profiles=(StrategyProfile.empty(),),
+            profiles=(StrategyProfile(new_graph(n1, n2)),),
             u2_values=(Fraction(0),),
             method=method,
         )
@@ -215,17 +196,13 @@ def _norm_pair(p) -> tuple:
 def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) -> GameOutcome:
     """Evaluate the three payoffs of a (possibly off-equilibrium) profile.
 
-    The profile is valid when ``to_graph`` builds it and the graph's
-    ``links`` hold every link in the kind of the field that lists it."""
-    try:
-        graph = profile.to_graph(n1, n2)
-    except GraphError as exc:
-        raise GameError(f"malformed profile: {exc}") from exc
+    Each operator pays for its links as the network files them.  The
+    profile is refused when the network's layers are not (n1, n2) or the
+    attack names a link that was not built."""
+    graph = profile.network
+    if (graph.n1, graph.n2) != (n1, n2):
+        raise GameError(f"malformed profile: a {graph.n1}+{graph.n2} network in a {n1}+{n2} game")
     e1i, e1c, e2i, e2c = graph.links
-    for (owner, cls), listed, back in zip(LINK_KINDS, profile.links(), graph.links):
-        for p in listed:
-            if _norm_pair(p) not in back:
-                raise GameError(f"operator {owner.value}'s {cls.value} links list {p}, a link of another class")
     attack = frozenset(_norm_pair(p) for p in profile.attack)
     built = graph.edge_pairs()
     if not attack <= built:
@@ -239,7 +216,7 @@ def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) ->
 
 
 def adversary_best_response(g: LayeredGraph, ca) -> frozenset:
-    """Optimal attack on the built network: empty, or a minimum cut.
+    """Optimal attack on the built network, as (u, v) pairs: empty, or a minimum cut.
 
     Empty if the network is already disconnected or survives any k-link
     removal (k = attack budget); otherwise a minimum disconnecting set,
@@ -575,7 +552,7 @@ def operator2_best_response_exact(
 
     Returns the empty set when the standing network already resists k
     removals or when no response costing strictly less than 1 achieves
-    that; otherwise a minimum-cost edge set (owner tag OPERATOR2).
+    that; otherwise a minimum-cost set of (u, v) pairs for operator 2 to build.
     """
     uni = EdgeUniverse(g1.n1, g1.n2)
     L, _, c2, _, c21 = _scale(costs)
@@ -584,15 +561,14 @@ def operator2_best_response_exact(
     cost, mask2 = _completion(uni, k, uni.mask_of(g1.edge_pairs()), pools, lattice, _Budget(cap))
     if cost is None:
         return frozenset()
-    return _profile_from_masks(uni, 0, mask2).to_graph(g1.n1, g1.n2).edges
+    return frozenset(uni.pairs_of(mask2))
 
 
 def _profile_from_masks(uni: EdgeUniverse, mask1: int, mask2: int) -> StrategyProfile:
-    e1i = frozenset(uni.pairs_of(mask1 & uni.intra1_mask))
-    e1c = frozenset(uni.pairs_of(mask1 & uni.cross_mask))
-    e2i = frozenset(uni.pairs_of(mask2 & uni.intra2_mask))
-    e2c = frozenset(uni.pairs_of(mask2 & uni.cross_mask))
-    return StrategyProfile(e1i, e1c, e2i, e2c, frozenset())
+    """The profile whose operators 1 and 2 build the links of the disjoint
+    masks ``mask1`` and ``mask2``, filed by class (``uni`` pairs have u < v)."""
+    masks = (mask1 & uni.intra1_mask, mask1 & uni.cross_mask, mask2 & uni.intra2_mask, mask2 & uni.cross_mask)
+    return StrategyProfile(LayeredGraph(uni.n1, uni.n2, tuple(frozenset(uni.pairs_of(m)) for m in masks)))
 
 
 def _equilibrium(uni: EdgeUniverse, k: int, L: int, cost1, by_class: dict, method: str) -> SpeSolution:
@@ -601,7 +577,7 @@ def _equilibrium(uni: EdgeUniverse, k: int, L: int, cost1, by_class: dict, metho
     one profile per operator-2 cost class of ``by_class`` (cost ->
     (mask1, mask2)), cheapest first, so u2 descends."""
     if cost1 is None:
-        return SpeSolution.null(k, method=method)
+        return SpeSolution.null(k, uni.n1, uni.n2, method)
     classes = sorted(by_class)
     return SpeSolution(
         k=k,
@@ -690,7 +666,7 @@ def solve_spe_exact(
     """
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs):
-        return SpeSolution.null(k)
+        return SpeSolution.null(k, n1, n2)
     uni = EdgeUniverse(n1, n2)
     budget = _Budget(cap)
     L, c1, c2, c12, c21 = _scale(costs)
@@ -727,8 +703,7 @@ def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
     if cost is None:
         return None, None
     op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
-    graph = _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).to_graph(n1, n2)
-    return graph, Fraction(cost, L)
+    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).network, Fraction(cost, L)
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:

@@ -7,8 +7,8 @@ from the endpoint layers.  Graph values are immutable; every operation
 either answers a read-only query or returns a new graph.
 
 A graph stores its links as ``links``: one frozenset of (u, v) pairs,
-u < v, per ``LINK_KINDS`` entry, in that order, the four sets a
-``StrategyProfile`` holds.  ``edges`` builds the ``Edge`` tuples from them
+u < v, per ``LINK_KINDS`` entry, in that order; a ``StrategyProfile``
+holds the graph itself.  ``edges`` builds the ``Edge`` tuples from them
 only when a caller asks.  ``from_pairs`` admits a link by plain
 comparisons (its class from how many ends lie in layer 1, its owner by
 identity) and hands only a refused one to the checks of ``add_edge``, so
@@ -54,7 +54,7 @@ ADMISSIBLE = {
     Owner.OPERATOR1: (EdgeClass.INTRA1, EdgeClass.CROSS),
     Owner.OPERATOR2: (EdgeClass.INTRA2, EdgeClass.CROSS),
 }
-# The four kinds of built link, as (owner, class), in ``StrategyProfile``'s field order.
+# The four kinds of built link, as (owner, class), in ``LayeredGraph.links`` order.
 LINK_KINDS = tuple((owner, cls) for owner, classes in ADMISSIBLE.items() for cls in classes)
 _BY_ENDS = (EdgeClass.INTRA2, EdgeClass.CROSS, EdgeClass.INTRA1)  # by the edge's layer-1 ends
 
@@ -139,13 +139,13 @@ def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
     return LayeredGraph(g.n1, g.n2, tuple(links))
 
 
-def remove_edges(g: LayeredGraph, cut: Iterable[Edge]) -> LayeredGraph:
-    """Return ``g`` with exactly the edges in ``cut`` removed."""
-    cut = frozenset(cut)
-    missing = cut and cut - g.edges
+def remove_edges(g: LayeredGraph, cut: Iterable[tuple[int, int]]) -> LayeredGraph:
+    """Return ``g`` with exactly the links of ``cut``, (u, v) pairs in
+    either order, removed, whoever built them."""
+    removed = {(u, v) if u < v else (v, u) for u, v in cut}
+    missing = removed - g.edge_pairs()
     if missing:
-        raise GraphError(f"cannot remove absent edges: {sorted(e.pair for e in missing)}")
-    removed = {e.pair for e in cut}
+        raise GraphError(f"cannot remove absent edges: {sorted(missing)}")
     return LayeredGraph(g.n1, g.n2, tuple(pairs - removed for pairs in g.links))
 
 

@@ -69,6 +69,12 @@ def embed(n1, n2, pairs, cross_owner=Owner.OPERATOR2):
     return from_pairs(n1, n2, triples)
 
 
+def well_formed(net) -> bool:
+    """Whether ``from_pairs`` files the links of ``net``, given with their
+    owners, exactly as ``net`` does."""
+    return from_pairs(net.n1, net.n2, [(e.u, e.v, e.owner) for e in net.edges]) == net
+
+
 def random_pairs(rng, n1, n2, p=0.5):
     n = n1 + n2
     return [
@@ -219,7 +225,7 @@ def spe_by_unfiltered_scan(n1, n2, costs):
     operator-2 cost class keeps its first securable strategy."""
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs):
-        return SpeSolution.null(k)
+        return SpeSolution.null(k, n1, n2)
     uni = EdgeUniverse(n1, n2)
     L, c1, c2, c12, c21 = _scale(costs)
     op2_pools = [uni.cross_bits, uni.intra2_bits]
@@ -240,7 +246,7 @@ def spe_by_unfiltered_scan(n1, n2, costs):
                     found_cost = cost1
                     by_class.setdefault(cost2, (mask1, mask2))
     if found_cost is None:
-        return SpeSolution.null(k)
+        return SpeSolution.null(k, n1, n2)
     classes = sorted(by_class)
     return SpeSolution(
         k=k,
@@ -295,7 +301,7 @@ def spe_by_pair_enumeration(n1, n2, costs):
 
     best_u1 = max(r[0] for r in results)
     if best_u1 <= 0:
-        return SpeSolution.null(k, method="oracle")
+        return SpeSolution.null(k, n1, n2, "oracle")
     by_class = {}
     for u1, cost1, mask1, conn, cost2, mask2 in results:
         if u1 == best_u1 and cost2 not in by_class:

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from helpers import count_flows, embed, harary_pairs, lambda_by_bipartition, lambda_by_enumeration, random_pairs
 from layersec.connectivity import (
+    connected_pairs,
     edge_connectivity,
     edge_connectivity_pairs,
     is_connected,
@@ -26,6 +28,20 @@ def cycle_graph(n1, n2):
 def test_is_connected_basics():
     assert not is_connected(embed(2, 2, []))
     assert is_connected(cycle_graph(2, 2))
+
+
+def test_too_few_links_answer_disconnected_with_no_per_node_memory():
+    # Fewer than n - 1 links cannot connect n nodes: the answer comes
+    # before any list of n entries is made.
+    tracemalloc.start()
+    try:
+        assert not connected_pairs(10**6, [])
+        assert not connected_pairs(10**6, {(0, 1)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert connected_pairs(1, []) and connected_pairs(3, [(0, 1), (1, 2)]) and not connected_pairs(0, [])
 
 
 def test_link_connectivity_examples():
@@ -228,7 +244,7 @@ def test_a_graph_keeps_its_own_lambda(monkeypatch):
     assert edge_connectivity(second) == 4
     assert len(calls) == 0
     # A graph derived from a built one starts with nothing kept.
-    cut = remove_edges(first, [min(first.edges)])
+    cut = remove_edges(first, [min(first.edge_pairs())])
     assert edge_connectivity(cut) == 3
     assert len(calls) == 1
 

@@ -174,7 +174,7 @@ def test_built_profiles_price_out_through_the_payoff_function():
         (5, costs_of("1/20", "1/20", "1/10", "1/10"), (F(13, 20), F(1, 20))),
     ):
         built = build_generalized(n1, n1, 3, costs)
-        out = utilities(StrategyProfile.from_graph(built.graph), costs, n1, n1)
+        out = utilities(StrategyProfile(built.graph), costs, n1, n1)
         assert out.connected_after_attack
         assert (out.u1, out.u2) == want
         assert out.uA == 0

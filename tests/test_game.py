@@ -20,6 +20,7 @@ from helpers import (
     spe_by_pair_enumeration,
     spe_by_unfiltered_scan,
     structured_matches_exact,
+    well_formed,
 )
 from layersec.connectivity import edge_connectivity_pairs, is_connected, link_connectivity
 from layersec.construction import structured_solve
@@ -63,47 +64,24 @@ def test_attack_budget():
 
 
 def test_utilities_all_empty():
-    out = utilities(StrategyProfile.empty(), PROP3_COSTS, 3, 2)
+    out = utilities(StrategyProfile(new_graph(3, 2)), PROP3_COSTS, 3, 2)
     assert (out.u1, out.u2, out.uA) == (0, 0, 1)
     assert not out.connected_after_attack
 
 
 def test_utilities_malformed():
-    costs = PROP3_COSTS
-    with pytest.raises(GameError):
-        utilities(
-            StrategyProfile(frozenset([(4, 5)]), frozenset(), frozenset(), frozenset(), frozenset()),
-            costs, 4, 3,
-        )  # layer-2 pair declared as operator-1 intra
-    with pytest.raises(GameError):
-        utilities(
-            StrategyProfile(frozenset(), frozenset([(0, 4)]), frozenset(), frozenset([(0, 4)]), frozenset()),
-            costs, 4, 3,
-        )  # same cross link built twice
-    with pytest.raises(GameError):
-        utilities(
-            StrategyProfile(frozenset(), frozenset(), frozenset(), frozenset(), frozenset([(0, 1)])),
-            costs, 4, 3,
-        )  # attack on a link nobody built
+    # each attack names a link nobody built
+    g = from_pairs(4, 3, [(0, 1, Owner.OPERATOR1), (0, 4, Owner.OPERATOR2)])
+    for attack in ([(1, 2)], [(2, 2)], [(0, 7)], [(0, 1), (5, 4)]):
+        with pytest.raises(GameError, match="not built"):
+            utilities(StrategyProfile(g, frozenset(attack)), PROP3_COSTS, 4, 3)
 
 
-# Each profile lists one link in a field it does not belong to (4 + 3 nodes).
-MISFILED = {
-    "cross pair as operator-1 intra": ([(0, 4)], [], [], []),
-    "intra-1 pair as operator-1 cross": ([], [(0, 1)], [], []),
-    "intra-1 pair as operator-2 intra": ([], [], [(0, 1)], []),
-    "intra-2 pair as operator-2 cross": ([], [], [], [(4, 5)]),
-    "reversed duplicate in one field": ([(0, 1), (1, 0)], [], [], []),
-    "self-loop": ([(2, 2)], [], [], []),
-    "node out of range": ([], [], [], [(0, 7)]),
-}
-
-
-@pytest.mark.parametrize("fields", MISFILED.values(), ids=MISFILED.keys())
-def test_utilities_refuses_a_misfiled_link(fields):
-    profile = StrategyProfile(*map(frozenset, fields), frozenset())
-    with pytest.raises(GameError):
-        utilities(profile, PROP3_COSTS, 4, 3)
+def test_utilities_refuses_a_network_of_other_layer_sizes():
+    g = from_pairs(4, 3, [(0, 1, Owner.OPERATOR1), (0, 4, Owner.OPERATOR2)])
+    for n1, n2 in ((3, 4), (4, 4), (5, 3)):
+        with pytest.raises(GameError, match="a 4\\+3 network in a"):
+            utilities(StrategyProfile(g), PROP3_COSTS, n1, n2)
 
 
 def test_profiles_round_trip_and_utilities_match_a_hand_count():
@@ -111,18 +89,21 @@ def test_profiles_round_trip_and_utilities_match_a_hand_count():
     for _ in range(200):
         n1, n2 = rng.randint(1, 4), rng.randint(1, 3)
         costs = random_costs(rng)
-        fields = [set(), set(), set(), set()]  # e1_intra, e1_cross, e2_intra, e2_cross
+        triples, counts = [], [0, 0, 0, 0]  # op1 intra, op1 cross, op2 intra, op2 cross
         for u, v in random_pairs(rng, n1, n2, p=0.5):
             ends = (u < n1) + (v < n1)
-            fields[0 if ends == 2 else 2 if ends == 0 else rng.choice((1, 3))].add((u, v))
-        profile = StrategyProfile(*map(frozenset, fields), frozenset())
-        assert StrategyProfile.from_graph(profile.to_graph(n1, n2)) == profile
-        # utilities takes each pair in either order
-        listed = [frozenset((v, u) if rng.random() < 0.5 else (u, v) for u, v in f) for f in fields]
-        attack = frozenset(p for p in profile.built_pairs() if rng.random() < 0.3)
-        out = utilities(StrategyProfile(*listed, attack), costs, n1, n2)
-        one = int(lambda_by_bipartition(n1 + n2, profile.built_pairs() - attack) > 0)
-        e1i, e1c, e2i, e2c = map(len, fields)
+            kind = 0 if ends == 2 else 2 if ends == 0 else rng.choice((1, 3))
+            counts[kind] += 1
+            triples.append((u, v, Owner.OPERATOR1 if kind < 2 else Owner.OPERATOR2))
+        net = from_pairs(n1, n2, triples)
+        # the network, written as triples and read back, is the same network
+        assert well_formed(net)
+        # utilities takes each attacked pair in either order
+        hit = {p for p in sorted(net.edge_pairs()) if rng.random() < 0.3}
+        attack = frozenset((v, u) if rng.random() < 0.5 else (u, v) for u, v in sorted(hit))
+        out = utilities(StrategyProfile(net, attack), costs, n1, n2)
+        one = int(lambda_by_bipartition(n1 + n2, net.edge_pairs() - hit) > 0)
+        e1i, e1c, e2i, e2c = counts
         assert (out.connected_after_attack, out.u1, out.u2, out.uA) == (
             bool(one),
             one - costs.c1 * e1i - costs.c12 * e1c,
@@ -133,13 +114,9 @@ def test_profiles_round_trip_and_utilities_match_a_hand_count():
 
 def test_utilities_counts_costs():
     costs = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
-    profile = StrategyProfile(
-        e1_intra=frozenset([(0, 1)]),
-        e1_cross=frozenset([(2, 10)]),
-        e2_intra=frozenset([(9, 10)]),
-        e2_cross=frozenset([(0, 9)]),
-        attack=frozenset([(0, 1)]),
-    )
+    op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
+    net = from_pairs(9, 9, [(0, 1, op1), (2, 10, op1), (9, 10, op2), (0, 9, op2)])
+    profile = StrategyProfile(net, frozenset([(0, 1)]))
     out = utilities(profile, costs, 9, 9)
     assert not out.connected_after_attack
     assert out.u1 == 0 - F(1, 30) - F(1, 20)
@@ -169,6 +146,9 @@ def test_adversary_best_response_cases():
     attack = adversary_best_response(g, ca)
     assert len(attack) == 2
     assert not is_connected(remove_edges(g, attack))
+    # the best response is a profile's attack, and nets the adversary 1 - 2 cA
+    out = utilities(StrategyProfile(g, attack), replace(PROP3_COSTS, ca=ca), 4, 4)
+    assert (out.connected_after_attack, out.uA) == (False, 1 - 2 * ca)
 
 
 def test_adversary_attacks_at_zero_net_payoff():
@@ -191,7 +171,7 @@ def test_operator2_response_sizes_by_first_move():
     g_intra = add_edge(new_graph(4, 3), 0, 1, Owner.OPERATOR1)
     resp = operator2_best_response_exact(g_intra, PROP3_COSTS, 2)
     assert len(resp) == 10
-    union = {e.pair for e in resp} | {(0, 1)}
+    union = resp | {(0, 1)}
     assert link_connectivity(embed(4, 3, union)).p >= 2
 
 
@@ -206,7 +186,7 @@ def test_operator2_buys_when_the_base_passes_every_count_screen_but_does_not_res
     assert sum(u < 4 <= v for u, v in pairs) == 8
     assert lambda_by_bipartition(8, pairs) == 2
     resp = operator2_best_response_exact(g1, costs_of("1/10", "1/12", "1/10", "1/9", "1/2"), 2)
-    assert {e.pair for e in resp} == {(4, 7)}
+    assert resp == {(4, 7)}
 
 
 def test_floats_are_refused():
@@ -345,6 +325,7 @@ def test_exact_search_matches_the_unfiltered_scan():
         costs = CostProfile(*link, ca=F(2, 2 * k + 1))
         exact = solve_spe_exact(n1, n2, costs)
         assert exact == spe_by_unfiltered_scan(n1, n2, costs), (n1, n2, costs)
+        assert all(well_formed(p.network) for p in exact.profiles), (n1, n2, costs)
         non_null += not exact.is_null
     assert non_null >= 58
 
@@ -537,7 +518,7 @@ def test_integer_costs_keep_the_strict_boundaries():
     below_one = costs_of("1/10", "1/2", "9/10", "249/1000", "2/3")
     assert operator2_best_response_exact(empty, at_one, 1) == frozenset()
     bought = operator2_best_response_exact(empty, below_one, 1)
-    assert sorted(e.pair for e in bought) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert sorted(bought) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 ORACLE_SHAPES = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if n1 + n2 <= 5]
@@ -561,7 +542,9 @@ def regime_draws(rng, count):
 def test_oracle_matches_the_pair_enumeration(n1, n2):
     rng = random.Random(100 * n1 + n2)
     for costs in regime_draws(rng, 5):
-        assert repr(bruteforce_spe_oracle(n1, n2, costs)) == repr(spe_by_pair_enumeration(n1, n2, costs)), costs
+        oracle = bruteforce_spe_oracle(n1, n2, costs)
+        assert repr(oracle) == repr(spe_by_pair_enumeration(n1, n2, costs)), costs
+        assert all(well_formed(p.network) for p in oracle.profiles), costs
 
 
 @pytest.mark.parametrize("n1", range(1, 6))
@@ -580,6 +563,7 @@ def test_six_node_oracle_matches_exact_search(n1):
             oracle.u1,
             set(oracle.u2_values),
         ), costs
+        assert all(well_formed(p.network) for p in exact.profiles + oracle.profiles), costs
         non_null += not exact.is_null
     assert non_null > 0
 
@@ -625,9 +609,11 @@ def test_oracle_breaks_operator2_ties_towards_the_largest_mask():
     sol = bruteforce_spe_oracle(n1, n2, costs)
     assert (sol.k, sol.is_null, sol.u1, sol.u2_values) == (1, False, F(2, 5), (F(1, 6),))
     (profile,) = sol.profiles
-    assert profile.e1_intra == {(0, 1)} and not profile.e1_cross
-    assert profile.e2_intra | profile.e2_cross == {(0, 2), (1, 3), (2, 3)}
-    other = replace(profile, e2_cross=frozenset({(0, 3), (1, 2)}))
+    e1i, e1c, e2i, e2c = profile.network.links
+    assert e1i == {(0, 1)} and not e1c
+    assert e2i | e2c == {(0, 2), (1, 3), (2, 3)}
+    op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
+    other = StrategyProfile(from_pairs(n1, n2, [(0, 1, op1), (2, 3, op2), (0, 3, op2), (1, 2, op2)]))
     assert utilities(profile, costs, n1, n2) == utilities(other, costs, n1, n2)
     assert utilities(other, costs, n1, n2).u2 == F(1, 6)
 
@@ -679,7 +665,8 @@ def test_no_profitable_operator2_deviation():
         pytest.skip("instance solved to null; nothing to deviate from")
     uni = EdgeUniverse(2, 2)
     profile = sol.profiles[0]
-    mask1 = uni.mask_of(profile.e1_intra | profile.e1_cross)
+    e1i, e1c, _, _ = profile.network.links
+    mask1 = uni.mask_of(e1i | e1c)
     base_u2 = sol.u2
     allowed = (uni.intra2_mask | uni.cross_mask) & ~mask1
     sub = allowed
@@ -753,22 +740,12 @@ def test_utilities_bounded_by_one():
     for _ in range(40):
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
         costs = random_costs(rng)
-        pairs = random_pairs(rng, n1, n2, p=0.5)
-        e1i, e1c, e2i, e2c = set(), set(), set(), set()
-        for u, v in pairs:
-            if v < n1:
-                e1i.add((u, v))
-            elif u >= n1:
-                e2i.add((u, v))
-            elif rng.random() < 0.5:
-                e1c.add((u, v))
-            else:
-                e2c.add((u, v))
-        built = e1i | e1c | e2i | e2c
-        attack = {p for p in built if rng.random() < 0.3}
-        profile = StrategyProfile(
-            frozenset(e1i), frozenset(e1c), frozenset(e2i), frozenset(e2c), frozenset(attack)
-        )
+        triples = []
+        for u, v in random_pairs(rng, n1, n2, p=0.5):
+            op1 = v < n1 or (u < n1 <= v and rng.random() < 0.5)
+            triples.append((u, v, Owner.OPERATOR1 if op1 else Owner.OPERATOR2))
+        attack = {(u, v) for u, v, _ in triples if rng.random() < 0.3}
+        profile = StrategyProfile(from_pairs(n1, n2, triples), frozenset(attack))
         out = utilities(profile, costs, n1, n2)
         assert out.u1 <= 1 and out.u2 <= 1 and out.uA <= 1
         sign = 1 if out.connected_after_attack else 0

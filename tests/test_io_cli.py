@@ -470,6 +470,16 @@ def test_cli_attack_on_the_case_a_build(tmp_path, capsys):
     assert (report["post_attack_connected"], report["uA"]) == (False, "0")
 
 
+def test_cli_attack_on_a_sparse_graph_file_of_a_million_nodes(tmp_path, capsys):
+    # One link among a million nodes is disconnected, and is found so with
+    # no per-node list.
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"n1": 10**6, "n2": 1, "edges": [{"u": 0, "v": 1, "owner": 1}]}))
+    code, out, _ = run_cli(capsys, "attack", "--graph", str(path), "--ca", "1/3")
+    assert code == 0
+    assert json.loads(out) == {"k": 3, "p": -1, "attack": [], "post_attack_connected": False, "uA": "1"}
+
+
 def test_cli_attack_on_cycle(tmp_path, capsys):
     n = 18
     g = new_graph(9, 9)

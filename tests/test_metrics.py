@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs
+from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs, well_formed
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
 from layersec.construction import ConstructionError, _team_design, structured_solve
 from layersec.game import (
@@ -125,6 +125,7 @@ def _assert_team_matches_brute_force(n1, n2, k, costs):
         assert not team.null and team.cost == best, (n1, n2, k, costs, best)
         assert isinstance(team.cost, F)
         assert link_connectivity(team.graph).p >= k
+        assert well_formed(team.graph)
 
 
 def test_team_optimal_matches_brute_force():
