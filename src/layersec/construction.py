@@ -46,13 +46,15 @@ edge-disjoint Hamiltonian cycles among a graph's links give lambda >= 2r.
 For odd k the (k+1)/2 cycles, as unordered pairs, are exactly the
 graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1.
 
-Lemma (arc certificate, even k).  The k/2 cycles give lambda >= k
-and least degree k + 1 gives lambda <= k + 1; no regularity is needed.
-A cut of size k then crosses each cycle exactly twice, the first one
-included, so its side is a contiguous arc of the first cycle.  Hence
-lambda = k + 1 exactly when every arc S of that cycle (1 <= |S| < n) has
-more than k links leaving it, which one sweep over the arcs, numbered by
-the first cycle's order (``_arc_floor``), decides with no flow.
+Lemma (arc certificate, even k).  Let k = 2c, H_0, ..., H_{c-1} the
+cycles and R the other links (the matching, and the parity shape's extra
+vertical).  A cut crosses each H_r at least twice, so lambda(G) >=
+2(c - 1) + lambda(H_0 + R).  A cut of H_0 + R crosses H_0 an even number
+of times, and exactly twice only when its side is an arc of H_0.  So if
+an R link leaves every proper arc of H_0, then lambda(H_0 + R) >= 3,
+lambda >= k + 1, and least degree k + 1 gives lambda = k + 1.
+``_closed_arc`` decides that in O(n + |R|) expected time, with no flow.
+The lemma is a proof, not an iff: a build that fails it raises.
 
 Either way the build records lambda = k + 1 on the returned graph, so
 later lambda queries on it run no flow.
@@ -61,6 +63,8 @@ later lambda queries on it run no flow.
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -351,9 +355,10 @@ def _verify_built(graph: LayeredGraph, k: int, counts: dict, orders):
         seen |= links
     if not (seen == pairs if k % 2 else seen <= pairs):
         raise ConstructionError("cycle orders are not the graph's links")
-    # The module docstring's lemmas: the cycles prove lambda = k + 1 for odd
-    # k, and with an arc floor of k + 1 on the first cycle for even k.
-    if k % 2 == 0 and _arc_floor(orders[0], pairs) <= k:
+    # The module docstring's lemmas: for odd k the cycles prove lambda = k + 1;
+    # for even k they do once a link outside them leaves every arc of the
+    # first cycle.
+    if k % 2 == 0 and _closed_arc(orders[0], pairs - seen) is not None:
         raise ConstructionError("constructed network failed the resilience check")
     keep_lambda(graph, k + 1)
 
@@ -363,34 +368,45 @@ def _cycle_links(order) -> set:
     return {(u, v) if u < v else (v, u) for u, v in zip(order, order[1:] + order[:1])}
 
 
-def _arc_floor(order, pairs) -> int:
-    """Fewest ``pairs`` links leaving an arc of the Hamiltonian cycle
-    through ``order``.
+def _closed_arc(order, links):
+    """Positions (g1, g2) of an arc order[g1:g2] of the Hamiltonian cycle
+    through ``order`` that no link of ``links`` leaves, or None.
 
-    Number the nodes 0..n-1 along the cycle.  Each arc or its complement is
-    I = [g1, g2) with 0 <= g1 < g2 < n, and a link at positions p < q leaves
-    I when g1 <= p < g2 <= q or p < g1 <= q < g2.  For one g1, ``diff[j]``
-    counts the links with p = j - 1, minus those with q = j - 1, plus twice
-    those with q = j - 1 and p < g1; the prefix sums of diff[g1 + 1 : n]
-    are then the links leaving I for g2 = g1 + 1, ..., n - 1.
+    Number the nodes 0..n-1 along the cycle.  A link at positions p < q
+    crosses cut point j (0 <= j < n) when p < j <= q, and leaves the arc
+    [g1, g2) exactly when it crosses one of g1 and g2; so the arc is closed
+    exactly when g1 and g2 have the same crossing set.  The prefix XOR at
+    j of a random 64-bit label per link, flipped at p + 1 and q + 1,
+    fingerprints j's set.  Only cut points of equal fingerprint are
+    compared exactly, in O(|links|) each, so a label collision costs time,
+    never the answer; two distinct sets collide with probability 2^-64.
     """
     n = len(order)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    diff = [0] * (n + 1)
-    turns = [[] for _ in range(n)]  # at g1 = p + 1: the q + 1 of each link
-    for u, v in pairs:
-        p, q = sorted((pos[u], pos[v]))
-        diff[p + 1] += 1
-        diff[q + 1] -= 1
-        turns[p + 1].append(q + 1)
-    best = len(pairs)
-    for g1 in range(n - 1):
-        for j in turns[g1]:
-            diff[j] += 2
-        best = min(best, min(itertools.accumulate(diff[g1 + 1 : n])))
-    return best
+    spans = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in links]
+    flips = [0] * (n + 1)
+    for (p, q), label in zip(spans, _link_labels(len(spans))):
+        flips[p + 1] ^= label
+        flips[q + 1] ^= label
+    first, later = {}, {}  # fingerprint -> its first cut point, and its later ones
+    for j, fingerprint in enumerate(itertools.accumulate(flips[:n], operator.xor)):
+        i = first.setdefault(fingerprint, j)
+        if i == j:
+            continue
+        # Cut points of one fingerprint hold pairwise distinct crossing sets.
+        for i in (i, *later.get(fingerprint, ())):
+            if all((i <= p < j) == (i <= q < j) for p, q in spans):
+                return i, j
+        later.setdefault(fingerprint, []).append(j)
+    return None
+
+
+def _link_labels(count: int) -> list:
+    """``count`` 64-bit labels from a fixed-seed generator, for ``_closed_arc``."""
+    rng = random.Random(0)
+    return [rng.getrandbits(64) for _ in range(count)]
 
 
 def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetwork | None:

@@ -198,12 +198,15 @@ def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) ->
 
     Each operator pays for its links as the network files them.  The
     profile is refused when the network's layers are not (n1, n2) or the
-    attack names a link that was not built."""
+    attack holds anything but (u, v) pairs of built links."""
     graph = profile.network
     if (graph.n1, graph.n2) != (n1, n2):
         raise GameError(f"malformed profile: a {graph.n1}+{graph.n2} network in a {n1}+{n2} game")
     e1i, e1c, e2i, e2c = graph.links
-    attack = frozenset(_norm_pair(p) for p in profile.attack)
+    try:
+        attack = frozenset(_norm_pair(p) for p in profile.attack)
+    except (TypeError, ValueError) as exc:
+        raise GameError(f"malformed attack: an attack is a collection of (u, v) pairs ({exc})") from exc
     built = graph.edge_pairs()
     if not attack <= built:
         raise GameError("attack targets a link that was not built")

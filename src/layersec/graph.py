@@ -142,7 +142,10 @@ def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
 def remove_edges(g: LayeredGraph, cut: Iterable[tuple[int, int]]) -> LayeredGraph:
     """Return ``g`` with exactly the links of ``cut``, (u, v) pairs in
     either order, removed, whoever built them."""
-    removed = {(u, v) if u < v else (v, u) for u, v in cut}
+    try:
+        removed = {(u, v) if u < v else (v, u) for u, v in cut}
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"malformed cut: a cut is a collection of (u, v) pairs ({exc})") from exc
     missing = removed - g.edge_pairs()
     if missing:
         raise GraphError(f"cannot remove absent edges: {sorted(missing)}")

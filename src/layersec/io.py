@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import DEFAULT_SEARCH_CAP, CostProfile
-from .graph import ADMISSIBLE, LayeredGraph, Owner, from_pairs
+from .graph import ADMISSIBLE, LINK_KINDS, LayeredGraph, Owner, from_pairs
 from .metrics import MODES
 
 
@@ -130,12 +130,16 @@ _GRAPH_KEYS = {"n1", "n2", "edges"}
 _EDGE_KEYS = {"u", "v", "owner"}
 
 
+def _owned_links(g: LayeredGraph) -> list:
+    """The links as (u, v, owner) triples, sorted by (u, v)."""
+    return sorted((u, v, owner) for (owner, _), pairs in zip(LINK_KINDS, g.links) for u, v in pairs)
+
+
 def graph_to_dict(g: LayeredGraph) -> dict:
-    edges = sorted(g.edges, key=lambda e: (e.u, e.v))
     return {
         "n1": g.n1,
         "n2": g.n2,
-        "edges": [{"u": e.u, "v": e.v, "owner": e.owner.value} for e in edges],
+        "edges": [{"u": u, "v": v, "owner": owner.value} for u, v, owner in _owned_links(g)],
     }
 
 
@@ -170,8 +174,8 @@ def to_dot(g: LayeredGraph) -> str:
         lines.append(f'  {v} [shape=circle, label="{v}"];')
     for v in range(g.n1, g.n):
         lines.append(f'  {v} [shape=box, label="{v}"];')
-    for e in sorted(g.edges, key=lambda e: (e.u, e.v)):
-        suffix = " [penwidth=2.5]" if e.owner == Owner.OPERATOR1 else ""
-        lines.append(f"  {e.u} -- {e.v}{suffix};")
+    for u, v, owner in _owned_links(g):
+        suffix = " [penwidth=2.5]" if owner == Owner.OPERATOR1 else ""
+        lines.append(f"  {u} -- {v}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -159,6 +159,36 @@ def ring_links(order):
     return {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
 
 
+def arc_floor(order, pairs) -> int:
+    """Fewest ``pairs`` links leaving an arc of the Hamiltonian cycle
+    through ``order``, by an O(n^2) sweep over the arcs.
+
+    Number the nodes 0..n-1 along the cycle.  Each arc or its complement is
+    I = [g1, g2) with 0 <= g1 < g2 < n, and a link at positions p < q leaves
+    I when g1 <= p < g2 <= q or p < g1 <= q < g2.  For one g1, ``diff[j]``
+    counts the links with p = j - 1, minus those with q = j - 1, plus twice
+    those with q = j - 1 and p < g1; the prefix sums of diff[g1 + 1 : n]
+    are then the links leaving I for g2 = g1 + 1, ..., n - 1.
+    """
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    diff = [0] * (n + 1)
+    turns = [[] for _ in range(n)]  # at g1 = p + 1: the q + 1 of each link
+    for u, v in pairs:
+        p, q = sorted((pos[u], pos[v]))
+        diff[p + 1] += 1
+        diff[q + 1] -= 1
+        turns[p + 1].append(q + 1)
+    best = len(pairs)
+    for g1 in range(n - 1):
+        for j in turns[g1]:
+            diff[j] += 2
+        best = min(best, min(itertools.accumulate(diff[g1 + 1 : n])))
+    return best
+
+
 def graph_degrees(g):
     degs = [0] * g.n
     for e in g.edges:

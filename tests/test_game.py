@@ -70,11 +70,22 @@ def test_utilities_all_empty():
 
 
 def test_utilities_malformed():
-    # each attack names a link nobody built
     g = from_pairs(4, 3, [(0, 1, Owner.OPERATOR1), (0, 4, Owner.OPERATOR2)])
-    for attack in ([(1, 2)], [(2, 2)], [(0, 7)], [(0, 1), (5, 4)]):
-        with pytest.raises(GameError, match="not built"):
+    not_a_pair = "malformed attack: an attack is a collection of \\(u, v\\) pairs"
+    rows = {
+        "unbuilt link": ([(1, 2)], "not built"),
+        "self-loop": ([(2, 2)], "not built"),
+        "node out of range": ([(0, 7)], "not built"),
+        "one built, one not": ([(0, 1), (5, 4)], "not built"),
+        "one-element tuple": ([(0,)], not_a_pair),
+        "edge-shaped 4-tuple": ([(0, 1, Owner.OPERATOR1, "intra1")], not_a_pair),
+        "bare node": ([0], not_a_pair),
+        "incomparable ends": ([(0, "1")], not_a_pair),
+    }
+    for name, (attack, message) in rows.items():
+        with pytest.raises(GameError, match=message):
             utilities(StrategyProfile(g, frozenset(attack)), PROP3_COSTS, 4, 3)
+            pytest.fail(name)
 
 
 def test_utilities_refuses_a_network_of_other_layer_sizes():

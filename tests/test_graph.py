@@ -242,6 +242,17 @@ def test_remove_edges():
     assert empty == new_graph(3, 1)
     with pytest.raises(GraphError, match=r"absent edges: \[\(0, 3\), \(1, 2\)\]$"):
         remove_edges(remove_edges(g, [(1, 2)]), [(0, 1), (3, 0), (2, 1)])
+    rows = {
+        "one-element tuple": [(0,)],
+        "edge-shaped 4-tuple": [(0, 1, Owner.OPERATOR1, EdgeClass.INTRA1)],
+        "bare node": [0],
+        "incomparable ends": [(0, "1")],
+        "not a collection": 5,
+    }
+    for name, cut in rows.items():
+        with pytest.raises(GraphError, match=r"malformed cut: a cut is a collection of \(u, v\) pairs"):
+            remove_edges(g, cut)
+            pytest.fail(name)
 
 
 def test_an_edge_is_a_tuple_hashed_by_its_pair():

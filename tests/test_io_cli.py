@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import count_flows, lambda_by_bipartition
 from layersec import claims, cli, io, metrics
 from layersec.cli import main
-from layersec.graph import EdgeClass, Owner, count_by, new_graph, add_edge
+from layersec.graph import EdgeClass, Owner, add_edge, count_by, from_pairs, new_graph
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/2"}
@@ -77,6 +77,16 @@ def test_dot_export_styles():
     assert "0 -- 1 [penwidth=2.5];" in dot
     assert "  1 -- 2;" in dot
     assert "shape=circle" in dot and "shape=box" in dot
+
+
+def test_graph_writers_list_links_by_their_ends():
+    g = from_pairs(2, 2, [(3, 2, Owner.OPERATOR2), (3, 0, Owner.OPERATOR1), (1, 0, Owner.OPERATOR1)])
+    assert io.to_dot(g).splitlines()[5:-1] == ["  0 -- 1 [penwidth=2.5];", "  0 -- 3 [penwidth=2.5];", "  2 -- 3;"]
+    assert io.graph_to_dict(g)["edges"] == [
+        {"u": 0, "v": 1, "owner": 1},
+        {"u": 0, "v": 3, "owner": 1},
+        {"u": 2, "v": 3, "owner": 2},
+    ]
 
 
 def run_cli(capsys, *args):
