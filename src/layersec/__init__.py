@@ -36,10 +36,7 @@ from .graph import (
     GraphError,
     LayeredGraph,
     Owner,
-    add_edge,
-    count_by,
-    degree,
-    new_graph,
+    from_pairs,
     remove_edges,
 )
 from .metrics import (

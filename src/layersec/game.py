@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connectivity import connected_pairs, edge_connectivity, edge_connectivity_pairs, min_edge_cut
-from .graph import LayeredGraph, degrees, new_graph
+from .graph import LayeredGraph, degrees, from_pairs
 
 DEFAULT_SEARCH_CAP = 2**20
 
@@ -156,7 +156,7 @@ class SpeSolution:
             k=k,
             is_null=True,
             u1=Fraction(0),
-            profiles=(StrategyProfile(new_graph(n1, n2)),),
+            profiles=(StrategyProfile(from_pairs(n1, n2, ())),),
             u2_values=(Fraction(0),),
             method=method,
         )

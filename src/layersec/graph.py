@@ -8,17 +8,14 @@ either answers a read-only query or returns a new graph.
 
 A graph stores its links as ``links``: one frozenset of (u, v) pairs,
 u < v, per ``LINK_KINDS`` entry, in that order; a ``StrategyProfile``
-holds the graph itself.  ``edges`` builds the ``Edge`` tuples from them
-only when a caller asks.  ``from_pairs`` admits a link by plain
-comparisons (its class from how many ends lie in layer 1, its owner by
-identity) and hands only a refused one to the checks of ``add_edge``, so
-both raise the same ``GraphError``.  ``Owner`` and ``EdgeClass`` members,
-singletons equal only to themselves, hash by identity.  An ``Edge`` is a
-``NamedTuple``, equal over all four fields but hashed over (u, v) alone:
-with the identity-hashed owner and class in the hash, the order of every
-edge set would move with object addresses from run to run.  A graph
-hashes over its layer sizes and its pairs alone, so its hash is the same
-in every process too.
+holds the graph itself.  ``from_pairs`` is the one constructor.  It
+admits a link by plain comparisons (int ends, its class from how many
+ends lie in layer 1, its owner by identity) and hands only a refused one
+to ``_refuse``, which names what is wrong with it.  ``edges`` lists the
+links as ``Edge`` tuples in (u, v) order, built only when a caller asks.
+``Owner`` and ``EdgeClass`` members, singletons equal only to
+themselves, hash by identity.  A graph hashes over its layer sizes and
+its pairs alone, so its hash is the same in every process.
 
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
@@ -69,9 +66,6 @@ class Edge(NamedTuple):
     owner: Owner
     cls: EdgeClass
 
-    def __hash__(self):
-        return hash((self.u, self.v))
-
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -93,10 +87,10 @@ class LayeredGraph:
         return self.n1 + self.n2
 
     @property
-    def edges(self) -> frozenset[Edge]:
-        """The links as ``Edge`` tuples, built on each call."""
-        return frozenset(
-            Edge(u, v, owner, cls) for (owner, cls), pairs in zip(LINK_KINDS, self.links) for u, v in pairs
+    def edges(self) -> tuple[Edge, ...]:
+        """The links as ``Edge`` tuples in (u, v) order, built on each call."""
+        return tuple(
+            sorted(Edge(u, v, owner, cls) for (owner, cls), pairs in zip(LINK_KINDS, self.links) for u, v in pairs)
         )
 
     def edge_pairs(self) -> set[tuple[int, int]]:
@@ -108,35 +102,20 @@ class LayeredGraph:
         return Counter({kind: len(pairs) for kind, pairs in zip(LINK_KINDS, self.links) if pairs})
 
 
-def new_graph(n1: int, n2: int) -> LayeredGraph:
-    """Return the empty two-layer network on n1 + n2 nodes."""
-    if n1 < 1 or n2 < 1:
-        raise GraphError("both layers need at least one node")
-    return LayeredGraph(n1, n2, (frozenset(),) * len(LINK_KINDS))
-
-
-def _checked_edge(g: LayeredGraph, u: int, v: int, owner: Owner, present) -> Edge:
-    """The edge (u, v) built by ``owner``, if ``g`` admits it next to the
-    ``present`` pairs; otherwise the ``GraphError`` that refuses it."""
+def _refuse(n1: int, n: int, u, v, owner) -> None:
+    """Raise the ``GraphError`` that refuses link (u, v), int ends, by
+    ``owner`` on nodes 0..n-1, layer 1 below n1.  A link that passes every
+    other check is one already present."""
     if u == v:
         raise GraphError("self-loops are not allowed")
     if u > v:
         u, v = v, u
-    if not 0 <= u < v < g.n:
-        raise GraphError(f"node {v if 0 <= u < g.n else u} out of range [0, {g.n})")
-    cls = _BY_ENDS[(u < g.n1) + (v < g.n1)]
-    if owner not in ADMISSIBLE or cls not in ADMISSIBLE[owner]:
+    if not 0 <= u < v < n:
+        raise GraphError(f"node {v if 0 <= u < n else u} out of range [0, {n})")
+    cls = _BY_ENDS[(u < n1) + (v < n1)]
+    if (owner, cls) not in LINK_KINDS:
         raise GraphError(f"owner {owner} may not build a {cls.value} edge")
-    if (u, v) in present:
-        raise GraphError(f"edge ({u}, {v}) already present")
-    return Edge(u, v, owner, cls)
-
-
-def add_edge(g: LayeredGraph, u: int, v: int, owner: Owner) -> LayeredGraph:
-    """Return ``g`` plus the undirected edge (u, v) built by ``owner``."""
-    e = _checked_edge(g, u, v, owner, g.edge_pairs())
-    links = (pairs | {e.pair} if kind == (e.owner, e.cls) else pairs for kind, pairs in zip(LINK_KINDS, g.links))
-    return LayeredGraph(g.n1, g.n2, tuple(links))
+    raise GraphError(f"edge ({u}, {v}) already present")
 
 
 def remove_edges(g: LayeredGraph, cut: Iterable[tuple[int, int]]) -> LayeredGraph:
@@ -161,37 +140,27 @@ def degrees(n: int, pairs) -> list[int]:
     return degs
 
 
-def degree(g: LayeredGraph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise GraphError(f"node {v} out of range [0, {g.n})")
-    return sum(v in pair for pairs in g.links for pair in pairs)
-
-
-def count_by(g: LayeredGraph, owner: Owner | None = None, cls: EdgeClass | None = None) -> int:
-    """Count edges matching the owner and class filters (None = any)."""
-    return sum(
-        count
-        for (o, c), count in g.tally().items()
-        if (owner is None or o == owner) and (cls is None or c == cls)
-    )
-
-
 def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) -> LayeredGraph:
-    """Build a graph from (u, v, owner) triples, validating each edge.
+    """Build a graph on n1 + n2 nodes from (u, v, owner) triples.
 
-    The first triple that ``add_edge`` would refuse after the ones before
-    it raises the same ``GraphError``.
+    The first triple refused after the ones before it raises its
+    ``GraphError``; so do layer sizes that are not ints >= 1.
     """
-    g = new_graph(n1, n2)
+    if type(n1) is not int or type(n2) is not int:
+        raise GraphError(f"layer sizes must be ints, not {n1!r} and {n2!r}")
+    if n1 < 1 or n2 < 1:
+        raise GraphError("both layers need at least one node")
     n, op1, op2 = n1 + n2, Owner.OPERATOR1, Owner.OPERATOR2
     seen = set()
     links = ([], [], [], [])  # per LINK_KINDS entry: op1 intra1, op1 cross, op2 intra2, op2 cross
     for u, v, owner in owned_pairs:
+        if type(u) is not int or type(v) is not int:  # before ``u > v``, which a str or None would fail
+            raise GraphError(f"node {v if type(u) is int else u!r} is not an int")
         if u > v:
             u, v = v, u
         pair, ends = (u, v), (u < n1) + (v < n1)
         if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or pair in seen:
-            _checked_edge(g, u, v, owner, seen)  # raises
+            _refuse(n1, n, u, v, owner)
         seen.add(pair)
         links[2 - ends if owner is op1 else 2 + ends].append(pair)
     return LayeredGraph(n1, n2, tuple(map(frozenset, links)))

@@ -26,7 +26,7 @@ from layersec.game import (
     null_spe_check,
     solve_spe_exact,
 )
-from layersec.graph import Owner, from_pairs
+from layersec.graph import LINK_KINDS, EdgeClass, GraphError, LayeredGraph, Owner, from_pairs
 
 
 def lambda_by_enumeration(n, pairs):
@@ -53,6 +53,43 @@ def lambda_by_bipartition(n, pairs):
         (sum((side >> u & 1) != (side >> v & 1) for u, v in pairs) for side in range(1, 1 << (n - 1))),
         default=0,
     )
+
+
+def add_edge(g, u, v, owner):
+    """Reference for ``from_pairs``, one link at a time: ``g`` plus the
+    link (u, v) built by ``owner``, or the ``GraphError`` that refuses it
+    given the links ``g`` already holds.  The checks run in the order of
+    their messages below."""
+    bad = [x for x in (u, v) if type(x) is not int]
+    if bad:
+        raise GraphError(f"node {bad[0]!r} is not an int")
+    if u == v:
+        raise GraphError("self-loops are not allowed")
+    u, v = sorted((u, v))
+    outside = [x for x in (u, v) if not 0 <= x < g.n]
+    if outside:
+        raise GraphError(f"node {outside[0]} out of range [0, {g.n})")
+    cls = EdgeClass.INTRA1 if v < g.n1 else EdgeClass.INTRA2 if u >= g.n1 else EdgeClass.CROSS
+    barred = {Owner.OPERATOR1: EdgeClass.INTRA2, Owner.OPERATOR2: EdgeClass.INTRA1}  # the class each may not build
+    if not any(owner is o and cls is not c for o, c in barred.items()):
+        raise GraphError(f"owner {owner} may not build a {cls.value} edge")
+    if (u, v) in g.edge_pairs():
+        raise GraphError(f"edge ({u}, {v}) already present")
+    kind = LINK_KINDS.index((owner, cls))
+    return LayeredGraph(g.n1, g.n2, tuple(pairs | {(u, v)} if i == kind else pairs for i, pairs in enumerate(g.links)))
+
+
+def add_edge_fold(n1, n2, triples):
+    """Reference for ``from_pairs(n1, n2, triples)``: the empty graph,
+    checked and built by hand, then ``add_edge`` once per triple."""
+    if type(n1) is not int or type(n2) is not int:
+        raise GraphError(f"layer sizes must be ints, not {n1!r} and {n2!r}")
+    if min(n1, n2) < 1:
+        raise GraphError("both layers need at least one node")
+    g = LayeredGraph(n1, n2, (frozenset(),) * len(LINK_KINDS))
+    for u, v, owner in triples:
+        g = add_edge(g, u, v, owner)
+    return g
 
 
 def embed(n1, n2, pairs, cross_owner=Owner.OPERATOR2):

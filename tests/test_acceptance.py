@@ -23,7 +23,7 @@ from layersec.cli import main
 from layersec.connectivity import edge_connectivity_pairs, link_connectivity
 from layersec.construction import build_generalized
 from layersec.game import CostProfile, bruteforce_spe_oracle, solve_spe_exact
-from layersec.graph import EdgeClass, count_by
+from layersec.graph import EdgeClass, Owner
 from layersec.metrics import team_optimal, cost_bounds
 
 
@@ -104,7 +104,8 @@ def test_criterion_10_structural_invariants():
         built = build_generalized(n1, n1, k, costs)
         g = built.graph
         assert len(g.edges) == n1 * (k + 1)
-        assert count_by(g, cls=EdgeClass.CROSS) >= k + 1
+        tally = g.tally()
+        assert tally[Owner.OPERATOR1, EdgeClass.CROSS] + tally[Owner.OPERATOR2, EdgeClass.CROSS] >= k + 1
         assert link_connectivity(g).p >= k
         assert set(graph_degrees(g)) == {k + 1}
         assert built.cycles_built == (k + 1) // 2

@@ -35,7 +35,7 @@ from layersec.construction import (
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor, null_spe_check
-from layersec.graph import Edge, EdgeClass, Owner, count_by, from_pairs
+from layersec.graph import Edge, EdgeClass, Owner, from_pairs
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -210,11 +210,12 @@ def test_builder_invariants(n1, k, costs):
     built = build_generalized(n1, n1, k, costs)
     g, plan = built.graph, built.plan
     assert len(g.edges) == n1 * (k + 1)
-    assert count_by(g, Owner.OPERATOR1, EdgeClass.INTRA1) == plan.e11
-    assert count_by(g, Owner.OPERATOR1, EdgeClass.CROSS) == plan.e12
-    assert count_by(g, Owner.OPERATOR2, EdgeClass.INTRA2) == plan.op2_intra
-    assert count_by(g, Owner.OPERATOR2, EdgeClass.CROSS) == plan.op2_cross
-    assert count_by(g, cls=EdgeClass.CROSS) >= k + 1
+    tally = g.tally()
+    assert tally[Owner.OPERATOR1, EdgeClass.INTRA1] == plan.e11
+    assert tally[Owner.OPERATOR1, EdgeClass.CROSS] == plan.e12
+    assert tally[Owner.OPERATOR2, EdgeClass.INTRA2] == plan.op2_intra
+    assert tally[Owner.OPERATOR2, EdgeClass.CROSS] == plan.op2_cross
+    assert tally[Owner.OPERATOR1, EdgeClass.CROSS] + tally[Owner.OPERATOR2, EdgeClass.CROSS] >= k + 1
     assert set(graph_degrees(g)) == {k + 1}
     assert link_connectivity(g).p >= k
     # ownership/cost consistency with the plan
@@ -614,7 +615,7 @@ def test_large_k_all_cross_build_is_fast():
     start = time.perf_counter()
     built = build_generalized(43, 43, 41, costs)
     assert (built.plan.e11 + built.plan.e12, built.cycles_built) == (0, 21)
-    assert count_by(built.graph, Owner.OPERATOR2, EdgeClass.CROSS) == 43 * 42
+    assert built.graph.tally()[Owner.OPERATOR2, EdgeClass.CROSS] == 43 * 42
     assert time.perf_counter() - start < 5
 
 
@@ -625,7 +626,7 @@ def test_infeasible_plan_returns_null_network():
 def test_prop4_regime_all_cross_by_operator2():
     costs = costs_of("1/20", "1/20", "1/10", "1/10", "2/3")
     built = build_generalized(3, 3, 1, costs)
-    assert count_by(built.graph, Owner.OPERATOR2, EdgeClass.CROSS) == 6
+    assert built.graph.tally()[Owner.OPERATOR2, EdgeClass.CROSS] == 6
     assert len(built.graph.edges) == 6
     assert link_connectivity(built.graph).p >= 1
 

@@ -43,7 +43,7 @@ from layersec.game import (
     solve_spe_exact,
     utilities,
 )
-from layersec.graph import Owner, add_edge, from_pairs, new_graph, remove_edges
+from layersec.graph import Owner, from_pairs, remove_edges
 from layersec.metrics import solve_game, team_optimal
 
 
@@ -64,7 +64,7 @@ def test_attack_budget():
 
 
 def test_utilities_all_empty():
-    out = utilities(StrategyProfile(new_graph(3, 2)), PROP3_COSTS, 3, 2)
+    out = utilities(StrategyProfile(from_pairs(3, 2, ())), PROP3_COSTS, 3, 2)
     assert (out.u1, out.u2, out.uA) == (0, 0, 1)
     assert not out.connected_after_attack
 
@@ -136,17 +136,13 @@ def test_utilities_counts_costs():
 
 
 def band_graph(n1, k, owner=Owner.OPERATOR1):
-    g = new_graph(n1, n1)
-    for i in range(n1):
-        for c in range(k + 1):
-            g = add_edge(g, i, n1 + (i + c) % n1, owner)
-    return g
+    return from_pairs(n1, n1, [(i, n1 + (i + c) % n1, owner) for i in range(n1) for c in range(k + 1)])
 
 
 def test_adversary_best_response_cases():
     ca = F(1, 3)
     # disconnected network: no attack
-    assert adversary_best_response(new_graph(3, 3), ca) == frozenset()
+    assert adversary_best_response(from_pairs(3, 3, ()), ca) == frozenset()
     # 3-resistant network, k = 3: no attack
     resistant = band_graph(5, 3)
     assert link_connectivity(resistant).p == 3
@@ -176,10 +172,10 @@ def test_operator2_response_when_already_resistant():
 
 def test_operator2_response_sizes_by_first_move():
     # one cross link forces an 11-link completion, one intra link a 10-link one
-    g_cross = add_edge(new_graph(4, 3), 0, 4, Owner.OPERATOR1)
+    g_cross = from_pairs(4, 3, [(0, 4, Owner.OPERATOR1)])
     resp = operator2_best_response_exact(g_cross, PROP3_COSTS, 2)
     assert len(resp) == 11
-    g_intra = add_edge(new_graph(4, 3), 0, 1, Owner.OPERATOR1)
+    g_intra = from_pairs(4, 3, [(0, 1, Owner.OPERATOR1)])
     resp = operator2_best_response_exact(g_intra, PROP3_COSTS, 2)
     assert len(resp) == 10
     union = resp | {(0, 1)}
@@ -215,7 +211,7 @@ def test_floats_are_refused():
 def test_operator2_response_refuses_at_cost_one():
     # completion needs 12 cross links at 1/12 each: exactly cost 1, so null
     costs = costs_of("1/100", "1/12", "1/100", "1/12", "1/2")
-    assert operator2_best_response_exact(new_graph(4, 3), costs, 2) == frozenset()
+    assert operator2_best_response_exact(from_pairs(4, 3, ()), costs, 2) == frozenset()
 
 
 def test_null_spe_check():
@@ -524,7 +520,7 @@ def test_integer_costs_keep_the_strict_boundaries():
     assert solve_spe_exact(2, 2, level_at_one, cap=8).u1 == F(4, 5)
 
     # Operator 2 alone: four cross links at exactly 1 are not bought.
-    empty = new_graph(2, 2)
+    empty = from_pairs(2, 2, ())
     at_one = costs_of("1/10", "1/2", "9/10", "1/4", "2/3")
     below_one = costs_of("1/10", "1/2", "9/10", "249/1000", "2/3")
     assert operator2_best_response_exact(empty, at_one, 1) == frozenset()

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import layersec
+from helpers import add_edge, add_edge_fold
 from layersec.connectivity import min_cut_pairs, min_edge_cut
 from layersec.graph import (
     ADMISSIBLE,
@@ -16,13 +18,12 @@ from layersec.graph import (
     EdgeClass,
     GraphError,
     Owner,
-    add_edge,
-    count_by,
-    degree,
+    degrees,
     from_pairs,
-    new_graph,
     remove_edges,
 )
+
+OP1, OP2 = Owner.OPERATOR1, Owner.OPERATOR2
 
 
 def class_by_ends(n1, u, v):
@@ -30,74 +31,134 @@ def class_by_ends(n1, u, v):
     return {2: EdgeClass.INTRA1, 1: EdgeClass.CROSS, 0: EdgeClass.INTRA2}[(u < n1) + (v < n1)]
 
 
+def test_the_package_exports():
+    # Every name added to or removed from the package's exports shows here.
+    assert sorted(layersec.__all__) == [
+        "BuiltNetwork",
+        "ConstructionError",
+        "CostProfile",
+        "Edge",
+        "EdgeClass",
+        "EfficiencyReport",
+        "GameError",
+        "GameOutcome",
+        "GraphError",
+        "LayeredGraph",
+        "LinkConnectivity",
+        "Owner",
+        "SearchCapExceeded",
+        "SpeSolution",
+        "StageOnePlan",
+        "StrategyProfile",
+        "TeamResult",
+        "adversary_best_response",
+        "attack_budget",
+        "bruteforce_spe_oracle",
+        "build_generalized",
+        "connectivity",
+        "construction",
+        "cost_bounds",
+        "efficiency",
+        "from_pairs",
+        "game",
+        "graph",
+        "is_connected",
+        "is_p_resistant",
+        "link_connectivity",
+        "metrics",
+        "min_edge_cut",
+        "null_spe_check",
+        "operator2_best_response_exact",
+        "remove_edges",
+        "solve_game",
+        "solve_spe_exact",
+        "stage1_allocate",
+        "structured_solve",
+        "team_optimal",
+        "utilities",
+    ]
+
+
 def test_new_graph_sizes():
     for n1, n2 in ((3, 3), (9, 9), (4, 3)):
-        g = new_graph(n1, n2)
+        g = from_pairs(n1, n2, ())
         assert g.n == n1 + n2
         assert len(g.edges) == 0
+        assert g == add_edge_fold(n1, n2, ())
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 3), (3, 0), (0, 0)])
 def test_new_graph_rejects_empty_layer(n1, n2):
-    with pytest.raises(GraphError):
-        new_graph(n1, n2)
+    with pytest.raises(GraphError, match="^both layers need at least one node$"):
+        from_pairs(n1, n2, ())
+
+
+@pytest.mark.parametrize("n1,n2", [(True, 3), (3, False), (2.0, 2), ("3", 3), (None, 1), (3, [3])])
+def test_from_pairs_rejects_layer_sizes_that_are_not_ints(n1, n2):
+    with pytest.raises(GraphError, match=r"^layer sizes must be ints, not ") as err:
+        from_pairs(n1, n2, ())
+    with pytest.raises(GraphError) as ref:
+        add_edge_fold(n1, n2, ())
+    assert str(err.value) == str(ref.value)
 
 
 def test_add_edge_classes():
-    g = new_graph(4, 3)
-    g = add_edge(g, 0, 1, Owner.OPERATOR1)
-    assert next(iter(g.edges)).cls == EdgeClass.INTRA1
-    g2 = add_edge(g, 0, 4, Owner.OPERATOR1)
-    assert {e.cls for e in g2.edges} == {EdgeClass.INTRA1, EdgeClass.CROSS}
-    g3 = add_edge(g, 4, 5, Owner.OPERATOR2)
-    assert any(e.cls == EdgeClass.INTRA2 for e in g3.edges)
+    # The reference and from_pairs file each link under the class its ends
+    # give it, by hand-written expectation.
+    triples = [(0, 1, OP1), (4, 0, OP1), (4, 5, OP2), (6, 3, OP2)]
+    for g in (from_pairs(4, 3, triples), add_edge_fold(4, 3, triples)):
+        assert g.tally() == Counter(dict.fromkeys(LINK_KINDS, 1))
+        assert [(e.pair, e.cls) for e in g.edges] == [
+            ((0, 1), EdgeClass.INTRA1),
+            ((0, 4), EdgeClass.CROSS),
+            ((3, 6), EdgeClass.CROSS),
+            ((4, 5), EdgeClass.INTRA2),
+        ]
 
 
 def test_add_edge_rejections():
-    g = new_graph(4, 3)
-    with pytest.raises(GraphError):
-        add_edge(g, 4, 5, Owner.OPERATOR1)  # layer-2 link by operator 1
-    with pytest.raises(GraphError):
-        add_edge(g, 0, 1, Owner.OPERATOR2)  # layer-1 link by operator 2
-    with pytest.raises(GraphError):
-        add_edge(g, 2, 2, Owner.OPERATOR1)  # self-loop
-    with pytest.raises(GraphError):
-        add_edge(g, 0, 99, Owner.OPERATOR1)  # out of range
-    g = add_edge(g, 0, 1, Owner.OPERATOR1)
-    with pytest.raises(GraphError):
-        add_edge(g, 1, 0, Owner.OPERATOR1)  # duplicate, reversed
+    # The reference and from_pairs refuse the same hand-picked links.
+    g = add_edge_fold(4, 3, [(0, 1, OP1)])
+    for u, v, owner in (
+        (4, 5, OP1),  # layer-2 link by operator 1
+        (0, 1, OP2),  # layer-1 link by operator 2
+        (2, 2, OP1),  # self-loop
+        (0, 99, OP1),  # out of range
+        (1, 0, OP1),  # duplicate, reversed
+    ):
+        with pytest.raises(GraphError):
+            add_edge(g, u, v, owner)
+        with pytest.raises(GraphError):
+            from_pairs(4, 3, [(0, 1, OP1), (u, v, owner)])
 
 
-GOOD_TRIPLES = [(0, 1, Owner.OPERATOR1), (0, 4, Owner.OPERATOR2), (5, 4, Owner.OPERATOR2)]
+GOOD_TRIPLES = [(0, 1, OP1), (0, 4, OP2), (5, 4, OP2)]
 BAD_TRIPLES = {
-    "duplicate": (0, 1, Owner.OPERATOR1),
-    "duplicate-reversed": (4, 0, Owner.OPERATOR1),
-    "self-loop": (2, 2, Owner.OPERATOR1),
-    "inadmissible-owner": (5, 6, Owner.OPERATOR1),
-    "out-of-range": (0, 99, Owner.OPERATOR1),
-    "one-past-the-end": (0, 7, Owner.OPERATOR2),
-    "negative": (-1, 0, Owner.OPERATOR1),
+    "duplicate": (0, 1, OP1),
+    "duplicate-reversed": (4, 0, OP1),
+    "self-loop": (2, 2, OP1),
+    "inadmissible-owner": (5, 6, OP1),
+    "out-of-range": (0, 99, OP1),
+    "one-past-the-end": (0, 7, OP2),
+    "negative": (-1, 0, OP1),
     "not-an-owner": (1, 2, 1),
+    "unhashable-owner": (1, 2, [1]),
+    "float-node": (0.0, 2, OP1),
+    "bool-node": (True, 2, OP1),
+    "str-node": (2, "1", OP1),
+    "none-node": (None, 2, OP1),
 }
 
 
 def add_edge_message(triple):
-    g = new_graph(4, 3)
-    for t in GOOD_TRIPLES:
-        g = add_edge(g, *t)
+    g = add_edge_fold(4, 3, GOOD_TRIPLES)
     with pytest.raises(GraphError) as err:
         add_edge(g, *triple)
     return str(err.value)
 
 
 def test_from_pairs_matches_add_edge():
-    g = new_graph(4, 3)
-    for t in GOOD_TRIPLES:
-        g = add_edge(g, *t)
-    built = from_pairs(4, 3, GOOD_TRIPLES)
-    assert {(e.u, e.v, e.owner, e.cls) for e in built.edges} == {
-        (e.u, e.v, e.owner, e.cls) for e in g.edges
-    }
+    assert from_pairs(4, 3, GOOD_TRIPLES) == add_edge_fold(4, 3, GOOD_TRIPLES)
 
 
 @pytest.mark.parametrize("name", BAD_TRIPLES)
@@ -118,9 +179,11 @@ def test_from_pairs_reports_the_first_bad_triple():
         assert str(err.value) == add_edge_message(first)
 
 
-# Over 4 + 3 nodes: any triple, or one that add_edge admits on an empty
-# graph, in either node order.
-ANY_TRIPLE = st.tuples(st.integers(-1, 7), st.integers(-1, 7), st.sampled_from([*Owner, 1]))
+# Over 4 + 3 nodes: any triple, junk nodes and owners included, or one that
+# add_edge admits on an empty graph, in either node order.
+JUNK = [0.0, 1.0, True, False, "1", None]
+ANY_NODE = st.integers(-1, 7) | st.sampled_from(JUNK)
+ANY_TRIPLE = st.tuples(ANY_NODE, ANY_NODE, st.sampled_from([*Owner, 1, None]))
 ADMITTED_TRIPLE = st.sampled_from(
     [
         (u, v, owner)
@@ -137,17 +200,16 @@ ADMITTED_TRIPLE = st.sampled_from(
     | st.lists(ADMITTED_TRIPLE, unique_by=lambda t: frozenset(t[:2]))
 )
 def test_from_pairs_is_the_add_edge_fold(triples):
-    # The same edges, owners and classes as adding the triples one by one,
-    # or the GraphError of the first one refused.
-    g, message = new_graph(4, 3), None
+    # The same graph as adding the triples one by one, or the GraphError
+    # of the first one refused; no built graph holds a node that is not an int.
     try:
-        for t in triples:
-            g = add_edge(g, *t)
+        g, message = add_edge_fold(4, 3, triples), None
     except GraphError as err:
         message = str(err)
     if message is None:
         built = from_pairs(4, 3, triples)
-        assert {(e.u, e.v, e.owner, e.cls) for e in built.edges} == {(e.u, e.v, e.owner, e.cls) for e in g.edges}
+        assert built == g
+        assert all(type(x) is int for pairs in built.links for pair in pairs for x in pair)
     else:
         with pytest.raises(GraphError) as err:
             from_pairs(4, 3, triples)
@@ -197,7 +259,7 @@ def test_from_pairs_returns_its_grouping_filled():
             assert (repr(e), hash(e)) == (repr(twin), hash(twin))
         if not triples:
             continue
-        for h in (add_edge(new_graph(n1, n2), *triples[0]), remove_edges(g, [next(iter(g.edge_pairs()))])):
+        for h in (from_pairs(n1, n2, triples[:1]), remove_edges(g, [next(iter(g.edge_pairs()))])):
             assert links_of(h) == grouping_of(h.edges)
 
 
@@ -234,12 +296,10 @@ def test_the_minimum_cut_does_not_depend_on_pair_order():
 
 
 def test_remove_edges():
-    g = new_graph(3, 1)
-    for u, v in ((0, 1), (1, 2), (0, 2)):
-        g = add_edge(g, u, v, Owner.OPERATOR1)
+    g = from_pairs(3, 1, [(0, 1, OP1), (1, 2, OP1), (0, 2, OP1)])
     assert remove_edges(g, []) == g
     empty = remove_edges(g, [(1, 0), (1, 2), (2, 0)])  # pairs in either order
-    assert empty == new_graph(3, 1)
+    assert empty == from_pairs(3, 1, ())
     with pytest.raises(GraphError, match=r"absent edges: \[\(0, 3\), \(1, 2\)\]$"):
         remove_edges(remove_edges(g, [(1, 2)]), [(0, 1), (3, 0), (2, 1)])
     rows = {
@@ -255,14 +315,17 @@ def test_remove_edges():
             pytest.fail(name)
 
 
-def test_an_edge_is_a_tuple_hashed_by_its_pair():
-    (e,) = from_pairs(4, 3, [(4, 0, Owner.OPERATOR1)]).edges
+def test_an_edge_is_a_tuple():
+    (e,) = from_pairs(4, 3, [(4, 0, OP1)]).edges
     u, v, owner, cls = e
-    assert (u, v, owner, cls) == (0, 4, Owner.OPERATOR1, EdgeClass.CROSS)
+    assert (u, v, owner, cls) == (0, 4, OP1, EdgeClass.CROSS)
     assert repr(e) == "Edge(u=0, v=4, owner=<Owner.OPERATOR1: 1>, cls=<EdgeClass.CROSS: 'cross'>)"
-    assert hash(e) == hash((e.u, e.v))
     with pytest.raises(AttributeError):
-        e.owner = Owner.OPERATOR2
+        e.owner = OP2
+    # the view lists the links in (u, v) order, whoever built them
+    edges = from_pairs(4, 3, [(6, 5, OP2), (4, 0, OP1), (1, 0, OP1), (1, 4, OP2)]).edges
+    assert type(edges) is tuple
+    assert [e.pair for e in edges] == [(0, 1), (0, 4), (1, 4), (5, 6)]
 
 
 def test_edges_and_graphs_that_differ_in_an_owner_are_unequal():
@@ -273,7 +336,7 @@ def test_edges_and_graphs_that_differ_in_an_owner_are_unequal():
     assert by1 != by2
     assert hash(by1) == hash(by2)  # the hash reads only the pairs
     # a pair names the link whoever built it
-    assert remove_edges(by1, [(4, 0)]) == remove_edges(by2, [(0, 4)]) == new_graph(4, 3)
+    assert remove_edges(by1, [(4, 0)]) == remove_edges(by2, [(0, 4)]) == from_pairs(4, 3, ())
 
 
 # Builds the case-a 9 + 9 network and prints its pairs in set order.
@@ -287,8 +350,9 @@ print(list(built.graph.edge_pairs()), hash(built.graph))
 
 
 def test_edge_order_is_the_same_in_every_process():
-    # Owner and EdgeClass hash by identity, so an edge hashed over all its
-    # fields would iterate in an order that moves with object addresses.
+    # Owner and EdgeClass hash by identity, so a graph hashed over its
+    # owners would hash differently in each process; it hashes over its
+    # layer sizes and pairs alone, and its pairs iterate in one order.
     src = os.path.dirname(os.path.dirname(os.path.abspath(layersec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = [
@@ -303,45 +367,29 @@ def test_edge_order_is_the_same_in_every_process():
 def test_remove_one_cycle_edge_keeps_connectivity():
     from layersec.connectivity import is_connected
 
-    g = new_graph(2, 2)
-    cycle = [(0, 2), (2, 1), (1, 3), (3, 0)]
-    for u, v in cycle:
-        g = add_edge(g, min(u, v), max(u, v), Owner.OPERATOR1)
+    g = from_pairs(2, 2, [(0, 2, OP1), (2, 1, OP1), (1, 3, OP1), (3, 0, OP1)])  # a 4-cycle
     cut = [next(iter(g.edge_pairs()))]
     assert is_connected(remove_edges(g, cut))
 
 
 def test_degree():
-    g = new_graph(2, 2)
-    assert degree(g, 0) == 0
-    g = add_edge(g, 0, 2, Owner.OPERATOR1)
-    g = add_edge(g, 0, 3, Owner.OPERATOR1)
-    assert degree(g, 0) == 2
-    assert degree(g, 1) == 0
-    with pytest.raises(GraphError):
-        degree(g, 4)
+    assert degrees(4, from_pairs(2, 2, ()).edge_pairs()) == [0, 0, 0, 0]
+    g = from_pairs(2, 2, [(0, 2, OP1), (0, 3, OP1)])
+    assert degrees(g.n, g.edge_pairs()) == [2, 0, 1, 1]
 
 
-def test_count_by_empty():
-    g = new_graph(3, 3)
+def test_tally_of_the_empty_graph():
+    tally = from_pairs(3, 3, ()).tally()
+    assert tally == Counter()
     for owner in Owner:
         for cls in EdgeClass:
-            assert count_by(g, owner, cls) == 0
+            assert tally[owner, cls] == 0
 
 
-def test_count_by_filters():
-    g = new_graph(2, 2)
-    g = add_edge(g, 0, 1, Owner.OPERATOR1)
-    g = add_edge(g, 0, 2, Owner.OPERATOR1)
-    g = add_edge(g, 1, 3, Owner.OPERATOR2)
-    g = add_edge(g, 2, 3, Owner.OPERATOR2)
-    assert count_by(g, Owner.OPERATOR1, EdgeClass.INTRA1) == 1
-    assert count_by(g, Owner.OPERATOR1, EdgeClass.CROSS) == 1
-    assert count_by(g, Owner.OPERATOR2, EdgeClass.CROSS) == 1
-    assert count_by(g, Owner.OPERATOR2, EdgeClass.INTRA2) == 1
-    assert count_by(g, owner=Owner.OPERATOR1) == 2
-    assert count_by(g, cls=EdgeClass.CROSS) == 2
-    assert count_by(g) == 4
+def test_tally_counts_each_link_kind():
+    g = from_pairs(2, 2, [(0, 1, OP1), (0, 2, OP1), (1, 3, OP2), (2, 3, OP2)])
+    assert g.tally() == {kind: 1 for kind in LINK_KINDS}
+    assert sum(g.tally().values()) == len(g.edges) == 4
 
 
 @st.composite
@@ -365,22 +413,21 @@ def graph_builds(draw):
 @given(graph_builds())
 def test_graph_invariants(build):
     n1, n2, triples = build
-    g = new_graph(n1, n2)
-    for u, v, owner in triples:
-        g = add_edge(g, u, v, owner)
+    g = from_pairs(n1, n2, triples)
+    assert g == add_edge_fold(n1, n2, triples)
     # degree sum identity
-    assert sum(degree(g, v) for v in range(g.n)) == 2 * len(g.edges)
+    assert sum(degrees(g.n, g.edge_pairs())) == 2 * len(g.edges)
     # stored class always matches the class re-derived from the endpoints
     for e in g.edges:
         assert e.cls == class_by_ends(n1, e.u, e.v)
-        assert e.owner in (Owner.OPERATOR1, Owner.OPERATOR2)
-        if e.owner == Owner.OPERATOR1:
+        assert e.owner in (OP1, OP2)
+        if e.owner == OP1:
             assert e.cls in (EdgeClass.INTRA1, EdgeClass.CROSS)
         else:
             assert e.cls in (EdgeClass.INTRA2, EdgeClass.CROSS)
-    # add followed by remove is the identity on the edge set
+    # remove followed by a rebuild with the link last is the identity
     if triples:
         u, v, owner = triples[0]
         before = remove_edges(g, [(u, v)])
-        again = add_edge(before, u, v, owner)
-        assert again.edges == g.edges
+        again = from_pairs(n1, n2, [(*e.pair, e.owner) for e in before.edges] + [(u, v, owner)])
+        assert again == g

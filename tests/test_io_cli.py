@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import count_flows, lambda_by_bipartition
 from layersec import claims, cli, io, metrics
 from layersec.cli import main
-from layersec.graph import EdgeClass, Owner, add_edge, count_by, from_pairs, new_graph
+from layersec.graph import EdgeClass, Owner, from_pairs
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 _GOOD = {"n1": 2, "n2": 2, "c1": "1/10", "c2": "1/10", "c12": "1/10", "c21": "1/10", "cA": "1/2"}
@@ -30,7 +30,7 @@ def test_parse_rational():
 def test_the_json_writer_takes_fractions_and_refuses_other_objects():
     report = {"u1": F(2, 45), "classes": (F(1), F(3, 2)), "k": 3, "bound": None}
     assert json.dumps(report, default=io.rational_json) == '{"u1": "2/45", "classes": ["1", "3/2"], "k": 3, "bound": null}'
-    edge = next(iter(add_edge(new_graph(2, 1), 0, 2, Owner.OPERATOR1).edges))
+    (edge,) = from_pairs(2, 1, [(0, 2, Owner.OPERATOR1)]).edges
     with pytest.raises(TypeError):
         io.rational_json(edge)
     with pytest.raises(TypeError):
@@ -58,21 +58,16 @@ def test_scenario_parsing():
 
 
 def test_graph_round_trip(tmp_path):
-    g = new_graph(3, 2)
-    g = add_edge(g, 0, 1, Owner.OPERATOR1)
-    g = add_edge(g, 0, 3, Owner.OPERATOR2)
-    g = add_edge(g, 3, 4, Owner.OPERATOR2)
+    g = from_pairs(3, 2, [(0, 1, Owner.OPERATOR1), (0, 3, Owner.OPERATOR2), (3, 4, Owner.OPERATOR2)])
     path = tmp_path / "g.json"
     io.save_graph(g, path)
     back = io.load_graph(path)
     assert back.edges == g.edges
-    assert count_by(back, Owner.OPERATOR2, EdgeClass.CROSS) == 1
+    assert back.tally()[Owner.OPERATOR2, EdgeClass.CROSS] == 1
 
 
 def test_dot_export_styles():
-    g = new_graph(2, 2)
-    g = add_edge(g, 0, 1, Owner.OPERATOR1)
-    g = add_edge(g, 1, 2, Owner.OPERATOR2)
+    g = from_pairs(2, 2, [(0, 1, Owner.OPERATOR1), (1, 2, Owner.OPERATOR2)])
     dot = io.to_dot(g)
     assert "0 -- 1 [penwidth=2.5];" in dot
     assert "  1 -- 2;" in dot
@@ -402,8 +397,8 @@ def test_cli_construct_verify_round_trip(tmp_path, capsys):
     report = json.loads(out)
     assert report["edges"] == 36
     g = io.load_graph(out_path)
-    assert count_by(g, Owner.OPERATOR1, EdgeClass.INTRA1) == report["operator1"]["intra1"]
-    assert count_by(g, Owner.OPERATOR2, EdgeClass.CROSS) == report["operator2"]["cross"]
+    assert g.tally()[Owner.OPERATOR1, EdgeClass.INTRA1] == report["operator1"]["intra1"]
+    assert g.tally()[Owner.OPERATOR2, EdgeClass.CROSS] == report["operator2"]["cross"]
     assert dot_path.read_text().startswith("graph layersec")
 
     code, out, _ = run_cli(capsys, "verify", "--graph", str(out_path), "--k", "3")
@@ -492,11 +487,8 @@ def test_cli_attack_on_a_sparse_graph_file_of_a_million_nodes(tmp_path, capsys):
 
 def test_cli_attack_on_cycle(tmp_path, capsys):
     n = 18
-    g = new_graph(9, 9)
-    for i in range(n):
-        u, v = i, (i + 1) % n
-        owner = Owner.OPERATOR1 if max(u, v) < 9 or (min(u, v) < 9 <= max(u, v)) else Owner.OPERATOR2
-        g = add_edge(g, min(u, v), max(u, v), owner)
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    g = from_pairs(9, 9, [(u, v, Owner.OPERATOR1 if min(u, v) < 9 else Owner.OPERATOR2) for u, v in ring])
     path = tmp_path / "cycle.json"
     io.save_graph(g, path)
     code, out, _ = run_cli(capsys, "attack", "--graph", str(path), "--ca", "1/3")
