@@ -1,5 +1,7 @@
 """Secure two-layer network formation: game solvers, builders, metrics."""
 
+from types import ModuleType as _Module
+
 from .connectivity import (
     LinkConnectivity,
     is_connected,
@@ -48,5 +50,5 @@ from .metrics import (
     team_optimal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(n for n, value in globals().items() if not n.startswith("_") and not isinstance(value, _Module))
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ each.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -31,7 +30,7 @@ from .game import (
     solve_spe_exact,
 )
 from .graph import ADMISSIBLE, GraphError, LayeredGraph, degrees, remove_edges
-from .metrics import MODES, MetricsError, efficiency, solve_game
+from .metrics import MetricsError, efficiency, solve_game
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,9 +54,7 @@ def _counts(g: LayeredGraph) -> dict:
 
 
 def cmd_solve(args) -> tuple:
-    scn = io.load_scenario(args.scenario)
-    cap = scn.cap if args.cap is None else io.search_cap(args.cap, "--cap")
-    return solve_report(dataclasses.replace(scn, mode=args.mode or scn.mode, cap=cap))
+    return solve_report(io.load_scenario(args.scenario))
 
 
 def solve_report(scn: io.Scenario) -> tuple:
@@ -227,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="equilibrium of a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("construct", help="build the equilibrium network")

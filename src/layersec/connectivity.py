@@ -17,20 +17,21 @@ one pass over the arcs of the first cycle).  The level queries here and
 flow however often it is judged, and a built network for none.  Cut queries and queries on raw
 pairs (``edge_connectivity_pairs``) run their own sweep.
 
-One kernel, ``_sweep``, answers lambda and cut queries with unit-capacity
-max flows from source 0 to a list of sinks, each on a copy of one residual
-built per query.  The residual is an arc array: arc ``a`` points to
-``head[a]``, its reverse is ``a ^ 1``, and repeated pairs merge into one
-capacity.  Lambda queries stop a flow at the best value so far; cut
-queries stop one augmentation later, so a flow that ends at the best value
-is a full maximum flow.  The nodes reached by the last, failed search of
-the flow that set the best value are the source side of a minimum cut.
+One kernel, ``_sweep``, answers lambda and cut queries on simple graphs
+(``edge_connectivity_pairs`` and ``min_cut_pairs`` refuse a repeated pair
+or a self-loop with ``GraphError``) with unit-capacity max flows from
+source 0 to a list of sinks, each on a copy of one residual built per
+query: an arc array, one capacity-1 pair per link, where arc ``a`` points
+to ``head[a]`` and its reverse is ``a ^ 1``.  Lambda queries stop a flow
+at the best value so far, at first the least degree; cut queries stop one
+augmentation later, so a flow that ends at the best value is a full
+maximum flow.  The nodes reached by the last, failed search of the flow
+that set the best value are the source side of a minimum cut.
 
-Sink rule.  Cut queries, and every query on a multigraph (a repeated
-unordered pair or a self-loop), use all sinks 1..n-1, in order.  Lambda
-queries on a simple graph use only D - {0}, in increasing order, where D
-is the dominating set built greedily by scanning 0..n-1 and taking each
-node not yet dominated (so 0 is in D).
+Sink rule.  Cut queries use all sinks 1..n-1, in order.  Lambda queries
+use only D - {0}, in increasing order, where D is the dominating set built
+greedily by scanning 0..n-1 and taking each node not yet dominated (so 0
+is in D).
 
 Lemma (Matula 1987; Esfahanian and Hakimi 1984).  In a simple graph with
 minimum degree delta and lambda < delta, each side S of a minimum cut has
@@ -40,17 +41,14 @@ delta links leave S.  At most lambda < |S| nodes of S touch a cut link, so
 some node of S has its whole closed neighbourhood in S, and the node of D
 that dominates it lies in S.  D thus meets both sides, and the smallest
 0-d flow over d in D - {0} is lambda.  When lambda >= delta the answer is
-delta, the sweep's starting bound.  The lemma fails on multigraphs:
-0-2, 0-3, three 0-1 links and three 2-3 links give lambda = 2 (the cut
-{0-2, 0-3}) and delta = 3, but node 0 dominates every node, so D = {0}
-and a sweep over D would answer 3.
+delta, the sweep's starting bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, LayeredGraph, degrees
+from .graph import GraphError, LayeredGraph
 
 
 @dataclass(frozen=True)
@@ -80,26 +78,18 @@ def connected_pairs(n: int, pairs) -> bool:
     return all(seen)
 
 
-def _sweep(n: int, pairs, best: int, cut: bool):
-    """Smallest 0-t max flow over the sinks, capped at ``best``: (best, side)."""
+def _sweep(n: int, pairs, cut: bool):
+    """Smallest 0-t max flow over the sinks of a simple graph, capped at its least degree: (best, side)."""
     head: list[int] = []
-    cap: list[int] = []
-    arc: dict[tuple[int, int], int] = {}
     adj = [[] for _ in range(n)]
-    simple = True
     for u, v in pairs:
-        key = (u, v) if u < v else (v, u)
-        a = arc.get(key)
-        simple = simple and a is None and u != v
-        if a is None:
-            arc[key] = a = len(head)
-            head += (v, u)
-            cap += (0, 0)
-            adj[u].append(a)
-            adj[v].append(a + 1)
-        cap[a] += 1
-        cap[a + 1] += 1
-    if simple and not cut:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+    best = min(map(len, adj))  # lambda <= least degree
+    if cut:
+        sinks = range(1, n)
+    else:
         sinks, dominated = [], [False] * n
         for x in range(n):
             if not dominated[x]:
@@ -108,11 +98,9 @@ def _sweep(n: int, pairs, best: int, cut: bool):
                 for a in adj[x]:
                     dominated[head[a]] = True
         sinks = sinks[1:]
-    else:
-        sinks = range(1, n)
     side = None
     for t in sinks:
-        res, flow = cap[:], 0
+        res, flow = [1] * len(head), 0
         while flow < best + cut:
             pred = [0] + [-1] * (n - 1)  # arc into each reached node; 0 marks the source
             queue = [0]
@@ -139,20 +127,28 @@ def _sweep(n: int, pairs, best: int, cut: bool):
     return best, side
 
 
-def edge_connectivity_pairs(n: int, pairs) -> int:
-    """Standard edge connectivity of (n, pairs); 0 if disconnected."""
+def _simple(pairs) -> list:
+    """``pairs`` as a list; a repeated unordered pair or a self-loop raises ``GraphError``."""
     pairs = list(pairs)
+    if len({(u, v) if u < v else (v, u) for u, v in pairs if u != v}) < len(pairs):
+        raise GraphError("the flow kernel takes simple graphs: a pair is repeated or a self-loop")
+    return pairs
+
+
+def edge_connectivity_pairs(n: int, pairs) -> int:
+    """Standard edge connectivity of the simple graph (n, pairs); 0 if disconnected."""
+    pairs = _simple(pairs)
     if n <= 1 or not connected_pairs(n, pairs):
         return 0
-    return _sweep(n, pairs, min(degrees(n, pairs)), cut=False)[0]  # lambda <= min degree
+    return _sweep(n, pairs, cut=False)[0]
 
 
 def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:
-    """A concrete minimum disconnecting edge set of (n, pairs)."""
-    pairs = list(pairs)
+    """A concrete minimum disconnecting edge set of the simple graph (n, pairs)."""
+    pairs = _simple(pairs)
     if n < 2 or not connected_pairs(n, pairs):
         raise GraphError("graph is already disconnected")
-    best, side = _sweep(n, pairs, min(degrees(n, pairs)), cut=True)
+    best, side = _sweep(n, pairs, cut=True)
     cut = [(u, v) for u, v in pairs if side[u] != side[v]]
     assert len(cut) == best
     return cut

@@ -144,7 +144,8 @@ def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) 
     """Build a graph on n1 + n2 nodes from (u, v, owner) triples.
 
     The first triple refused after the ones before it raises its
-    ``GraphError``; so do layer sizes that are not ints >= 1.
+    ``GraphError``; so do an element that is not a 3-tuple and layer
+    sizes that are not ints >= 1.
     """
     if type(n1) is not int or type(n2) is not int:
         raise GraphError(f"layer sizes must be ints, not {n1!r} and {n2!r}")
@@ -153,14 +154,19 @@ def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) 
     n, op1, op2 = n1 + n2, Owner.OPERATOR1, Owner.OPERATOR2
     seen = set()
     links = ([], [], [], [])  # per LINK_KINDS entry: op1 intra1, op1 cross, op2 intra2, op2 cross
-    for u, v, owner in owned_pairs:
-        if type(u) is not int or type(v) is not int:  # before ``u > v``, which a str or None would fail
-            raise GraphError(f"node {v if type(u) is int else u!r} is not an int")
-        if u > v:
-            u, v = v, u
-        pair, ends = (u, v), (u < n1) + (v < n1)
-        if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or pair in seen:
-            _refuse(n1, n, u, v, owner)
-        seen.add(pair)
-        links[2 - ends if owner is op1 else 2 + ends].append(pair)
+    try:  # around the loop, not each link: iterating and unpacking raise its only raw errors
+        for u, v, owner in owned_pairs:
+            if type(u) is not int or type(v) is not int:  # before ``u > v``, which a str or None would fail
+                raise GraphError(f"node {v if type(u) is int else u!r} is not an int")
+            if u > v:
+                u, v = v, u
+            pair, ends = (u, v), (u < n1) + (v < n1)
+            if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or pair in seen:
+                _refuse(n1, n, u, v, owner)
+            seen.add(pair)
+            links[2 - ends if owner is op1 else 2 + ends].append(pair)
+    except GraphError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"malformed links: each is a (u, v, owner) triple ({exc})") from exc
     return LayeredGraph(n1, n2, tuple(map(frozenset, links)))

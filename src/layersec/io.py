@@ -46,19 +46,10 @@ def rational_json(value) -> str:
 
 
 def _int(value, what: str) -> int:
-    try:
-        if isinstance(value, (bool, float)):
-            raise TypeError(f"{type(value).__name__} is not an integer")
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what} must be an integer, got {value!r}") from exc
-
-
-def search_cap(value, what: str = "caps.search") -> int:
-    cap = _int(value, what)
-    if cap < 1:
-        raise FormatError(f"{what} must be at least 1, got {cap}")
-    return cap
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``)."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _refuse_unknown(data, keys: set, what: str) -> None:
@@ -105,7 +96,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     caps = data.get("caps", {})
     if not isinstance(caps, dict) or set(caps) - {"search"}:
         raise FormatError(f'caps must be an object {{"search": N}}, got {caps!r}')
-    cap = search_cap(caps.get("search", DEFAULT_SEARCH_CAP))
+    cap = _int(caps.get("search", DEFAULT_SEARCH_CAP), "caps.search")
+    if cap < 1:
+        raise FormatError(f"caps.search must be at least 1, got {cap}")
     return Scenario(n1, n2, costs, mode, cap)
 
 

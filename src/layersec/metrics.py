@@ -37,7 +37,7 @@ from .graph import LayeredGraph
 
 # The largest game, in nodes, that ``solve_game`` and ``team_optimal`` send to exact search.
 EXACT_MAX_NODES = 9
-# The solver routes ``solve_game`` accepts: a scenario's ``mode`` and ``solve --mode``.
+# The solver routes ``solve_game`` accepts, as a scenario's ``mode`` names them.
 MODES = ("auto", "exact", "structured")
 
 
@@ -74,6 +74,11 @@ class EfficiencyReport:
     pos: Fraction | None
 
 
+def _check_k(k) -> None:
+    if type(k) is not int or k < 0:
+        raise MetricsError(f"k must be an int >= 0, got {k!r}")
+
+
 def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     """(lower, upper) bounds on the coordinated build cost.
 
@@ -82,6 +87,7 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     The upper bound (two Harary rings plus k + 1 bridges) is only defined
     when both layers have at least k + 1 nodes; None otherwise.
     """
+    _check_k(k)
     upper = None
     if n1 >= k + 1 and n2 >= k + 1:
         upper = (
@@ -103,6 +109,7 @@ def team_optimal(
     domain the certified design of ``construction._team_design``, which
     costs the capped joint floor and so is exact.
     """
+    _check_k(k)
     if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
     if n1 + n2 <= EXACT_MAX_NODES:

@@ -81,13 +81,18 @@ def add_edge(g, u, v, owner):
 
 def add_edge_fold(n1, n2, triples):
     """Reference for ``from_pairs(n1, n2, triples)``: the empty graph,
-    checked and built by hand, then ``add_edge`` once per triple."""
+    checked and built by hand, then ``add_edge`` once per triple.  An
+    element that is not a 3-tuple raises ``GraphError`` when reached."""
     if type(n1) is not int or type(n2) is not int:
         raise GraphError(f"layer sizes must be ints, not {n1!r} and {n2!r}")
     if min(n1, n2) < 1:
         raise GraphError("both layers need at least one node")
     g = LayeredGraph(n1, n2, (frozenset(),) * len(LINK_KINDS))
-    for u, v, owner in triples:
+    for triple in triples:
+        try:
+            u, v, owner = triple
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"malformed links: each is a (u, v, owner) triple ({exc})") from exc
         g = add_edge(g, u, v, owner)
     return g
 

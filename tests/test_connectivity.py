@@ -216,13 +216,30 @@ def test_hamiltonian_cycle_unions_with_links_removed():
             assert len(min_cut_pairs(n, pairs)) == lam
 
 
-def test_multigraph_takes_every_sink():
-    # lambda = 2 (the links 0-2 and 0-3) is below the minimum degree 3, yet
-    # node 0 dominates every node; with parallel links the dominating-set
-    # argument does not hold, so all sinks must be swept.
-    pairs = [(0, 2), (0, 3)] + [(0, 1)] * 3 + [(2, 3)] * 3
-    assert check_lambda(4, pairs) == 2
-    assert sorted(min_cut_pairs(4, pairs)) == [(0, 2), (0, 3)]
+def test_every_simple_five_node_graph_matches_enumeration():
+    candidates = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    for bits in range(1 << len(candidates)):
+        pairs = [p for i, p in enumerate(candidates) if bits >> i & 1]
+        lam = lambda_by_enumeration(5, pairs)
+        assert edge_connectivity_pairs(5, pairs) == lam
+        if connected_pairs(5, pairs):
+            assert len(min_cut_pairs(5, pairs)) == lam
+
+
+RING = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize("query", [edge_connectivity_pairs, min_cut_pairs], ids=["lambda", "cut"])
+@pytest.mark.parametrize(
+    "pairs",
+    [RING + [(0, 1)], RING + [(1, 0)], RING + [(2, 2)], [(0, 1), (0, 1)]],
+    ids=["repeated-pair", "reversed-pair", "self-loop", "repeated-pair-disconnected"],
+)
+def test_the_kernel_refuses_a_graph_that_is_not_simple(query, pairs):
+    # The dominating-set sinks are exact only on simple graphs, so the kernel
+    # takes no other, connected or not.
+    with pytest.raises(GraphError, match="^the flow kernel takes simple graphs"):
+        query(4, pairs)
 
 
 CASE_A = CostProfile(c1=Fraction(1, 30), c2=Fraction(1, 45), c12=Fraction(1, 20), c21=Fraction(2, 45),

@@ -32,7 +32,8 @@ def class_by_ends(n1, u, v):
 
 
 def test_the_package_exports():
-    # Every name added to or removed from the package's exports shows here.
+    # Every name added to or removed from the package's exports shows here;
+    # the submodules are not exported.
     assert sorted(layersec.__all__) == [
         "BuiltNetwork",
         "ConstructionError",
@@ -55,17 +56,12 @@ def test_the_package_exports():
         "attack_budget",
         "bruteforce_spe_oracle",
         "build_generalized",
-        "connectivity",
-        "construction",
         "cost_bounds",
         "efficiency",
         "from_pairs",
-        "game",
-        "graph",
         "is_connected",
         "is_p_resistant",
         "link_connectivity",
-        "metrics",
         "min_edge_cut",
         "null_spe_check",
         "operator2_best_response_exact",
@@ -147,13 +143,15 @@ BAD_TRIPLES = {
     "bool-node": (True, 2, OP1),
     "str-node": (2, "1", OP1),
     "none-node": (None, 2, OP1),
+    "pair-not-triple": (0, 2),
+    "four-tuple": (0, 2, OP1, OP1),
+    "bare-int": 5,
 }
 
 
-def add_edge_message(triple):
-    g = add_edge_fold(4, 3, GOOD_TRIPLES)
+def add_edge_message(bad):
     with pytest.raises(GraphError) as err:
-        add_edge(g, *triple)
+        add_edge_fold(4, 3, GOOD_TRIPLES + [bad])
     return str(err.value)
 
 
@@ -179,11 +177,14 @@ def test_from_pairs_reports_the_first_bad_triple():
         assert str(err.value) == add_edge_message(first)
 
 
-# Over 4 + 3 nodes: any triple, junk nodes and owners included, or one that
-# add_edge admits on an empty graph, in either node order.
+# Over 4 + 3 nodes: any triple, junk nodes and owners included, an element
+# that is not a 3-tuple, or a triple that add_edge admits on an empty graph,
+# in either node order.
 JUNK = [0.0, 1.0, True, False, "1", None]
 ANY_NODE = st.integers(-1, 7) | st.sampled_from(JUNK)
-ANY_TRIPLE = st.tuples(ANY_NODE, ANY_NODE, st.sampled_from([*Owner, 1, None]))
+ANY_OWNER = st.sampled_from([*Owner, 1, None])
+ANY_TRIPLE = st.tuples(ANY_NODE, ANY_NODE, ANY_OWNER)
+NOT_A_TRIPLE = ANY_NODE | st.tuples(ANY_NODE, ANY_NODE) | st.tuples(ANY_NODE, ANY_NODE, ANY_OWNER, ANY_OWNER)
 ADMITTED_TRIPLE = st.sampled_from(
     [
         (u, v, owner)
@@ -197,6 +198,7 @@ ADMITTED_TRIPLE = st.sampled_from(
 
 @given(
     st.lists(st.one_of(ANY_TRIPLE, ADMITTED_TRIPLE), max_size=12)
+    | st.lists(st.one_of(ADMITTED_TRIPLE, NOT_A_TRIPLE), max_size=6)
     | st.lists(ADMITTED_TRIPLE, unique_by=lambda t: frozenset(t[:2]))
 )
 def test_from_pairs_is_the_add_edge_fold(triples):

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import tempfile
 from fractions import Fraction as F
 from io import StringIO
@@ -55,6 +56,10 @@ def test_scenario_parsing():
     for key in ("mdoe", "cap"):
         with pytest.raises(io.FormatError, match=f"unknown scenario key.*'{key}'"):
             io.scenario_from_dict({**full, key: "structured"})
+    # Integers are JSON integers: text that Python's ``int`` would read is refused.
+    for text in ("2", " 2 ", "1_0"):
+        with pytest.raises(io.FormatError, match=f"^n1 must be an integer, got {re.escape(repr(text))}$"):
+            io.scenario_from_dict({**full, "n1": text})
 
 
 def test_graph_round_trip(tmp_path):
@@ -91,41 +96,46 @@ def run_cli(capsys, *args):
 
 
 @pytest.mark.parametrize(
-    "command,content,flags",
+    "command,content",
     [
-        ("solve", {**_GOOD, "n1": "x"}, ()),
-        ("solve", {**_GOOD, "caps": "abc"}, ()),
-        ("solve", {**_GOOD, "caps": {"search": "q"}}, ()),
-        ("solve", [_GOOD], ()),
-        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}, ()),
-        ("verify", {"n1": "x", "n2": 2, "edges": []}, ()),
-        ("solve", {**_GOOD, "n1": 2.7}, ()),
-        ("solve", {**_GOOD, "n1": True}, ()),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": True}, ()),  # null by degree: a cap of 1 would solve
-        ("solve", {**_GOOD, "caps": {"search": 100.0}}, ()),
+        ("solve", {**_GOOD, "n1": "x"}),
+        ("solve", {**_GOOD, "caps": "abc"}),
+        ("solve", {**_GOOD, "caps": {"search": "q"}}),
+        ("solve", [_GOOD]),
+        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": "a", "owner": 1}]}),
+        ("verify", {"n1": "x", "n2": 2, "edges": []}),
+        ("solve", {**_GOOD, "n1": 2.7}),
+        ("solve", {**_GOOD, "n1": True}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": True}),  # null by degree: a cap of 1 would solve
+        ("solve", {**_GOOD, "caps": {"search": 100.0}}),
         # Caps below 1, on a degree-bound null that needs no tick to solve.
-        ("solve", {**_GOOD, "cA": "1/5"}, ("--cap", "0")),
-        ("solve", {**_GOOD, "cA": "1/5"}, ("--cap", "-1")),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": 0}, ()),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": -3}}, ()),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": 0}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": -3}}),
         # Keys a scenario does not define, and caps in any but the object form.
-        ("solve", {**_GOOD, "mdoe": "structured"}, ()),
-        ("solve", {**_GOOD, "cap": {"search": 1}}, ()),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": 1}, ()),
-        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": 5, "ticks": 5}}, ()),
+        ("solve", {**_GOOD, "mdoe": "structured"}),
+        ("solve", {**_GOOD, "cap": {"search": 1}}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": 1}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": 5, "ticks": 5}}),
+        # Integers written as JSON strings, which Python's ``int`` would read.
+        ("solve", {**_GOOD, "n1": "2"}),
+        ("solve", {**_GOOD, "cA": "1/5", "caps": {"search": "5"}}),
+        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": "0", "v": 2, "owner": 1}]}),
+        ("verify", {"n1": 2, "n2": 2, "edges": [{"u": 0, "v": 2, "owner": "1"}]}),
     ],
     ids=[
         "n1-text", "caps-text", "search-cap-text", "top-level-array", "edge-node-text", "graph-n1-text",
         "n1-float", "n1-bool", "caps-bool", "search-cap-float",
-        "cap-flag-zero", "cap-flag-negative", "caps-zero", "search-cap-negative",
+        "caps-zero", "search-cap-negative",
         "unknown-key", "unknown-key-cap", "caps-bare-number", "caps-unknown-key",
+        "n1-digit-text", "search-cap-digit-text",
+        "edge-node-digit-text", "edge-owner-digit-text",
     ],
 )
-def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content, flags):
+def test_cli_malformed_values_exit_with_error(tmp_path, capsys, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     where = ["--graph", str(path), "--k", "1"] if command == "verify" else ["--scenario", str(path)]
-    code, out, err = run_cli(capsys, command, *where, *flags)
+    code, out, err = run_cli(capsys, command, *where)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
@@ -364,8 +374,15 @@ def test_cli_solves_an_eight_node_game_outside_the_structured_domain(tmp_path, c
     assert verdict["p"] >= 4
 
 
-def test_cli_cap_error_names_the_level_it_reached(capsys):
-    code, out, err = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop3.json"), "--cap", "57")
+def scenario_with(tmp_path, name, **changes):
+    """A copy of ``scenarios/<name>`` with ``changes`` applied, written under ``tmp_path``."""
+    path = tmp_path / name
+    path.write_text(json.dumps({**json.loads((SCENARIOS / name).read_text()), **changes}))
+    return str(path)
+
+
+def test_cli_cap_error_names_the_level_it_reached(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "solve", "--scenario", scenario_with(tmp_path, "prop3.json", caps={"search": 57}))
     assert (code, out) == (1, "")
     assert err == "error: search cap of 57 ticks exceeded while scanning operator-1 level (a, b) = (0, 1), 21 of them on it\n"
 
@@ -379,8 +396,8 @@ def test_cli_solve_prop3_classes(capsys):
     assert bundle["operator2_cost_classes"] == ["9/10", "99/100"]
 
 
-def test_cli_solve_echoes_the_mode_it_was_asked_for(capsys):
-    code, out, _ = run_cli(capsys, "solve", "--scenario", str(SCENARIOS / "prop4.json"), "--mode", "structured")
+def test_cli_solve_echoes_the_mode_it_was_asked_for(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "solve", "--scenario", scenario_with(tmp_path, "prop4.json", mode="structured"))
     assert code == 0
     bundle = json.loads(out)
     assert (bundle["scenario"]["mode"], bundle["mode_used"]) == ("structured", "structured")
@@ -583,10 +600,9 @@ def test_cli_error_exit_on_missing_file(capsys):
     "args,message",
     [
         (["solve"], "the following arguments are required: --scenario"),
-        (["solve", "--scenario", "s.json", "--mode", "bogus"], "invalid choice: 'bogus' (choose from 'auto', 'exact', 'structured')"),
         (["verify", "--graph", "g.json", "--k", "notanint"], "argument --k: invalid int value: 'notanint'"),
     ],
-    ids=["missing-scenario", "unknown-mode", "k-not-an-int"],
+    ids=["missing-scenario", "k-not-an-int"],
 )
 def test_cli_usage_errors_exit_with_error_not_the_null_code(capsys, args, message):
     # argparse exits 2 on a usage error, which is the null-equilibrium code.
@@ -595,6 +611,24 @@ def test_cli_usage_errors_exit_with_error_not_the_null_code(capsys, args, messag
     assert out == ""
     assert err.startswith(f"usage: layersec {args[0]}")
     assert message in err
+
+
+def test_the_cli_options():
+    # Every option of every subcommand, positionals by name, shows here.
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    options = {
+        name: [s for a in sub._actions if a.dest != "help" for s in a.option_strings or [a.dest]]
+        for name, sub in commands.choices.items()
+    }
+    assert options == {
+        "solve": ["--scenario"],
+        "construct": ["--scenario", "--out", "--dot"],
+        "attack": ["--graph", "--ca"],
+        "verify": ["--graph", "--k"],
+        "reproduce": ["case"],
+        "oracle": ["--scenario"],
+        "metrics": ["--scenario"],
+    }
 
 
 def test_cli_help_exits_ok(capsys):

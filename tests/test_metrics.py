@@ -85,6 +85,33 @@ def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
         team_optimal(5, 5, 0, costs_of(c, c, c, c))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: team_optimal(3, 3, -1, CASE_A),
+        lambda: cost_bounds(2, 2, -1, CASE_A),
+        lambda: team_optimal(3, 3, True, CASE_A),
+        lambda: cost_bounds(2, 2, True, CASE_A),
+        lambda: team_optimal(3, 3, 1.5, CASE_A),
+        lambda: cost_bounds(2, 2, 1.5, CASE_A),
+    ],
+    ids=["team-negative", "bounds-negative", "team-bool", "bounds-bool", "team-float", "bounds-float"],
+)
+def test_team_optimal_and_cost_bounds_refuse_a_k_that_is_not_an_int_at_least_0(call):
+    # A negative k used to get a design of cost 0 and bounds (0, 0), True
+    # solved as k = 1, and 1.5 raised a raw TypeError.
+    with pytest.raises(MetricsError, match=r"^k must be an int >= 0, got "):
+        call()
+
+
+def test_team_optimal_and_cost_bounds_answer_k_zero():
+    team = team_optimal(3, 3, 0, CASE_A)
+    assert team.cost == F(7, 45)
+    assert link_connectivity(team.graph).p >= 0
+    assert cost_bounds(2, 2, 0, CASE_A) == (F(4, 45), F(1, 10))
+    assert cost_bounds(3, 3, 0, CASE_A) == (F(1, 10), F(7, 45))
+
+
 def test_out_of_order_costs_with_a_floor_of_two_are_null_everywhere():
     # c1 > c12 and c2 > c21; the joint floor is 72/5.  The team search
     # used to return the all-cross band at 72/5, and stage 1 raised.
