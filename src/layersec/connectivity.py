@@ -18,11 +18,12 @@ flow however often it is judged, and a built network for none.  Cut queries and 
 pairs (``edge_connectivity_pairs``) run their own sweep.
 
 One kernel, ``_sweep``, answers lambda and cut queries on simple graphs
-(``edge_connectivity_pairs`` and ``min_cut_pairs`` refuse a repeated pair
-or a self-loop with ``GraphError``) with unit-capacity max flows from
-source 0 to a list of sinks, each on a copy of one residual built per
-query: an arc array, one capacity-1 pair per link, where arc ``a`` points
-to ``head[a]`` and its reverse is ``a ^ 1``.  Lambda queries stop a flow
+(``edge_connectivity_pairs`` and ``min_cut_pairs`` refuse a repeated
+pair, a self-loop or an end that is not an int in 0..n-1 with
+``GraphError``) with unit-capacity max flows from source 0 to a list of
+sinks, each on a copy of one residual built per query: an arc array, one
+capacity-1 pair per link, where arc ``a`` points to ``head[a]`` and its
+reverse is ``a ^ 1``.  Lambda queries stop a flow
 at the best value so far, at first the least degree; cut queries stop one
 augmentation later, so a flow that ends at the best value is a full
 maximum flow.  The nodes reached by the last, failed search of the flow
@@ -127,9 +128,16 @@ def _sweep(n: int, pairs, cut: bool):
     return best, side
 
 
-def _simple(pairs) -> list:
-    """``pairs`` as a list; a repeated unordered pair or a self-loop raises ``GraphError``."""
+def _simple(n: int, pairs) -> list:
+    """``pairs`` as a list; a pair with an end that is not an int in
+    0..n-1, a repeated unordered pair or a self-loop raises ``GraphError``."""
     pairs = list(pairs)
+    try:
+        in_range = all(type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n for u, v in pairs)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"the flow kernel takes (u, v) pairs ({exc})") from exc
+    if not in_range:
+        raise GraphError(f"the flow kernel takes pairs of int nodes in 0..{n - 1}")
     if len({(u, v) if u < v else (v, u) for u, v in pairs if u != v}) < len(pairs):
         raise GraphError("the flow kernel takes simple graphs: a pair is repeated or a self-loop")
     return pairs
@@ -137,7 +145,7 @@ def _simple(pairs) -> list:
 
 def edge_connectivity_pairs(n: int, pairs) -> int:
     """Standard edge connectivity of the simple graph (n, pairs); 0 if disconnected."""
-    pairs = _simple(pairs)
+    pairs = _simple(n, pairs)
     if n <= 1 or not connected_pairs(n, pairs):
         return 0
     return _sweep(n, pairs, cut=False)[0]
@@ -145,7 +153,7 @@ def edge_connectivity_pairs(n: int, pairs) -> int:
 
 def min_cut_pairs(n: int, pairs) -> list[tuple[int, int]]:
     """A concrete minimum disconnecting edge set of the simple graph (n, pairs)."""
-    pairs = _simple(pairs)
+    pairs = _simple(n, pairs)
     if n < 2 or not connected_pairs(n, pairs):
         raise GraphError("graph is already disconnected")
     best, side = _sweep(n, pairs, cut=True)

@@ -14,50 +14,52 @@ between the two operators:
   stage 1  the cheapest operator-1 level (e11 intra, e12 cross links) whose
            ``game._level_floor`` is below 1; operator 2 mirrors its intra
            links and buys the floor's argmin x of cross links;
-  stage 2  m mirrored cycles: a layer-1 Hamiltonian path by operator 1,
-           its mirror image in layer 2 by operator 2, two vertical closers;
+  stage 2  m mirrored cycles: a layer-1 Hamiltonian path, its mirror image
+           in layer 2, two vertical closers;
   stage 3  one mixed cycle consuming the leftover z intra links per layer;
   stage 4  remaining cycles built purely from cross links;
   stage 5  (even k) the matching: the intra budget the cycles could not
            hold as mirrored intra pairs, the rest cross or vertical links;
   stage 6  the extra vertical, at the first node without one, when
            2*e11 + e12 + x = n1(k+1) + 1;
-  stage 7  operator 1 takes e12 of the cross links, closers first.
+  stage 7  the certificate (``_verify_built``) proves the links
+           k-resistant and returns them;
+  stage 8  each link is filed by its ends, and operator 1 takes e12 of the
+           cross links, closers first; the four counts must be the plan's.
 
 Every layer size takes the same layout: cycle r runs along zigzag path r
 of K_n1 (``_zigzag``), and the even-k matching pairs consecutive nodes of
-zigzag path (k+1)//2.
-
-Every constructed network is re-verified (exact edge counts per owner and
-class, least degree k + 1, the cycles are edge-disjoint Hamiltonian cycles
-made of the graph's links, and the whole graph survives any k link
-removals); a construction that fails verification raises instead of
-returning silently.  The builder keeps each cycle as its node order, the
-certificate a build carries (``BuiltNetwork.cycle_tags``): an order is a
-Hamiltonian cycle when it is a permutation of the nodes, and its links are
-its n consecutive pairs, the last one back to the first node.
-The cycles and the matching hold n1(k+1) links and give every node degree
-k + 1; the extra vertical raises its two ends to k + 2 (the parity shape),
-which leaves the least degree at k + 1.
+zigzag path (k+1)//2.  The builder returns each cycle as its node order,
+the certificate a build carries (``BuiltNetwork.cycle_tags``), and R, the
+links on no cycle (stages 5 and 6); the two are the one source of the
+build's links.  An order is a Hamiltonian cycle when it is a permutation
+of the nodes, and its links are its n consecutive pairs, the last one
+back to the first node.  A build that fails a check raises.
 
 Lemma (cycle certificate).  Every edge cut crosses a Hamiltonian cycle at
 least twice: the cycle visits both sides and must come back.  So r
 edge-disjoint Hamiltonian cycles among a graph's links give lambda >= 2r.
 For odd k the (k+1)/2 cycles, as unordered pairs, are exactly the
-graph's links, so lambda >= k + 1, and degree k + 1 gives lambda <= k + 1.
+graph's links (R is empty), so lambda >= k + 1.
 
 Lemma (arc certificate, even k).  Let k = 2c, H_0, ..., H_{c-1} the
 cycles and R the other links (the matching, and the parity shape's extra
 vertical).  A cut crosses each H_r at least twice, so lambda(G) >=
 2(c - 1) + lambda(H_0 + R).  A cut of H_0 + R crosses H_0 an even number
 of times, and exactly twice only when its side is an arc of H_0.  So if
-an R link leaves every proper arc of H_0, then lambda(H_0 + R) >= 3,
-lambda >= k + 1, and least degree k + 1 gives lambda = k + 1.
-``_closed_arc`` decides that in O(n + |R|) expected time, with no flow.
-The lemma is a proof, not an iff: a build that fails it raises.
+an R link leaves every proper arc of H_0, then lambda(H_0 + R) >= 3 and
+lambda >= k + 1.  ``_closed_arc`` decides that in O(n + |R|) expected
+time, with no flow.  The lemma is a proof, not an iff: a build that fails
+it raises.
 
-Either way the build records lambda = k + 1 on the returned graph, so
-later lambda queries on it run no flow.
+Least degree k + 1.  Each cycle gives every node degree 2, and for even k
+each single node is an arc of H_0, so an R link leaves it: every degree
+is at least k + 1.  The counts total at most n1(k+1) + 1 links, so the
+degrees sum to at most 2*n1(k+1) + 2 < 2*n1(k+2) (n1 >= 2), and some node
+has degree below k + 2.  So the least degree is exactly k + 1 (the parity
+shape's extra vertical raises only its two ends to k + 2), which gives
+lambda <= k + 1; with either lemma, lambda = k + 1.  The build records it
+on the returned graph, so later lambda queries on it run no flow.
 """
 
 from __future__ import annotations
@@ -73,13 +75,14 @@ from .game import (
     CostProfile,
     SpeSolution,
     StrategyProfile,
+    _check_layers,
     _joint_cost_floor,
     _level_floor,
     _scale,
     attack_budget,
     null_spe_check,
 )
-from .graph import LINK_KINDS, EdgeClass, LayeredGraph, Owner, degrees, from_pairs
+from .graph import LINK_KINDS, EdgeClass, LayeredGraph, Owner
 
 OP1 = Owner.OPERATOR1
 OP2 = Owner.OPERATOR2
@@ -219,32 +222,18 @@ def _zigzag(length: int, r: int) -> list:
     return seq
 
 
-def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
-    """Cycle unit: z mirrored intra steps, the rest cross-switched.
+def _mixed_cycle(n1: int, seq: list, z: int) -> tuple:
+    """Node order of a cycle unit: z mirrored intra steps, the rest cross-switched.
 
-    Each mirrored step is a layer-1 link by operator 1 and its layer-2
-    mirror by operator 2; each cross-switched step is two cross links by
-    operator 2.  The two end links (closer slots, operator 2 until stage 1
-    hands some to operator 1) are the verticals at the sequence ends; they
-    join the two strands into a single cycle through all 2*n1 nodes.
-    With z = 0 this is an all-cross Hamiltonian cycle.
-
-    Returns the cycle's node order: the top strand, seq[:z+1] in layer 1
-    and then alternating layers, followed by the bottom strand reversed.
+    Each mirrored step is a layer-1 link and its layer-2 mirror; each
+    cross-switched step is two cross links.  The two verticals at the
+    sequence ends (the closers) join the two strands into a single cycle
+    through all 2*n1 nodes.  With z = 0 this is an all-cross Hamiltonian
+    cycle.  The order is the top strand, seq[:z+1] in layer 1 and then
+    alternating layers, followed by the bottom strand reversed.
     """
-    for i in range(z):
-        a, b = seq[i], seq[i + 1]
-        out.append([a, b, OP1])
-        out.append([a + n1, b + n1, OP2])
-    for i in range(z, len(seq) - 1):
-        a, b = seq[i], seq[i + 1]
-        out.append([a, b + n1, OP2])
-        out.append([b, a + n1, OP2])
-    for a in (seq[0], seq[-1]):
-        closer_slots.append(len(out))
-        out.append([a, a + n1, OP2])
-    top = [a + n1 * (i > z and (i - z) % 2) for i, a in enumerate(seq)]
-    bottom = [2 * a + n1 - t for a, t in zip(seq, top)]  # each node's other copy
+    top, bottom = list(seq), [a + n1 for a in seq]
+    top[z + 1 :: 2], bottom[z + 1 :: 2] = bottom[z + 1 :: 2], top[z + 1 :: 2]  # the strands cross
     return tuple(top + bottom[::-1])
 
 
@@ -253,33 +242,39 @@ def _mixed_cycle(n1: int, seq: list, z: int, out: list, closer_slots: list):
 # ---------------------------------------------------------------------------
 
 
-def _build_cycle_superposition(n1: int, k: int, e11: int):
-    """Edge list, closer slots and cycle node orders for any k and layer parity,
-    with e11 mirrored intra links per layer and the rest cross links.
+def _build_cycle_superposition(n1: int, k: int, e11: int, extra: int):
+    """(orders, rest): the cycle node orders and the links on no cycle, for
+    any k and layer parity, with e11 mirrored intra links per layer.
 
     (k+1)//2 Hamiltonian cycles take the intra budget first; for even k a
-    perfect matching of pairs no cycle uses adds the last degree.  Cycle
-    r is laid on zigzag path r of layer 1.  Since k < n1, C = (k+1)//2 is
-    at most n1//2, so the sum classes 0..2C-1 of the C paths are distinct
-    mod n1: the paths are edge-disjoint, and their 2C ends r and
-    r + ceil(n1/2) are distinct, so are the verticals closing them.
+    perfect matching of pairs no cycle uses adds the last degree, and
+    ``extra`` = 1 adds the parity shape's vertical at the first node
+    without one, last in ``rest``.  Cycle r is laid on zigzag path r of
+    layer 1.  Since k < n1, C = (k+1)//2 is at most n1//2, so the sum
+    classes 0..2C-1 of the C paths are distinct mod n1: the paths are
+    edge-disjoint, and their 2C ends r and r + ceil(n1/2) are distinct,
+    so are the verticals closing them.
     """
     N = n1
     C = (k + 1) // 2
     held = min(e11, C * (N - 1))  # intra links per layer the cycles hold
     m, z = divmod(held, N - 1)
-    out: list = []
-    closer_slots: list = []
     # The first m paths are mirrored, the next one carries the z leftover
     # intra steps, the rest are all-cross.
     steps = [N - 1] * m + [z] + [0] * C
-    orders = tuple(_mixed_cycle(N, _zigzag(N, r), steps[r], out, closer_slots) for r in range(C))
-    if k % 2 == 0:
-        _add_matching(N, C, e11 - held, out, closer_slots)
-    return out, closer_slots, orders
+    orders = tuple(_mixed_cycle(N, _zigzag(N, r), steps[r]) for r in range(C))
+    rest = _add_matching(N, C, e11 - held) if k % 2 == 0 else []
+    if extra:
+        taken = {a for order in orders for a in (order[0], order[N - 1] % N)}
+        taken |= {a for a, b in rest if b == a + N}
+        v = next((v for v in range(N) if v not in taken), None)
+        if v is None:
+            raise ConstructionError(f"the parity shape's extra vertical has no free node: all n1 = {N} have one")
+        rest.append((v, v + N))
+    return orders, rest
 
 
-def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
+def _add_matching(N: int, C: int, q: int) -> list:
     """Even-k unit: a perfect matching of the 2*N nodes on pairs no cycle uses.
 
     The layer-1 pairs are consecutive nodes of zigzag path C: positions
@@ -294,73 +289,100 @@ def _add_matching(N: int, C: int, q: int, out: list, closer_slots: list):
     seq = _zigzag(N, C)
     links = []
     for i, (a, b) in enumerate(zip(seq[N % 2 :: 2], seq[N % 2 + 1 :: 2])):
-        if i < q:
-            out.append([a, b, OP1])
-            out.append([a + N, b + N, OP2])
-        else:
-            links += [(a, b + N), (b, a + N)]
+        links += [(a, b), (a + N, b + N)] if i < q else [(a, b + N), (b, a + N)]
     if N % 2:
         links.append((C, C + N))
-    for a, b in links:
-        closer_slots.append(len(out))
-        out.append([a, b, OP2])
+    return links
+
+
+def _cross_order(n1: int, orders, rest: list, extra: int):
+    """The cross links in the order operator 1 takes them: each cycle's
+    two closers, the matching's cross links, each cycle's other cross
+    links step by step, then the parity shape's extra vertical."""
+    for order in orders:
+        yield from ((a, a + n1) for a in (order[0], order[n1 - 1] % n1))
+    matching = rest[: len(rest) - extra]
+    yield from (link for link in matching if link[0] < n1 <= link[1])
+    for order in orders:
+        for a, b in zip(order[: n1 - 1], order[1:n1]):
+            if (a < n1) != (b < n1):
+                a, b = a % n1, b % n1
+                yield from ((a, b + n1), (b, a + n1))
+    yield from rest[len(rest) - extra :]
 
 
 def _realize(n1: int, k: int, counts: dict):
     """(graph, cycle orders): the certified network with ``counts`` links per
     (owner, class), counts[(OP1, INTRA1)] mirrored intra links per layer.
 
-    When the counts total n1(k+1) + 1 links, one vertical at the first
-    node without one adds the last (the parity shape), or it raises if no
-    node is left.  Operator 1 takes counts[(OP1, CROSS)] of the cross
-    links, the cycle closers first.
+    The counts total n1(k+1) links, or n1(k+1) + 1 for the parity shape,
+    whose extra vertical goes at the first node without one (it raises if
+    no node is left).  ``_verify_built`` proves the links k-resistant and
+    returns them; each is filed by its ends, and operator 1 takes
+    counts[(OP1, CROSS)] of the cross links in ``_cross_order``.  With the
+    four counts the planned ones, the least degree is k + 1 (module
+    docstring), and lambda = k + 1 is recorded on the graph.
     """
-    out, closer_slots, orders = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1])
-    if sum(counts.values()) == n1 * (k + 1) + 1:
-        free = set(range(n1)) - {a for a, b, _ in out if b == a + n1}
-        if not free:
-            raise ConstructionError(f"the parity shape's extra vertical has no free node: all n1 = {n1} have one")
-        v = min(free)
-        out.append([v, v + n1, OP2])
-    # Closers first; ``rest`` reads owners lazily, after the closers went to operator 1.
-    rest = (i for i, (a, b, owner) in enumerate(out) if a < n1 <= b and owner == OP2)
-    for slot in itertools.islice(itertools.chain(closer_slots, rest), counts[OP1, EdgeClass.CROSS]):
-        out[slot][2] = OP1
-    graph = from_pairs(n1, n1, out)
-    _verify_built(graph, k, counts, orders)
+    extra = sum(counts.values()) - n1 * (k + 1)
+    if extra not in (0, 1):
+        raise ConstructionError(f"the counts total {n1 * (k + 1) + extra} links, not n1(k+1) or one more")
+    orders, rest = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1], extra)
+    links = _verify_built(2 * n1, k, orders, rest)
+    intra1 = frozenset(link for link in links if link[1] < n1)
+    intra2 = frozenset(link for link in links if link[0] >= n1)
+    cross = links - intra1 - intra2
+    taken = itertools.islice(_cross_order(n1, orders, rest, extra), counts[OP1, EdgeClass.CROSS])
+    op1_cross = cross.intersection(taken)
+    graph = LayeredGraph(n1, n1, (intra1, frozenset(op1_cross), intra2, frozenset(cross - op1_cross)))
+    for key, pairs in zip(LINK_KINDS, graph.links):
+        if len(pairs) != counts[key]:
+            raise ConstructionError(f"count mismatch for {key}: built {len(pairs)}, planned {counts[key]}")
+    keep_lambda(graph, k + 1)
     return graph, orders
 
 
-def _verify_built(graph: LayeredGraph, k: int, counts: dict, orders):
-    """Check the links per (owner, class) against ``counts`` and certify
-    lambda = k + 1 by the module docstring's lemmas, or raise."""
-    got = graph.tally()
-    for key, want in counts.items():
-        if got[key] != want:
-            raise ConstructionError(f"count mismatch for {key}: built {got[key]}, planned {want}")
-    pairs = graph.edge_pairs()
-    if min(degrees(graph.n, pairs)) < k + 1:
-        raise ConstructionError("a node of the constructed network has degree below k + 1")
+def _verify_built(n: int, k: int, orders, rest) -> set:
+    """The links of the Hamiltonian cycles through ``orders`` plus the links
+    ``rest``, (u, v) pairs, u < v, on nodes 0..n-1, once the module
+    docstring's lemmas prove that no k of them cut the graph; raises
+    otherwise.
+
+    With k >= 1, there must be (k+1)//2 orders, each a permutation of 0..n-1,
+    whose cycles share no link.  The ``rest`` links must be int pairs in
+    range, no self-loop, each once and on no cycle.  For odd k there are
+    none; for even k they leave every arc of the first cycle
+    (``_closed_arc``), single nodes included, so they touch every node.
+    A caller holding a graph compares the returned set with its pairs.
+    """
+    if k < 1:
+        raise ConstructionError(f"the cycle certificate needs k >= 1, got k = {k}")
     if len(orders) != (k + 1) // 2:
         raise ConstructionError(f"{len(orders)} cycle orders do not cover (k+1)//2 = {(k + 1) // 2} cycles")
-    # Each order visits every node once, and its n consecutive links, the
-    # last back to the first node, are links of the graph no other cycle uses.
-    nodes, seen = set(range(graph.n)), set()
+    nodes, links = set(range(n)), set()
     for order in orders:
-        if len(order) != graph.n or set(order) != nodes:
+        if len(order) != n or set(order) != nodes or set(map(type, order)) != {int}:
             raise ConstructionError("a cycle order is not a Hamiltonian cycle: it does not visit each node once")
-        links = _cycle_links(order)
-        if not seen.isdisjoint(links):
-            raise ConstructionError("cycles are not edge-disjoint")
-        seen |= links
-    if not (seen == pairs if k % 2 else seen <= pairs):
-        raise ConstructionError("cycle orders are not the graph's links")
-    # The module docstring's lemmas: for odd k the cycles prove lambda = k + 1;
-    # for even k they do once a link outside them leaves every arc of the
-    # first cycle.
-    if k % 2 == 0 and _closed_arc(orders[0], pairs - seen) is not None:
+        links.update(_cycle_links(order))
+    if len(links) != n * len(orders):  # a permutation of n >= 3 nodes has n distinct links
+        raise ConstructionError("cycles are not edge-disjoint")
+    try:
+        others = {(u, v) if u < v else (v, u) for u, v in rest}
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"a link off the cycles is not a (u, v) pair ({exc})") from exc
+    if not all(type(u) is int and type(v) is int and 0 <= u < v < n for u, v in others):
+        raise ConstructionError(f"a link off the cycles is not a pair of distinct int nodes in 0..{n - 1}")
+    if len(others) != len(rest):
+        raise ConstructionError("a link off the cycles is listed twice")
+    if not links.isdisjoint(others):
+        raise ConstructionError("a link off the cycles lies on a cycle")
+    if k % 2 and others:
+        raise ConstructionError("an odd-k build has links off its cycles")
+    # The module docstring's lemmas: for odd k the cycles prove lambda >= k + 1;
+    # for even k they do once the other links leave every arc of the first cycle.
+    if k % 2 == 0 and _closed_arc(orders[0], others) is not None:
         raise ConstructionError("constructed network failed the resilience check")
-    keep_lambda(graph, k + 1)
+    links |= others
+    return links
 
 
 def _cycle_links(order) -> set:
@@ -451,8 +473,9 @@ def structured_solve(n1: int, n2: int, costs: CostProfile):
     Returns (SpeSolution, BuiltNetwork), or (null SpeSolution, None).  A
     game that ``null_spe_check`` settles is null in any shape; any other
     must lie in the structured domain (``_check_domain``), in any cost
-    order.
+    order.  Layer sizes must be ints >= 1.
     """
+    _check_layers(n1, n2, ConstructionError)
     k = attack_budget(costs.ca)
     built = None if null_spe_check(n1, n2, k, costs) else build_generalized(n1, n2, k, costs)
     if built is None:

@@ -175,6 +175,18 @@ def _exact_cost(value, name: str) -> Fraction:
     return value
 
 
+def _check_int(value, name: str, least: int, error: type = GameError) -> None:
+    """Raise ``error`` unless ``value`` is an int >= ``least``; a bool is refused."""
+    if type(value) is not int or value < least:
+        raise error(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_layers(n1, n2, error: type = GameError) -> None:
+    """Raise ``error`` unless both layer sizes are ints >= 1."""
+    _check_int(n1, "n1", 1, error)
+    _check_int(n2, "n2", 1, error)
+
+
 def attack_budget(ca) -> int:
     """Largest attack size affordable at non-negative adversary payoff."""
     return int(1 / _exact_cost(ca, "attack cost"))  # floor of 1/ca
@@ -245,7 +257,9 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
     (no node can reach degree k + 1), "cost-bound" when it reaches 2.
     The floor prices each link at its own class's cost (cross links at
     min(c12, c21)), so it holds for any order of the four link costs.
+    Raises ``GameError`` unless k is an int >= 0.
     """
+    _check_int(k, "k", 0)
     floor, _ = _joint_cost_floor(n1, n2, k, costs)
     if floor is None:
         return "degree-bound"
@@ -556,7 +570,9 @@ def operator2_best_response_exact(
     Returns the empty set when the standing network already resists k
     removals or when no response costing strictly less than 1 achieves
     that; otherwise a minimum-cost set of (u, v) pairs for operator 2 to build.
+    Raises ``GameError`` unless k is an int >= 0.
     """
+    _check_int(k, "k", 0)
     uni = EdgeUniverse(g1.n1, g1.n2)
     L, _, c2, _, c21 = _scale(costs)
     pools = [uni.cross_bits, uni.intra2_bits]
@@ -665,8 +681,10 @@ def solve_spe_exact(
     equilibrium level, and each operator-2 cost class keeps the first
     securable strategy generated at that cost.  The cap counts a tick per
     generated row node of operator 1's strategies and per node of operator
-    2's placement search.  Intended for n1 + n2 <= 9.
+    2's placement search.  Intended for n1 + n2 <= 9; layer sizes must be
+    ints >= 1.
     """
+    _check_layers(n1, n2)
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs):
         return SpeSolution.null(k, n1, n2)
@@ -710,7 +728,8 @@ def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
-    """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 6).
+    """Ground-truth equilibrium by exhaustive backward induction (n1 + n2 <= 6,
+    layer sizes ints >= 1).
 
     Ranks every resisting union (``EdgeUniverse.resisting``) and keeps,
     per operator-1 strategy, the best union that adds only intra-2 links;
@@ -723,6 +742,7 @@ def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:
     with solve_spe_exact on u1, null status, and the set of operator-2
     equilibrium payoffs.
     """
+    _check_layers(n1, n2)
     if n1 + n2 > 6:
         raise GameError("oracle instances are capped at n1 + n2 <= 6")
     k = attack_budget(costs.ca)

@@ -8,10 +8,15 @@ either answers a read-only query or returns a new graph.
 
 A graph stores its links as ``links``: one frozenset of (u, v) pairs,
 u < v, per ``LINK_KINDS`` entry, in that order; a ``StrategyProfile``
-holds the graph itself.  ``from_pairs`` is the one constructor.  It
-admits a link by plain comparisons (int ends, its class from how many
-ends lie in layer 1, its owner by identity) and hands only a refused one
-to ``_refuse``, which names what is wrong with it.  ``edges`` lists the
+holds the graph itself.  ``from_pairs`` is the one constructor that
+checks its links.  It admits a link by plain comparisons (int ends, its
+class from how many ends lie in layer 1, its owner by identity) and hands
+only a refused one to ``_refuse``, which names what is wrong with it.
+Three internal paths build a ``LayeredGraph`` from link sets they already
+trust: ``remove_edges`` (a graph's own links less a cut),
+``game._profile_from_masks`` (the pairs of an ``EdgeUniverse``'s masks)
+and ``construction._realize`` (a build's certified links, filed by their
+ends).  ``edges`` lists the
 links as ``Edge`` tuples in (u, v) order, built only when a caller asks.
 ``Owner`` and ``EdgeClass`` members, singletons equal only to
 themselves, hash by identity.  A graph hashes over its layer sizes and

@@ -26,6 +26,8 @@ from .construction import _team_design, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
+    _check_int,
+    _check_layers,
     _joint_cost_floor,
     _solve_team_exact,
     attack_budget,
@@ -74,11 +76,6 @@ class EfficiencyReport:
     pos: Fraction | None
 
 
-def _check_k(k) -> None:
-    if type(k) is not int or k < 0:
-        raise MetricsError(f"k must be an int >= 0, got {k!r}")
-
-
 def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     """(lower, upper) bounds on the coordinated build cost.
 
@@ -87,7 +84,7 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     The upper bound (two Harary rings plus k + 1 bridges) is only defined
     when both layers have at least k + 1 nodes; None otherwise.
     """
-    _check_k(k)
+    _check_int(k, "k", 0, MetricsError)
     upper = None
     if n1 >= k + 1 and n2 >= k + 1:
         upper = (
@@ -107,9 +104,11 @@ def team_optimal(
     says so, or the exact search finds none.  Otherwise exact search for
     n1 + n2 <= EXACT_MAX_NODES; for larger instances in the structured
     domain the certified design of ``construction._team_design``, which
-    costs the capped joint floor and so is exact.
+    costs the capped joint floor and so is exact.  Layer sizes must be
+    ints >= 1, and k an int >= 0.
     """
-    _check_k(k)
+    _check_layers(n1, n2, MetricsError)
+    _check_int(k, "k", 0, MetricsError)
     if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
     if n1 + n2 <= EXACT_MAX_NODES:
@@ -129,8 +128,10 @@ def solve_game(
     Returns (SpeSolution, BuiltNetwork or None).  ``mode`` is auto, exact
     or structured; auto routes by size only: exact search for
     n1 + n2 <= EXACT_MAX_NODES, otherwise
-    ``construction.structured_solve``, in any cost order.
+    ``construction.structured_solve``, in any cost order.  Layer sizes
+    must be ints >= 1.
     """
+    _check_layers(n1, n2, MetricsError)
     if mode not in MODES:
         raise MetricsError(f"unknown mode {mode!r}: expected auto, exact or structured")
     if mode == "exact" or (mode == "auto" and n1 + n2 <= EXACT_MAX_NODES):

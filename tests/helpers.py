@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import layersec
 from layersec.connectivity import connected_pairs
-from layersec.construction import ConstructionError, StageOnePlan, _check_domain, structured_solve
+from layersec.construction import ConstructionError, StageOnePlan, _check_domain, _zigzag, structured_solve
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -409,3 +409,49 @@ def structured_matches_exact(n, costs):
     if not exact.is_null:
         assert structured.u1 == exact.u1, costs
         assert structured.u2 == exact.u2_values[0], costs
+
+
+def realize_by_triples(n1, k, counts):
+    """Reference for ``construction._realize``, unchecked: (graph, cycle
+    orders) built as one (u, v, owner) triple per link and filed by
+    ``from_pairs``.  Cycle r runs along zigzag path r: its first mirrored
+    steps are a layer-1 link by operator 1 and its mirror by operator 2,
+    its other steps two cross links, and two verticals close it.  For even
+    k a matching of consecutive nodes of zigzag path (k+1)//2 follows;
+    when the counts total n1(k+1) + 1, one vertical at the first node
+    without one.  Operator 1 takes counts[(OP1, CROSS)] cross links: the
+    closers and the matching's cross links first, then the others in the
+    order they were laid out."""
+    op1, op2, N, C = Owner.OPERATOR1, Owner.OPERATOR2, n1, (k + 1) // 2
+    e11 = counts[op1, EdgeClass.INTRA1]
+    held = min(e11, C * (N - 1))
+    m, z = divmod(held, N - 1)
+    steps = [N - 1] * m + [z] + [0] * C
+    out, firsts, orders = [], [], []  # firsts: the cross links operator 1 takes first
+    for r in range(C):
+        seq, z = _zigzag(N, r), steps[r]
+        for i in range(len(seq) - 1):
+            a, b = seq[i], seq[i + 1]
+            out += [[a, b, op1], [a + N, b + N, op2]] if i < z else [[a, b + N, op2], [b, a + N, op2]]
+        for a in (seq[0], seq[-1]):
+            firsts.append(len(out))
+            out.append([a, a + N, op2])
+        top = [a + N * (i > z and (i - z) % 2) for i, a in enumerate(seq)]
+        orders.append(tuple(top + [2 * a + N - t for a, t in zip(seq, top)][::-1]))
+    if k % 2 == 0:
+        seq, cross = _zigzag(N, C), []
+        for i, (a, b) in enumerate(zip(seq[N % 2 :: 2], seq[N % 2 + 1 :: 2])):
+            if i < e11 - held:
+                out += [[a, b, op1], [a + N, b + N, op2]]
+            else:
+                cross += [(a, b + N), (b, a + N)]
+        for a, b in cross + ([(C, C + N)] if N % 2 else []):
+            firsts.append(len(out))
+            out.append([a, b, op2])
+    if sum(counts.values()) == N * (k + 1) + 1:
+        v = min(set(range(N)) - {a for a, b, _ in out if b == a + N})
+        out.append([v, v + N, op2])
+    rest = (i for i, (a, b, owner) in enumerate(out) if a < N <= b and owner == op2)
+    for slot in itertools.islice(itertools.chain(firsts, rest), counts[op1, EdgeClass.CROSS]):
+        out[slot][2] = op1
+    return from_pairs(N, N, out), tuple(orders)

@@ -9,6 +9,7 @@ pass/fail line.  Every expected value is exact.  Run with
 
 import ast
 import random
+import re
 import sys
 import time
 from fractions import Fraction as F
@@ -152,3 +153,16 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # newer syntax (an except* clause, a type parameter list).  ast checks
+    # the grammar only: a library call newer than the floor still parses.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert floor and tuple(map(int, floor.groups())) == (3, 10)
+    sources = sorted(Path(layersec.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

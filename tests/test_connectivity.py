@@ -242,6 +242,26 @@ def test_the_kernel_refuses_a_graph_that_is_not_simple(query, pairs):
         query(4, pairs)
 
 
+@pytest.mark.parametrize("query", [edge_connectivity_pairs, min_cut_pairs], ids=["lambda", "cut"])
+@pytest.mark.parametrize(
+    "n,pairs,message",
+    [
+        (2, [(0, 5)], "int nodes in 0..1"),  # an IndexError in the kernel
+        (3, [(0, -1), (0, 1)], "int nodes in 0..2"),  # wrapped to node 2: lambda 1
+        (4, RING + [(0, 4)], "int nodes in 0..3"),
+        (4, RING[:3] + [(0, 3.0)], "int nodes in 0..3"),
+        (4, RING[:3] + [(True, 3)], "int nodes in 0..3"),
+        (4, RING[:3] + [("0", 3)], "int nodes in 0..3"),
+        (4, RING + [(0, 1, 2)], "\\(u, v\\) pairs"),
+        (4, RING + [7], "\\(u, v\\) pairs"),
+    ],
+    ids=["above", "negative", "n", "float", "bool", "str", "triple", "int"],
+)
+def test_the_kernel_refuses_a_pair_that_is_not_two_nodes(query, n, pairs, message):
+    with pytest.raises(GraphError, match=f"^the flow kernel takes.*{message}"):
+        query(n, pairs)
+
+
 CASE_A = CostProfile(c1=Fraction(1, 30), c2=Fraction(1, 45), c12=Fraction(1, 20), c21=Fraction(2, 45),
                      ca=Fraction(1, 3))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -16,6 +17,7 @@ from helpers import (
     graph_degrees,
     lambda_by_enumeration,
     random_costs,
+    realize_by_triples,
     ring_links,
     stage1_by_scan,
     structured_matches_exact,
@@ -35,7 +37,7 @@ from layersec.construction import (
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor, null_spe_check
-from layersec.graph import Edge, EdgeClass, Owner, from_pairs
+from layersec.graph import LINK_KINDS, Edge, EdgeClass, Owner
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -351,42 +353,49 @@ def test_structured_solve_realizes_every_cheapest_level_on_even_layers():
 
 
 def _built_and_tags(k):
+    """A 5+5 build's graph, plan counts, cycle orders (as lists) and the
+    links off its cycles."""
     built = build_generalized(5, 5, k, costs_of("1/50", "1/50", "1/40", "1/40"))
-    return built.graph, built.plan.counts, [list(order) for order in built.cycle_tags]
+    tags = [list(order) for order in built.cycle_tags]
+    rest = sorted(built.graph.edge_pairs() - set().union(*map(ring_links, tags)))
+    return built.graph, built.plan.counts, tags, rest
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_reads_tags_as_unordered_links(k):
     # A cycle's links are unordered: its order reversed or started at any
     # node is the same cycle, so it shares its links with the original.
-    g, counts, tags = _built_and_tags(k)
-    _verify_built(g, k, counts, tags)
-    _verify_built(g, k, counts, [tag[::-1] for tag in tags])
-    _verify_built(g, k, counts, [tag[3:] + tag[:3] for tag in tags])
+    g, _, tags, rest = _built_and_tags(k)
+    assert _verify_built(g.n, k, tags, rest) == g.edge_pairs()
+    assert _verify_built(g.n, k, [tag[::-1] for tag in tags], rest[::-1]) == g.edge_pairs()
+    assert _verify_built(g.n, k, [tag[3:] + tag[:3] for tag in tags], [(v, u) for u, v in rest]) == g.edge_pairs()
     with pytest.raises(ConstructionError, match="edge-disjoint"):
-        _verify_built(g, k, counts, [tags[0], tags[0][::-1]])
+        _verify_built(g.n, k, [tags[0], tags[0][::-1]], rest)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tagged_pair_that_is_not_a_link(k):
-    # A Hamiltonian cycle edge-disjoint from the first one, but not made of
-    # the graph's links, must not count towards the certificate.
-    g, counts, tags = _built_and_tags(k)
+    # A Hamiltonian cycle edge-disjoint from the first one and from the
+    # other links, but not made of the graph's links, certifies another
+    # link set, not the graph's: a caller holding a graph compares the two.
+    # A realized graph is filed from the certified set, so its orders are
+    # always made of its links.
+    g, _, tags, rest = _built_and_tags(k)
     rng = random.Random(3)
     while True:
         order = rng.sample(range(g.n), g.n)
-        if not ring_links(order) & ring_links(tags[0]) and not ring_links(order) <= g.edge_pairs():
+        if not ring_links(order) & (ring_links(tags[0]) | set(rest)) and not ring_links(order) <= g.edge_pairs():
             break
-    with pytest.raises(ConstructionError, match="graph's links"):
-        _verify_built(g, k, counts, [tags[0], order])
+    assert _verify_built(g.n, k, [tags[0], order], rest) != g.edge_pairs()
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
     # Orders that do not visit each of the ten nodes once: a repeated node,
     # a missing one, and nodes outside 0..9.  A negative node must not wrap
-    # into range the way a Python index does.
-    g, counts, tags = _built_and_tags(k)
+    # into range the way a Python index does, and a node equal to an int
+    # but not one (1.0, True) is no node.
+    g, _, tags, rest = _built_and_tags(k)
     first = tags[0]
     for order in (
         first[:-1] + first[:1],  # the first node twice, the last one never
@@ -395,23 +404,91 @@ def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
         first[:-1] + [-1],
         first[:-1] + [-10],
         first + [first[0]],  # eleven entries
+        [float(v) for v in first],
+        [True if v == 1 else v for v in first],
     ):
         with pytest.raises(ConstructionError, match="Hamiltonian"):
-            _verify_built(g, k, counts, [tags[1], order])
+            _verify_built(g.n, k, [tags[1], order], rest)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_wrong_counts_degrees_and_too_few_cycles(k):
-    g, counts, tags = _built_and_tags(k)
-    key = (Owner.OPERATOR1, EdgeClass.INTRA1)
+    # The counts are checked by _realize, against the certified links.  A
+    # degree below k + 1 is an even-k node that no link off the cycles
+    # touches: a one-node arc of the first cycle, which the arc check finds.
+    g, counts, tags, rest = _built_and_tags(k)
+    intra2, cross2 = (Owner.OPERATOR2, EdgeClass.INTRA2), (Owner.OPERATOR2, EdgeClass.CROSS)
     with pytest.raises(ConstructionError, match="count mismatch"):
-        _verify_built(g, k, {**counts, key: counts[key] + 1}, tags)
-    with pytest.raises(ConstructionError, match="degree below k \\+ 1"):
-        _verify_built(g, k + 1, counts, tags)
+        _realize(5, k, {**counts, intra2: counts[intra2] - 1, cross2: counts[cross2] + 1})
+    with pytest.raises(ConstructionError, match="the counts total"):
+        _realize(5, k, {**counts, cross2: counts[cross2] + 2})
+    if k % 2 == 0:
+        with pytest.raises(ConstructionError, match="failed the resilience check"):
+            _verify_built(g.n, k, tags, rest[1:])
     with pytest.raises(ConstructionError, match="do not cover"):
-        _verify_built(g, k, counts, tags[:1])
+        _verify_built(g.n, k, tags[:1], rest)
     with pytest.raises(ConstructionError, match="do not cover"):
-        _verify_built(g, k, counts, [])
+        _verify_built(g.n, k, [], rest)
+    with pytest.raises(ConstructionError, match="needs k >= 1, got k = 0"):
+        _verify_built(g.n, 0, [], [])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_built_refuses_a_doctored_link_off_the_cycles(k):
+    # Each doctored list of links off the cycles is refused: a non-pair,
+    # a non-int end, an end out of range, a self-loop, a link listed twice
+    # (in either order), a link on a cycle, and for odd k any link at all.
+    g, _, tags, rest = _built_and_tags(k)
+    on_cycle = min(ring_links(tags[0]))
+    free = min(set(itertools.combinations(range(g.n), 2)) - g.edge_pairs())
+    cases = [
+        ([(0, 1, 2)], "not a \\(u, v\\) pair"),
+        ([7], "not a \\(u, v\\) pair"),
+        ([(0, 5.0)], "distinct int nodes"),
+        ([(True, 5)], "distinct int nodes"),
+        ([(0, 10)], "distinct int nodes"),
+        ([(-1, 3)], "distinct int nodes"),
+        ([(4, 4)], "distinct int nodes"),
+        ([on_cycle], "lies on a cycle"),
+    ]
+    if rest:
+        cases += [(rest[:1], "listed twice"), ([rest[0][::-1]], "listed twice")]
+    else:
+        cases.append(([free], "odd-k build has links off its cycles"))
+    for doctored, message in cases:
+        with pytest.raises(ConstructionError, match=message):
+            _verify_built(g.n, k, tags, rest + doctored)
+
+
+def test_realize_files_every_plan_as_the_triple_builder_does():
+    # The reference emits one (u, v, owner) triple per link and files them
+    # with from_pairs.  Every plan with n1 = 3..20, every k and every e11
+    # of the plain shape and of the parity shape (even k, a node left
+    # without a vertical) gives an equal graph with the same link set per
+    # kind, so every owner matches, and the same orders.  e12 runs over 0,
+    # 1, k + 1 (the closers, and for even k one more) and all the cross
+    # links but one: for n1 <= 6 each, above that one per e11, in turn.
+    # Up to n1 = 8, the cycles are the graph's links for odd k and lie in
+    # it for even k.
+    plans = 0
+    for n1 in range(3, 21):
+        for k in range(1, n1):
+            total, plain = n1 * (k + 1), (n1 - 1) * (k + 1) // 2
+            shapes = [(e11, total - 2 * e11) for e11 in range(plain + 1)]
+            if k % 2 == 0 and k < n1 - 1:
+                shapes += [(e11, total + 1 - 2 * e11) for e11 in range(k // 2 * (n1 - 1) + n1 // 2 + 1)]
+            for i, (e11, cross) in enumerate(shapes):
+                picks = [0, 1, k + 1, cross - 1]
+                for e12 in picks if n1 <= 6 else picks[i % 4 : i % 4 + 1]:
+                    counts = dict(zip(LINK_KINDS, (e11, e12, e11, cross - e12)))
+                    g, orders = _realize(n1, k, counts)
+                    want, want_orders = realize_by_triples(n1, k, counts)
+                    assert (g, orders) == (want, want_orders), (n1, k, counts)
+                    if n1 <= 8:
+                        cycles = set().union(*map(ring_links, orders))
+                        assert cycles == g.edge_pairs() if k % 2 else cycles < g.edge_pairs()
+                    plans += 1
+    assert plans == 16344
 
 
 @pytest.mark.parametrize("n1,k,e11,x", [(3, 2, 1, 8), (2, 1, 1, 3)])
@@ -431,11 +508,12 @@ def test_realize_refuses_a_parity_shape_with_no_free_node(n1, k, e11, x):
 
 @pytest.mark.parametrize("ca", [F(1, 3), F(1, 4)])
 def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca):
-    # One from_pairs for the whole build; each cycle is checked through its
-    # node order, so no component search or flow runs.  The count check
-    # and the reported profile read the graph's link sets, so no Edge is
-    # built.
+    # The build files its certified links itself: no from_pairs and no
+    # degree pass.  Each cycle is checked through its node order, so no
+    # component search or flow runs.  The count check and the reported
+    # profile read the graph's link sets, so no Edge is built.
     builds = count_calls(monkeypatch, layersec.graph, "from_pairs")
+    degree_passes = count_calls(monkeypatch, layersec.graph, "degrees")
     searches = count_calls(monkeypatch, layersec.connectivity, "connected_pairs")
     flows = count_flows(monkeypatch)
     inner, edges = Edge.__new__, []
@@ -449,7 +527,7 @@ def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca)
     edges.clear()
     sol, built = structured_solve(101, 101, CostProfile(F(1, 1010), F(1, 1010), F(1, 505), F(1, 101), ca))
     assert (sol.is_null, built.cycles_built) == (False, 2)
-    assert (len(builds), len(searches), len(flows), len(edges)) == (1, 0, 0, 0)
+    assert (len(builds), len(degree_passes), len(searches), len(flows), len(edges)) == (0, 0, 0, 0, 0)
 
 
 def _arcs_brute_force(order, pairs):
@@ -518,27 +596,20 @@ def test_every_even_k_plan_up_to_twenty_nodes_per_layer_passes_the_arc_certifica
                 built += 1
             if n1 % 2 == 0:
                 e11 = plain + 1
-                counts = StageOnePlan(e11, 0, total - 2 * e11, F(0), F(0)).counts
-                out, _, tags = _build_cycle_superposition(n1, k, e11)
-                g = from_pairs(n1, n1, [tuple(t) for t in out])
+                tags, rest = _build_cycle_superposition(n1, k, e11, 0)
                 with pytest.raises(ConstructionError, match="failed the resilience check"):
-                    _verify_built(g, k, counts, tags)
-                assert arc_floor(tags[0], g.edge_pairs()) <= k
+                    _verify_built(2 * n1, k, tags, rest)
+                assert arc_floor(tags[0], set().union(*map(ring_links, tags), rest)) <= k
                 refused += 1
     assert (built, refused) == (10311, 45)
 
 
 def test_verify_built_rejects_an_even_k_build_with_a_cut_of_k():
-    # Counts, degrees and the one cycle 0-1-...-7-0 all pass, but the
-    # arc {0, 1, 2, 3} of that cycle has only the links (3, 4) and (7, 0)
-    # leaving it: a cut of k = 2.
-    op1, op2 = Owner.OPERATOR1, Owner.OPERATOR2
-    cycle = [(i, (i + 1) % 8) for i in range(8)]
-    links = [(u, v, op1 if max(u, v) < 4 else op2) for u, v in cycle]
-    links += [(0, 2, op1), (1, 3, op1), (4, 6, op2), (5, 7, op2)]
-    plan = StageOnePlan(5, 0, 2, F(0), F(0))
+    # The one cycle 0-1-...-7-0 and the links off it, which touch every
+    # node, pass every other check, but the arc {0, 1, 2, 3} of that cycle
+    # has only the links (3, 4) and (7, 0) leaving it: a cut of k = 2.
     with pytest.raises(ConstructionError, match="failed the resilience check"):
-        _verify_built(from_pairs(4, 4, links), 2, plan.counts, [list(range(8))])
+        _verify_built(8, 2, [list(range(8))], [(0, 2), (1, 3), (4, 6), (5, 7)])
 
 
 def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():
@@ -548,7 +619,7 @@ def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():
     # cycle, is a cut of k.  The realizer's extra vertical, planned as one
     # more cross link, makes it k-resistant, with two nodes of degree k + 2.
     n, k, e11 = 6, 4, 13
-    out, closer_slots, tags = _build_cycle_superposition(n, k, e11)
+    tags, rest = _build_cycle_superposition(n, k, e11, 0)
     counts = {
         (Owner.OPERATOR1, EdgeClass.INTRA1): e11,
         (Owner.OPERATOR1, EdgeClass.CROSS): 0,
@@ -556,7 +627,7 @@ def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():
         (Owner.OPERATOR2, EdgeClass.CROSS): k,
     }
     with pytest.raises(ConstructionError, match="failed the resilience check"):
-        _verify_built(from_pairs(n, n, [tuple(t) for t in out]), k, counts, tags)
+        _verify_built(2 * n, k, tags, rest)
     g, _ = _realize(n, k, {**counts, (Owner.OPERATOR2, EdgeClass.CROSS): k + 1})
     assert sorted(graph_degrees(g)) == [k + 1] * (2 * n - 2) + [k + 2] * 2
     assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
@@ -589,11 +660,10 @@ def test_zigzag_paths_are_disjoint_and_the_matching_misses_them():
         used, ends = set(), set()  # links and ends of zigzag paths 0..c-1
         for c in range(n // 2 + 1):
             if 2 * c < n:  # even k = 2c: the matching of pairs beside c paths
-                out = []
-                _add_matching(n, c, n, out, [])  # every pair as intra links
-                pairs = {frozenset(e[:2]) for e in out if e[2] == Owner.OPERATOR1}
+                links = _add_matching(n, c, n)  # every pair as intra links
+                pairs = {frozenset(e) for e in links if e[1] < n}
                 left = set(range(n)) - {v for p in pairs for v in p}
-                verticals = [e[0] for e in out if e[1] == e[0] + n]
+                verticals = [u for u, v in links if v == u + n]
                 assert len(pairs) == n // 2 and not (used & pairs)
                 assert left == set(verticals) == ({c} if n % 2 else set())
                 assert not (left & ends)

@@ -208,6 +208,30 @@ def test_floats_are_refused():
     assert CostProfile("0.1", F(1, 5), "1/10", F(1, 10), "1/3") == costs_of("1/10", "1/5", "1/10", "1/10", "1/3")
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, True, "2", None], ids=["negative", "float", "bool", "str", "none"])
+def test_the_game_entry_points_refuse_a_k_that_is_not_an_int_at_least_0(k):
+    # null_spe_check(3, 3, -1, c) returned None, and 1.5 raised a raw
+    # TypeError from _joint_cost_floor.
+    costs = costs_of("1/10", "1/12", "1/10", "1/9", "1/2")
+    with pytest.raises(GameError, match=r"^k must be an int >= 0, got "):
+        null_spe_check(3, 3, k, costs)
+    with pytest.raises(GameError, match=r"^k must be an int >= 0, got "):
+        operator2_best_response_exact(from_pairs(4, 3, ()), costs, k)
+    assert null_spe_check(3, 3, 0, costs) is None
+
+
+@pytest.mark.parametrize(
+    "n1,n2,name",
+    [(3.0, 2, "n1"), (2, 3.0, "n2"), (True, 2, "n1"), (0, 2, "n1"), (2, -1, "n2"), ("2", 2, "n1")],
+    ids=["float", "float-n2", "bool", "zero", "negative", "str"],
+)
+def test_the_exact_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n2, name):
+    costs = costs_of("1/10", "1/12", "1/10", "1/9", "1/2")
+    for solver in (solve_spe_exact, bruteforce_spe_oracle):
+        with pytest.raises(GameError, match=f"^{name} must be an int >= 1, got "):
+            solver(n1, n2, costs)
+
+
 def test_operator2_response_refuses_at_cost_one():
     # completion needs 12 cross links at 1/12 each: exactly cost 1, so null
     costs = costs_of("1/100", "1/12", "1/100", "1/12", "1/2")

@@ -22,6 +22,7 @@ from layersec.game import (
     utilities,
 )
 from layersec.metrics import (
+    MODES,
     MetricsError,
     cost_bounds,
     efficiency,
@@ -102,6 +103,25 @@ def test_team_optimal_and_cost_bounds_refuse_a_k_that_is_not_an_int_at_least_0(c
     # solved as k = 1, and 1.5 raised a raw TypeError.
     with pytest.raises(MetricsError, match=r"^k must be an int >= 0, got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "n1,n2,name",
+    [(3.0, 3, "n1"), (3, 3.0, "n2"), (True, 3, "n1"), (0, 3, "n1"), (3, -2, "n2"), (None, 3, "n1")],
+    ids=["float", "float-n2", "bool", "zero", "negative", "none"],
+)
+def test_the_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n2, name):
+    # solve_game(3.0, 3, c) and structured_solve(3.0, 3.0, c) raised a raw
+    # TypeError from Fraction arithmetic.
+    message = f"^{name} must be an int >= 1, got "
+    for call in (lambda: solve_game(n1, n2, CASE_A), lambda: team_optimal(n1, n2, 1, CASE_A)):
+        with pytest.raises(MetricsError, match=message):
+            call()
+    for mode in MODES:
+        with pytest.raises(MetricsError, match=message):
+            solve_game(n1, n2, CASE_A, mode=mode)
+    with pytest.raises(ConstructionError, match=message):
+        structured_solve(n1, n2, CASE_A)
 
 
 def test_team_optimal_and_cost_bounds_answer_k_zero():
