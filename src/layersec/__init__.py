@@ -12,8 +12,6 @@ from .connectivity import (
 from .construction import (
     BuiltNetwork,
     ConstructionError,
-    StageOnePlan,
-    build_generalized,
     stage1_allocate,
     structured_solve,
 )

@@ -102,7 +102,7 @@ def cmd_construct(args) -> tuple:
         "k": solution.k,
         "edges": sum(map(len, graph.links)),
         **_counts(graph),
-        "cycles_built": 0 if built is None else built.cycles_built,  # exact search lays out no cycles
+        "cycles_built": 0 if built is None else len(built.cycle_tags),  # exact search lays out no cycles
         "p": link_connectivity(graph).p,
         "u1": solution.u1,
         "u2": solution.u2,

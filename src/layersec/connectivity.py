@@ -190,7 +190,9 @@ def min_edge_cut(g: LayeredGraph) -> frozenset[tuple[int, int]]:
 
 
 def is_p_resistant(g: LayeredGraph, p: int) -> bool:
-    """True iff the network survives the deletion of any p links."""
+    """True iff the network survives the deletion of any p links (p an int >= 0, not a bool)."""
+    if type(p) is not int:
+        raise GraphError(f"resistance level must be an int, got {p!r}")
     if p < 0:
         raise GraphError("resistance level must be non-negative")
     return edge_connectivity(g) > p

@@ -1,10 +1,10 @@
 """Network construction.
 
 The structured route covers n1 == n2 with 1 <= k < n1, checked in one
-place (``_check_domain``).  One realizer, ``_realize``, turns link counts
-per (owner, class) into both the equilibrium network
-(``build_generalized``) and the team design (``_team_design``) over the
-2*n1 nodes (either layer parity):
+place (``_check_domain``).  One realizer, ``_realize``, turns a plan's
+three counts (e11 intra links per layer, e12 and operator 2's cross links)
+into both the equilibrium network (``build_generalized``) and the team
+design (``_team_design``) over the 2*n1 nodes (either layer parity):
 a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
 cycles, plus, for even k, one perfect matching of pairs no cycle uses,
 plus one extra vertical when the counts total n1(k+1) + 1 links.
@@ -25,7 +25,8 @@ between the two operators:
   stage 7  the certificate (``_verify_built``) proves the links
            k-resistant and returns them;
   stage 8  each link is filed by its ends, and operator 1 takes e12 of the
-           cross links, closers first; the four counts must be the plan's.
+           cross links, closers first; the four built counts must be
+           (e11, e12, e11, x), the plan's.
 
 Every layer size takes the same layout: cycle r runs along zigzag path r
 of K_n1 (``_zigzag``), and the even-k matching pairs consecutive nodes of
@@ -82,10 +83,7 @@ from .game import (
     attack_budget,
     null_spe_check,
 )
-from .graph import LINK_KINDS, EdgeClass, LayeredGraph, Owner
-
-OP1 = Owner.OPERATOR1
-OP2 = Owner.OPERATOR2
+from .graph import LayeredGraph
 
 
 class ConstructionError(ValueError):
@@ -93,10 +91,10 @@ class ConstructionError(ValueError):
 
 
 def _check_domain(n1: int, n2: int, k: int):
-    """Raise unless the structured route covers the game: n1 == n2 and 1 <= k < n1."""
-    if n1 != n2 or not 1 <= k < n1:
+    """Raise unless the structured route covers the game: ints n1 == n2 and 1 <= k < n1."""
+    if not all(type(v) is int for v in (n1, n2, k)) or n1 != n2 or not 1 <= k < n1:
         raise ConstructionError(
-            f"the structured route needs n1 == n2 and 1 <= k < n1, got n1 = {n1}, n2 = {n2}, k = {k}"
+            f"the structured route needs n1 == n2 and 1 <= k < n1, got n1 = {n1!r}, n2 = {n2!r}, k = {k!r}"
         )
 
 
@@ -115,21 +113,12 @@ class StageOnePlan:
         """Operator 2 mirrors every operator-1 intra link."""
         return self.e11
 
-    @property
-    def counts(self) -> dict:
-        """Planned links per (owner, class)."""
-        return dict(zip(LINK_KINDS, (self.e11, self.e12, self.op2_intra, self.op2_cross)))
-
 
 @dataclass(frozen=True)
 class BuiltNetwork:
     graph: LayeredGraph
     plan: StageOnePlan
     cycle_tags: tuple  # the node order of each cycle
-
-    @property
-    def cycles_built(self) -> int:
-        return len(self.cycle_tags)
 
 
 def stage1_allocate(n1: int, k: int, costs: CostProfile) -> StageOnePlan | None:
@@ -208,17 +197,16 @@ def _last_below(L: int, lo: int, hi: int, d2: int, c2: int, c21: int):
 
 
 def _zigzag(length: int, r: int) -> list:
-    """Zigzag sequence r, r+1, r-1, r+2, ... covering Z_length.
+    """Zigzag sequence r, r+1, r-1, r+2, ... covering Z_length, 0 <= r < length.
 
     Its steps alternate between the layer-1 pairs of sum 2r + 1 and of
     sum 2r (mod length), and it holds every such pair, so zigzag paths r
     and r' share no link when 2r, 2r + 1, 2r', 2r' + 1 are distinct mod
     length.  It ends at r and at r + ceil(length/2).
     """
-    seq = [r]
-    for i in range(1, length):
-        off = (i + 1) // 2
-        seq.append((r + off) % length if i % 2 == 1 else (r - off) % length)
+    seq = [r] * length
+    seq[::2] = [v % length for v in range(r, r - (length + 1) // 2, -1)]  # r, r-1, r-2, ...
+    seq[1::2] = [v % length for v in range(r + 1, r + 1 + length // 2)]  # r+1, r+2, ...
     return seq
 
 
@@ -311,32 +299,32 @@ def _cross_order(n1: int, orders, rest: list, extra: int):
     yield from rest[len(rest) - extra :]
 
 
-def _realize(n1: int, k: int, counts: dict):
-    """(graph, cycle orders): the certified network with ``counts`` links per
-    (owner, class), counts[(OP1, INTRA1)] mirrored intra links per layer.
+def _realize(n1: int, k: int, e11: int, e12: int, op2_cross: int):
+    """(graph, cycle orders): the certified network with e11 mirrored intra
+    links per layer, e12 cross links of operator 1 and op2_cross of
+    operator 2.
 
     The counts total n1(k+1) links, or n1(k+1) + 1 for the parity shape,
     whose extra vertical goes at the first node without one (it raises if
     no node is left).  ``_verify_built`` proves the links k-resistant and
-    returns them; each is filed by its ends, and operator 1 takes
-    counts[(OP1, CROSS)] of the cross links in ``_cross_order``.  With the
-    four counts the planned ones, the least degree is k + 1 (module
-    docstring), and lambda = k + 1 is recorded on the graph.
+    returns them; each is filed by its ends, and operator 1 takes the
+    first e12 cross links of ``_cross_order``.  With the four counts the
+    planned ones, the least degree is k + 1 (module docstring), and
+    lambda = k + 1 is recorded on the graph.
     """
-    extra = sum(counts.values()) - n1 * (k + 1)
+    extra = 2 * e11 + e12 + op2_cross - n1 * (k + 1)
     if extra not in (0, 1):
         raise ConstructionError(f"the counts total {n1 * (k + 1) + extra} links, not n1(k+1) or one more")
-    orders, rest = _build_cycle_superposition(n1, k, counts[OP1, EdgeClass.INTRA1], extra)
+    orders, rest = _build_cycle_superposition(n1, k, e11, extra)
     links = _verify_built(2 * n1, k, orders, rest)
     intra1 = frozenset(link for link in links if link[1] < n1)
     intra2 = frozenset(link for link in links if link[0] >= n1)
     cross = links - intra1 - intra2
-    taken = itertools.islice(_cross_order(n1, orders, rest, extra), counts[OP1, EdgeClass.CROSS])
-    op1_cross = cross.intersection(taken)
+    op1_cross = cross.intersection(itertools.islice(_cross_order(n1, orders, rest, extra), e12))
     graph = LayeredGraph(n1, n1, (intra1, frozenset(op1_cross), intra2, frozenset(cross - op1_cross)))
-    for key, pairs in zip(LINK_KINDS, graph.links):
-        if len(pairs) != counts[key]:
-            raise ConstructionError(f"count mismatch for {key}: built {len(pairs)}, planned {counts[key]}")
+    built, planned = tuple(map(len, graph.links)), (e11, e12, e11, op2_cross)
+    if built != planned:
+        raise ConstructionError(f"count mismatch: built {built} links per kind, planned {planned}")
     keep_lambda(graph, k + 1)
     return graph, orders
 
@@ -445,7 +433,7 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
     plan = stage1_allocate(n1, k, costs)
     if plan is None:
         return None
-    graph, orders = _realize(n1, k, plan.counts)
+    graph, orders = _realize(n1, k, plan.e11, plan.e12, plan.op2_cross)
     return BuiltNetwork(graph, plan, orders)
 
 
@@ -462,8 +450,7 @@ def _team_design(n1: int, n2: int, k: int, costs: CostProfile):
     cost, x = _joint_cost_floor(n1, n1, k, costs)
     e11 = (n1 * (k + 1) - x + 1) // 2
     op1_cross = x if costs.c12 <= costs.c21 else 0
-    counts = dict(zip(LINK_KINDS, (e11, op1_cross, e11, x - op1_cross)))
-    return _realize(n1, k, counts)[0], cost
+    return _realize(n1, k, e11, op1_cross, x - op1_cross)[0], cost
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile):

@@ -167,9 +167,11 @@ def _exact_cost(value, name: str) -> Fraction:
     are refused: Fraction(0.1) is slightly above 1/10, which moves the
     strict comparisons every answer hinges on."""
     if isinstance(value, (bool, float)):
-        kind = type(value).__name__
-        raise GameError(f"{name} = {value!r} is a {kind}: pass a Fraction, an int or a string")
-    value = Fraction(value)
+        raise GameError(f"{name} = {value!r} is a {type(value).__name__}: pass a Fraction or a string")
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GameError(f"{name} = {value!r} is not a rational number ({exc})") from exc
     if not 0 < value < 1:
         raise GameError(f"{name} = {value} is outside (0, 1)")
     return value
@@ -208,9 +210,10 @@ def _norm_pair(p) -> tuple:
 def utilities(profile: StrategyProfile, costs: CostProfile, n1: int, n2: int) -> GameOutcome:
     """Evaluate the three payoffs of a (possibly off-equilibrium) profile.
 
-    Each operator pays for its links as the network files them.  The
-    profile is refused when the network's layers are not (n1, n2) or the
-    attack holds anything but (u, v) pairs of built links."""
+    Each operator pays for its links as the network files them.  Layer
+    sizes must be ints >= 1, the network's layers (n1, n2), and the attack
+    (u, v) pairs of built links."""
+    _check_layers(n1, n2)
     graph = profile.network
     if (graph.n1, graph.n2) != (n1, n2):
         raise GameError(f"malformed profile: a {graph.n1}+{graph.n2} network in a {n1}+{n2} game")
@@ -257,8 +260,9 @@ def null_spe_check(n1: int, n2: int, k: int, costs: CostProfile):
     (no node can reach degree k + 1), "cost-bound" when it reaches 2.
     The floor prices each link at its own class's cost (cross links at
     min(c12, c21)), so it holds for any order of the four link costs.
-    Raises ``GameError`` unless k is an int >= 0.
+    Raises ``GameError`` unless n1, n2 are ints >= 1 and k an int >= 0.
     """
+    _check_layers(n1, n2)
     _check_int(k, "k", 0)
     floor, _ = _joint_cost_floor(n1, n2, k, costs)
     if floor is None:
@@ -281,6 +285,11 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
     over x <= n1*n2 and x >= max(k + 1, ni(k+1) - ni(ni-1)) for each
     layer: a node has at most ni - 1 intra links, a layer at most
     C(ni, 2).  Priced in units of 1/L (``_scale``).
+
+    For k >= 1 and n1 + n2 <= 9 it is the team optimum: for each x that
+    ``_count_floor`` may return, ``_place`` finds a k-resistant network
+    with these counts (all 679 cases in ``tests/test_game.py``).  At k = 0
+    it is only a bound: 3+3 at case-a costs has floor 1/10, optimum 7/45.
     """
     L, c1, c2, c12, c21 = _scale(costs)
     lo = max(k + 1, n1 * (k + 2 - n1), n2 * (k + 2 - n2))
@@ -570,9 +579,10 @@ def operator2_best_response_exact(
     Returns the empty set when the standing network already resists k
     removals or when no response costing strictly less than 1 achieves
     that; otherwise a minimum-cost set of (u, v) pairs for operator 2 to build.
-    Raises ``GameError`` unless k is an int >= 0.
+    Raises ``GameError`` unless k is an int >= 0 and the cap an int >= 1.
     """
     _check_int(k, "k", 0)
+    _check_int(cap, "cap", 1)
     uni = EdgeUniverse(g1.n1, g1.n2)
     L, _, c2, _, c21 = _scale(costs)
     pools = [uni.cross_bits, uni.intra2_bits]
@@ -682,9 +692,9 @@ def solve_spe_exact(
     securable strategy generated at that cost.  The cap counts a tick per
     generated row node of operator 1's strategies and per node of operator
     2's placement search.  Intended for n1 + n2 <= 9; layer sizes must be
-    ints >= 1.
+    ints >= 1 (``null_spe_check`` refuses others), the cap an int >= 1.
     """
-    _check_layers(n1, n2)
+    _check_int(cap, "cap", 1)
     k = attack_budget(costs.ca)
     if null_spe_check(n1, n2, k, costs):
         return SpeSolution.null(k, n1, n2)

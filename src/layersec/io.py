@@ -23,12 +23,10 @@ class FormatError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    """Exact rational from "p/q", a decimal string, or an int."""
+    """Exact rational from "p/q", a decimal string, or an int; a float is refused."""
+    if isinstance(value, float):
+        raise FormatError(f"refusing float {value!r}: write it as a string to keep it exact")
     try:
-        if isinstance(value, float):
-            raise FormatError(
-                f"refusing float {value!r}: write it as a string to keep it exact"
-            )
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"cannot parse rational {value!r}") from exc

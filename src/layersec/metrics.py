@@ -82,8 +82,10 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     The lower bound is the capped joint floor ``game._joint_cost_floor``,
     valid in any cost order; None when no node can reach degree k + 1.
     The upper bound (two Harary rings plus k + 1 bridges) is only defined
-    when both layers have at least k + 1 nodes; None otherwise.
+    when both layers have at least k + 1 nodes; None otherwise.  n1, n2
+    must be ints >= 1, k an int >= 0.
     """
+    _check_layers(n1, n2, MetricsError)
     _check_int(k, "k", 0, MetricsError)
     upper = None
     if n1 >= k + 1 and n2 >= k + 1:
@@ -105,10 +107,11 @@ def team_optimal(
     n1 + n2 <= EXACT_MAX_NODES; for larger instances in the structured
     domain the certified design of ``construction._team_design``, which
     costs the capped joint floor and so is exact.  Layer sizes must be
-    ints >= 1, and k an int >= 0.
+    ints >= 1, k an int >= 0 and the cap an int >= 1.
     """
     _check_layers(n1, n2, MetricsError)
     _check_int(k, "k", 0, MetricsError)
+    _check_int(cap, "cap", 1, MetricsError)
     if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
     if n1 + n2 <= EXACT_MAX_NODES:
@@ -129,9 +132,10 @@ def solve_game(
     or structured; auto routes by size only: exact search for
     n1 + n2 <= EXACT_MAX_NODES, otherwise
     ``construction.structured_solve``, in any cost order.  Layer sizes
-    must be ints >= 1.
+    must be ints >= 1, and the cap an int >= 1.
     """
     _check_layers(n1, n2, MetricsError)
+    _check_int(cap, "cap", 1, MetricsError)
     if mode not in MODES:
         raise MetricsError(f"unknown mode {mode!r}: expected auto, exact or structured")
     if mode == "exact" or (mode == "auto" and n1 + n2 <= EXACT_MAX_NODES):

@@ -411,7 +411,7 @@ def structured_matches_exact(n, costs):
         assert structured.u2 == exact.u2_values[0], costs
 
 
-def realize_by_triples(n1, k, counts):
+def realize_by_triples(n1, k, e11, e12, op2_cross):
     """Reference for ``construction._realize``, unchecked: (graph, cycle
     orders) built as one (u, v, owner) triple per link and filed by
     ``from_pairs``.  Cycle r runs along zigzag path r: its first mirrored
@@ -419,11 +419,10 @@ def realize_by_triples(n1, k, counts):
     its other steps two cross links, and two verticals close it.  For even
     k a matching of consecutive nodes of zigzag path (k+1)//2 follows;
     when the counts total n1(k+1) + 1, one vertical at the first node
-    without one.  Operator 1 takes counts[(OP1, CROSS)] cross links: the
-    closers and the matching's cross links first, then the others in the
-    order they were laid out."""
+    without one.  Operator 1 takes e12 cross links: the closers and the
+    matching's cross links first, then the others in the order they were
+    laid out."""
     op1, op2, N, C = Owner.OPERATOR1, Owner.OPERATOR2, n1, (k + 1) // 2
-    e11 = counts[op1, EdgeClass.INTRA1]
     held = min(e11, C * (N - 1))
     m, z = divmod(held, N - 1)
     steps = [N - 1] * m + [z] + [0] * C
@@ -448,10 +447,10 @@ def realize_by_triples(n1, k, counts):
         for a, b in cross + ([(C, C + N)] if N % 2 else []):
             firsts.append(len(out))
             out.append([a, b, op2])
-    if sum(counts.values()) == N * (k + 1) + 1:
+    if 2 * e11 + e12 + op2_cross == N * (k + 1) + 1:
         v = min(set(range(N)) - {a for a, b, _ in out if b == a + N})
         out.append([v, v + N, op2])
     rest = (i for i, (a, b, owner) in enumerate(out) if a < N <= b and owner == op2)
-    for slot in itertools.islice(itertools.chain(firsts, rest), counts[op1, EdgeClass.CROSS]):
+    for slot in itertools.islice(itertools.chain(firsts, rest), e12):
         out[slot][2] = op1
     return from_pairs(N, N, out), tuple(orders)

@@ -8,12 +8,16 @@ pass/fail line.  Every expected value is exact.  Run with
 """
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import random
 import re
 import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -109,7 +113,7 @@ def test_criterion_10_structural_invariants():
         assert tally[Owner.OPERATOR1, EdgeClass.CROSS] + tally[Owner.OPERATOR2, EdgeClass.CROSS] >= k + 1
         assert link_connectivity(g).p >= k
         assert set(graph_degrees(g)) == {k + 1}
-        assert built.cycles_built == (k + 1) // 2
+        assert len(built.cycle_tags) == (k + 1) // 2
         seen = set()
         for order in built.cycle_tags:
             tag = ring_links(order)
@@ -166,3 +170,32 @@ def test_every_module_parses_at_the_declared_python_floor():
     assert len(sources) >= 9
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_dotted_name_the_readme_gives_resolves():
+    # A backticked dotted name whose first part is the package, one of its
+    # modules or a name one of them binds (not a stdlib module) must
+    # resolve, part by part, as a module attribute, a class attribute or a
+    # dataclass field: a deletion that leaves the README naming the deleted
+    # thing fails here.  Report paths (`poa.c_co`), scenario keys
+    # (`caps.search`) and stdlib names (`fractions.Fraction`) fall outside.
+    modules = {m.name: importlib.import_module(f"layersec.{m.name}") for m in pkgutil.iter_modules(layersec.__path__)}
+    roots = {"layersec": layersec, **modules}
+    for module in modules.values():
+        for name, value in vars(module).items():
+            if not isinstance(value, ModuleType):
+                roots.setdefault(name, value)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    names = {name for span in spans for name in re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)}
+    checked = sorted(name for name in names if name.split(".")[0] in roots)
+    for name in checked:
+        first, *parts = name.split(".")
+        value = roots[first]
+        for i, part in enumerate(parts):
+            if hasattr(value, part):
+                value = getattr(value, part)
+            else:
+                fields = {f.name for f in dataclasses.fields(value)} if dataclasses.is_dataclass(value) else ()
+                assert part in fields and i == len(parts) - 1, f"README names {name}, which does not resolve"
+    assert len(checked) >= 15, checked

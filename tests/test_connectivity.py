@@ -78,8 +78,15 @@ def test_p_resistance():
     assert is_p_resistant(g, 0)
     assert is_p_resistant(g, 1)
     assert not is_p_resistant(g, 2)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^resistance level must be non-negative$"):
         is_p_resistant(g, -1)
+
+
+@pytest.mark.parametrize("p", [1.5, True, "a", None], ids=["float", "bool", "str", "none"])
+def test_p_resistance_refuses_a_level_that_is_not_an_int(p):
+    # 1.5 and True answered True, and "a" raised a raw TypeError.
+    with pytest.raises(GraphError, match=f"^resistance level must be an int, got {p!r}$"):
+        is_p_resistant(cycle_graph(3, 3), p)
 
 
 def test_enumeration_agreement_exhaustive_four_nodes():
@@ -290,7 +297,7 @@ def test_an_even_k_build_is_certified_without_a_flow(monkeypatch):
     calls = count_flows(monkeypatch)
     even_k = CostProfile(c1=CASE_A.c1, c2=CASE_A.c2, c12=CASE_A.c12, c21=CASE_A.c21, ca=Fraction(1, 4))
     built = build_generalized(9, 9, 4, even_k)
-    assert built.cycles_built == 2
+    assert len(built.cycle_tags) == 2
     assert len(calls) == 0  # the arc sweep over the first cycle is the certificate
     assert link_connectivity(built.graph).p == 4
     assert adversary_best_response(built.graph, even_k.ca) == frozenset()
@@ -301,7 +308,7 @@ def test_a_large_even_k_solve_runs_no_flow(monkeypatch):
     calls = count_flows(monkeypatch)
     costs = CostProfile(Fraction(1, 3010), Fraction(1, 3010), Fraction(1, 1505), Fraction(1, 301), Fraction(1, 4))
     sol, built = structured_solve(301, 301, costs)
-    assert (sol.k, sol.is_null, built.cycles_built) == (4, False, 2)
+    assert (sol.k, sol.is_null, len(built.cycle_tags)) == (4, False, 2)
     assert link_connectivity(built.graph).p == 4
     assert len(calls) == 0
 

@@ -30,6 +30,7 @@ from layersec.construction import (
     _build_cycle_superposition,
     _closed_arc,
     _realize,
+    _team_design,
     _verify_built,
     _zigzag,
     build_generalized,
@@ -37,7 +38,7 @@ from layersec.construction import (
     structured_solve,
 )
 from layersec.game import CostProfile, StrategyProfile, _level_floor, null_spe_check
-from layersec.graph import LINK_KINDS, Edge, EdgeClass, Owner
+from layersec.graph import Edge, EdgeClass, Owner
 
 
 def costs_of(c1, c2, c12, c21, ca="1/2") -> CostProfile:
@@ -154,6 +155,25 @@ def test_stage1_rejects_bad_inputs():
         stage1_allocate(9, 9, CASE_A)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: stage1_allocate(3.0, 1, CASE_A), r"1 <= k < n1, got n1 = 3.0, n2 = 3.0, k = 1$"),
+        (lambda: build_generalized(3.0, 3.0, 1, CASE_A), r"1 <= k < n1, got n1 = 3.0, n2 = 3.0, k = 1$"),
+        (lambda: stage1_allocate(3, True, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = True$"),
+        (lambda: build_generalized(3, 3, True, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = True$"),
+        (lambda: stage1_allocate(3, 1.0, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = 1.0$"),
+        (lambda: _team_design(4, 4, True, CASE_A), r"1 <= k < n1, got n1 = 4, n2 = 4, k = True$"),
+    ],
+    ids=["stage1-float-n1", "build-float-sizes", "stage1-bool-k", "build-bool-k", "stage1-float-k", "team-bool-k"],
+)
+def test_the_structured_route_refuses_sizes_and_k_that_are_not_ints(call, message):
+    # The float sizes raised a raw TypeError, and k = True built a network
+    # with k = True: _check_domain now refuses both for all three callers.
+    with pytest.raises(ConstructionError, match=message):
+        call()
+
+
 def test_stage1_infeasible_case_b_k7():
     assert stage1_allocate(9, 7, CASE_A) is None
 
@@ -226,8 +246,7 @@ def test_builder_invariants(n1, k, costs):
     assert (cost1, cost2) == (plan.c1_total, plan.c2_total)
     # floor((k+1)/2) Hamiltonian cycles; for even k the untagged rest is
     # the matching, a perfect one since every degree is k + 1.
-    assert built.cycles_built == (k + 1) // 2
-    assert len(built.cycle_tags) == built.cycles_built
+    assert len(built.cycle_tags) == (k + 1) // 2
     seen = set()
     for order in built.cycle_tags:
         tag = ring_links(order)
@@ -274,8 +293,7 @@ def test_cycle_route_builds_every_plan():
             if n1 <= 7:
                 splits |= {(e11, e12) for e11 in range(nb11 + 1) for e12 in range(total - 2 * e11 + 1)}
             for e11, e12 in sorted(splits):
-                plan = StageOnePlan(e11, e12, total - 2 * e11 - e12, F(0), F(0))
-                g, tags = _realize(n1, k, plan.counts)
+                g, tags = _realize(n1, k, e11, e12, total - 2 * e11 - e12)
                 if not e12:
                     # The lambda the certificate proves, audited by a fresh
                     # flow (e12 moves owners only: every e11 occurs with
@@ -353,12 +371,12 @@ def test_structured_solve_realizes_every_cheapest_level_on_even_layers():
 
 
 def _built_and_tags(k):
-    """A 5+5 build's graph, plan counts, cycle orders (as lists) and the
-    links off its cycles."""
+    """A 5+5 build's graph, plan, cycle orders (as lists) and the links
+    off its cycles."""
     built = build_generalized(5, 5, k, costs_of("1/50", "1/50", "1/40", "1/40"))
     tags = [list(order) for order in built.cycle_tags]
     rest = sorted(built.graph.edge_pairs() - set().union(*map(ring_links, tags)))
-    return built.graph, built.plan.counts, tags, rest
+    return built.graph, built.plan, tags, rest
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -413,15 +431,20 @@ def test_verify_built_rejects_a_tag_that_is_not_hamiltonian(k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_built_rejects_wrong_counts_degrees_and_too_few_cycles(k):
-    # The counts are checked by _realize, against the certified links.  A
-    # degree below k + 1 is an even-k node that no link off the cycles
-    # touches: a one-node arc of the first cycle, which the arc check finds.
-    g, counts, tags, rest = _built_and_tags(k)
-    intra2, cross2 = (Owner.OPERATOR2, EdgeClass.INTRA2), (Owner.OPERATOR2, EdgeClass.CROSS)
-    with pytest.raises(ConstructionError, match="count mismatch"):
-        _realize(5, k, {**counts, intra2: counts[intra2] - 1, cross2: counts[cross2] + 1})
+    # The counts are checked by _realize, against the certified links: more
+    # operator-1 cross links than the build has, or more intra links than
+    # odd-k cycles hold.  A degree below k + 1 is an even-k node that no
+    # link off the cycles touches: a one-node arc of the first cycle, which
+    # the arc check finds.
+    g, plan, tags, rest = _built_and_tags(k)
+    e11, e12, x = plan.e11, plan.e12, plan.op2_cross
+    with pytest.raises(ConstructionError, match=r"^count mismatch: built \(\d+, \d+, \d+, 0\) links per kind"):
+        _realize(5, k, e11, e12 + x + 1, -1)
+    if k % 2:
+        with pytest.raises(ConstructionError, match=r"^count mismatch: built \(8, 0, 8, 4\) links per kind, planned \(9, 0, 9, 2\)"):
+            _realize(5, k, 9, 0, 2)
     with pytest.raises(ConstructionError, match="the counts total"):
-        _realize(5, k, {**counts, cross2: counts[cross2] + 2})
+        _realize(5, k, e11, e12, x + 2)
     if k % 2 == 0:
         with pytest.raises(ConstructionError, match="failed the resilience check"):
             _verify_built(g.n, k, tags, rest[1:])
@@ -480,9 +503,9 @@ def test_realize_files_every_plan_as_the_triple_builder_does():
             for i, (e11, cross) in enumerate(shapes):
                 picks = [0, 1, k + 1, cross - 1]
                 for e12 in picks if n1 <= 6 else picks[i % 4 : i % 4 + 1]:
-                    counts = dict(zip(LINK_KINDS, (e11, e12, e11, cross - e12)))
-                    g, orders = _realize(n1, k, counts)
-                    want, want_orders = realize_by_triples(n1, k, counts)
+                    counts = (e11, e12, cross - e12)
+                    g, orders = _realize(n1, k, *counts)
+                    want, want_orders = realize_by_triples(n1, k, *counts)
                     assert (g, orders) == (want, want_orders), (n1, k, counts)
                     if n1 <= 8:
                         cycles = set().union(*map(ring_links, orders))
@@ -495,15 +518,9 @@ def test_realize_files_every_plan_as_the_triple_builder_does():
 def test_realize_refuses_a_parity_shape_with_no_free_node(n1, k, e11, x):
     # The counts total n1(k+1) + 1, but the cycle closers (and, for odd n1
     # and even k, the matching) already give every node a vertical.
-    counts = {
-        (Owner.OPERATOR1, EdgeClass.INTRA1): e11,
-        (Owner.OPERATOR1, EdgeClass.CROSS): 0,
-        (Owner.OPERATOR2, EdgeClass.INTRA2): e11,
-        (Owner.OPERATOR2, EdgeClass.CROSS): x,
-    }
-    assert sum(counts.values()) == n1 * (k + 1) + 1
+    assert 2 * e11 + x == n1 * (k + 1) + 1
     with pytest.raises(ConstructionError, match=f"parity shape's extra vertical has no free node: all n1 = {n1}"):
-        _realize(n1, k, counts)
+        _realize(n1, k, e11, 0, x)
 
 
 @pytest.mark.parametrize("ca", [F(1, 3), F(1, 4)])
@@ -526,7 +543,7 @@ def test_a_structured_solve_builds_one_graph_and_runs_no_search(monkeypatch, ca)
     assert Edge(0, 1, Owner.OPERATOR1, EdgeClass.INTRA1) and len(edges) == 1  # the count sees a new Edge
     edges.clear()
     sol, built = structured_solve(101, 101, CostProfile(F(1, 1010), F(1, 1010), F(1, 505), F(1, 101), ca))
-    assert (sol.is_null, built.cycles_built) == (False, 2)
+    assert (sol.is_null, len(built.cycle_tags)) == (False, 2)
     assert (len(builds), len(degree_passes), len(searches), len(flows), len(edges)) == (0, 0, 0, 0, 0)
 
 
@@ -591,7 +608,7 @@ def test_every_even_k_plan_up_to_twenty_nodes_per_layer_passes_the_arc_certifica
                 held = k // 2 * (n1 - 1) + n1 // 2
                 shapes += [(e11, total + 1 - 2 * e11) for e11 in range(held + 1)]
             for e11, x in shapes:
-                g, tags = _realize(n1, k, StageOnePlan(e11, 0, x, F(0), F(0)).counts)
+                g, tags = _realize(n1, k, e11, 0, x)
                 assert arc_floor(tags[0], g.edge_pairs()) > k
                 built += 1
             if n1 % 2 == 0:
@@ -620,15 +637,9 @@ def test_verify_built_needs_the_extra_vertical_of_an_even_n_even_k_design():
     # more cross link, makes it k-resistant, with two nodes of degree k + 2.
     n, k, e11 = 6, 4, 13
     tags, rest = _build_cycle_superposition(n, k, e11, 0)
-    counts = {
-        (Owner.OPERATOR1, EdgeClass.INTRA1): e11,
-        (Owner.OPERATOR1, EdgeClass.CROSS): 0,
-        (Owner.OPERATOR2, EdgeClass.INTRA2): e11,
-        (Owner.OPERATOR2, EdgeClass.CROSS): k,
-    }
     with pytest.raises(ConstructionError, match="failed the resilience check"):
         _verify_built(2 * n, k, tags, rest)
-    g, _ = _realize(n, k, {**counts, (Owner.OPERATOR2, EdgeClass.CROSS): k + 1})
+    g, _ = _realize(n, k, e11, 0, k + 1)
     assert sorted(graph_degrees(g)) == [k + 1] * (2 * n - 2) + [k + 2] * 2
     assert edge_connectivity(g) == edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1
 
@@ -652,7 +663,20 @@ def test_even_k_structured_solve_at_ten_thousand_nodes_per_layer_is_fast(monkeyp
     start = time.perf_counter()
     sol, built = structured_solve(n, n, costs)
     assert time.perf_counter() - start < 2
-    assert (sol.k, sol.is_null, built.cycles_built, len(flows)) == (k, False, k // 2, 0)
+    assert (sol.k, sol.is_null, len(built.cycle_tags), len(flows)) == (k, False, k // 2, 0)
+
+
+def test_zigzag_is_the_step_by_step_sequence_for_every_start_callers_pass():
+    # The sequence r, r+1, r-1, r+2, ... reduced mod the length, built one
+    # step at a time, against the two slice assignments of _zigzag, for
+    # every start 0 <= r < length.
+    for length in range(1, 300):
+        for r in range(length):
+            seq = [r]
+            for i in range(1, length):
+                off = (i + 1) // 2
+                seq.append((r + off) % length if i % 2 else (r - off) % length)
+            assert _zigzag(length, r) == seq, (length, r)
 
 
 def test_zigzag_paths_are_disjoint_and_the_matching_misses_them():
@@ -684,7 +708,7 @@ def test_large_k_all_cross_build_is_fast():
     costs = costs_of("1/2000", "1/2000", "1/2000", "1/2000")
     start = time.perf_counter()
     built = build_generalized(43, 43, 41, costs)
-    assert (built.plan.e11 + built.plan.e12, built.cycles_built) == (0, 21)
+    assert (built.plan.e11 + built.plan.e12, len(built.cycle_tags)) == (0, 21)
     assert built.graph.tally()[Owner.OPERATOR2, EdgeClass.CROSS] == 43 * 42
     assert time.perf_counter() - start < 5
 

@@ -232,6 +232,82 @@ def test_the_exact_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n
             solver(n1, n2, costs)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda c: null_spe_check(2.0, 3, 1, c), "^n1 must be an int >= 1, got 2.0"),
+        (lambda c: null_spe_check(0, 3, 1, c), "^n1 must be an int >= 1, got 0"),
+        (lambda c: null_spe_check(3, True, 1, c), "^n2 must be an int >= 1, got True"),
+        (lambda c: utilities(StrategyProfile(from_pairs(9, 9, ())), c, 9.0, 9), "^n1 must be an int >= 1, got 9.0"),
+        (lambda c: solve_spe_exact(3, 3, c, cap="x"), "^cap must be an int >= 1, got 'x'"),
+        (lambda c: solve_spe_exact(3, 3, c, cap=-5), "^cap must be an int >= 1, got -5"),
+        (lambda c: solve_spe_exact(3, 3, c, cap=1.5), "^cap must be an int >= 1, got 1.5"),
+        (lambda c: solve_spe_exact(3, 3, c, cap=True), "^cap must be an int >= 1, got True"),
+        (lambda c: operator2_best_response_exact(from_pairs(3, 3, ()), c, 1, cap=0), "^cap must be an int >= 1, got 0"),
+        (lambda c: operator2_best_response_exact(from_pairs(3, 3, ()), c, 1, cap=None), "^cap must be an int >= 1"),
+        (lambda c: CostProfile("abc", c.c2, c.c12, c.c21, c.ca), "^c1 = 'abc' is not a rational number"),
+        (lambda c: CostProfile(c.c1, None, c.c12, c.c21, c.ca), "^c2 = None is not a rational number"),
+        (lambda c: CostProfile(c.c1, c.c2, "1/0", c.c21, c.ca), "^c12 = '1/0' is not a rational number"),
+        (lambda c: CostProfile(c.c1, c.c2, c.c12, 0.5, c.ca), "^c21 = 0.5 is a float: pass a Fraction or a string$"),
+    ],
+    ids=[
+        "null-check-float-n1",
+        "null-check-zero-n1",
+        "null-check-bool-n2",
+        "utilities-float-n1",
+        "exact-str-cap",
+        "exact-negative-cap",
+        "exact-float-cap",
+        "exact-bool-cap",
+        "operator2-zero-cap",
+        "operator2-none-cap",
+        "cost-str",
+        "cost-none",
+        "cost-zero-denominator",
+        "cost-float",
+    ],
+)
+def test_the_game_entry_points_refuse_malformed_arguments(call, message):
+    # Each row raised a raw TypeError or ValueError, answered (null_spe_check
+    # on 0 nodes said "degree-bound"), or ran out of a negative cap.
+    with pytest.raises(GameError, match=message):
+        call(costs_of("1/30", "1/45", "1/20", "2/45", "1/3"))
+
+
+def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1():
+    # For every shape of n1 + n2 <= 9 nodes, every k in 1..n-2 and every x
+    # that _count_floor scans in _joint_cost_floor's range (lo, lo + 1,
+    # hi - 1, hi and each shortfall ni(k+1) and its neighbours), _place
+    # finds a k-resistant network of x cross links and ceil((ni(k+1) -
+    # x)/2) intra links in layer i.  So every x the floor may take is
+    # realized at the floor's cost, and the exact team search returns the
+    # floor whenever it is below 2.  At k = 0 (a connected network) 124 of
+    # 206 such counts have no network: at 2+2 with x = 2 the two cross
+    # links are a matching, and team_optimal(3, 3, 0, CASE_A) costs 7/45,
+    # above its floor of 1/10.
+    def cases(ks):
+        for n in range(2, 10):
+            for n1 in range(1, n):
+                n2 = n - n1
+                for k in ks(n):
+                    lo, hi = max(k + 1, n1 * (k + 2 - n1), n2 * (k + 2 - n2)), n1 * n2
+                    shorts = (n1 * (k + 1), n2 * (k + 1))
+                    candidates = {lo, lo + 1, hi - 1, hi, *(s + step for s in shorts for step in (-1, 0, 1))}
+                    for x in sorted(x for x in candidates if lo <= x <= hi):
+                        uni = EdgeUniverse(n1, n2)
+                        intra = [(max(0, s - x) + 1) // 2 for s in shorts]
+                        groups = [(uni.intra1_bits, intra[0]), (uni.intra2_bits, intra[1]), (uni.cross_bits, x)]
+                        yield (n1, n2, k, x), _place(uni, k, 0, groups, _Budget(10**9)) is not None
+
+    met = dict(cases(lambda n: range(1, n - 1)))
+    assert len(met) == 679 and all(met.values())
+    met = dict(cases(lambda n: (0,)))
+    assert (len(met), sum(not found for found in met.values())) == (206, 124)
+    assert not met[2, 2, 0, 2]
+    case_a = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
+    assert (_joint_cost_floor(3, 3, 0, case_a)[0], team_optimal(3, 3, 0, case_a).cost) == (F(1, 10), F(7, 45))
+
+
 def test_operator2_response_refuses_at_cost_one():
     # completion needs 12 cross links at 1/12 each: exactly cost 1, so null
     costs = costs_of("1/100", "1/12", "1/100", "1/12", "1/2")

@@ -49,13 +49,11 @@ def test_the_package_exports():
         "Owner",
         "SearchCapExceeded",
         "SpeSolution",
-        "StageOnePlan",
         "StrategyProfile",
         "TeamResult",
         "adversary_best_response",
         "attack_budget",
         "bruteforce_spe_oracle",
-        "build_generalized",
         "cost_bounds",
         "efficiency",
         "from_pairs",

@@ -124,6 +124,39 @@ def test_the_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n2, nam
         structured_solve(n1, n2, CASE_A)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: cost_bounds(2.0, 2, 1, CASE_A), "^n1 must be an int >= 1, got 2.0"),
+        (lambda: cost_bounds(True, 2, 1, CASE_A), "^n1 must be an int >= 1, got True"),
+        (lambda: cost_bounds(0, 2, 1, CASE_A), "^n1 must be an int >= 1, got 0"),
+        (lambda: solve_game(3, 3, CASE_A, mode="exact", cap="x"), "^cap must be an int >= 1, got 'x'"),
+        (lambda: solve_game(3, 3, CASE_A, cap=-5), "^cap must be an int >= 1, got -5"),
+        (lambda: solve_game(10, 10, CASE_A, mode="structured", cap=1.5), "^cap must be an int >= 1, got 1.5"),
+        (lambda: team_optimal(3, 3, 1, CASE_A, cap=None), "^cap must be an int >= 1, got None"),
+        (lambda: team_optimal(3, 3, 1, CASE_A, cap=True), "^cap must be an int >= 1, got True"),
+        (lambda: team_optimal(3, 3, 1, CASE_A, cap=0), "^cap must be an int >= 1, got 0"),
+    ],
+    ids=[
+        "bounds-float-n1",
+        "bounds-bool-n1",
+        "bounds-zero-n1",
+        "solve-str-cap",
+        "solve-negative-cap",
+        "solve-structured-float-cap",
+        "team-none-cap",
+        "team-bool-cap",
+        "team-zero-cap",
+    ],
+)
+def test_the_metrics_entry_points_refuse_malformed_sizes_and_caps(call, message):
+    # cost_bounds(2.0, ...) raised a raw TypeError, True answered (1/9,
+    # None) and 0 answered (None, None); a str or None cap raised a raw
+    # TypeError, and -5 or 1.5 ended in "search cap of -5 ticks exceeded".
+    with pytest.raises(MetricsError, match=message):
+        call()
+
+
 def test_team_optimal_and_cost_bounds_answer_k_zero():
     team = team_optimal(3, 3, 0, CASE_A)
     assert team.cost == F(7, 45)
