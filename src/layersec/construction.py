@@ -3,11 +3,11 @@
 The structured route covers n1 == n2 with 1 <= k < n1, checked in one
 place (``_check_domain``).  One realizer, ``_realize``, turns a plan's
 three counts (e11 intra links per layer, e12 and operator 2's cross links)
-into both the equilibrium network (``build_generalized``) and the team
-design (``_team_design``) over the 2*n1 nodes (either layer parity):
-a superposition of floor((k+1)/2) pairwise edge-disjoint Hamiltonian
-cycles, plus, for even k, one perfect matching of pairs no cycle uses,
-plus one extra vertical when the counts total n1(k+1) + 1 links.
+into both the equilibrium network (``build_generalized``) and a large
+team optimum (``metrics.team_optimal``) over the 2*n1 nodes (either
+layer parity): a superposition of floor((k+1)/2) pairwise edge-disjoint
+Hamiltonian cycles, plus, for even k, one perfect matching of pairs no
+cycle uses, plus one extra vertical when the counts total n1(k+1) + 1.
 The equilibrium network follows a stage-1 split of the link budget
 between the two operators:
 
@@ -77,7 +77,6 @@ from .game import (
     SpeSolution,
     StrategyProfile,
     _check_layers,
-    _joint_cost_floor,
     _level_floor,
     _scale,
     attack_budget,
@@ -435,22 +434,6 @@ def build_generalized(n1: int, n2: int, k: int, costs: CostProfile) -> BuiltNetw
         return None
     graph, orders = _realize(n1, k, plan.e11, plan.e12, plan.op2_cross)
     return BuiltNetwork(graph, plan, orders)
-
-
-def _team_design(n1: int, n2: int, k: int, costs: CostProfile):
-    """(graph, cost) of a coordinated design at the capped joint floor,
-    realized by ``_realize`` from the floor's argmin of x cross links.
-
-    Each layer takes ceil((n(k+1) - x)/2) mirrored intra links, so the
-    counts total n(k+1) + 1 links when n(k+1) - x is odd (x = k + 1 with
-    n and k even): the parity shape, with its extra vertical.  The
-    cheaper cross builder owns every cross link.
-    """
-    _check_domain(n1, n2, k)
-    cost, x = _joint_cost_floor(n1, n1, k, costs)
-    e11 = (n1 * (k + 1) - x + 1) // 2
-    op1_cross = x if costs.c12 <= costs.c21 else 0
-    return _realize(n1, k, e11, op1_cross, x - op1_cross)[0], cost
 
 
 def structured_solve(n1: int, n2: int, costs: CostProfile):

@@ -12,12 +12,12 @@ All arithmetic is exact; equilibrium selection hinges on strict
 comparisons at the cost-1 and zero-payoff boundaries, so no floating point
 is used anywhere, and CostProfile and attack_budget refuse floats.
 Payoffs at the API boundary are fractions.Fraction.  The search layers
-(solve_spe_exact, operator2_best_response_exact, the oracle and the team
-search) scale the four link costs once per call to integers over
-L = lcm(denominators) (``_scale``), compare against L instead of 1, and
-convert back to Fraction only in the result they return.  Boundary
-conventions: the adversary does attack when its net payoff is exactly 0,
-the operators do not build when their net payoff would be exactly 0.
+(solve_spe_exact, operator2_best_response_exact and the oracle) scale
+the four link costs once per call to integers over L = lcm(denominators)
+(``_scale``), compare against L instead of 1, and convert back to
+Fraction only in the result they return.  Boundary conventions: the
+adversary does attack when its net payoff is exactly 0, the operators do
+not build when their net payoff would be exactly 0.
 
 Two solvers are provided: a pruned cost-ordered search (solve_spe_exact)
 and an exhaustive oracle (bruteforce_spe_oracle) used to cross-check it
@@ -38,20 +38,22 @@ uses nothing of the pruned search.  Both solvers fill one table of
 operator-2 cost classes while they scan, keeping the first strategy of
 each, and report through one summary (``_equilibrium``).
 
-The three exact searches (operator 2's best response, operator 1's
-equilibrium scan and the team optimum) pick link counts per class in cost
-order from one count lattice (``_lattice``) and complete a base network
-through one loop (``_completion``), which skips a purchase that cannot
-cover the degree shortfall or the k + 1 cross links and hands the rest to
-``_place``.  That depth-first placement search prunes by running counts
-alone (layer deficits against the picks left, and the nodes whose deficit
-exceeds their unvisited slots), so each search node costs O(1) and ticks
-once.  One closed-form floor (``_count_floor``, which also names the least
-cross count that reaches it) serves the null test, the team design and the
-level bound ``_level_floor``: an operator-1 level of a intra and b cross
-links leaves layer 1 d1 = n1(k+1) - 2a - b degrees short, which only
-operator-2 cross links cover, and layer 2 d2 = n2(k+1) - b short, where an
-intra link covers 2 and at most C(n2, 2) fit, so operator 2 pays at least
+The two exact searches (operator 2's best response and operator 1's
+equilibrium scan) pick link counts per class in cost order from one count
+lattice (``_lattice``) and complete a base network through one loop
+(``_completion``), which skips a purchase that cannot cover the degree
+shortfall or the k + 1 cross links and hands the rest to ``_place``; the
+team optimum, whose counts are closed form, calls ``_place`` once
+(``_team_network``).  That depth-first placement search prunes by
+running counts alone (layer deficits against the picks left, and the
+nodes whose deficit exceeds their unvisited slots), so each search node
+costs O(1) and ticks once.  One closed-form floor (``_count_floor``,
+which also names the least cross count that reaches it) serves the null
+test, the team optimum and the level bound ``_level_floor``: an
+operator-1 level of a intra and b cross links leaves layer 1
+d1 = n1(k+1) - 2a - b degrees short, which only operator-2 cross links
+cover, and layer 2 d2 = n2(k+1) - b short, where an intra link covers 2
+and at most C(n2, 2) fit, so operator 2 pays at least
 min x*c21 + ceil(max(0, d2 - x)/2)*c2 over max(d1, k+1-b, d2 - n2(n2-1),
 0) <= x <= n1*n2 - b.  The exact search skips a level whose bound reaches
 1; the structured route's stage 1 takes the cheapest level whose bound is
@@ -286,10 +288,11 @@ def _joint_cost_floor(n1: int, n2: int, k: int, costs: CostProfile):
     layer: a node has at most ni - 1 intra links, a layer at most
     C(ni, 2).  Priced in units of 1/L (``_scale``).
 
-    For k >= 1 and n1 + n2 <= 9 it is the team optimum: for each x that
-    ``_count_floor`` may return, ``_place`` finds a k-resistant network
-    with these counts (all 679 cases in ``tests/test_game.py``).  At k = 0
-    it is only a bound: 3+3 at case-a costs has floor 1/10, optimum 7/45.
+    For k >= 1 it is the team optimum's cost: up to 9 nodes ``_place``
+    finds a k-resistant network at the counts of each x that
+    ``_count_floor`` may return (all 679 cases in ``tests/test_game.py``),
+    and above, the structured realizer builds one.  At k = 0 it is only a
+    bound: 3+3 at case-a costs has floor 1/10, spanning tree 7/45.
     """
     L, c1, c2, c12, c21 = _scale(costs)
     lo = max(k + 1, n1 * (k + 2 - n1), n2 * (k + 2 - n2))
@@ -722,19 +725,18 @@ def solve_spe_exact(
     return _equilibrium(uni, k, L, found_cost, by_class, "exact")
 
 
-def _solve_team_exact(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
-    """(graph, cost) of the cheapest k-resistant design costing less than
-    2, or (None, None).  Every link is priced at its own class's cost,
-    cross links at min(c12, c21), and the cheaper cross builder owns them."""
+def _team_network(n1: int, n2: int, k: int, counts: tuple, op1_builds: bool, cap: int) -> LayeredGraph:
+    """The first k-resistant network that ``_place`` finds with counts =
+    (a1, a2, x) intra-1, intra-2 and cross links, placed in that order;
+    operator 1 owns the cross links when ``op1_builds``, else operator 2.
+    Raises ``GameError`` if no network has these counts."""
     uni = EdgeUniverse(n1, n2)
-    L, c1, c2, c12, c21 = _scale(costs)
-    pools = [uni.intra1_bits, uni.intra2_bits, uni.cross_bits]
-    lattice = _lattice(uni, pools, [c1, c2, min(c12, c21)], 2 * L)
-    cost, mask = _completion(uni, k, 0, pools, lattice, _Budget(cap))
-    if cost is None:
-        return None, None
-    op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
-    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).network, Fraction(cost, L)
+    groups = list(zip((uni.intra1_bits, uni.intra2_bits, uni.cross_bits), counts))
+    mask = _place(uni, k, 0, groups, _Budget(cap))
+    if mask is None:
+        raise GameError(f"no {k}-resistant {n1}+{n2} network has (intra-1, intra-2, cross) counts {counts}")
+    op1_pool = uni.intra1_mask | (uni.cross_mask if op1_builds else 0)
+    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).network
 
 
 def bruteforce_spe_oracle(n1: int, n2: int, costs: CostProfile) -> SpeSolution:

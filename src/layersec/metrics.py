@@ -7,14 +7,13 @@ cost moving second over its cost moving first).
 
 The coordinated benchmark prices every cross link at the cheaper of the
 two operators' cross costs, since a joint designer would always hand a
-cross link to whichever side builds it more cheaply.  One rule prices it,
-the capped joint floor ``game._joint_cost_floor``: it is the null test,
-``cost_bounds``' lower bound and the large-instance design.  Small
-instances (n1 + n2 <= EXACT_MAX_NODES) take exact search.  A larger
-symmetric one takes the floor's argmin of x cross links, built by
-``construction._team_design`` with the realizer of both networks and
-certified by its cycle and arc lemmas with no flow; it costs the floor,
-so it is exact.
+cross link to whichever side builds it more cheaply.  The capped joint
+floor ``game._joint_cost_floor`` is the null test and ``cost_bounds``'
+lower bound, and for k >= 1 the team optimum's cost; at k = 0 the
+optimum is a minimum spanning tree.  ``team_optimal`` takes its link
+counts in closed form and searches only for a network at them: the
+first that ``game._place`` finds up to EXACT_MAX_NODES nodes, else the
+structured realizer's, certified by its cycle and arc lemmas.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import _team_design, structured_solve
+from .construction import _check_domain, _realize, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
     _check_int,
     _check_layers,
     _joint_cost_floor,
-    _solve_team_exact,
+    _team_network,
     attack_budget,
     null_spe_check,
     solve_spe_exact,
@@ -102,21 +101,35 @@ def team_optimal(
 ) -> TeamResult:
     """Minimum-cost k-resistant design when the operators coordinate.
 
-    Null when no k-resistant design costs less than 2: ``null_spe_check``
-    says so, or the exact search finds none.  Otherwise exact search for
-    n1 + n2 <= EXACT_MAX_NODES; for larger instances in the structured
-    domain the certified design of ``construction._team_design``, which
-    costs the capped joint floor and so is exact.  Layer sizes must be
-    ints >= 1, k an int >= 0 and the cap an int >= 1.
+    Null when ``null_spe_check`` says so or its cost reaches 2.  The link
+    counts are closed form: for k >= 1, x cross links at the capped joint
+    floor's argmin and ceil(max(0, ni(k+1) - x)/2) intra links in layer
+    i; at k = 0 a minimum spanning tree (Kruskal over the three classes).
+    The network is ``game._team_network``'s up to EXACT_MAX_NODES nodes,
+    else ``construction._realize``'s in the structured domain.  Layer
+    sizes must be ints >= 1, k an int >= 0 and the cap an int >= 1.
     """
     _check_layers(n1, n2, MetricsError)
     _check_int(k, "k", 0, MetricsError)
     _check_int(cap, "cap", 1, MetricsError)
     if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
+    cmin = min(costs.c12, costs.c21)
+    if k:
+        x = _joint_cost_floor(n1, n2, k, costs)[1]
+        a1, a2 = ((max(0, n * (k + 1) - x) + 1) // 2 for n in (n1, n2))
+    else:
+        a1, a2 = (n - 1 if c < cmin else 0 for n, c in ((n1, costs.c1), (n2, costs.c2)))
+        x = n1 + n2 - 1 - a1 - a2
+    cost = a1 * costs.c1 + a2 * costs.c2 + x * cmin
+    if cost >= 2:
+        return TeamResult(None, None)
+    op1_builds = costs.c12 <= costs.c21  # the cheaper cross builder owns every cross link
     if n1 + n2 <= EXACT_MAX_NODES:
-        return TeamResult(*_solve_team_exact(n1, n2, k, costs, cap))
-    return TeamResult(*_team_design(n1, n2, k, costs))
+        return TeamResult(_team_network(n1, n2, k, (a1, a2, x), op1_builds, cap), cost)
+    _check_domain(n1, n2, k)
+    op1_cross = x if op1_builds else 0
+    return TeamResult(_realize(n1, k, a1, op1_cross, x - op1_cross)[0], cost)
 
 
 def solve_game(

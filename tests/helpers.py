@@ -177,6 +177,36 @@ def joint_floor_by_scan(n1, n2, k, costs):
     )
 
 
+def team_by_search(n1: int, n2: int, k: int, costs: CostProfile, cap: int):
+    """(graph, cost) of the cheapest k-resistant design costing less than
+    2, or (None, None).  Every link is priced at its own class's cost,
+    cross links at min(c12, c21), and the cheaper cross builder owns them."""
+    uni = EdgeUniverse(n1, n2)
+    L, c1, c2, c12, c21 = _scale(costs)
+    pools = [uni.intra1_bits, uni.intra2_bits, uni.cross_bits]
+    lattice = _lattice(uni, pools, [c1, c2, min(c12, c21)], 2 * L)
+    cost, mask = _completion(uni, k, 0, pools, lattice, _Budget(cap))
+    if cost is None:
+        return None, None
+    op1_pool = uni.intra1_mask | (uni.cross_mask if c12 <= c21 else 0)
+    return _profile_from_masks(uni, mask & op1_pool, mask & ~op1_pool).network, Fraction(cost, L)
+
+
+def mst_cost(n1, n2, costs):
+    """Cost of a minimum spanning tree of the n1+n2 nodes, every pair
+    priced at its class's cost (cross pairs at min(c12, c21)), by Kruskal
+    with union-find."""
+    price = lambda u, v: costs.c1 if v < n1 else costs.c2 if u >= n1 else min(costs.c12, costs.c21)
+    parent = list(range(n1 + n2))
+    root = lambda u: u if parent[u] == u else root(parent[u])
+    total = 0
+    for u, v in sorted(itertools.combinations(range(n1 + n2), 2), key=lambda p: price(*p)):
+        if root(u) != root(v):
+            parent[root(u)] = root(v)
+            total += price(u, v)
+    return total
+
+
 def harary_pairs(n, r):
     """Links of the circulant Harary graph H(n, r) on nodes 0..n-1
     (2 <= r < n): edge connectivity r with ceil(n*r/2) links."""

@@ -30,7 +30,6 @@ from layersec.construction import (
     _build_cycle_superposition,
     _closed_arc,
     _realize,
-    _team_design,
     _verify_built,
     _zigzag,
     build_generalized,
@@ -163,13 +162,12 @@ def test_stage1_rejects_bad_inputs():
         (lambda: stage1_allocate(3, True, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = True$"),
         (lambda: build_generalized(3, 3, True, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = True$"),
         (lambda: stage1_allocate(3, 1.0, CASE_A), r"1 <= k < n1, got n1 = 3, n2 = 3, k = 1.0$"),
-        (lambda: _team_design(4, 4, True, CASE_A), r"1 <= k < n1, got n1 = 4, n2 = 4, k = True$"),
     ],
-    ids=["stage1-float-n1", "build-float-sizes", "stage1-bool-k", "build-bool-k", "stage1-float-k", "team-bool-k"],
+    ids=["stage1-float-n1", "build-float-sizes", "stage1-bool-k", "build-bool-k", "stage1-float-k"],
 )
 def test_the_structured_route_refuses_sizes_and_k_that_are_not_ints(call, message):
     # The float sizes raised a raw TypeError, and k = True built a network
-    # with k = True: _check_domain now refuses both for all three callers.
+    # with k = True: _check_domain now refuses both, in stage 1 and the builder.
     with pytest.raises(ConstructionError, match=message):
         call()
 

@@ -35,6 +35,7 @@ from layersec.game import (
     _joint_cost_floor,
     _place,
     _strategies,
+    _team_network,
     adversary_best_response,
     attack_budget,
     bruteforce_spe_oracle,
@@ -280,10 +281,11 @@ def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1
     # hi - 1, hi and each shortfall ni(k+1) and its neighbours), _place
     # finds a k-resistant network of x cross links and ceil((ni(k+1) -
     # x)/2) intra links in layer i.  So every x the floor may take is
-    # realized at the floor's cost, and the exact team search returns the
-    # floor whenever it is below 2.  At k = 0 (a connected network) 124 of
-    # 206 such counts have no network: at 2+2 with x = 2 the two cross
-    # links are a matching, and team_optimal(3, 3, 0, CASE_A) costs 7/45,
+    # realized at the floor's cost, and team_optimal, which places its
+    # network at the floor's argmin, is the optimum whenever the floor is
+    # below 2.  At k = 0 (a connected network) 124 of 206 such counts have
+    # no network: at 2+2 with x = 2 the two cross links are a matching,
+    # and team_optimal(3, 3, 0, CASE_A), a spanning tree, costs 7/45,
     # above its floor of 1/10.
     def cases(ks):
         for n in range(2, 10):
@@ -306,6 +308,14 @@ def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1
     assert not met[2, 2, 0, 2]
     case_a = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
     assert (_joint_cost_floor(3, 3, 0, case_a)[0], team_optimal(3, 3, 0, case_a).cost) == (F(1, 10), F(7, 45))
+
+
+def test_the_team_network_refuses_counts_that_no_network_has():
+    # The 124 k = 0 counts above that have no network never reach it: at
+    # k = 0 team_optimal asks for a spanning tree's counts.  At 2+2 two
+    # cross links alone are a matching.
+    with pytest.raises(GameError, match=r"^no 0-resistant 2\+2 network has .* counts \(0, 0, 2\)$"):
+        _team_network(2, 2, 0, (0, 0, 2), True, 100)
 
 
 def test_operator2_response_refuses_at_cost_one():
@@ -438,8 +448,9 @@ def test_exact_search_matches_the_unfiltered_scan():
 
 
 def test_search_cap_pins_the_team_and_operator2_searches():
-    # Exact tick counts of the other two lattice searches: each raises one
-    # tick short and solves at the pinned cap.
+    # Exact tick counts of the team optimum's one placement and of operator
+    # 2's lattice search: each raises one tick short and solves at the
+    # pinned cap.
     costs = costs_of("1/9", "1/8", "1/7", "1/6", "2/3")
     with pytest.raises(SearchCapExceeded):
         team_optimal(3, 4, 1, costs, cap=61)
@@ -516,7 +527,7 @@ def test_resists_matches_lambda_on_dense_masks(monkeypatch, n1, n2):
 def test_dense_masks_resist_without_a_flow(monkeypatch):
     # Past the degree test, a least degree of at least floor(n/2) is
     # lambda (Chartrand), so K_n and any such mask need no flow, and the
-    # 4+3 team search below runs none.
+    # 4+3 team optimum's placement below runs none.
     calls = count_flows(monkeypatch)
     uni = EdgeUniverse(4, 3)
     full = (1 << len(uni.pairs)) - 1

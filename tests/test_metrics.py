@@ -7,14 +7,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SWEEP_SCALE, count_flows, joint_floor_by_scan, lambda_by_bipartition, random_costs, well_formed
-from layersec.connectivity import edge_connectivity_pairs, link_connectivity
-from layersec.construction import ConstructionError, _team_design, structured_solve
+from helpers import (
+    SWEEP_SCALE,
+    count_flows,
+    joint_floor_by_scan,
+    lambda_by_bipartition,
+    mst_cost,
+    random_costs,
+    team_by_search,
+    well_formed,
+)
+from layersec.connectivity import connected_pairs, edge_connectivity_pairs, link_connectivity
+from layersec.construction import ConstructionError, structured_solve
 from layersec.game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
     _joint_cost_floor,
-    _solve_team_exact,
     attack_budget,
     bruteforce_spe_oracle,
     null_spe_check,
@@ -84,6 +92,9 @@ def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
     c = F(1, 20)
     with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 5, n2 = 5, k = 0"):
         team_optimal(5, 5, 0, costs_of(c, c, c, c))
+    # Its null answer needs no network: a spanning tree of 9 links at 1/4
+    # costs 9/4, although the joint floor, 5/4, is below 2.
+    assert team_optimal(5, 5, 0, costs_of("1/4", "1/4", "1/4", "1/4")).null
 
 
 @pytest.mark.parametrize(
@@ -211,12 +222,13 @@ def _assert_team_matches_brute_force(n1, n2, k, costs):
 def test_team_optimal_matches_brute_force():
     # Null exactly when no k-resistant edge set costs less than 2, the
     # optimum otherwise; cross links are priced at min(c12, c21).  Costs
-    # are drawn both ordered and unordered.
+    # are drawn both ordered and unordered, and k from 0, where the
+    # optimum is a spanning tree.
     rng = random.Random(47)
     shapes = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5) if 3 <= n1 + n2 <= 5]
     for trial in range(400):
         n1, n2 = rng.choice(shapes)
-        k = rng.randint(1, n1 + n2 - 1)
+        k = rng.randint(0, n1 + n2 - 1)
         costs = random_costs(rng, ordered=trial % 2 == 0)
         _assert_team_matches_brute_force(n1, n2, k, costs)
 
@@ -325,45 +337,64 @@ def test_structured_team_designs_meet_the_floor():
             u = F(1, 2 * n * (k + 1))
             for c1, c2, c12, c21 in ((3, 3, 1, 2), (1, 1, 3, 3), (1, 2, 2, 3), (1, 1, 3, 2)):
                 costs = CostProfile(c1 * u, c2 * u, c12 * u, c21 * u, F(1, 2))
-                g, cost = _team_design(n, n, k, costs)
-                assert cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
+                team = team_optimal(n, n, k, costs)
+                g = team.graph
+                assert team.cost == joint_floor_by_scan(n, n, k, costs)[0], (n, k, costs)
                 assert edge_connectivity_pairs(g.n, g.edge_pairs()) == k + 1, (n, k, costs)
                 assert len(g.edges) == n * (k + 1) + (c12 == 3 and n % 2 == k % 2 == 0), (n, k, costs)
-    # The designs agree with exact team search where it reaches.
+    # The designs agree with the reference team search where it reaches.
     rng = random.Random(59)
     nonnull = 0
     for trial in range(40):
         n = 4 if trial % 2 else 5
         k = rng.randint(1, n - 1)
         costs = random_costs(rng, max_den=40, scale=SWEEP_SCALE)
-        graph, cost = _solve_team_exact(n, n, k, costs, DEFAULT_SEARCH_CAP)
-        null = null_spe_check(n, n, k, costs) is not None
-        assert (null, None if null else _team_design(n, n, k, costs)[1]) == (graph is None, cost), (n, k, costs)
+        graph, cost = team_by_search(n, n, k, costs, DEFAULT_SEARCH_CAP)
+        team = team_optimal(n, n, k, costs)
+        assert (team.null, team.cost) == (graph is None, cost), (n, k, costs)
         nonnull += graph is not None
     assert nonnull >= 20
 
 
 def test_exact_team_search_meets_the_joint_floor():
-    # On every shape of up to 8 nodes and every k, the team optimum costs
-    # exactly _joint_cost_floor, under both draw rules: scaled test draws,
-    # and near-threshold draws of 1/randint(2, 3n(k+1)) per link.  A draw
-    # is null exactly when the floor is None or reaches 2.
+    # On every shape of up to 8 nodes and every k >= 1, the team optimum
+    # costs exactly _joint_cost_floor, and at k = 0 (up to 7 nodes, where
+    # the reference search still finishes quickly) a minimum spanning
+    # tree; the reference team search agrees in both.  Two draw rules:
+    # scaled test draws, and near-threshold draws of 1/randint(2,
+    # 3n(k+1)) per link.  A draw is null exactly when that cost is None
+    # or reaches 2.
     rng = random.Random(31)
     nonnull = 0
     for n in range(3, 9):
         for n1 in range(1, n):
             n2 = n - n1
-            for k in range(1, n - 1):
-                ca = F(2, 2 * k + 1)
+            for k in range(0 if n <= 7 else 1, n - 1):
+                ca = F(2, 2 * k + 1) if k else F(1, 2)  # team_optimal reads k, not cA
                 for _ in range(2):
                     scaled = replace(random_costs(rng, max_den=60, scale=SWEEP_SCALE), ca=ca)
                     near = CostProfile(*(F(1, rng.randint(2, 3 * n * (k + 1))) for _ in range(4)), ca)
                     for costs in (scaled, near):
-                        floor = _joint_cost_floor(n1, n2, k, costs)[0]
-                        want = None if floor is None or floor >= 2 else floor
-                        assert team_optimal(n1, n2, k, costs).cost == want, (n1, n2, k, costs)
+                        least = _joint_cost_floor(n1, n2, k, costs)[0] if k else mst_cost(n1, n2, costs)
+                        want = None if least is None or least >= 2 else least
+                        searched = team_by_search(n1, n2, k, costs, DEFAULT_SEARCH_CAP)[1]
+                        assert team_optimal(n1, n2, k, costs).cost == want == searched, (n1, n2, k, costs)
                         nonnull += want is not None
     assert nonnull >= 350, nonnull
+
+
+def test_the_team_optimum_at_k_zero_is_a_minimum_spanning_tree_on_nine_nodes():
+    # Kruskal's rule over the three link classes gives the counts, and one
+    # placement, far below the default cap, the tree.  A lattice search
+    # over link counts hit the 2^20 default cap on most of these games
+    # (4+5 at case-a costs, 7/30, among them).
+    for costs in (CASE_A, costs_of("1/20", "1/20", "1/20", "1/20")):
+        for n1 in range(1, 9):
+            team = team_optimal(n1, 9 - n1, 0, costs)
+            pairs = team.graph.edge_pairs()
+            assert team.cost == mst_cost(n1, 9 - n1, costs), (n1, costs)
+            assert len(pairs) == 8 and connected_pairs(9, pairs), (n1, costs)
+    assert team_optimal(4, 5, 0, CASE_A).cost == F(7, 30)
 
 
 @pytest.mark.parametrize("k", [3, 4])
