@@ -41,6 +41,7 @@ from .graph import (
 )
 from .metrics import (
     EfficiencyReport,
+    MetricsError,
     TeamResult,
     cost_bounds,
     efficiency,

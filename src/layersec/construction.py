@@ -328,6 +328,22 @@ def _realize(n1: int, k: int, e11: int, e12: int, op2_cross: int):
     return graph, orders
 
 
+def _spanning_tree(n1: int, n2: int, a1: int, a2: int, op1_cross: bool) -> LayeredGraph:
+    """The spanning tree at Kruskal's counts (each ai is ni - 1 or 0): a path
+    through each layer with ai = ni - 1, the link (0, n1), node 0 to every
+    other layer-2 node when a2 = 0 and node n1 to every other layer-1 node
+    when a1 = 0.  Operator 1 owns the cross links when ``op1_cross``, else
+    operator 2; lambda = 1 is recorded."""
+    n, none = n1 + n2, frozenset()
+    intra1 = frozenset((u, u + 1) for u in range(n1 - 1)) if a1 else none
+    intra2 = frozenset((u, u + 1) for u in range(n1, n - 1)) if a2 else none
+    cross = {(0, n1)} | {(0, v) for v in range(n1 + 1, n) if not a2}
+    cross = frozenset(cross | {(u, n1) for u in range(1, n1) if not a1})
+    graph = LayeredGraph(n1, n2, (intra1, cross, intra2, none) if op1_cross else (intra1, none, intra2, cross))
+    keep_lambda(graph, 1)
+    return graph
+
+
 def _verify_built(n: int, k: int, orders, rest) -> set:
     """The links of the Hamiltonian cycles through ``orders`` plus the links
     ``rest``, (u, v) pairs, u < v, on nodes 0..n-1, once the module

@@ -43,7 +43,7 @@ equilibrium scan) pick link counts per class in cost order from one count
 lattice (``_lattice``) and complete a base network through one loop
 (``_completion``), which skips a purchase that cannot cover the degree
 shortfall or the k + 1 cross links and hands the rest to ``_place``; the
-team optimum, whose counts are closed form, calls ``_place`` once
+k >= 1 team optimum, with closed-form counts, calls ``_place`` once
 (``_team_network``).  That depth-first placement search prunes by
 running counts alone (layer deficits against the picks left, and the
 nodes whose deficit exceeds their unvisited slots), so each search node
@@ -725,14 +725,14 @@ def solve_spe_exact(
     return _equilibrium(uni, k, L, found_cost, by_class, "exact")
 
 
-def _team_network(n1: int, n2: int, k: int, counts: tuple, op1_builds: bool, cap: int) -> LayeredGraph:
+def _team_network(n1: int, n2: int, k: int, counts: tuple, op1_builds: bool) -> LayeredGraph:
     """The first k-resistant network that ``_place`` finds with counts =
     (a1, a2, x) intra-1, intra-2 and cross links, placed in that order;
     operator 1 owns the cross links when ``op1_builds``, else operator 2.
     Raises ``GameError`` if no network has these counts."""
     uni = EdgeUniverse(n1, n2)
     groups = list(zip((uni.intra1_bits, uni.intra2_bits, uni.cross_bits), counts))
-    mask = _place(uni, k, 0, groups, _Budget(cap))
+    mask = _place(uni, k, 0, groups, _Budget(DEFAULT_SEARCH_CAP))
     if mask is None:
         raise GameError(f"no {k}-resistant {n1}+{n2} network has (intra-1, intra-2, cross) counts {counts}")
     op1_pool = uni.intra1_mask | (uni.cross_mask if op1_builds else 0)

@@ -9,18 +9,15 @@ either answers a read-only query or returns a new graph.
 A graph stores its links as ``links``: one frozenset of (u, v) pairs,
 u < v, per ``LINK_KINDS`` entry, in that order; a ``StrategyProfile``
 holds the graph itself.  ``from_pairs`` is the one constructor that
-checks its links.  It admits a link by plain comparisons (int ends, its
-class from how many ends lie in layer 1, its owner by identity) and hands
-only a refused one to ``_refuse``, which names what is wrong with it.
-Three internal paths build a ``LayeredGraph`` from link sets they already
-trust: ``remove_edges`` (a graph's own links less a cut),
-``game._profile_from_masks`` (the pairs of an ``EdgeUniverse``'s masks)
-and ``construction._realize`` (a build's certified links, filed by their
-ends).  ``edges`` lists the
-links as ``Edge`` tuples in (u, v) order, built only when a caller asks.
-``Owner`` and ``EdgeClass`` members, singletons equal only to
-themselves, hash by identity.  A graph hashes over its layer sizes and
-its pairs alone, so its hash is the same in every process.
+checks its links, each in turn for int ends, a self-loop, range, an
+owner allowed its class and a repeat.  Three internal paths build a
+``LayeredGraph`` from link sets they already trust: ``remove_edges`` (a
+graph's own links less a cut), ``game._profile_from_masks`` (the pairs
+of an ``EdgeUniverse``'s masks) and ``construction._realize`` (a build's
+certified links, filed by their ends).  ``edges`` lists the links as
+``Edge`` tuples in (u, v) order, built only when a caller asks.  A graph
+hashes over its layer sizes and link sets, which hold ints alone, so its
+hash is the same in every process.
 
 Because a graph never changes, it keeps its edge connectivity once known,
 in a private slot that takes no part in ``==``, ``hash`` or ``repr``.
@@ -42,13 +39,11 @@ class EdgeClass(Enum):
     INTRA1 = "intra1"
     INTRA2 = "intra2"
     CROSS = "cross"
-    __hash__ = object.__hash__
 
 
 class Owner(Enum):
     OPERATOR1 = 1
     OPERATOR2 = 2
-    __hash__ = object.__hash__
 
 
 # Edge classes each operator is allowed to build.
@@ -84,9 +79,6 @@ class LayeredGraph:
     # Edge connectivity, or None until connectivity.keep_lambda fills it.
     _lam: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __hash__(self):
-        return hash((self.n1, self.n2, frozenset().union(*self.links)))
-
     @property
     def n(self) -> int:
         return self.n1 + self.n2
@@ -105,22 +97,6 @@ class LayeredGraph:
     def tally(self) -> Counter:
         """Edge count per (owner, class); absent combinations count 0."""
         return Counter({kind: len(pairs) for kind, pairs in zip(LINK_KINDS, self.links) if pairs})
-
-
-def _refuse(n1: int, n: int, u, v, owner) -> None:
-    """Raise the ``GraphError`` that refuses link (u, v), int ends, by
-    ``owner`` on nodes 0..n-1, layer 1 below n1.  A link that passes every
-    other check is one already present."""
-    if u == v:
-        raise GraphError("self-loops are not allowed")
-    if u > v:
-        u, v = v, u
-    if not 0 <= u < v < n:
-        raise GraphError(f"node {v if 0 <= u < n else u} out of range [0, {n})")
-    cls = _BY_ENDS[(u < n1) + (v < n1)]
-    if (owner, cls) not in LINK_KINDS:
-        raise GraphError(f"owner {owner} may not build a {cls.value} edge")
-    raise GraphError(f"edge ({u}, {v}) already present")
 
 
 def remove_edges(g: LayeredGraph, cut: Iterable[tuple[int, int]]) -> LayeredGraph:
@@ -156,20 +132,25 @@ def from_pairs(n1: int, n2: int, owned_pairs: Iterable[tuple[int, int, Owner]]) 
         raise GraphError(f"layer sizes must be ints, not {n1!r} and {n2!r}")
     if n1 < 1 or n2 < 1:
         raise GraphError("both layers need at least one node")
-    n, op1, op2 = n1 + n2, Owner.OPERATOR1, Owner.OPERATOR2
-    seen = set()
-    links = ([], [], [], [])  # per LINK_KINDS entry: op1 intra1, op1 cross, op2 intra2, op2 cross
+    n, seen = n1 + n2, set()
+    links = ([], [], [], [])  # per LINK_KINDS entry
     try:  # around the loop, not each link: iterating and unpacking raise its only raw errors
         for u, v, owner in owned_pairs:
             if type(u) is not int or type(v) is not int:  # before ``u > v``, which a str or None would fail
                 raise GraphError(f"node {v if type(u) is int else u!r} is not an int")
+            if u == v:
+                raise GraphError("self-loops are not allowed")
             if u > v:
                 u, v = v, u
-            pair, ends = (u, v), (u < n1) + (v < n1)
-            if not (0 <= u < v < n and (owner is op1 and ends or owner is op2 and ends < 2)) or pair in seen:
-                _refuse(n1, n, u, v, owner)
-            seen.add(pair)
-            links[2 - ends if owner is op1 else 2 + ends].append(pair)
+            if not 0 <= u < v < n:
+                raise GraphError(f"node {v if 0 <= u < n else u} out of range [0, {n})")
+            cls = _BY_ENDS[(u < n1) + (v < n1)]
+            if (owner, cls) not in LINK_KINDS:
+                raise GraphError(f"owner {owner} may not build a {cls.value} edge")
+            if (u, v) in seen:
+                raise GraphError(f"edge ({u}, {v}) already present")
+            seen.add((u, v))
+            links[LINK_KINDS.index((owner, cls))].append((u, v))
     except GraphError:
         raise
     except (TypeError, ValueError) as exc:

@@ -11,9 +11,9 @@ cross link to whichever side builds it more cheaply.  The capped joint
 floor ``game._joint_cost_floor`` is the null test and ``cost_bounds``'
 lower bound, and for k >= 1 the team optimum's cost; at k = 0 the
 optimum is a minimum spanning tree.  ``team_optimal`` takes its link
-counts in closed form and searches only for a network at them: the
-first that ``game._place`` finds up to EXACT_MAX_NODES nodes, else the
-structured realizer's, certified by its cycle and arc lemmas.
+counts in closed form and builds one network at them: a tree at k = 0,
+else the first that ``game._place`` finds up to EXACT_MAX_NODES nodes
+or the structured realizer's, certified by its cycle and arc lemmas.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import _check_domain, _realize, structured_solve
+from .construction import _check_domain, _realize, _spanning_tree, structured_solve
 from .game import (
     DEFAULT_SEARCH_CAP,
     CostProfile,
@@ -96,22 +96,20 @@ def cost_bounds(n1: int, n2: int, k: int, costs: CostProfile):
     return _joint_cost_floor(n1, n2, k, costs)[0], upper
 
 
-def team_optimal(
-    n1: int, n2: int, k: int, costs: CostProfile, cap: int = DEFAULT_SEARCH_CAP
-) -> TeamResult:
+def team_optimal(n1: int, n2: int, k: int, costs: CostProfile) -> TeamResult:
     """Minimum-cost k-resistant design when the operators coordinate.
 
     Null when ``null_spe_check`` says so or its cost reaches 2.  The link
     counts are closed form: for k >= 1, x cross links at the capped joint
     floor's argmin and ceil(max(0, ni(k+1) - x)/2) intra links in layer
-    i; at k = 0 a minimum spanning tree (Kruskal over the three classes).
-    The network is ``game._team_network``'s up to EXACT_MAX_NODES nodes,
-    else ``construction._realize``'s in the structured domain.  Layer
-    sizes must be ints >= 1, k an int >= 0 and the cap an int >= 1.
+    i; at k = 0 a minimum spanning tree (Kruskal over the three classes),
+    built by ``construction._spanning_tree``.  Else the network is
+    ``game._team_network``'s up to EXACT_MAX_NODES nodes, or
+    ``construction._realize``'s in the structured domain.  Layer sizes
+    must be ints >= 1 and k an int >= 0.
     """
     _check_layers(n1, n2, MetricsError)
     _check_int(k, "k", 0, MetricsError)
-    _check_int(cap, "cap", 1, MetricsError)
     if null_spe_check(n1, n2, k, costs):
         return TeamResult(None, None)
     cmin = min(costs.c12, costs.c21)
@@ -125,8 +123,10 @@ def team_optimal(
     if cost >= 2:
         return TeamResult(None, None)
     op1_builds = costs.c12 <= costs.c21  # the cheaper cross builder owns every cross link
+    if not k:
+        return TeamResult(_spanning_tree(n1, n2, a1, a2, op1_builds), cost)
     if n1 + n2 <= EXACT_MAX_NODES:
-        return TeamResult(_team_network(n1, n2, k, (a1, a2, x), op1_builds, cap), cost)
+        return TeamResult(_team_network(n1, n2, k, (a1, a2, x), op1_builds), cost)
     _check_domain(n1, n2, k)
     op1_cross = x if op1_builds else 0
     return TeamResult(_realize(n1, k, a1, op1_cross, x - op1_cross)[0], cost)
@@ -170,7 +170,7 @@ def efficiency(
     solution, _ = solve_game(n1, n2, costs, mode=mode, cap=cap)
     k = attack_budget(costs.ca)
     lower, upper = cost_bounds(n1, n2, k, costs)
-    team = team_optimal(n1, n2, k, costs, cap=cap)
+    team = team_optimal(n1, n2, k, costs)
     swapped = CostProfile(c1=costs.c2, c2=costs.c1, c12=costs.c21, c21=costs.c12, ca=costs.ca)
     solution_swapped, _ = solve_game(n2, n1, swapped, mode=mode, cap=cap)
     c_spe = None

@@ -25,6 +25,7 @@ from helpers import (
 from layersec.connectivity import edge_connectivity_pairs, is_connected, link_connectivity
 from layersec.construction import structured_solve
 from layersec.game import (
+    DEFAULT_SEARCH_CAP,
     CostProfile,
     EdgeUniverse,
     GameError,
@@ -287,7 +288,7 @@ def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1
     # no network: at 2+2 with x = 2 the two cross links are a matching,
     # and team_optimal(3, 3, 0, CASE_A), a spanning tree, costs 7/45,
     # above its floor of 1/10.
-    def cases(ks):
+    def cases(ks, cap):
         for n in range(2, 10):
             for n1 in range(1, n):
                 n2 = n - n1
@@ -299,11 +300,12 @@ def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1
                         uni = EdgeUniverse(n1, n2)
                         intra = [(max(0, s - x) + 1) // 2 for s in shorts]
                         groups = [(uni.intra1_bits, intra[0]), (uni.intra2_bits, intra[1]), (uni.cross_bits, x)]
-                        yield (n1, n2, k, x), _place(uni, k, 0, groups, _Budget(10**9)) is not None
+                        yield (n1, n2, k, x), _place(uni, k, 0, groups, _Budget(cap)) is not None
 
-    met = dict(cases(lambda n: range(1, n - 1)))
+    # team_optimal places these under the default cap, which each must fit.
+    met = dict(cases(lambda n: range(1, n - 1), DEFAULT_SEARCH_CAP))
     assert len(met) == 679 and all(met.values())
-    met = dict(cases(lambda n: (0,)))
+    met = dict(cases(lambda n: (0,), 10**9))
     assert (len(met), sum(not found for found in met.values())) == (206, 124)
     assert not met[2, 2, 0, 2]
     case_a = costs_of("1/30", "1/45", "1/20", "2/45", "1/3")
@@ -312,10 +314,10 @@ def test_the_joint_floor_is_met_on_every_shape_up_to_nine_nodes_for_k_at_least_1
 
 def test_the_team_network_refuses_counts_that_no_network_has():
     # The 124 k = 0 counts above that have no network never reach it: at
-    # k = 0 team_optimal asks for a spanning tree's counts.  At 2+2 two
-    # cross links alone are a matching.
+    # k = 0 team_optimal builds its spanning tree without a placement.  At
+    # 2+2 two cross links alone are a matching.
     with pytest.raises(GameError, match=r"^no 0-resistant 2\+2 network has .* counts \(0, 0, 2\)$"):
-        _team_network(2, 2, 0, (0, 0, 2), True, 100)
+        _team_network(2, 2, 0, (0, 0, 2), True)
 
 
 def test_operator2_response_refuses_at_cost_one():
@@ -447,14 +449,21 @@ def test_exact_search_matches_the_unfiltered_scan():
     assert non_null >= 58
 
 
-def test_search_cap_pins_the_team_and_operator2_searches():
-    # Exact tick counts of the team optimum's one placement and of operator
-    # 2's lattice search: each raises one tick short and solves at the
-    # pinned cap.
+def test_search_cap_pins_the_team_and_operator2_searches(monkeypatch):
+    # Exact tick counts of the team optimum's one placement, which runs
+    # under the default cap, and of operator 2's lattice search, which
+    # raises one tick short and solves at the pinned cap.
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    monkeypatch.setattr(layersec.game, "_Budget", Recorded)
     costs = costs_of("1/9", "1/8", "1/7", "1/6", "2/3")
-    with pytest.raises(SearchCapExceeded):
-        team_optimal(3, 4, 1, costs, cap=61)
-    assert team_optimal(3, 4, 1, costs, cap=62).cost == F(445, 504)
+    assert team_optimal(3, 4, 1, costs).cost == F(445, 504)
+    assert [(b.cap, b.used) for b in budgets] == [(DEFAULT_SEARCH_CAP, 62)]
     ring = from_pairs(4, 3, [(u, (u + 1) % 4, Owner.OPERATOR1) for u in range(4)])
     with pytest.raises(SearchCapExceeded):
         operator2_best_response_exact(ring, PROP3_COSTS, 2, cap=47)

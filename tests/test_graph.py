@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import layersec
 from helpers import add_edge, add_edge_fold
@@ -46,6 +46,7 @@ def test_the_package_exports():
         "GraphError",
         "LayeredGraph",
         "LinkConnectivity",
+        "MetricsError",
         "Owner",
         "SearchCapExceeded",
         "SpeSolution",
@@ -134,6 +135,7 @@ BAD_TRIPLES = {
     "inadmissible-owner": (5, 6, OP1),
     "out-of-range": (0, 99, OP1),
     "one-past-the-end": (0, 7, OP2),
+    "both-out-of-range": (9, 8, OP2),
     "negative": (-1, 0, OP1),
     "not-an-owner": (1, 2, 1),
     "unhashable-owner": (1, 2, [1]),
@@ -179,7 +181,7 @@ def test_from_pairs_reports_the_first_bad_triple():
 # that is not a 3-tuple, or a triple that add_edge admits on an empty graph,
 # in either node order.
 JUNK = [0.0, 1.0, True, False, "1", None]
-ANY_NODE = st.integers(-1, 7) | st.sampled_from(JUNK)
+ANY_NODE = st.integers(-2, 9) | st.sampled_from(JUNK)
 ANY_OWNER = st.sampled_from([*Owner, 1, None])
 ANY_TRIPLE = st.tuples(ANY_NODE, ANY_NODE, ANY_OWNER)
 NOT_A_TRIPLE = ANY_NODE | st.tuples(ANY_NODE, ANY_NODE) | st.tuples(ANY_NODE, ANY_NODE, ANY_OWNER, ANY_OWNER)
@@ -194,6 +196,7 @@ ADMITTED_TRIPLE = st.sampled_from(
 )
 
 
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(
     st.lists(st.one_of(ANY_TRIPLE, ADMITTED_TRIPLE), max_size=12)
     | st.lists(st.one_of(ADMITTED_TRIPLE, NOT_A_TRIPLE), max_size=6)
@@ -334,7 +337,6 @@ def test_edges_and_graphs_that_differ_in_an_owner_are_unequal():
     assert by1.edge_pairs() == by2.edge_pairs()
     assert by1.edges != by2.edges
     assert by1 != by2
-    assert hash(by1) == hash(by2)  # the hash reads only the pairs
     # a pair names the link whoever built it
     assert remove_edges(by1, [(4, 0)]) == remove_edges(by2, [(0, 4)]) == from_pairs(4, 3, ())
 
@@ -350,9 +352,9 @@ print(list(built.graph.edge_pairs()), hash(built.graph))
 
 
 def test_edge_order_is_the_same_in_every_process():
-    # Owner and EdgeClass hash by identity, so a graph hashed over its
-    # owners would hash differently in each process; it hashes over its
-    # layer sizes and pairs alone, and its pairs iterate in one order.
+    # Owner and EdgeClass hash by their names, which str hashing salts per
+    # process; a graph files its owners by position in its link sets, so
+    # it hashes over ints alone, and its pairs iterate in one order.
     src = os.path.dirname(os.path.dirname(os.path.abspath(layersec.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = [
@@ -410,6 +412,7 @@ def graph_builds(draw):
     return n1, n2, builds
 
 
+@settings(derandomize=True, deadline=None)
 @given(graph_builds())
 def test_graph_invariants(build):
     n1, n2, triples = build

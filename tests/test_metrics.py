@@ -29,6 +29,7 @@ from layersec.game import (
     solve_spe_exact,
     utilities,
 )
+from layersec.graph import EdgeClass, Owner
 from layersec.metrics import (
     MODES,
     MetricsError,
@@ -88,11 +89,33 @@ def test_team_optimal_null_cases():
     assert team_optimal(3, 3, 2, expensive).null  # joint cost floor >= 2
 
 
-def test_team_optimal_k_zero_on_the_structured_route_names_its_domain():
-    c = F(1, 20)
-    with pytest.raises(ConstructionError, match=r"1 <= k < n1, got n1 = 5, n2 = 5, k = 0"):
-        team_optimal(5, 5, 0, costs_of(c, c, c, c))
-    # Its null answer needs no network: a spanning tree of 9 links at 1/4
+def test_team_optimal_at_k_zero_is_a_spanning_tree_at_every_size(monkeypatch):
+    # Above nine nodes the k = 0 optimum used to raise the structured
+    # route's domain error.  Its counts are Kruskal's, and one tree at
+    # them is built without a flow; the tree's links price to the cost,
+    # and the cheaper cross builder owns every cross link.
+    calls = count_flows(monkeypatch)
+    cases = [
+        (5, 5, costs_of("1/20", "1/20", "1/20", "1/20"), None),
+        (4, 6, costs_of("1/10", "1/40", "1/20", "1/30"), None),
+        # both layers a path: 1000/30000 + 999/30000 + one cross link at 1/20000
+        (1001, 1000, costs_of("1/30000", "1/30000", "1/20000", "1/20000"), F(4001, 60000)),
+        # a path through layer 1, then operator 2's 1,001 cross links: 1202/60000 + 1001/50000
+        (1203, 1001, costs_of("1/60000", "1/2000", "1/30000", "1/50000"), F(751, 18750)),
+    ]
+    for n1, n2, costs, want in cases:
+        team = team_optimal(n1, n2, 0, costs)
+        pairs = team.graph.edge_pairs()
+        assert team.cost == (mst_cost(n1, n2, costs) if want is None else want), (n1, n2)
+        assert len(pairs) == n1 + n2 - 1 and connected_pairs(n1 + n2, pairs), (n1, n2)
+        price = {EdgeClass.INTRA1: costs.c1, EdgeClass.INTRA2: costs.c2, EdgeClass.CROSS: min(costs.c12, costs.c21)}
+        tally = team.graph.tally()
+        assert sum(price[cls] * count for (_, cls), count in tally.items()) == team.cost, (n1, n2)
+        cross_builder = Owner.OPERATOR1 if costs.c12 <= costs.c21 else Owner.OPERATOR2
+        assert {owner for owner, cls in tally if cls is EdgeClass.CROSS} == {cross_builder}, (n1, n2)
+        assert link_connectivity(team.graph).p == 0
+    assert calls == []
+    # The null answer needs no network: a spanning tree of 9 links at 1/4
     # costs 9/4, although the joint floor, 5/4, is below 2.
     assert team_optimal(5, 5, 0, costs_of("1/4", "1/4", "1/4", "1/4")).null
 
@@ -144,9 +167,6 @@ def test_the_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n2, nam
         (lambda: solve_game(3, 3, CASE_A, mode="exact", cap="x"), "^cap must be an int >= 1, got 'x'"),
         (lambda: solve_game(3, 3, CASE_A, cap=-5), "^cap must be an int >= 1, got -5"),
         (lambda: solve_game(10, 10, CASE_A, mode="structured", cap=1.5), "^cap must be an int >= 1, got 1.5"),
-        (lambda: team_optimal(3, 3, 1, CASE_A, cap=None), "^cap must be an int >= 1, got None"),
-        (lambda: team_optimal(3, 3, 1, CASE_A, cap=True), "^cap must be an int >= 1, got True"),
-        (lambda: team_optimal(3, 3, 1, CASE_A, cap=0), "^cap must be an int >= 1, got 0"),
     ],
     ids=[
         "bounds-float-n1",
@@ -155,9 +175,6 @@ def test_the_solvers_refuse_layer_sizes_that_are_not_ints_at_least_1(n1, n2, nam
         "solve-str-cap",
         "solve-negative-cap",
         "solve-structured-float-cap",
-        "team-none-cap",
-        "team-bool-cap",
-        "team-zero-cap",
     ],
 )
 def test_the_metrics_entry_points_refuse_malformed_sizes_and_caps(call, message):
@@ -384,8 +401,8 @@ def test_exact_team_search_meets_the_joint_floor():
 
 
 def test_the_team_optimum_at_k_zero_is_a_minimum_spanning_tree_on_nine_nodes():
-    # Kruskal's rule over the three link classes gives the counts, and one
-    # placement, far below the default cap, the tree.  A lattice search
+    # Kruskal's rule over the three link classes gives the counts, and
+    # the tree at them is built with no search.  A lattice search
     # over link counts hit the 2^20 default cap on most of these games
     # (4+5 at case-a costs, 7/30, among them).
     for costs in (CASE_A, costs_of("1/20", "1/20", "1/20", "1/20")):
